@@ -43,12 +43,9 @@ from .protocol import (
     ExchangeQuery,
     StorageProtocolSpec,
     check_wellformed,
-    deposit_holds,
     exchange_holds,
     guard_holds,
-    update_holds,
     valid_fragment,
-    withdraw_holds,
 )
 from .library import (
     HashFunctionSpec,
@@ -86,12 +83,9 @@ __all__ = [
     "ExchangeQuery",
     "StorageProtocolSpec",
     "check_wellformed",
-    "deposit_holds",
     "exchange_holds",
     "guard_holds",
-    "update_holds",
     "valid_fragment",
-    "withdraw_holds",
     "HashFunctionSpec",
     "build_agn",
     "build_agnvec",

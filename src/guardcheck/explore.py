@@ -23,7 +23,7 @@ from .ghost import (
     apply_action,
     close_windows,
     empty_ledger,
-    ledger_snapshot,
+    joint_state,
 )
 from .lang import MachineConfig, enabled_threads, initial_config, step
 from .monoid import leq
@@ -314,9 +314,7 @@ def _resolve_transfer(ctx: ResolveCtx, entry: ScriptEntry):
 def _prop_ghost_invariant(scenario, state, prop):
     for iid, inst in state.ledger.instances:
         sp = scenario.protocols[iid]
-        total = sp.protocol.unit
-        for _, el in inst.fragments:
-            total = sp.protocol.compose_fn(total, el)
+        total = joint_state(sp, inst.fragments)
         if not valid_fragment(sp, total):
             return False, f"{iid}: joint fragment state not completable"
         if not sp.storage.valid_fn(inst.stored):
@@ -599,14 +597,3 @@ def replay(scenario: Scenario, schedule, mode: str = "rule"):
         if kind == "stuck":
             break
     return entries
-
-
-def state_snapshot(state: ExplState):
-    return {
-        "heap": [[l, term_to_json(v), list(rw)] for l, v, rw in state.machine.heap],
-        "threads": [
-            [t[0], term_to_json(t[1]) if t[0] == "done" else (t[1] if t[0] == "stuck" else None)]
-            for t in state.machine.threads
-        ],
-        "ledger": ledger_snapshot(state.ledger),
-    }

@@ -30,7 +30,6 @@ from .library import (
     build_fractional,
     build_fractional_memory,
     build_hashtable_monoid,
-    build_hashtable_protocol,
     build_int,
     build_nat,
     build_product,
@@ -38,10 +37,11 @@ from .library import (
     build_rwlock_multi,
     build_table_monoid,
     build_trivial,
+    pcm_as_protocol,
 )
 from .monoid import MonoidSpec
 from .protocol import StorageProtocolSpec
-from .terms import Term, is_term, term_from_json, term_to_json
+from .terms import EncodingError, Term, is_term, term_from_json, term_to_json
 
 __all__ = [
     "FormatError",
@@ -143,6 +143,14 @@ def _hash_spec(params: dict) -> HashFunctionSpec:
 
 def load_protocol(doc: dict):
     """Returns (StorageProtocolSpec, named-constructor map or None)."""
+    sp, helper = _load_protocol(doc)
+    return sp, getattr(helper, "constructors", None)
+
+
+def _load_protocol(doc: dict):
+    """(StorageProtocolSpec, helper). The helper is the builder's
+    named-element object, (raw monoid, elements) for the hash table, or
+    None."""
     if not isinstance(doc, dict):
         raise FormatError("protocol must be an object")
     if "builtin" in doc:
@@ -161,37 +169,34 @@ def load_protocol(doc: dict):
             if name == "fractional-memory":
                 return build_fractional_memory(_terms(_need(params, "keys"))), None
             if name == "counting":
-                sp, named = build_counting(
+                return build_counting(
                     tuple(params.get("r_range", (-4, 4))),
                     params.get("c_max", 4),
                     params.get("nat_limit", 8),
                     params.get("drop_carrier_constraint", False),
                 )
-                return sp, named.constructors
             if name == "forever":
                 return build_forever(), None
             if name == "rwlock":
-                sp, named = build_rwlock(
+                return build_rwlock(
                     _terms(_need(params, "values")),
                     tuple(params.get("rc_range", (-2, 4))),
                     params.get("sp_max", 4),
                     params.get("agn_max", 4),
                 )
-                return sp, named.constructors
             if name == "rwlock-multi":
-                sp, named = build_rwlock_multi(
+                return build_rwlock_multi(
                     _terms(_need(params, "values")),
                     params.get("k", 2),
                     tuple(params.get("rc_range", (-1, 2))),
                     params.get("sp_max", 1),
                     params.get("agn_max", 1),
                 )
-                return sp, named.constructors
             if name == "hashtable":
-                sp, elems = build_hashtable_protocol(
+                monoid, elems = build_hashtable_monoid(
                     _hash_spec(params), _terms(_need(params, "values"))
                 )
-                return sp, None
+                return pcm_as_protocol(monoid), (monoid, elems)
         except FormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -229,6 +234,8 @@ def element_from_json(doc, named, compose_fn=None) -> Term:
     if isinstance(doc, list) and doc and doc[0] == "named":
         if named is None:
             raise FormatError("protocol has no named elements")
+        if len(doc) != 3 or not isinstance(doc[1], str) or not isinstance(doc[2], list):
+            raise FormatError(f"a named element is [\"named\", ctor, [args...]], got {doc!r}")
         ctor = named.get(doc[1])
         if ctor is None:
             raise FormatError(f"unknown named element {doc[1]!r}")
@@ -252,22 +259,45 @@ def element_from_json(doc, named, compose_fn=None) -> Term:
 # ---------------------------------------------------------------------------
 # Relation query files
 
-_QUERY_KINDS = ("exchange", "deposit", "withdraw", "update", "guard", "valid-fragment")
+# the elements each query kind reads; "s" and "s_after" default to ε
+# where they are not listed
+_QUERY_FIELDS = {
+    "exchange": ("p", "p_after"),
+    "deposit": ("p", "s", "p_after"),
+    "withdraw": ("p", "p_after", "s_after"),
+    "update": ("p", "p_after"),
+    "guard": ("p", "s"),
+    "valid-fragment": ("p",),
+}
 
 
 def load_queries(doc: dict, named, compose_fn=None) -> list[dict]:
+    if not isinstance(doc, dict):
+        raise FormatError(f"relations: must be an object, got {type(doc).__name__}")
+    queries = _need(doc, "queries")
+    if not isinstance(queries, list):
+        raise FormatError(f"queries: must be a list, got {type(queries).__name__}")
     out = []
-    for i, q in enumerate(_need(doc, "queries")):
-        kind = _need(q, "kind")
-        if kind not in _QUERY_KINDS:
-            raise FormatError(f"query {i}: unknown kind {kind!r}")
+    for i, q in enumerate(queries):
+        path = f"queries[{i}]"
+        if not isinstance(q, dict):
+            raise FormatError(f"{path}: must be an object, got {type(q).__name__}")
+        kind = q.get("kind")
+        if not isinstance(kind, str) or kind not in _QUERY_FIELDS:
+            raise FormatError(f"{path}.kind: unknown query kind {kind!r}")
         expect = q.get("expect", "holds")
         if expect not in ("holds", "fails"):
-            raise FormatError(f"query {i}: expect must be holds|fails")
+            raise FormatError(f"{path}.expect: must be holds|fails")
+        for key in _QUERY_FIELDS[kind]:
+            if key not in q:
+                raise FormatError(f"{path}.{key}: missing")
         fields = {"kind": kind, "expect": expect, "note": q.get("note", "")}
         for key in ("p", "s", "p_after", "s_after"):
             if key in q:
-                fields[key] = element_from_json(q[key], named, compose_fn)
+                try:
+                    fields[key] = element_from_json(q[key], named, compose_fn)
+                except (EncodingError, FormatError) as exc:
+                    raise FormatError(f"{path}.{key}: {exc}") from exc
         out.append(fields)
     return out
 
@@ -363,32 +393,13 @@ def scenario_from_json(doc: dict) -> Scenario:
     for p in _need(doc, "protocols"):
         iid = _need(p, "id")
         descriptor = {k: v for k, v in p.items() if k in ("builtin", "params")}
-        sp, ctors = load_protocol(descriptor)
+        sp, helper = _load_protocol(descriptor)
         protocols[iid] = sp
         descriptors[iid] = descriptor
-        if p.get("builtin") == "rwlock":
-            _, named = build_rwlock(
-                _terms(_need(p["params"], "values")),
-                tuple(p["params"].get("rc_range", (-2, 4))),
-                p["params"].get("sp_max", 4),
-                p["params"].get("agn_max", 4),
-            )
-            named_map[iid] = named
-        elif p.get("builtin") == "rwlock-multi":
-            _, named = build_rwlock_multi(
-                _terms(_need(p["params"], "values")),
-                p["params"].get("k", 2),
-                tuple(p["params"].get("rc_range", (-1, 2))),
-                p["params"].get("sp_max", 1),
-                p["params"].get("agn_max", 1),
-            )
-            named_map[iid] = named
+        if p.get("builtin") in ("rwlock", "rwlock-multi"):
+            named_map[iid] = helper
         elif p.get("builtin") == "hashtable":
-            monoid, elems = build_hashtable_monoid(
-                _hash_spec(p["params"]), _terms(_need(p["params"], "values"))
-            )
-            ht_meta["ht_monoid"] = monoid
-            ht_meta["ht_elems"] = elems
+            ht_meta["ht_monoid"], ht_meta["ht_elems"] = helper
         initial_fragments[iid] = tuple(
             (o, term_from_json(el)) for o, el in p.get("fragments", [])
         )

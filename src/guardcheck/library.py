@@ -85,35 +85,25 @@ def _enum(elements, unit, mode, note=""):
 # Combinators
 
 
+def _excl_compose(a, b):
+    if a == UNIT:
+        return b
+    if b == UNIT:
+        return a
+    return BOT
+
+
+def _excl(name: str, tokens) -> MonoidSpec:
+    """ε, the given exclusive tokens, and the conflict element ⊥."""
+    elems = [UNIT, BOT, *tokens]
+    return MonoidSpec(
+        name, UNIT, _excl_compose, lambda t: t != BOT, _enum(elems, UNIT, "exhaustive")
+    )
+
+
 def build_excl(values: tuple[Term, ...], name: str = "excl") -> MonoidSpec:
     """Exclusive-ownership monoid: ε, ex(x), and the conflict element ⊥."""
-
-    def compose(a, b):
-        if a == UNIT:
-            return b
-        if b == UNIT:
-            return a
-        return BOT
-
-    elems = [UNIT, BOT] + [ex(v) for v in values]
-    return MonoidSpec(
-        name, UNIT, compose, lambda t: t != BOT, _enum(elems, UNIT, "exhaustive")
-    )
-
-
-def build_excl_token(name: str = "excl-token") -> MonoidSpec:
-    """Excl(1): ε, a single payload-free token, ⊥."""
-
-    def compose(a, b):
-        if a == UNIT:
-            return b
-        if b == UNIT:
-            return a
-        return BOT
-
-    return MonoidSpec(
-        name, UNIT, compose, lambda t: t != BOT, _enum([UNIT, EX, BOT], UNIT, "exhaustive")
-    )
+    return _excl(name, [ex(v) for v in values])
 
 
 def agn(x: Term, n: int) -> Term:
@@ -329,13 +319,14 @@ def build_trivial(name: str = "trivial") -> MonoidSpec:
 
 
 def as_total(spec: MonoidSpec, name: str | None = None) -> MonoidSpec:
-    """Same carrier and composition, validity constantly true."""
+    """Same carrier and composition, validity constantly true. The carrier
+    is read from ``spec``, so it is enumerated once for both."""
     return MonoidSpec(
         name or spec.name + "-total",
         spec.unit,
         spec.compose_fn,
         lambda t: True,
-        spec.enumerator,
+        ElementEnumerator(spec.enumerator.mode, lambda: carrier(spec), spec.enumerator.note),
     )
 
 
@@ -558,8 +549,8 @@ def build_rwlock(
         for x in values
     ]
     c_fields = build_excl(tuple(fields_payloads), name="rw-fields")
-    c_ep = build_excl_token("rw-ep")
-    c_e = build_excl_token("rw-e")
+    c_ep = _excl("rw-ep", [EX])
+    c_e = _excl("rw-e", [EX])
     c_sp = build_nat(sp_max, name="rw-sp")
     c_sh = build_agn(values, agn_max, name="rw-sh")
     product = build_product("rwlock-protocol", [c_fields, c_ep, c_e, c_sp, c_sh], total=True)
@@ -689,7 +680,7 @@ def build_rwlock_multi(
     ]
     c_fields = build_excl(tuple(fields_payloads), name="rwm-fields")
     c_ep = build_excl(tuple(tint(j) for j in range(k + 1)), name="rwm-ep")
-    c_e = build_excl_token("rwm-e")
+    c_e = _excl("rwm-e", [EX])
 
     sp_vecs = [
         ttuple(*(tint(c) for c in vec))

@@ -4,15 +4,17 @@ A :class:`MonoidSpec` packages a carrier (via a deterministic enumerator),
 a total composition function, a unit, and a validity predicate. The
 derived relations — extension order, frame-preserving update, and the
 overlapping-conjunction premise — are decided by enumeration over the
-carrier, exactly or up to the enumerator's declared bound.
+carrier, exactly or up to the enumerator's declared bound. Every such
+"for each frame" check, here and in the storage protocols, goes through
+:func:`first_counterexample`; :func:`memo` keeps the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-from .terms import Term, pretty, sort_terms, term_key
+from .terms import Term, pretty
 
 __all__ = [
     "ElementEnumerator",
@@ -28,6 +30,8 @@ __all__ = [
     "valid",
     "leq",
     "leq_witness",
+    "first_counterexample",
+    "memo",
     "frame_preserving_update",
     "and_premise",
     "check_pcm_laws",
@@ -82,18 +86,31 @@ class MonoidSpec:
         return self.enumerator.mode == "bounded"
 
 
+_MISSING = object()
+
+
+def memo(owner, key, compute, *args):
+    """``compute(*args)``, computed once per ``key`` and kept in the cache
+    of ``owner`` (a monoid or a storage protocol)."""
+    cache = owner._cache
+    got = cache.get(key, _MISSING)
+    if got is _MISSING:
+        got = cache[key] = compute(*args)
+    return got
+
+
 def carrier(spec: MonoidSpec) -> tuple[Term, ...]:
     """Enumerated carrier (unit first). Cached; duplicates rejected."""
-    got = spec._cache.get("carrier")
-    if got is None:
-        elems = list(spec.enumerator.generate())
-        if not elems or elems[0] != spec.unit:
-            raise ValueError(f"{spec.name}: enumerator must yield the unit first")
-        if len(set(elems)) != len(elems):
-            raise ValueError(f"{spec.name}: enumerator yielded duplicates")
-        got = tuple(elems)
-        spec._cache["carrier"] = got
-    return got
+    return memo(spec, "carrier", _enumerate, spec)
+
+
+def _enumerate(spec: MonoidSpec) -> tuple[Term, ...]:
+    elems = list(spec.enumerator.generate())
+    if not elems or elems[0] != spec.unit:
+        raise ValueError(f"{spec.name}: enumerator must yield the unit first")
+    if len(set(elems)) != len(elems):
+        raise ValueError(f"{spec.name}: enumerator yielded duplicates")
+    return tuple(elems)
 
 
 def compose(spec: MonoidSpec, a: Term, b: Term) -> Term:
@@ -102,29 +119,6 @@ def compose(spec: MonoidSpec, a: Term, b: Term) -> Term:
 
 def valid(spec: MonoidSpec, a: Term) -> bool:
     return spec.valid_fn(a)
-
-
-def _image(spec: MonoidSpec, a: Term) -> frozenset[Term]:
-    """{a·c : c enumerated} — decides x ≼ t by membership."""
-    comp = spec.compose_fn
-    return frozenset(comp(a, c) for c in carrier(spec))
-
-
-def leq(spec: MonoidSpec, a: Term, b: Term) -> bool:
-    """a ≼ b: some enumerated c satisfies a·c = b."""
-    return leq_witness(spec, a, b) is not None
-
-
-def leq_witness(spec: MonoidSpec, a: Term, b: Term) -> Term | None:
-    comp = spec.compose_fn
-    for c in carrier(spec):
-        if comp(a, c) == b:
-            return c
-    return None
-
-
-def _verdict(spec: MonoidSpec) -> str:
-    return UP_TO_BOUND if spec.bounded else HOLDS
 
 
 @dataclass(frozen=True)
@@ -150,20 +144,52 @@ class CheckResult:
         return f"{self.verdict}: {self.reason} [witness {pretty(self.witness)}]"
 
 
+def first_counterexample(
+    spec: MonoidSpec, body: Callable[[Term], str | None], bounded: bool = False
+) -> CheckResult:
+    """Decide ∀c. body(c) over the carrier of ``spec``, in carrier order.
+
+    ``body`` returns None where it holds and the reason where it does
+    not. The first failing frame is the witness, and ``frames`` counts
+    the frames visited up to it. Otherwise the verdict holds, up to the
+    bound when ``spec`` is bounded or ``bounded`` says that something
+    else the body reads is.
+    """
+    frames = carrier(spec)
+    for frame in frames:
+        why = body(frame)
+        if why is not None:
+            # carriers are duplicate-free: the index is the visit count
+            return CheckResult(FAILS, frame, why, frames.index(frame) + 1)
+    return CheckResult(UP_TO_BOUND if spec.bounded or bounded else HOLDS, frames=len(frames))
+
+
+def _image(spec: MonoidSpec, a: Term) -> frozenset[Term]:
+    """{a·c : c enumerated} — decides x ≼ t by membership."""
+    comp = spec.compose_fn
+    return frozenset(comp(a, c) for c in carrier(spec))
+
+
+def leq(spec: MonoidSpec, a: Term, b: Term) -> bool:
+    """a ≼ b: some enumerated c satisfies a·c = b."""
+    return leq_witness(spec, a, b) is not None
+
+
+def leq_witness(spec: MonoidSpec, a: Term, b: Term) -> Term | None:
+    """The first enumerated c with a·c = b: a counterexample to a ⋠ b."""
+    comp = spec.compose_fn
+    return first_counterexample(spec, lambda c: "extends" if comp(a, c) == b else None).witness
+
+
 def frame_preserving_update(spec: MonoidSpec, a: Term, b: Term) -> CheckResult:
     """a ⇝ b: every frame c with 𝒱(a·c) also satisfies 𝒱(b·c)."""
     comp, ok = spec.compose_fn, spec.valid_fn
-    n = 0
-    for c in carrier(spec):
-        n += 1
+
+    def body(c):
         if ok(comp(a, c)) and not ok(comp(b, c)):
-            return CheckResult(
-                FAILS,
-                witness=c,
-                reason=f"frame keeps {pretty(a)} valid but not {pretty(b)}",
-                frames=n,
-            )
-    return CheckResult(_verdict(spec), frames=n)
+            return f"frame keeps {pretty(a)} valid but not {pretty(b)}"
+
+    return first_counterexample(spec, body)
 
 
 def and_premise(spec: MonoidSpec, x: Term, y: Term, z: Term) -> CheckResult:
@@ -172,17 +198,12 @@ def and_premise(spec: MonoidSpec, x: Term, y: Term, z: Term) -> CheckResult:
     above_y = _image(spec, y)
     above_z = _image(spec, z)
     ok = spec.valid_fn
-    n = 0
-    for t in carrier(spec):
-        n += 1
+
+    def body(t):
         if t in above_x and t in above_y and ok(t) and t not in above_z:
-            return CheckResult(
-                FAILS,
-                witness=t,
-                reason=f"{pretty(t)} extends both operands but not {pretty(z)}",
-                frames=n,
-            )
-    return CheckResult(_verdict(spec), frames=n)
+            return f"{pretty(t)} extends both operands but not {pretty(z)}"
+
+    return first_counterexample(spec, body)
 
 
 @dataclass(frozen=True)
@@ -295,15 +316,3 @@ def check_pcm_laws(
     checks.append(LawCheck("validity-downward-closed", witness is None, pairs_full, n, witness))
 
     return LawReport(spec.name, spec.enumerator.mode, len(elems), tuple(checks))
-
-
-def sorted_carrier_from(elements: Iterable[Term], unit: Term) -> Iterator[Term]:
-    """Helper for builders: unit first, then the rest in canonical order."""
-    rest = [e for e in set(elements) if e != unit]
-    yield unit
-    for e in sort_terms(rest):
-        yield e
-
-
-def term_sort_key(t: Term):
-    return term_key(t)

@@ -2,27 +2,28 @@
 
 A storage protocol couples a total protocol monoid P with a storage
 monoid S through a completeness predicate 𝒞 and a storage map 𝒮 (defined
-exactly where 𝒞 holds). The derived relations — exchange, deposit,
-withdraw, update, guard — quantify over frames from P's enumerator and
-report Holds / FailsWithWitness / HoldsUpToBound.
+exactly where 𝒞 holds). The derived relations — exchange (with
+its deposit, withdraw and update specializations) and guard — quantify
+over frames from P's enumerator and report Holds / FailsWithWitness /
+HoldsUpToBound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .monoid import (
-    FAILS,
-    HOLDS,
-    UP_TO_BOUND,
     CheckResult,
     LawCheck,
     LawReport,
     MonoidSpec,
     carrier,
     check_pcm_laws,
+    first_counterexample,
     leq,
+    memo,
 )
 from .terms import Term, pretty
 
@@ -33,12 +34,10 @@ __all__ = [
     "WellformedReport",
     "check_wellformed",
     "exchange_holds",
-    "deposit_holds",
-    "withdraw_holds",
-    "update_holds",
     "guard_holds",
     "valid_fragment",
     "exchange_body_at",
+    "guard_body_at",
     "recheck_exchange_witness",
     "recheck_guard_witness",
 ]
@@ -118,113 +117,69 @@ class ExchangeQuery:
             raise ValueError("update fixes both storage sides to ε")
 
 
-def exchange_body_at(sp: StorageProtocolSpec, q: ExchangeQuery, frame: Term) -> tuple[bool, str]:
-    """Evaluate the exchange body at one frame; (ok, reason-if-not)."""
+def exchange_body_at(sp: StorageProtocolSpec, q: ExchangeQuery, frame: Term) -> str | None:
+    """The exchange body at one frame: None if it holds, else why not."""
     comp_p = sp.protocol.compose_fn
     comp_s = sp.storage.compose_fn
     pq = comp_p(q.p, frame)
     if not sp.complete(pq):
-        return True, ""
+        return None
     if not sp.complete(comp_p(q.p_after, frame)):
-        return False, "completion lost after transition"
+        return "completion lost after transition"
     before = comp_s(sp.stored(pq), q.s)
     if not sp.storage.valid_fn(before):
-        return False, "stored content composed with deposit is invalid"
+        return "stored content composed with deposit is invalid"
     after = comp_s(sp.stored(comp_p(q.p_after, frame)), q.s_after)
     if before != after:
-        return (
-            False,
-            f"storage books disagree: {pretty(before)} vs {pretty(after)}",
-        )
-    return True, ""
+        return f"storage books disagree: {pretty(before)} vs {pretty(after)}"
+    return None
+
+
+def guard_body_at(sp: StorageProtocolSpec, p: Term, s: Term, frame: Term) -> str | None:
+    """The guard body at one frame: None if it holds, else why not."""
+    pq = sp.protocol.compose_fn(p, frame)
+    if sp.complete(pq) and not leq(sp.storage, s, sp.stored(pq)):
+        return f"completion stores {pretty(sp.stored(pq))}, short of {pretty(s)}"
+    return None
 
 
 def exchange_holds(sp: StorageProtocolSpec, q: ExchangeQuery) -> CheckResult:
     """(p, s) ⇝⇝ (p', s') quantified over enumerated protocol frames."""
     q.check_shape(sp)
-    key = ("exch", q.p, q.s, q.p_after, q.s_after)
-    got = sp._cache.get(key)
-    if got is not None:
-        return got
-    n = 0
-    result = None
-    for frame in carrier(sp.protocol):
-        n += 1
-        ok, why = exchange_body_at(sp, q, frame)
-        if not ok:
-            result = CheckResult(FAILS, witness=frame, reason=why, frames=n)
-            break
-    if result is None:
-        result = CheckResult(UP_TO_BOUND if sp.bounded else HOLDS, frames=n)
-    sp._cache[key] = result
-    return result
-
-
-def deposit_holds(sp: StorageProtocolSpec, q: ExchangeQuery) -> CheckResult:
-    if q.kind != "deposit":
-        raise ValueError(f"expected a deposit query, got {q.kind}")
-    return exchange_holds(sp, q)
-
-
-def withdraw_holds(sp: StorageProtocolSpec, q: ExchangeQuery) -> CheckResult:
-    if q.kind != "withdraw":
-        raise ValueError(f"expected a withdraw query, got {q.kind}")
-    return exchange_holds(sp, q)
-
-
-def update_holds(sp: StorageProtocolSpec, q: ExchangeQuery) -> CheckResult:
-    if q.kind != "update":
-        raise ValueError(f"expected an update query, got {q.kind}")
-    return exchange_holds(sp, q)
+    return memo(
+        sp, ("exch", q.p, q.s, q.p_after, q.s_after),
+        first_counterexample, sp.protocol, partial(exchange_body_at, sp, q), sp.bounded,
+    )
 
 
 def guard_holds(sp: StorageProtocolSpec, p: Term, s: Term) -> CheckResult:
     """p ↝ s: every 𝒞-completion of p stores at least s."""
-    key = ("guard", p, s)
-    got = sp._cache.get(key)
-    if got is not None:
-        return got
-    comp_p = sp.protocol.compose_fn
-    n = 0
-    result = None
-    for frame in carrier(sp.protocol):
-        n += 1
-        pq = comp_p(p, frame)
-        if sp.complete(pq) and not leq(sp.storage, s, sp.stored(pq)):
-            result = CheckResult(
-                FAILS,
-                witness=frame,
-                reason=f"completion stores {pretty(sp.stored(pq))}, short of {pretty(s)}",
-                frames=n,
-            )
-            break
-    if result is None:
-        result = CheckResult(UP_TO_BOUND if sp.bounded else HOLDS, frames=n)
-    sp._cache[key] = result
-    return result
+    return memo(
+        sp, ("guard", p, s),
+        first_counterexample, sp.protocol, partial(guard_body_at, sp, p, s), sp.bounded,
+    )
 
 
 def valid_fragment(sp: StorageProtocolSpec, p: Term) -> bool:
     """Some enumerated frame completes p to a 𝒞-state."""
-    key = ("vf", p)
-    got = sp._cache.get(key)
-    if got is None:
-        comp_p = sp.protocol.compose_fn
-        got = any(sp.complete(comp_p(p, q)) for q in carrier(sp.protocol))
-        sp._cache[key] = got
-    return got
+    return memo(sp, ("vf", p), _completable, sp, p)
+
+
+def _completable(sp: StorageProtocolSpec, p: Term) -> bool:
+    comp_p = sp.protocol.compose_fn
+    found = first_counterexample(
+        sp.protocol, lambda q: "completes" if sp.complete(comp_p(p, q)) else None
+    )
+    return not found.ok
 
 
 def recheck_exchange_witness(sp: StorageProtocolSpec, q: ExchangeQuery, frame: Term) -> bool:
     """True when the frame really falsifies the exchange body (self-verifying)."""
-    ok, _ = exchange_body_at(sp, q, frame)
-    return not ok
+    return exchange_body_at(sp, q, frame) is not None
 
 
 def recheck_guard_witness(sp: StorageProtocolSpec, p: Term, s: Term, frame: Term) -> bool:
-    comp_p = sp.protocol.compose_fn
-    pq = comp_p(p, frame)
-    return sp.complete(pq) and not leq(sp.storage, s, sp.stored(pq))
+    return guard_body_at(sp, p, s, frame) is not None
 
 
 @dataclass(frozen=True)

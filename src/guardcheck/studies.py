@@ -23,7 +23,7 @@ from .explore import (
     register_property,
     register_resolver,
 )
-from .ghost import ExchangeAction, GhostViolation, OpenGuardAction, TransferAction
+from .ghost import ExchangeAction, GhostViolation, OpenGuardAction, TransferAction, joint_state
 from .lang import (
     abort,
     add,
@@ -50,10 +50,11 @@ from .library import (
     EX,
     NONE,
     HashFunctionSpec,
-    build_hashtable_protocol,
+    build_hashtable_monoid,
     build_rwlock,
     build_rwlock_multi,
     ex,
+    pcm_as_protocol,
     some,
 )
 from .terms import (
@@ -914,11 +915,7 @@ class ReplayKeyError(KeyError):
 
 
 def _ht_total(scenario, ledger):
-    sp = scenario.protocols["ht"]
-    total = sp.protocol.unit
-    for _, el in ledger.instance("ht").fragments:
-        total = sp.protocol.compose_fn(total, el)
-    return total
+    return joint_state(scenario.protocols["ht"], ledger.instance("ht").fragments)
 
 
 @register_resolver("ht.take-slot")
@@ -999,7 +996,7 @@ def _map_set(m: Term, key: Term, value: Term) -> Term:
 def _ht_query_check(ctx, entry):
     """Pure observations at a probed slot: the physical read agrees with
     the ghost slot, and the overlap-composition premises hold."""
-    from .monoid import and_premise
+    from .monoid import and_premise, memo
 
     _, slot = _ht_slot_for_event(ctx, entry)
     monoid = ctx.scenario.meta["ht_monoid"]
@@ -1019,12 +1016,11 @@ def _ht_query_check(ctx, entry):
     if vm is not None:
         x = ttuple(tmap([(key, ex(vm))]), tmap(()))
         y = elems.slot(slot, ghost_slot)
-        cache_key = ("addendum", key, vm, slot, ghost_slot)
-        verdict = monoid._cache.get(cache_key)
-        if verdict is None:
-            verdict = and_premise(monoid, x, y, monoid.compose_fn(x, y)).ok
-            monoid._cache[cache_key] = verdict
-        if not verdict:
+        verdict = memo(
+            monoid, ("addendum", key, vm, slot, ghost_slot),
+            and_premise, monoid, x, y, monoid.compose_fn(x, y),
+        )
+        if not verdict.ok:
             return GhostViolation(
                 "overlap-composition-failed", "ht",
                 detail=f"m({pretty(key)}) ∧ slot({slot}) does not compose",
@@ -1198,7 +1194,8 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
     exc_locs = [loc(length + 2 * i) for i in range(length)]
     rc_locs = [loc(length + 2 * i + 1) for i in range(length)]
 
-    ht_sp, ht_elems = build_hashtable_protocol(hash_spec, params.values)
+    raw_monoid, ht_elems = build_hashtable_monoid(hash_spec, params.values)
+    ht_sp = pcm_as_protocol(raw_monoid)
     slot_states = (NONE,) + tuple(
         some(ttuple(k, v)) for k in keys for v in params.values
     )
@@ -1288,10 +1285,7 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
 
         programs.append(build(0))
 
-    from .library import build_hashtable_monoid
     from .terms import term_to_json
-
-    raw_monoid, _ = build_hashtable_monoid(hash_spec, params.values)
 
     protocol_json = {
         "ht": {

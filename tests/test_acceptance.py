@@ -51,7 +51,6 @@ from guardcheck.protocol import (
     guard_holds,
     recheck_exchange_witness,
     recheck_guard_witness,
-    update_holds,
 )
 from guardcheck.studies import (
     HashTableScenarioParams,
@@ -329,7 +328,7 @@ def test_criterion_4_cross_validation(rw):
         prefix = carrier(sp.protocol)[:sample]
         for p in prefix:
             for p2 in prefix:
-                ours = update_holds(sp, ExchangeQuery.update(p, p2, eps)).ok
+                ours = exchange_holds(sp, ExchangeQuery.update(p, p2, eps)).ok
                 theirs = frame_preserving_update(paired, ttuple(p, eps), ttuple(p2, eps)).ok
                 assert ours == theirs, (sp.name, p, p2)
                 checked += 1

@@ -1,9 +1,14 @@
 """CLI: exit codes, output determinism, and the demo registry."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import guardcheck
 from guardcheck.cli import main
 from guardcheck.demos import DEMOS, demo_documents, demo_path
 
@@ -154,3 +159,33 @@ def test_race_negative_demo(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["stuck_count"] >= 1 and report["ok"]
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [
+        {"queries": ["guard"]},
+        {"queries": {"kind": "guard"}},
+        {"queries": [{"kind": "guard", "p": ["no-such-tag"], "s": ["unit"]}]},
+        {"queries": [{"kind": "update", "p": ["unit"]}]},
+        {"queries": [{"kind": "guard", "p": ["named"], "s": ["int", 1]}]},
+    ],
+    ids=["query-not-object", "queries-not-list", "bad-term", "missing-field", "bare-named"],
+)
+def test_malformed_relations_exit_2_without_traceback(tmp_path, relations):
+    protocol = tmp_path / "counting.json"  # a builtin with named elements
+    protocol.write_text(
+        json.dumps({"builtin": "counting", "params": {"r_range": [-1, 1], "c_max": 1}})
+    )
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps(relations))
+    src = str(Path(guardcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from guardcheck.cli import main; sys.exit(main())",
+         "check", str(protocol), str(path)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: queries")

@@ -296,6 +296,17 @@ def test_guard_rejected_for_pending_reader(ledger):
     ).ok
 
 
+def test_concrete_guard_rejects_content_no_completion_stores(ledger):
+    # the lock stores ex(x0); no completion of the live state stores ex(x1)
+    out = apply_action(
+        REGISTRY, ledger, OpenGuardAction("rw", "region", ex(X1)), "concrete"
+    )
+    assert not out.ok
+    assert out.violation.reason == "guard-rejected"
+    assert out.violation.witness == RWE.fields(False, 0, X0)  # the live total
+    assert out.violation.detail == "a completion of the live state stores too little"
+
+
 def test_trivial_guard_always_admitted(ledger):
     out = apply_action(
         REGISTRY, ledger, OpenGuardAction("rw", "reader", UNIT)

@@ -32,7 +32,6 @@ from guardcheck.protocol import (
     check_wellformed,
     exchange_holds,
     guard_holds,
-    update_holds,
     valid_fragment,
 )
 from guardcheck.terms import BOT, UNIT, tfrac, tint, tmap, tsym, ttuple
@@ -146,7 +145,7 @@ class TestRwLockRelations:
         q = ExchangeQuery.update(
             RWE.fields(False, rc, x), _c(RWE.fields(True, rc, x), RWE.exc_pending()), UNIT
         )
-        assert update_holds(RW, q).ok
+        assert exchange_holds(RW, q).ok
 
     @pytest.mark.parametrize("rc", [0, 1])
     def test_update_shared_begin(self, rc):
@@ -155,7 +154,7 @@ class TestRwLockRelations:
             _c(RWE.fields(False, rc + 1, X0), RWE.sh_pending()),
             UNIT,
         )
-        assert update_holds(RW, q).ok
+        assert exchange_holds(RW, q).ok
 
     def test_update_shared_acquire(self):
         q = ExchangeQuery.update(
@@ -163,19 +162,19 @@ class TestRwLockRelations:
             _c(RWE.fields(False, 1, X0), RWE.sh(X0)),
             UNIT,
         )
-        assert update_holds(RW, q).ok
+        assert exchange_holds(RW, q).ok
 
     def test_update_shared_release(self):
         q = ExchangeQuery.update(
             _c(RWE.fields(False, 1, X0), RWE.sh(X0)), RWE.fields(False, 0, X0), UNIT
         )
-        assert update_holds(RW, q).ok
+        assert exchange_holds(RW, q).ok
 
     def test_update_shared_retry(self):
         q = ExchangeQuery.update(
             _c(RWE.fields(True, 1, X0), RWE.sh_pending()), RWE.fields(True, 0, X0), UNIT
         )
-        assert update_holds(RW, q).ok
+        assert exchange_holds(RW, q).ok
 
     def test_withdraw_on_zero_count(self):
         q = ExchangeQuery.withdraw(
@@ -201,7 +200,7 @@ class TestRwLockRelations:
         q = ExchangeQuery.update(
             RWE.fields(False, 0, X0), _c(RWE.fields(True, 1, X0), RWE.exc_pending()), UNIT
         )
-        r = update_holds(RW, q)
+        r = exchange_holds(RW, q)
         assert r.verdict == FAILS and r.witness is not None
 
     def test_perturbed_withdraw_with_readers(self):
@@ -221,7 +220,7 @@ class TestRwLockRelations:
         q = ExchangeQuery.update(
             RWE.fields(True, 0, X0), _c(RWE.fields(False, 0, X0), RWE.exc_pending()), UNIT
         )
-        assert update_holds(RW, q).verdict == FAILS
+        assert exchange_holds(RW, q).verdict == FAILS
 
 
 class TestRwLockFragments:
@@ -255,7 +254,7 @@ class TestRwLockMulti:
             _cm(RWME.fields(True, (0, 0), X0), RWME.exc_pending(0)),
             UNIT,
         )
-        assert update_holds(RWM, q).ok
+        assert exchange_holds(RWM, q).ok
 
     def test_exc_progress_requires_zero(self):
         good = ExchangeQuery.update(
@@ -263,13 +262,13 @@ class TestRwLockMulti:
             _cm(RWME.fields(True, (0, 1), X0), RWME.exc_pending(1)),
             UNIT,
         )
-        assert update_holds(RWM, good).ok
+        assert exchange_holds(RWM, good).ok
         bad = ExchangeQuery.update(
             _cm(RWME.fields(True, (1, 0), X0), RWME.exc_pending(0)),
             _cm(RWME.fields(True, (1, 0), X0), RWME.exc_pending(1)),
             UNIT,
         )
-        assert update_holds(RWM, bad).verdict == FAILS
+        assert exchange_holds(RWM, bad).verdict == FAILS
 
     def test_exc_acquire_at_k(self):
         q = ExchangeQuery.withdraw(
@@ -286,7 +285,7 @@ class TestRwLockMulti:
             _cm(RWME.fields(False, (1, 0), X0), RWME.sh(0, X0)),
             UNIT,
         )
-        assert update_holds(RWM, q).ok
+        assert exchange_holds(RWM, q).ok
 
     def test_shared_guard(self):
         assert guard_holds(RWM, RWME.sh(1, X0), ex(X0)).ok

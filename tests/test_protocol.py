@@ -24,14 +24,11 @@ from guardcheck.protocol import (
     StorageDomainError,
     StorageProtocolSpec,
     check_wellformed,
-    deposit_holds,
     exchange_holds,
     guard_holds,
     recheck_exchange_witness,
     recheck_guard_witness,
-    update_holds,
     valid_fragment,
-    withdraw_holds,
 )
 from guardcheck.terms import BOT, UNIT, tfrac, tint, ttuple
 
@@ -47,11 +44,11 @@ class TestFractional:
 
     def test_withdraw_whole_share(self):
         q = ExchangeQuery.withdraw(tfrac(1), tfrac(0), tint(1), tint(0))
-        assert withdraw_holds(FRAC, q).ok
+        assert exchange_holds(FRAC, q).ok
 
     def test_deposit_whole_share(self):
         q = ExchangeQuery.deposit(tfrac(0), tint(1), tfrac(1), tint(0))
-        assert deposit_holds(FRAC, q).ok
+        assert exchange_holds(FRAC, q).ok
 
     def test_reflexive_exchange(self):
         q = ExchangeQuery.exchange(tfrac(1, 3), tint(0), tfrac(1, 3), tint(0))
@@ -68,7 +65,7 @@ class TestFractional:
 
     def test_half_share_cannot_withdraw(self):
         q = ExchangeQuery.withdraw(tfrac(1, 2), tfrac(0), tint(1), tint(0))
-        r = withdraw_holds(FRAC, q)
+        r = exchange_holds(FRAC, q)
         assert r.verdict == FAILS
         assert r.witness == tfrac(1, 2)
         assert recheck_exchange_witness(FRAC, q, r.witness)
@@ -113,10 +110,10 @@ class TestForever:
 
     def test_withdraw_fails(self):
         q = ExchangeQuery.withdraw(UNIT, UNIT, ex(tint(1)), UNIT)
-        assert withdraw_holds(FOREVER, q).verdict == FAILS
+        assert exchange_holds(FOREVER, q).verdict == FAILS
 
     def test_trivial_update(self):
-        assert update_holds(FOREVER, ExchangeQuery.update(UNIT, UNIT, UNIT)).ok
+        assert exchange_holds(FOREVER, ExchangeQuery.update(UNIT, UNIT, UNIT)).ok
 
 
 def test_wellformed_reports_bad_storage_map():
@@ -138,8 +135,6 @@ def test_stored_outside_complete_raises_domain_error():
 def test_query_shape_validation():
     with pytest.raises(ValueError):
         ExchangeQuery(tfrac(0), tint(1), tfrac(1), tint(1), "deposit").check_shape(FRAC)
-    with pytest.raises(ValueError):
-        deposit_holds(FRAC, ExchangeQuery.update(tfrac(0), tfrac(0), tint(0)))
 
 
 def test_valid_fragment_examples():
@@ -202,7 +197,7 @@ def test_update_agrees_with_paired_fpu(sp):
     eps = sp.storage.unit
     for p in prefix:
         for p2 in prefix:
-            ours = update_holds(sp, ExchangeQuery.update(p, p2, eps)).ok
+            ours = exchange_holds(sp, ExchangeQuery.update(p, p2, eps)).ok
             theirs = frame_preserving_update(
                 paired, ttuple(p, eps), ttuple(p2, eps)
             ).ok
@@ -217,6 +212,6 @@ def test_pcm_as_protocol_matches_fpu():
     for a in carrier(excl):
         for b in carrier(excl):
             assert (
-                update_holds(sp, ExchangeQuery.update(a, b, eps)).ok
+                exchange_holds(sp, ExchangeQuery.update(a, b, eps)).ok
                 == frame_preserving_update(excl, a, b).ok
             )
