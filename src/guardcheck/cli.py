@@ -105,7 +105,7 @@ def run_check(protocol_doc: dict, relations_doc: dict | None, law_limits=None) -
     wf = check_wellformed(sp, **(law_limits or {}))
     queries = []
     if relations_doc is not None:
-        for q in load_queries(relations_doc, named, sp.protocol.compose_fn):
+        for q in load_queries(relations_doc, named, sp):
             queries.append(_run_query(sp, q))
     return {
         "protocol": sp.name,

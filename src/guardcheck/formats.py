@@ -39,9 +39,9 @@ from .library import (
     build_trivial,
     pcm_as_protocol,
 )
-from .monoid import MonoidSpec
+from .monoid import MonoidSpec, is_element
 from .protocol import StorageProtocolSpec
-from .terms import EncodingError, Term, is_term, term_from_json, term_to_json
+from .terms import BOT, EncodingError, Term, is_term, pretty, term_from_json, term_to_json
 
 __all__ = [
     "FormatError",
@@ -223,14 +223,37 @@ def _load_protocol(doc: dict):
             storage,
             lambda p: p in complete_set,
             lambda p: stored_map[p],
+            bot_parts_incomplete=bool(protocol.parts)
+            and not any(p[0] == "tuple" and BOT in p[1] for p in complete_set),
         ),
         None,
     )
 
 
-def element_from_json(doc, named, compose_fn=None) -> Term:
+def element_from_json(doc, named, monoid: MonoidSpec | None = None) -> Term:
     """A term, ["named", ctor, [term args...]] resolved via ``named``, or
-    ["compose", [elements...]] composed in the protocol monoid."""
+    ["compose", [elements...]] composed in ``monoid``. Given ``monoid``,
+    an element that is not a composite, and each part of one, must be in
+    its carrier; a composite itself may lie outside a bound."""
+    if isinstance(doc, list) and doc and doc[0] == "compose":
+        if monoid is None:
+            raise FormatError("no composition available for compose elements")
+        if len(doc) != 2 or not isinstance(doc[1], list):
+            raise FormatError(f"a composite is [\"compose\", [elements...]], got {doc!r}")
+        parts = [element_from_json(d, named, monoid) for d in doc[1]]
+        if not parts:
+            raise FormatError("compose needs at least one element")
+        out = parts[0]
+        for p in parts[1:]:
+            out = monoid.compose_fn(out, p)
+        return out
+    el = _named_or_term(doc, named)
+    if monoid is not None and not is_element(monoid, el):
+        raise FormatError(f"{pretty(el)} is not in the carrier of {monoid.name}")
+    return el
+
+
+def _named_or_term(doc, named) -> Term:
     if isinstance(doc, list) and doc and doc[0] == "named":
         if named is None:
             raise FormatError("protocol has no named elements")
@@ -243,16 +266,6 @@ def element_from_json(doc, named, compose_fn=None) -> Term:
             return ctor([term_from_json(a) for a in doc[2]])
         except (IndexError, TypeError, ValueError) as exc:
             raise FormatError(f"bad named element {doc!r}: {exc}") from exc
-    if isinstance(doc, list) and doc and doc[0] == "compose":
-        if compose_fn is None:
-            raise FormatError("no composition available for compose elements")
-        parts = [element_from_json(d, named, compose_fn) for d in doc[1]]
-        if not parts:
-            raise FormatError("compose needs at least one element")
-        out = parts[0]
-        for p in parts[1:]:
-            out = compose_fn(out, p)
-        return out
     return term_from_json(doc)
 
 
@@ -271,7 +284,10 @@ _QUERY_FIELDS = {
 }
 
 
-def load_queries(doc: dict, named, compose_fn=None) -> list[dict]:
+def load_queries(doc: dict, named, sp: StorageProtocolSpec | None = None) -> list[dict]:
+    """The queries of a relations document. Given the protocol ``sp``,
+    ``p`` and ``p_after`` are elements of its protocol monoid and ``s``
+    and ``s_after`` of its storage monoid (see :func:`element_from_json`)."""
     if not isinstance(doc, dict):
         raise FormatError(f"relations: must be an object, got {type(doc).__name__}")
     queries = _need(doc, "queries")
@@ -294,8 +310,9 @@ def load_queries(doc: dict, named, compose_fn=None) -> list[dict]:
         fields = {"kind": kind, "expect": expect, "note": q.get("note", "")}
         for key in ("p", "s", "p_after", "s_after"):
             if key in q:
+                monoid = sp and (sp.storage if key in ("s", "s_after") else sp.protocol)
                 try:
-                    fields[key] = element_from_json(q[key], named, compose_fn)
+                    fields[key] = element_from_json(q[key], named, monoid)
                 except (EncodingError, FormatError) as exc:
                     raise FormatError(f"{path}.{key}: {exc}") from exc
         out.append(fields)

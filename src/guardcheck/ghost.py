@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 
-from .monoid import first_counterexample, leq, memo
+from .monoid import leq
 from .protocol import (
     ExchangeQuery,
     StorageProtocolSpec,
@@ -30,6 +30,7 @@ from .protocol import (
     exchange_holds,
     guard_body_at,
     guard_holds,
+    quantify_frames,
     valid_fragment,
 )
 from .terms import Term, pretty, term_to_json
@@ -323,9 +324,9 @@ def apply_action(registry, ledger: GhostLedger, action, mode: str = "rule") -> A
             # entry point, so that timing the relation layer by wrapping
             # guard_holds counts rule-mode checks only
             total = joint_state(sp, state.fragments)
-            covered = memo(
-                sp, ("guard", total, action.element), first_counterexample,
-                sp.protocol, partial(guard_body_at, sp, total, action.element), sp.bounded,
+            covered = quantify_frames(
+                sp, ("guard", total, action.element), total,
+                partial(guard_body_at, sp, total, action.element),
             )
             if not covered.ok:
                 return ApplyOutcome(

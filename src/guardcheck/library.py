@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monoid import ElementEnumerator, MonoidSpec, carrier
+from .monoid import ElementEnumerator, MonoidSpec, carrier, term_order
 from .protocol import StorageProtocolSpec
 from .terms import (
     BOT,
@@ -79,6 +79,15 @@ def ex(t: Term) -> Term:
 def _enum(elements, unit, mode, note=""):
     elems = tuple([unit] + sort_terms(set(elements) - {unit}))
     return ElementEnumerator(mode, lambda: iter(elems), note)
+
+
+def _tuples_in_order(columns, unit) -> list[Term]:
+    """Every tuple over ``columns``, each in term order: tuples compare
+    part by part, so the product is in term order as generated. ``unit``
+    moves to the front."""
+    elems = [ttuple(*c) for c in itertools.product(*columns)]
+    elems.remove(unit)
+    return [unit] + elems
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +259,11 @@ def build_product(name: str, parts: list[MonoidSpec], total: bool = False) -> Mo
     mode = "bounded" if any(p.bounded for p in parts) else "exhaustive"
 
     def generate():
-        combos = itertools.product(*(carrier(p) for p in parts))
-        elems = sort_terms(ttuple(*c) for c in combos)
-        elems.remove(units)
-        return iter([units] + elems)
+        return iter(_tuples_in_order([term_order(p)[0] for p in parts], units))
 
-    return MonoidSpec(name, units, compose, valid_fn, ElementEnumerator(mode, generate))
+    return MonoidSpec(
+        name, units, compose, valid_fn, ElementEnumerator(mode, generate), tuple(parts)
+    )
 
 
 def build_finmap(keys: tuple[Term, ...], value: MonoidSpec, name: str = "finmap") -> MonoidSpec:
@@ -558,8 +566,6 @@ def build_rwlock(
 
     def complete(p):
         c1, ep, e, spc, s = p[1]
-        if BOT in (c1, ep, e, s):
-            return False
         got = con_args(c1, "ex")
         if got is None:
             return False
@@ -583,7 +589,9 @@ def build_rwlock(
         x = con_args(c1, "ex")[0][1][2]
         return UNIT if e == EX else ex(x)
 
-    sp = StorageProtocolSpec("rwlock", product, storage, complete, stored_of)
+    sp = StorageProtocolSpec(
+        "rwlock", product, storage, complete, stored_of, bot_parts_incomplete=True
+    )
     return sp, RwLockElems(tuple(values))
 
 
@@ -700,8 +708,6 @@ def build_rwlock_multi(
 
     def complete(p):
         c1, ep, e, spc, s = p[1]
-        if BOT in (c1, ep, e, s):
-            return False
         got = con_args(c1, "ex")
         if got is None:
             return False
@@ -733,7 +739,9 @@ def build_rwlock_multi(
         x = con_args(c1, "ex")[0][1][2]
         return UNIT if e == EX else ex(x)
 
-    sp = StorageProtocolSpec("rwlock-multi", product, storage, complete, stored_of)
+    sp = StorageProtocolSpec(
+        "rwlock-multi", product, storage, complete, stored_of, bot_parts_incomplete=True
+    )
     return sp, RwLockMultiElems(tuple(values), k)
 
 
@@ -886,18 +894,16 @@ def build_hashtable_monoid(
     def generate():
         per_key = [[None, BOT] + [ex(o) for o in map_opts] for _ in keys]
         per_slot = [[None, BOT] + [ex(o) for o in slot_opts] for _ in range(length)]
-        elems = []
-        for key_combo in itertools.product(*per_key):
-            kmap = tmap((k, v) for k, v in zip(keys, key_combo) if v is not None)
-            for slot_combo in itertools.product(*per_slot):
-                smap = tmap(
-                    (tint(i), v) for i, v in enumerate(slot_combo) if v is not None
-                )
-                elems.append(ttuple(kmap, smap))
-        out = sort_terms(elems)
+        kmaps = [
+            tmap((k, v) for k, v in zip(keys, combo) if v is not None)
+            for combo in itertools.product(*per_key)
+        ]
+        smaps = [
+            tmap((tint(i), v) for i, v in enumerate(combo) if v is not None)
+            for combo in itertools.product(*per_slot)
+        ]
         unit = ttuple(tmap(()), tmap(()))
-        out.remove(unit)
-        return iter([unit] + out)
+        return iter(_tuples_in_order([sort_terms(kmaps), sort_terms(smaps)], unit))
 
     spec = MonoidSpec(
         "hashtable",

@@ -11,10 +11,12 @@ carrier, exactly or up to the enumerator's declared bound. Every such
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from math import prod
 from typing import Callable, Iterable
 
-from .terms import Term, pretty
+from .terms import BOT, Term, pretty, sort_terms, ttuple
 
 __all__ = [
     "ElementEnumerator",
@@ -26,6 +28,8 @@ __all__ = [
     "FAILS",
     "UP_TO_BOUND",
     "carrier",
+    "term_order",
+    "is_element",
     "compose",
     "valid",
     "leq",
@@ -71,7 +75,9 @@ class MonoidSpec:
 
     ``compose`` must be total on the carrier encoding and return canonical
     terms. Specs compare by identity; results of carrier enumeration and
-    relation checks are cached on the instance.
+    relation checks are cached on the instance. A componentwise product
+    records its ``parts``; its carrier is then every tuple of part
+    elements, in term order with the unit moved to the front.
     """
 
     name: str
@@ -79,6 +85,7 @@ class MonoidSpec:
     compose_fn: Callable[[Term, Term], Term]
     valid_fn: Callable[[Term], bool]
     enumerator: ElementEnumerator
+    parts: tuple["MonoidSpec", ...] = ()
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -113,6 +120,28 @@ def _enumerate(spec: MonoidSpec) -> tuple[Term, ...]:
     return tuple(elems)
 
 
+def term_order(spec: MonoidSpec) -> tuple[tuple[Term, ...], dict[Term, int]]:
+    """The carrier sorted by term order, and each element's index in it."""
+    return memo(spec, "term-order", _term_order, spec)
+
+
+def _term_order(spec: MonoidSpec):
+    ordered = tuple(sort_terms(carrier(spec)))
+    return ordered, {t: i for i, t in enumerate(ordered)}
+
+
+def is_element(spec: MonoidSpec, t: Term) -> bool:
+    """Whether ``t`` is enumerated in the carrier of ``spec``. A product
+    asks its parts, so its own carrier is not built."""
+    if spec.parts:
+        return (
+            t[0] == "tuple"
+            and len(t[1]) == len(spec.parts)
+            and all(map(is_element, spec.parts, t[1]))
+        )
+    return t in term_order(spec)[1]
+
+
 def compose(spec: MonoidSpec, a: Term, b: Term) -> Term:
     return spec.compose_fn(a, b)
 
@@ -126,7 +155,10 @@ class CheckResult:
     """Outcome of one enumerated relation check.
 
     A failing result carries a frame that, substituted back into the
-    quantified body, falsifies it.
+    quantified body, falsifies it. ``frames`` counts carrier positions:
+    up to and including the witness when the check fails, the whole
+    carrier when it holds. Frames a pruned walk skipped count too, so it
+    is not the number of bodies evaluated.
     """
 
     verdict: str  # HOLDS | FAILS | UP_TO_BOUND
@@ -145,23 +177,72 @@ class CheckResult:
 
 
 def first_counterexample(
-    spec: MonoidSpec, body: Callable[[Term], str | None], bounded: bool = False
+    spec: MonoidSpec,
+    body: Callable[[Term], str | None],
+    bounded: bool = False,
+    against: Term | None = None,
 ) -> CheckResult:
     """Decide ∀c. body(c) over the carrier of ``spec``, in carrier order.
 
     ``body`` returns None where it holds and the reason where it does
-    not. The first failing frame is the witness, and ``frames`` counts
-    the frames visited up to it. Otherwise the verdict holds, up to the
-    bound when ``spec`` is bounded or ``bounded`` says that something
-    else the body reads is.
+    not. The first failing frame is the witness, and ``frames`` is its
+    carrier position, counted from 1; a holding verdict reports the
+    carrier size. The verdict holds up to the bound when ``spec`` is
+    bounded or ``bounded`` says that something else the body reads is.
+
+    ``against`` is a promise by the caller: body(c) holds wherever some
+    part of against·c is ⊥. For a product ``spec`` the walk then visits
+    only the frames whose every part composes with ``against`` without ⊥,
+    and never builds the product carrier.
     """
-    frames = carrier(spec)
+    frames, position, size = _walk(spec, against)
     for frame in frames:
         why = body(frame)
         if why is not None:
-            # carriers are duplicate-free: the index is the visit count
-            return CheckResult(FAILS, frame, why, frames.index(frame) + 1)
-    return CheckResult(UP_TO_BOUND if spec.bounded or bounded else HOLDS, frames=len(frames))
+            return CheckResult(FAILS, frame, why, position(frame) + 1)
+    return CheckResult(UP_TO_BOUND if spec.bounded or bounded else HOLDS, frames=size)
+
+
+def _walk(spec: MonoidSpec, against: Term | None):
+    """(frames to visit in carrier order, frame -> carrier position, carrier size)."""
+    if against is None or not spec.parts:
+        frames = carrier(spec)
+        return frames, frames.index, len(frames)
+    indices = [term_order(part)[1] for part in spec.parts]
+    strides, unit_rank, size = memo(spec, "strides", _strides, spec)
+    lists = [
+        memo(part, ("frames-against", x), _frames_against, part, x)
+        for part, x in zip(spec.parts, against[1])
+    ]
+    frames = [ttuple(*c) for c in itertools.product(*lists)]
+    unit = spec.unit
+    if all(u in frames_j for u, frames_j in zip(unit[1], lists)):
+        frames.remove(unit)
+        frames.insert(0, unit)
+
+    def position(frame):
+        # the frame's rank in the term-ordered product, before the unit moved
+        rank = sum(s * index[c] for s, index, c in zip(strides, indices, frame[1]))
+        return 0 if rank == unit_rank else rank + (rank < unit_rank)
+
+    return frames, position, size
+
+
+def _strides(spec: MonoidSpec):
+    """Mixed-radix strides of the term-ordered product, the unit's rank in
+    it, and the carrier size."""
+    sizes = [len(term_order(part)[0]) for part in spec.parts]
+    strides = tuple(prod(sizes[j + 1:]) for j in range(len(sizes)))
+    unit_rank = sum(
+        s * term_order(part)[1][u] for s, part, u in zip(strides, spec.parts, spec.unit[1])
+    )
+    return strides, unit_rank, prod(sizes)
+
+
+def _frames_against(part: MonoidSpec, x: Term) -> tuple[Term, ...]:
+    """The elements c of ``part``, in term order, with x·c ≠ ⊥."""
+    comp = part.compose_fn
+    return tuple(c for c in term_order(part)[0] if comp(x, c) != BOT)
 
 
 def _image(spec: MonoidSpec, a: Term) -> frozenset[Term]:

@@ -5,7 +5,9 @@ monoid S through a completeness predicate 𝒞 and a storage map 𝒮 (defined
 exactly where 𝒞 holds). The derived relations — exchange (with
 its deposit, withdraw and update specializations) and guard — quantify
 over frames from P's enumerator and report Holds / FailsWithWitness /
-HoldsUpToBound.
+HoldsUpToBound. They constrain only frames q where 𝒞(p·q) holds, so
+where 𝒞 rejects every element with a ⊥ part, the frames that give p·q a
+⊥ part are skipped (see :func:`quantify_frames`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .monoid import (
     leq,
     memo,
 )
-from .terms import Term, pretty
+from .terms import BOT, Term, pretty
 
 __all__ = [
     "StorageProtocolSpec",
@@ -38,6 +40,7 @@ __all__ = [
     "valid_fragment",
     "exchange_body_at",
     "guard_body_at",
+    "quantify_frames",
     "recheck_exchange_witness",
     "recheck_guard_witness",
 ]
@@ -53,6 +56,10 @@ class StorageProtocolSpec:
 
     ``stored_of`` may assume 𝒞 holds; callers go through :meth:`stored`,
     which raises :class:`StorageDomainError` outside 𝒞.
+
+    ``bot_parts_incomplete`` (for a product P only) makes 𝒞 fail at every
+    element with a ⊥ part, before ``complete_fn`` is asked. Relation
+    checks then skip the frames q where some part of p·q is ⊥.
     """
 
     name: str
@@ -60,7 +67,13 @@ class StorageProtocolSpec:
     storage: MonoidSpec
     complete_fn: Callable[[Term], bool]
     stored_of_fn: Callable[[Term], Term]
+    bot_parts_incomplete: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if self.bot_parts_incomplete:
+            decide = self.complete_fn
+            self.complete_fn = lambda p: BOT not in p[1] and decide(p)
 
     def complete(self, p: Term) -> bool:
         return self.complete_fn(p)
@@ -143,32 +156,38 @@ def guard_body_at(sp: StorageProtocolSpec, p: Term, s: Term, frame: Term) -> str
     return None
 
 
+def quantify_frames(
+    sp: StorageProtocolSpec, key, p: Term, body: Callable[[Term], str | None]
+) -> CheckResult:
+    """∀q. body(q) over the protocol frames, kept in the memo under ``key``.
+
+    ``body`` must hold wherever p·q is not complete: the frames that give
+    p·q a ⊥ part are then skipped when 𝒞 rejects those by construction.
+    """
+    return memo(
+        sp, key, first_counterexample, sp.protocol, body, sp.bounded,
+        p if sp.bot_parts_incomplete else None,
+    )
+
+
 def exchange_holds(sp: StorageProtocolSpec, q: ExchangeQuery) -> CheckResult:
     """(p, s) ⇝⇝ (p', s') quantified over enumerated protocol frames."""
     q.check_shape(sp)
-    return memo(
-        sp, ("exch", q.p, q.s, q.p_after, q.s_after),
-        first_counterexample, sp.protocol, partial(exchange_body_at, sp, q), sp.bounded,
+    return quantify_frames(
+        sp, ("exch", q.p, q.s, q.p_after, q.s_after), q.p, partial(exchange_body_at, sp, q)
     )
 
 
 def guard_holds(sp: StorageProtocolSpec, p: Term, s: Term) -> CheckResult:
     """p ↝ s: every 𝒞-completion of p stores at least s."""
-    return memo(
-        sp, ("guard", p, s),
-        first_counterexample, sp.protocol, partial(guard_body_at, sp, p, s), sp.bounded,
-    )
+    return quantify_frames(sp, ("guard", p, s), p, partial(guard_body_at, sp, p, s))
 
 
 def valid_fragment(sp: StorageProtocolSpec, p: Term) -> bool:
     """Some enumerated frame completes p to a 𝒞-state."""
-    return memo(sp, ("vf", p), _completable, sp, p)
-
-
-def _completable(sp: StorageProtocolSpec, p: Term) -> bool:
     comp_p = sp.protocol.compose_fn
-    found = first_counterexample(
-        sp.protocol, lambda q: "completes" if sp.complete(comp_p(p, q)) else None
+    found = quantify_frames(
+        sp, ("vf", p), p, lambda q: "completes" if sp.complete(comp_p(p, q)) else None
     )
     return not found.ok
 

@@ -1,0 +1,95 @@
+"""Product carriers are generated in term order, without a sort.
+
+The reference below is the sort-based ``generate`` that ``build_product``
+and ``build_hashtable_monoid`` used before: every tuple, sorted by
+``term_key``, with the unit moved to the front. The carriers built now
+must equal it tuple for tuple.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from guardcheck.library import (
+    NONE,
+    HashFunctionSpec,
+    build_agn,
+    build_excl,
+    build_frac,
+    build_hashtable_monoid,
+    build_int,
+    build_nat,
+    build_product,
+    build_rwlock,
+    build_rwlock_multi,
+    build_trivial,
+    ex,
+    some,
+)
+from guardcheck.monoid import carrier
+from guardcheck.terms import BOT, sort_terms, tint, tmap, tsym, ttuple
+
+X0, X1 = tsym("x0"), tsym("x1")
+
+
+def ref_product_carrier(parts):
+    units = ttuple(*(p.unit for p in parts))
+    elems = sort_terms(ttuple(*c) for c in itertools.product(*(carrier(p) for p in parts)))
+    elems.remove(units)
+    return tuple([units] + elems)
+
+
+def ref_hashtable_carrier(hash_spec, values):
+    keys, length = hash_spec.keys, hash_spec.length
+    slot_opts = [NONE] + [some(ttuple(k, v)) for k in keys for v in values]
+    map_opts = [NONE] + [some(v) for v in values]
+    per_key = [[None, BOT] + [ex(o) for o in map_opts] for _ in keys]
+    per_slot = [[None, BOT] + [ex(o) for o in slot_opts] for _ in range(length)]
+    elems = []
+    for key_combo in itertools.product(*per_key):
+        kmap = tmap((k, v) for k, v in zip(keys, key_combo) if v is not None)
+        for slot_combo in itertools.product(*per_slot):
+            smap = tmap((tint(i), v) for i, v in enumerate(slot_combo) if v is not None)
+            elems.append(ttuple(kmap, smap))
+    out = sort_terms(elems)
+    unit = ttuple(tmap(()), tmap(()))
+    out.remove(unit)
+    return tuple([unit] + out)
+
+
+def test_rwlock_carriers_match_the_sorted_reference():
+    for sp in (build_rwlock((X0, X1))[0], build_rwlock_multi((X0, X1))[0]):
+        assert carrier(sp.protocol) == ref_product_carrier(sp.protocol.parts)
+
+
+def test_hashtable_carrier_matches_the_sorted_reference():
+    hash_spec = HashFunctionSpec(3, ((tint(0), 0), (tint(1), 0)))
+    monoid, _ = build_hashtable_monoid(hash_spec, (tint(10), tint(11)))
+    assert carrier(monoid) == ref_hashtable_carrier(hash_spec, (tint(10), tint(11)))
+
+
+def test_product_with_a_unit_that_is_not_least():
+    # int's unit 0 sorts after -2 and -1, so the unit must move to the front
+    parts = [build_int(-2, 2), build_excl((tint(0),))]
+    got = carrier(build_product("p", parts))
+    assert got == ref_product_carrier(parts)
+    assert got[0] == ttuple(tint(0), ("unit",)) and got[1] != got[0]
+
+
+SMALL = [
+    build_excl((tint(0), tint(1))),
+    build_agn((X0, X1), max_count=2),
+    build_nat(3),
+    build_int(-2, 2),
+    build_frac(2, 1),
+    build_trivial(),
+]
+
+
+@given(st.lists(st.sampled_from(range(len(SMALL))), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_products_of_small_builtins_match_the_sorted_reference(picks):
+    parts = [SMALL[i] for i in picks]
+    assert carrier(build_product("p", parts)) == ref_product_carrier(parts)

@@ -161,22 +161,43 @@ def test_race_negative_demo(capsys):
     assert report["stuck_count"] >= 1 and report["ok"]
 
 
+# builtins with named elements
+COUNTING = {"builtin": "counting", "params": {"r_range": [-1, 1], "c_max": 1}}
+RWLOCK = {
+    "builtin": "rwlock",
+    "params": {"values": [["sym", "x0"]], "rc_range": [0, 1], "sp_max": 1, "agn_max": 1},
+}
+# elements outside the carrier they belong to: a compose part, p, and a
+# tuple of the wrong length
+NOT_IN_CARRIER = {
+    "compose-part": {
+        "kind": "update", "p": ["compose", [["int", 1], ["unit"]]], "p_after": ["unit"]
+    },
+    "guard-p": {"kind": "guard", "p": ["int", 1], "s": ["unit"]},
+    "short-tuple": {"kind": "valid-fragment", "p": ["tuple", [["unit"]]]},
+}
+
+
 @pytest.mark.parametrize(
-    "relations",
+    "protocol_doc, relations",
     [
-        {"queries": ["guard"]},
-        {"queries": {"kind": "guard"}},
-        {"queries": [{"kind": "guard", "p": ["no-such-tag"], "s": ["unit"]}]},
-        {"queries": [{"kind": "update", "p": ["unit"]}]},
-        {"queries": [{"kind": "guard", "p": ["named"], "s": ["int", 1]}]},
+        (COUNTING, {"queries": ["guard"]}),
+        (COUNTING, {"queries": {"kind": "guard"}}),
+        (COUNTING, {"queries": [{"kind": "guard", "p": ["no-such-tag"], "s": ["unit"]}]}),
+        (COUNTING, {"queries": [{"kind": "update", "p": ["unit"]}]}),
+        (COUNTING, {"queries": [{"kind": "guard", "p": ["named"], "s": ["int", 1]}]}),
+    ]
+    + [
+        (doc, {"queries": [query]})
+        for doc in (COUNTING, RWLOCK)
+        for query in NOT_IN_CARRIER.values()
     ],
-    ids=["query-not-object", "queries-not-list", "bad-term", "missing-field", "bare-named"],
+    ids=["query-not-object", "queries-not-list", "bad-term", "missing-field", "bare-named"]
+    + [f"{name}-{case}" for name in ("counting", "rwlock") for case in NOT_IN_CARRIER],
 )
-def test_malformed_relations_exit_2_without_traceback(tmp_path, relations):
-    protocol = tmp_path / "counting.json"  # a builtin with named elements
-    protocol.write_text(
-        json.dumps({"builtin": "counting", "params": {"r_range": [-1, 1], "c_max": 1}})
-    )
+def test_malformed_relations_exit_2_without_traceback(tmp_path, protocol_doc, relations):
+    protocol = tmp_path / "protocol.json"
+    protocol.write_text(json.dumps(protocol_doc))
     path = tmp_path / "relations.json"
     path.write_text(json.dumps(relations))
     src = str(Path(guardcheck.__file__).resolve().parents[1])

@@ -130,7 +130,7 @@ class TestElements:
             ["compose", [["named", "fields", [["bool", False], ["int", 0], ["sym", "a"]]],
                          ["named", "shPending", []]]],
             named,
-            sp.protocol.compose_fn,
+            sp.protocol,
         )
         assert not sp.complete(el)  # rc=0 but one pending reader
 

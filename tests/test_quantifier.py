@@ -9,12 +9,22 @@ exchange body). The new path must return the same verdict, witness,
 reason and frame count on the shipped relation suites, on the acceptance
 cross-validation pairs, and on elements that hypothesis draws over small
 builtins.
+
+For a product protocol whose 𝒞 rejects every element with a ⊥ part (the
+two lock builders, and custom tables that prove it), the quantifier
+walks only the frames q where no part of p·q is ⊥. The same references
+check that walk: it must report the same witness and the same carrier
+positions as a walk over every frame.
 """
 
 from __future__ import annotations
 
+from functools import partial, reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import guardcheck.monoid as monoid_module
 
 from guardcheck.demos import load_demo_document
 from guardcheck.formats import load_protocol, load_queries
@@ -31,6 +41,7 @@ from guardcheck.library import (
     build_nat,
     build_rwlock,
     build_rwlock_multi,
+    ex,
     pcm_as_protocol,
 )
 from guardcheck.monoid import (
@@ -41,6 +52,7 @@ from guardcheck.monoid import (
     MonoidSpec,
     and_premise,
     carrier,
+    first_counterexample,
     frame_preserving_update,
     leq_witness,
 )
@@ -48,12 +60,13 @@ from guardcheck.protocol import (
     ExchangeQuery,
     StorageProtocolSpec,
     exchange_holds,
+    guard_body_at,
     guard_holds,
     recheck_exchange_witness,
     recheck_guard_witness,
     valid_fragment,
 )
-from guardcheck.terms import BOT, UNIT, pretty, tint, tsym, ttuple
+from guardcheck.terms import BOT, UNIT, pretty, term_from_json as term, tint, tsym, ttuple
 from test_acceptance import _paired_monoid
 
 # ---------------------------------------------------------------------------
@@ -247,13 +260,12 @@ def _exchange_query(sp, q) -> ExchangeQuery:
     )
 
 
-@pytest.mark.parametrize("demo", ["protocol-frac", "protocol-count", "protocol-rwlock"])
-def test_shipped_relation_suites_agree(demo):
+def agree_on_suite(demo):
     protocol_doc = load_demo_document(f"{demo}.protocol.json")
     sp, named = load_protocol(protocol_doc)
     live, _ = load_protocol(protocol_doc)  # cold caches for the concrete guard
     relations = load_demo_document(f"{demo}.relations.json")
-    queries = load_queries(relations, named, sp.protocol.compose_fn)
+    queries = load_queries(relations, named, sp)
     assert queries
     for q in queries:
         if q["kind"] == "guard":
@@ -264,6 +276,11 @@ def test_shipped_relation_suites_agree(demo):
         else:
             agree_exchange(sp, _exchange_query(sp, q))
             agree_valid_fragment(sp, q["p"])
+
+
+@pytest.mark.parametrize("demo", ["protocol-frac", "protocol-count", "protocol-rwlock"])
+def test_shipped_relation_suites_agree(demo):
+    agree_on_suite(demo)
 
 
 # ---------------------------------------------------------------------------
@@ -355,3 +372,154 @@ def test_protocol_relations_agree(drawn):
     agree_concrete_guard(sp, p, s)  # before guard_holds, which shares its memo
     agree_guard(sp, p, s)
     agree_valid_fragment(sp, p)
+
+
+# ---------------------------------------------------------------------------
+# The ⊥-pruned walk over the lock protocols
+
+RW, RW_ELEMS = build_rwlock((X0, X1))
+VALUES = st.sampled_from((X0, X1))
+RW_PIECES = st.one_of(
+    st.builds(RW_ELEMS.fields, st.booleans(), st.integers(-2, 4), VALUES),
+    st.just(RW_ELEMS.exc_pending()),
+    st.just(RW_ELEMS.exc()),
+    st.just(RW_ELEMS.sh_pending()),
+    st.builds(RW_ELEMS.sh, VALUES),
+)
+
+
+@st.composite
+def rwlock_fragments(draw):
+    """A composite of named rwlock elements, at times with seven pending
+    readers: past the bound of 4 on that count."""
+    pieces = draw(st.lists(RW_PIECES, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        pieces += [RW_ELEMS.sh_pending()] * 7
+    return reduce(RW.protocol.compose_fn, pieces)
+
+
+def test_skipping_is_on_exactly_where_c_rejects_bot_parts():
+    assert RW.bot_parts_incomplete and build_rwlock_multi((X0,))[0].bot_parts_incomplete
+    for sp in (build_fractional(), COUNTING, build_forever(), TOKEN_COUNT, PROTOCOLS["excl"]):
+        assert not sp.bot_parts_incomplete, sp.name
+    ht = build_hashtable_protocol(HASH, (tint(10),))[0]
+    assert not ht.bot_parts_incomplete and not ht.protocol.parts
+
+
+def test_pruned_walk_builds_no_product_carrier():
+    sp, elems = build_rwlock((X0, X1))
+    p = elems.fields(False, 0, X0)
+    assert guard_holds(sp, p, ex(X0)).ok
+    assert guard_holds(sp, p, UNIT).frames == 13_500
+    assert "carrier" not in sp.protocol._cache
+
+
+@given(rwlock_fragments(), rwlock_fragments(), st.sampled_from(carrier(RW.storage)),
+       st.sampled_from(carrier(RW.storage)))
+@settings(max_examples=40, deadline=None)
+def test_rwlock_pruned_relations_agree(p, p_after, s, s_after):
+    agree_exchange(RW, ExchangeQuery.exchange(p, s, p_after, s_after))
+    agree_concrete_guard(RW, p, s)  # before guard_holds, which shares its memo
+    agree_guard(RW, p, s)
+    agree_valid_fragment(RW, p)
+
+
+RWM, RWM_ELEMS = build_rwlock_multi((X0, X1))
+RWM_PIECES = st.one_of(
+    st.builds(
+        RWM_ELEMS.fields, st.booleans(), st.tuples(st.integers(-1, 2), st.integers(-1, 2)),
+        VALUES,
+    ),
+    st.builds(RWM_ELEMS.exc_pending, st.integers(0, 2)),
+    st.just(RWM_ELEMS.exc()),
+    st.builds(RWM_ELEMS.sh_pending, st.integers(0, 1)),
+    st.builds(RWM_ELEMS.sh, st.integers(0, 1), VALUES),
+)
+
+
+@given(st.lists(RWM_PIECES, min_size=1, max_size=3), st.sampled_from(carrier(RWM.storage)))
+@settings(max_examples=8, deadline=None)
+def test_rwlock_multi_pruned_relations_agree(pieces, s):
+    p = reduce(RWM.protocol.compose_fn, pieces)
+    eps = RWM.storage.unit
+    agree_exchange(RWM, ExchangeQuery.update(p, pieces[0], eps))
+    agree_guard(RWM, p, s)
+    agree_valid_fragment(RWM, p)
+
+
+# a custom table protocol over int × excl: its 𝒞 table has no ⊥ part, so
+# its walk is pruned, and int's unit 0 sorts after -2 and -1, so frames
+# before the unit in the carrier are positioned around it
+def _pair(n, tok):
+    return ["tuple", [["int", n], tok]]
+
+
+EX0, EX1 = ["con", "ex", [["int", 0]]], ["con", "ex", [["int", 1]]]
+C_TABLE = [(_pair(n, ["unit"]), n) for n in range(3)]
+C_TABLE += [(_pair(n, EX0), n + 1) for n in (-1, 0, 1)]
+INT_EXCL = load_protocol({
+    "name": "int-excl",
+    "protocol": {"kind": "product", "total": True, "parts": [
+        {"kind": "int", "lo": -2, "hi": 2}, {"kind": "excl", "values": [["int", 0]]},
+    ]},
+    "storage": {"kind": "nat", "limit": 3},
+    "complete": {"table": [p for p, _ in C_TABLE]},
+    "stored_of": {"table": [[p, ["int", n]] for p, n in C_TABLE]},
+})[0]
+
+
+int_excl_fragments = st.lists(
+    st.sampled_from(carrier(INT_EXCL.protocol)), min_size=1, max_size=3
+).map(lambda pieces: reduce(INT_EXCL.protocol.compose_fn, pieces))
+
+
+@given(int_excl_fragments, int_excl_fragments, st.sampled_from(carrier(INT_EXCL.storage)),
+       st.sampled_from(carrier(INT_EXCL.storage)))
+@settings(max_examples=80, deadline=None)
+def test_pruned_walk_around_a_unit_that_is_not_least(p, p_after, s, s_after):
+    assert INT_EXCL.bot_parts_incomplete
+    agree_exchange(INT_EXCL, ExchangeQuery.exchange(p, s, p_after, s_after))
+    agree_concrete_guard(INT_EXCL, p, s)  # before guard_holds, which shares its memo
+    agree_guard(INT_EXCL, p, s)
+    agree_valid_fragment(INT_EXCL, p)
+
+
+# ---------------------------------------------------------------------------
+# Negative controls
+
+# a product protocol whose 𝒞 table holds an element with a ⊥ part: frames
+# that give p·q a ⊥ part can complete it, so none may be skipped
+BOT_IN_C = {
+    "name": "bot-in-c",
+    "protocol": {"kind": "product", "total": True, "parts": [
+        {"kind": "excl", "values": [["int", 0]]}, {"kind": "excl", "values": [["int", 1]]},
+    ]},
+    "storage": {"kind": "excl", "values": [["int", 1]]},
+    "complete": {"table": [["tuple", [["unit"], ["unit"]]], ["tuple", [EX0, ["bot"]]]]},
+    "stored_of": {"table": [
+        [["tuple", [["unit"], ["unit"]]], EX1],
+        [["tuple", [EX0, ["bot"]]], ["unit"]],
+    ]},
+}
+
+
+def test_bot_in_c_table_falls_back_to_every_frame():
+    sp, _ = load_protocol(BOT_IN_C)
+    assert sp.protocol.parts and not sp.bot_parts_incomplete
+    p, s = ttuple(term(EX0), term(EX1)), term(EX1)
+    agree_guard(sp, p, s)
+    assert not guard_holds(sp, p, s).ok  # the frame (ε, ex 1) completes p at (ex 0, ⊥)
+    forced = first_counterexample(sp.protocol, partial(guard_body_at, sp, p, s), against=p)
+    assert forced.ok and forced != ref_guard_holds(sp, p, s)
+
+
+def test_dropping_one_compatible_frame_is_caught(monkeypatch):
+    walk = monoid_module._walk
+
+    def drop_first(spec, against):
+        frames, position, size = walk(spec, against)
+        return (frames[1:] if against is not None else frames), position, size
+
+    monkeypatch.setattr(monoid_module, "_walk", drop_first)
+    with pytest.raises(AssertionError):
+        agree_on_suite("protocol-rwlock")
