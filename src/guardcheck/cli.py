@@ -26,6 +26,7 @@ from .formats import (
     load_queries,
     result_to_json,
     scenario_from_json,
+    set_den_bound,
 )
 from .monoid import FAILS, LawReport
 from .protocol import (
@@ -253,8 +254,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "check":
             protocol_doc = _read_json(args.protocol)
-            if args.bound is not None and protocol_doc.get("builtin") == "fractional":
-                protocol_doc.setdefault("params", {})["den_bound"] = args.bound
+            if args.bound is not None:
+                set_den_bound(protocol_doc, args.bound)
             relations_doc = _read_json(args.relations) if args.relations else None
             report = run_check(protocol_doc, relations_doc)
             _emit(args, report, _render_check)

@@ -14,6 +14,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .explore import ExplorationResult, PropertySpec, Scenario, ScriptEntry
@@ -47,6 +48,7 @@ __all__ = [
     "FormatError",
     "load_monoid",
     "load_protocol",
+    "set_den_bound",
     "element_from_json",
     "load_queries",
     "scenario_to_json",
@@ -74,14 +76,25 @@ def _terms(docs) -> tuple[Term, ...]:
     return tuple(term_from_json(d) for d in docs)
 
 
+def _at(path: str, key: str) -> str:
+    """The JSON path of field ``key`` of the node at ``path`` ("" is the root)."""
+    return f"{path}.{key}" if path else key
+
+
+def _object(doc, path: str) -> dict:
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: must be an object, got {type(doc).__name__}")
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # Monoids
 
 
-def load_monoid(doc: dict) -> MonoidSpec:
-    if not isinstance(doc, dict):
-        raise FormatError(f"monoid must be an object, got {type(doc).__name__}")
-    kind = _need(doc, "kind")
+def load_monoid(doc: dict, path: str = "") -> MonoidSpec:
+    """The monoid of a combinator tree. ``path`` locates ``doc`` in its
+    file, for error messages."""
+    kind = _need(_object(doc, path or "monoid"), "kind")
     try:
         if kind == "excl":
             return build_excl(_terms(_need(doc, "values")))
@@ -100,23 +113,25 @@ def load_monoid(doc: dict) -> MonoidSpec:
         if kind == "product":
             return build_product(
                 doc.get("name", "product"),
-                [load_monoid(p) for p in _need(doc, "parts")],
+                [
+                    load_monoid(p, f"{_at(path, 'parts')}[{i}]")
+                    for i, p in enumerate(_need(doc, "parts"))
+                ],
                 doc.get("total", False),
             )
         if kind == "finmap":
             return build_finmap(
-                _terms(_need(doc, "keys")), load_monoid(_need(doc, "value"))
+                _terms(_need(doc, "keys")), load_monoid(_need(doc, "value"), _at(path, "value"))
             )
         if kind in ("table", "custom-table"):
-            table = {
-                (term_from_json(a), term_from_json(b)): term_from_json(c)
-                for a, b, c in _need(doc, "compose")
-            }
+            unit = term_from_json(_need(doc, "unit"))
+            elements = list(_terms(_need(doc, "elements")))
+            listed = tuple(dict.fromkeys([unit, *elements]))
             return build_table_monoid(
                 doc.get("name", "table"),
-                list(_terms(_need(doc, "elements"))),
-                term_from_json(_need(doc, "unit")),
-                table,
+                elements,
+                unit,
+                _compose_table(_need(doc, "compose"), listed, _at(path, "compose")),
                 _terms(doc.get("invalid", [])),
             )
         if kind == "trivial":
@@ -126,6 +141,23 @@ def load_monoid(doc: dict) -> MonoidSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad {kind} monoid: {exc}") from exc
     raise FormatError(f"unknown monoid kind {kind!r}")
+
+
+def _compose_table(rows, listed: tuple[Term, ...], path: str) -> dict:
+    """A table monoid's rows [a, b, a·b] as a dict. Every term in them is
+    a listed element (the unit counts as listed), and every unordered pair
+    of listed elements has a row, in either order."""
+    table = {}
+    for i, row in enumerate(rows):
+        a, b, ab = _terms(row)
+        for t in (a, b, ab):
+            if t not in listed:
+                raise FormatError(f"{path}[{i}]: {pretty(t)} is not a listed element")
+        table[a, b] = ab
+    for a, b in itertools.combinations_with_replacement(listed, 2):
+        if (a, b) not in table and (b, a) not in table:
+            raise FormatError(f"{path}: no row for {pretty(a)} · {pretty(b)}")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +173,32 @@ def _hash_spec(params: dict) -> HashFunctionSpec:
     )
 
 
+def _params(doc: dict, path: str = "") -> dict:
+    """A builtin protocol's ``params``, by default none."""
+    return _object(doc.get("params", {}), _at(path, "params"))
+
+
+def set_den_bound(doc: dict, bound: int) -> None:
+    """Make ``bound`` the fraction denominator bound of ``doc`` if it is
+    the fractional builtin; other protocols have none."""
+    if _object(doc, "protocol").get("builtin") == "fractional":
+        doc["params"] = dict(_params(doc), den_bound=bound)
+
+
 def load_protocol(doc: dict):
     """Returns (StorageProtocolSpec, named-constructor map or None)."""
     sp, helper = _load_protocol(doc)
     return sp, getattr(helper, "constructors", None)
 
 
-def _load_protocol(doc: dict):
+def _load_protocol(doc: dict, path: str = ""):
     """(StorageProtocolSpec, helper). The helper is the builder's
     named-element object, (raw monoid, elements) for the hash table, or
-    None."""
-    if not isinstance(doc, dict):
-        raise FormatError("protocol must be an object")
+    None. ``path`` locates ``doc`` in its file, for error messages."""
+    _object(doc, path or "protocol")
     if "builtin" in doc:
         name = doc["builtin"]
-        params = doc.get("params", {})
+        params = _params(doc, path)
         try:
             if name == "fractional":
                 return (
@@ -203,8 +246,8 @@ def _load_protocol(doc: dict):
             raise FormatError(f"bad builtin protocol {name}: {exc}") from exc
         raise FormatError(f"unknown builtin protocol {name!r}")
 
-    protocol = load_monoid(_need(doc, "protocol"))
-    storage = load_monoid(_need(doc, "storage"))
+    protocol = load_monoid(_need(doc, "protocol"), _at(path, "protocol"))
+    storage = load_monoid(_need(doc, "storage"), _at(path, "storage"))
     complete_doc = _need(doc, "complete")
     stored_doc = _need(doc, "stored_of")
     if "table" not in complete_doc or "table" not in stored_doc:
@@ -288,17 +331,13 @@ def load_queries(doc: dict, named, sp: StorageProtocolSpec | None = None) -> lis
     """The queries of a relations document. Given the protocol ``sp``,
     ``p`` and ``p_after`` are elements of its protocol monoid and ``s``
     and ``s_after`` of its storage monoid (see :func:`element_from_json`)."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"relations: must be an object, got {type(doc).__name__}")
-    queries = _need(doc, "queries")
+    queries = _need(_object(doc, "relations"), "queries")
     if not isinstance(queries, list):
         raise FormatError(f"queries: must be a list, got {type(queries).__name__}")
     out = []
     for i, q in enumerate(queries):
         path = f"queries[{i}]"
-        if not isinstance(q, dict):
-            raise FormatError(f"{path}: must be an object, got {type(q).__name__}")
-        kind = q.get("kind")
+        kind = _object(q, path).get("kind")
         if not isinstance(kind, str) or kind not in _QUERY_FIELDS:
             raise FormatError(f"{path}.kind: unknown query kind {kind!r}")
         expect = q.get("expect", "holds")
@@ -407,10 +446,10 @@ def scenario_from_json(doc: dict) -> Scenario:
     initial_fragments = {}
     descriptors = {}
     ht_meta = {}
-    for p in _need(doc, "protocols"):
+    for i, p in enumerate(_need(doc, "protocols")):
         iid = _need(p, "id")
         descriptor = {k: v for k, v in p.items() if k in ("builtin", "params")}
-        sp, helper = _load_protocol(descriptor)
+        sp, helper = _load_protocol(descriptor, f"protocols[{i}]")
         protocols[iid] = sp
         descriptors[iid] = descriptor
         if p.get("builtin") in ("rwlock", "rwlock-multi"):

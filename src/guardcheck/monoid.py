@@ -330,6 +330,9 @@ def check_pcm_laws(
     Unit laws run over the whole enumerated carrier. Pair and triple laws
     run over a deterministic prefix capped at ``pair_limit``/``triple_limit``
     elements; each check reports whether it covered the full carrier.
+    A product decides its unit, commutativity and associativity laws on
+    its parts (see :func:`_decide`), with the report the loops over its
+    tuples would give.
     """
     elems = carrier(spec)
     comp, ok = spec.compose_fn, spec.valid_fn
@@ -338,47 +341,20 @@ def check_pcm_laws(
     triple_elems = elems[: max(triple_limit, 1)]
     pairs_full = exhaustive_carrier and len(pair_elems) == len(elems)
     triples_full = exhaustive_carrier and len(triple_elems) == len(elems)
+    m, k = len(pair_elems), len(triple_elems)
     checks = []
 
-    witness = None
-    for a in elems:
-        if comp(a, spec.unit) != a:
-            witness = (a,)
-            break
-    checks.append(
-        LawCheck("unit-right-identity", witness is None, exhaustive_carrier, len(elems), witness)
-    )
+    witness, n = _decide(spec, _unit_identity, elems, len(elems))
+    checks.append(LawCheck("unit-right-identity", witness is None, exhaustive_carrier, n, witness))
 
     checks.append(
         LawCheck("unit-valid", ok(spec.unit), True, 1, None if ok(spec.unit) else (spec.unit,))
     )
 
-    witness = None
-    n = 0
-    for i, a in enumerate(pair_elems):
-        for b in pair_elems[i:]:
-            n += 1
-            if comp(a, b) != comp(b, a):
-                witness = (a, b)
-                break
-        if witness:
-            break
+    witness, n = _decide(spec, _commutativity, pair_elems, m * (m + 1) // 2)
     checks.append(LawCheck("commutativity", witness is None, pairs_full, n, witness))
 
-    witness = None
-    n = 0
-    for a in triple_elems:
-        for b in triple_elems:
-            ab = comp(a, b)
-            for c in triple_elems:
-                n += 1
-                if comp(ab, c) != comp(a, comp(b, c)):
-                    witness = (a, b, c)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness, n = _decide(spec, _associativity, triple_elems, k**3)
     checks.append(LawCheck("associativity", witness is None, triples_full, n, witness))
 
     # a ≼ b ∧ 𝒱(b) ⟹ 𝒱(a), phrased over extensions b = a·c.
@@ -397,3 +373,67 @@ def check_pcm_laws(
     checks.append(LawCheck("validity-downward-closed", witness is None, pairs_full, n, witness))
 
     return LawReport(spec.name, spec.enumerator.mode, len(elems), tuple(checks))
+
+
+# Each law below walks ``elems`` in order and returns (the first witness or
+# None, the cases checked up to and including it).
+
+
+def _unit_identity(spec: MonoidSpec, elems):
+    comp, unit = spec.compose_fn, spec.unit
+    for a in elems:
+        if comp(a, unit) != a:
+            return (a,), len(elems)
+    return None, len(elems)
+
+
+def _commutativity(spec: MonoidSpec, elems):
+    comp = spec.compose_fn
+    n = 0
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            n += 1
+            if comp(a, b) != comp(b, a):
+                return (a, b), n
+    return None, n
+
+
+def _associativity(spec: MonoidSpec, elems):
+    # rows[i][j] = b_i·c_j, composed while a is the first element, when the
+    # loop first needs it; later values of a reuse it
+    comp = spec.compose_fn
+    rows = [[] for _ in elems]
+    n = 0
+    for h, a in enumerate(elems):
+        for b, row in zip(elems, rows):
+            ab = comp(a, b)
+            for j, c in enumerate(elems):
+                n += 1
+                abc = comp(ab, c)
+                if h == 0:
+                    row.append(comp(b, c))
+                if abc != comp(a, row[j]):
+                    return (a, b, c), n
+    return None, n
+
+
+def _decide(spec: MonoidSpec, law, elems, holding_count: int):
+    """``law(spec, elems)``, with ``holding_count`` cases checked where it
+    holds. A product composes part by part, so the law fails at a tuple
+    exactly where it fails in some part at that tuple's components, and
+    every pair or triple of a column's values is that column of some pair
+    or triple of ``elems``. So it is decided on the parts first; the loop
+    over tuples runs only when a part fails, to find the first witness."""
+    if spec.parts and _holds_in_parts(spec, law, elems):
+        return None, holding_count
+    return law(spec, elems)
+
+
+def _holds_in_parts(spec: MonoidSpec, law, elems) -> bool:
+    if not spec.parts:
+        return law(spec, elems)[0] is None
+    # part j is checked on the values of column j, each once
+    return all(
+        _holds_in_parts(part, law, tuple({t[1][j]: None for t in elems}))
+        for j, part in enumerate(spec.parts)
+    )

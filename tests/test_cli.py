@@ -196,17 +196,60 @@ NOT_IN_CARRIER = {
     + [f"{name}-{case}" for name in ("counting", "rwlock") for case in NOT_IN_CARRIER],
 )
 def test_malformed_relations_exit_2_without_traceback(tmp_path, protocol_doc, relations):
-    protocol = tmp_path / "protocol.json"
-    protocol.write_text(json.dumps(protocol_doc))
     path = tmp_path / "relations.json"
     path.write_text(json.dumps(relations))
+    assert_input_error(tmp_path, protocol_doc, [str(path)], "input error: queries")
+
+
+def assert_input_error(tmp_path, protocol_doc, args, message):
+    """`guardcheck check` on ``protocol_doc`` exits 2 with ``message``
+    and no traceback."""
+    protocol = tmp_path / "protocol.json"
+    protocol.write_text(json.dumps(protocol_doc))
     src = str(Path(guardcheck.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from guardcheck.cli import main; sys.exit(main())",
-         "check", str(protocol), str(path)],
+         "check", str(protocol), *args],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("input error: queries")
+    assert proc.stderr.startswith(message), proc.stderr
+
+
+def _table_protocol(rows):
+    """A custom protocol whose protocol monoid holds a table over ε and 1."""
+    table = {"kind": "table", "elements": [["unit"], ["int", 1]], "unit": ["unit"],
+             "compose": rows}
+    return {
+        "protocol": {"kind": "product", "total": True,
+                     "parts": [{"kind": "excl", "values": [["int", 0]]}, table]},
+        "storage": {"kind": "trivial"},
+        "complete": {"table": [["tuple", [["unit"], ["unit"]]]]},
+        "stored_of": {"table": [[["tuple", [["unit"], ["unit"]]], ["unit"]]]},
+    }
+
+
+U, ONE, TWO = ["unit"], ["int", 1], ["int", 2]
+
+
+@pytest.mark.parametrize(
+    "protocol_doc, args, message",
+    [
+        (_table_protocol([[U, U, U], [ONE, U, ONE]]), [],
+         "input error: protocol.parts[1].compose: no row for 1 · 1"),
+        (_table_protocol([[U, U, U], [U, ONE, ONE], [ONE, ONE, TWO]]), [],
+         "input error: protocol.parts[1].compose[2]: 2 is not a listed element"),
+        ({"builtin": "fractional", "params": [1]}, [],
+         "input error: params: must be an object, got list"),
+        ({"builtin": "fractional", "params": [1]}, ["--bound", "3"],
+         "input error: params: must be an object, got list"),
+        ([{"builtin": "fractional"}], ["--bound", "3"],
+         "input error: protocol: must be an object, got list"),
+    ],
+    ids=["table-missing-row", "table-unlisted-result", "params-not-object",
+         "bound-params-not-object", "bound-protocol-not-object"],
+)
+def test_malformed_protocol_exit_2_without_traceback(tmp_path, protocol_doc, args, message):
+    assert_input_error(tmp_path, protocol_doc, args, message)
