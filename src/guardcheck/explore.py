@@ -26,7 +26,7 @@ from .ghost import (
     joint_state,
 )
 from .lang import MachineConfig, enabled_threads, initial_config, step
-from .monoid import leq
+from .monoid import leq, memo
 from .protocol import valid_fragment
 from .terms import Term, pretty, term_to_json
 
@@ -314,16 +314,25 @@ def _resolve_transfer(ctx: ResolveCtx, entry: ScriptEntry):
 def _prop_ghost_invariant(scenario, state, prop):
     for iid, inst in state.ledger.instances:
         sp = scenario.protocols[iid]
-        total = joint_state(sp, inst.fragments)
-        if not valid_fragment(sp, total):
-            return False, f"{iid}: joint fragment state not completable"
-        if not sp.storage.valid_fn(inst.stored):
-            return False, f"{iid}: stored content invalid"
-        if sp.complete(total) and sp.stored(total) != inst.stored:
-            return False, f"{iid}: stored content out of sync with joint state"
-        for w in inst.windows:
-            if not leq(sp.storage, w.element, inst.stored):
-                return False, f"{iid}: open window no longer covered"
+        ok, reason = memo(sp, ("invariant", iid, inst), _instance_invariant, sp, iid, inst)
+        if not ok:
+            return ok, reason
+    return True, ""
+
+
+def _instance_invariant(sp, iid: str, inst) -> tuple[bool, str]:
+    """The ledger invariant of one instance state: its fragments, stored
+    content and windows decide it, so it is computed once per state."""
+    total = joint_state(sp, inst.fragments)
+    if not valid_fragment(sp, total):
+        return False, f"{iid}: joint fragment state not completable"
+    if not sp.storage.valid_fn(inst.stored):
+        return False, f"{iid}: stored content invalid"
+    if sp.complete(total) and sp.stored(total) != inst.stored:
+        return False, f"{iid}: stored content out of sync with joint state"
+    for w in inst.windows:
+        if not leq(sp.storage, w.element, inst.stored):
+            return False, f"{iid}: open window no longer covered"
     return True, ""
 
 
@@ -408,7 +417,11 @@ def transition(scenario: Scenario, state: ExplState, tid: int, mode: str):
                 violations.append(("ghost", lbl, f"unknown resolver {entry.resolver!r}"))
                 continue
             ctx = ResolveCtx(scenario, ledger, out.config, tid, lbl, result, out.event)
-            resolved = fn(ctx, entry)
+            try:
+                resolved = fn(ctx, entry)
+            except ReplayError as exc:
+                violations.append(("replay", lbl, str(exc)))
+                continue
             if isinstance(resolved, GhostViolation):
                 violations.append(("ghost", lbl, resolved.describe()))
                 continue
@@ -523,22 +536,21 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             kind, st2, vios, crossed, stuck_reason = transition(scenario, st, tid, mode)
             result.transitions += 1
             crossed_labels.update(crossed)
-            sched = trace(nid, tid)
+            # a schedule is walked back from the node only when reported
             if kind == "stuck":
                 result.stuck_count += 1
                 result.schedules_completed += 1
                 if stuck_reason not in stuck_examples:
-                    stuck_examples[stuck_reason] = sched
+                    stuck_examples[stuck_reason] = trace(nid, tid)
                 continue
-            record_violations(vios, sched)
             if vios:
+                record_violations(vios, trace(nid, tid))
                 result.schedules_completed += 1
                 continue
             if memo:
-                if st2 in visited:
+                if visited.setdefault(st2, len(nodes)) != len(nodes):
                     result.dedup_hits += 1
                     continue
-                visited[st2] = len(nodes)
             else:
                 if st2 in on_path:
                     result.dedup_hits += 1

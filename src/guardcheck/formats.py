@@ -248,14 +248,16 @@ def _load_protocol(doc: dict, path: str = ""):
 
     protocol = load_monoid(_need(doc, "protocol"), _at(path, "protocol"))
     storage = load_monoid(_need(doc, "storage"), _at(path, "storage"))
-    complete_doc = _need(doc, "complete")
-    stored_doc = _need(doc, "stored_of")
-    if "table" not in complete_doc or "table" not in stored_doc:
-        raise FormatError("custom protocols give complete/stored_of as tables")
-    complete_set = frozenset(_terms(complete_doc["table"]))
-    stored_map = {
-        term_from_json(p): term_from_json(s) for p, s in stored_doc["table"]
-    }
+    complete_set = frozenset(
+        _table_element(el, protocol, at)
+        for at, el in _table_rows(doc, "complete", path)
+    )
+    stored_map = {}
+    for at, row in _table_rows(doc, "stored_of", path):
+        if not isinstance(row, list) or len(row) != 2:
+            raise FormatError(f"{at}: a row is [p, s], got {row!r}")
+        p = _table_element(row[0], protocol, f"{at}[0]")
+        stored_map[p] = _table_element(row[1], storage, f"{at}[1]")
     missing = complete_set - set(stored_map)
     if missing:
         raise FormatError(f"stored_of table missing {len(missing)} complete elements")
@@ -271,6 +273,27 @@ def _load_protocol(doc: dict, path: str = ""):
         ),
         None,
     )
+
+
+def _table_rows(doc: dict, key: str, path: str):
+    """(JSON path, entry) for each entry of the decision table ``key``."""
+    at = _at(path, key)
+    rows = _need(_object(_need(doc, key), at), "table")
+    at = _at(at, "table")
+    if not isinstance(rows, list):
+        raise FormatError(f"{at}: must be a list, got {type(rows).__name__}")
+    return [(f"{at}[{i}]", row) for i, row in enumerate(rows)]
+
+
+def _table_element(doc, monoid: MonoidSpec, path: str) -> Term:
+    """A decision-table entry: a term in the carrier of ``monoid``."""
+    try:
+        el = term_from_json(doc)
+    except ValueError as exc:  # EncodingError, or a map entry that is not a pair
+        raise FormatError(f"{path}: {exc}") from exc
+    if not is_element(monoid, el):
+        raise FormatError(f"{path}: {pretty(el)} is not in the carrier of {monoid.name}")
+    return el
 
 
 def element_from_json(doc, named, monoid: MonoidSpec | None = None) -> Term:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 
-from .monoid import leq
+from .monoid import leq, memo
 from .protocol import (
     ExchangeQuery,
     StorageProtocolSpec,
@@ -182,8 +182,13 @@ def _fragments_with(fragments, owner, element, unit):
 
 
 def joint_state(sp: StorageProtocolSpec, fragments) -> Term:
-    """The composition of an instance's (owner, element) fragments."""
-    return reduce(sp.protocol.compose_fn, (el for _, el in fragments), sp.protocol.unit)
+    """The composition of an instance's (owner, element) fragments,
+    folded once per distinct ``fragments`` tuple."""
+    return memo(sp, ("joint", fragments), _fold, sp.protocol, fragments)
+
+
+def _fold(protocol, fragments) -> Term:
+    return reduce(protocol.compose_fn, (el for _, el in fragments), protocol.unit)
 
 
 def _windows_still_guarded(sp: StorageProtocolSpec, state: InstanceState):

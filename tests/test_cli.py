@@ -201,18 +201,23 @@ def test_malformed_relations_exit_2_without_traceback(tmp_path, protocol_doc, re
     assert_input_error(tmp_path, protocol_doc, [str(path)], "input error: queries")
 
 
+def run_process(*argv):
+    """`guardcheck ARGV` in a fresh interpreter."""
+    src = str(Path(guardcheck.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from guardcheck.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 def assert_input_error(tmp_path, protocol_doc, args, message):
     """`guardcheck check` on ``protocol_doc`` exits 2 with ``message``
     and no traceback."""
     protocol = tmp_path / "protocol.json"
     protocol.write_text(json.dumps(protocol_doc))
-    src = str(Path(guardcheck.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from guardcheck.cli import main; sys.exit(main())",
-         "check", str(protocol), *args],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    proc = run_process("check", str(protocol), *args)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(message), proc.stderr
@@ -234,6 +239,12 @@ def _table_protocol(rows):
 U, ONE, TWO = ["unit"], ["int", 1], ["int", 2]
 
 
+def _trivial_protocol(complete, stored_of):
+    """A custom protocol over the trivial monoids with the given tables."""
+    return {"protocol": {"kind": "trivial"}, "storage": {"kind": "trivial"},
+            "complete": complete, "stored_of": stored_of}
+
+
 @pytest.mark.parametrize(
     "protocol_doc, args, message",
     [
@@ -247,9 +258,38 @@ U, ONE, TWO = ["unit"], ["int", 1], ["int", 2]
          "input error: params: must be an object, got list"),
         ([{"builtin": "fractional"}], ["--bound", "3"],
          "input error: protocol: must be an object, got list"),
+        (_trivial_protocol({"table": ["x"]}, {"table": []}), [],
+         "input error: complete.table[0]: bad term document: 'x'"),
+        (_trivial_protocol({"table": []}, {"table": [5]}), [],
+         "input error: stored_of.table[0]: a row is [p, s], got 5"),
+        (_trivial_protocol(7, {"table": []}), [],
+         "input error: complete: must be an object, got int"),
+        (_trivial_protocol({"table": [U]}, {"table": [[U, ["int", 3]]]}), [],
+         "input error: stored_of.table[0][1]: 3 is not in the carrier of trivial"),
     ],
     ids=["table-missing-row", "table-unlisted-result", "params-not-object",
-         "bound-params-not-object", "bound-protocol-not-object"],
+         "bound-params-not-object", "bound-protocol-not-object",
+         "complete-not-a-term", "stored-of-row-not-a-pair", "complete-not-object",
+         "stored-value-not-in-storage"],
 )
 def test_malformed_protocol_exit_2_without_traceback(tmp_path, protocol_doc, args, message):
     assert_input_error(tmp_path, protocol_doc, args, message)
+
+
+def test_resolver_replay_error_is_a_violation(tmp_path):
+    # a script entry that resolves its instance from a cell with no
+    # cell_instances entry: the explorer records it, and does not crash
+    doc = json.loads(demo_path("rwlock-exc.scenario.json").read_text())
+    del doc["cell_instances"]["exc"]
+    doc["script"][0]["args"]["instance"] = "@cell"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    proc = run_process("explore", str(path), "--format", "json")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    violations = json.loads(proc.stdout)["violations"]
+    assert {
+        "kind": "replay", "name": "t0.exc_begin",
+        "detail": "label t0.exc_begin: no protocol instance for cell 'exc'",
+        "schedule": [0, 0],
+    } in violations

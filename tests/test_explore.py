@@ -296,3 +296,168 @@ def test_prop_memoization_preserves_outcomes(programs):
     assert on.terminal_summaries == off.terminal_summaries
     assert {r for r, _ in on.stuck_examples} == {r for r, _ in off.stuck_examples}
     assert on.violations == off.violations
+
+
+# ---------------------------------------------------------------------------
+# The ledger memo: joint states and instance invariants computed once per
+# distinct input, differentially tested against the unmemoized fold, and
+# schedules built only when reported, checked by replaying them.
+
+import importlib
+import json
+from functools import reduce
+
+from guardcheck.demos import demo_path
+from guardcheck.explore import transition
+from guardcheck.formats import dumps, result_to_json, scenario_from_json
+from guardcheck.ghost import GuardWindow, InstanceState
+from guardcheck.monoid import leq
+from guardcheck.protocol import valid_fragment
+from guardcheck.terms import BOT
+
+explore_mod = importlib.import_module("guardcheck.explore")
+
+
+def ref_joint_state(sp, fragments):
+    """The composition of an instance's (owner, element) fragments."""
+    return reduce(sp.protocol.compose_fn, (el for _, el in fragments), sp.protocol.unit)
+
+
+def ref_prop_ghost_invariant(scenario, state, prop):
+    for iid, inst in state.ledger.instances:
+        sp = scenario.protocols[iid]
+        total = ref_joint_state(sp, inst.fragments)
+        if not valid_fragment(sp, total):
+            return False, f"{iid}: joint fragment state not completable"
+        if not sp.storage.valid_fn(inst.stored):
+            return False, f"{iid}: stored content invalid"
+        if sp.complete(total) and sp.stored(total) != inst.stored:
+            return False, f"{iid}: stored content out of sync with joint state"
+        for w in inst.windows:
+            if not leq(sp.storage, w.element, inst.stored):
+                return False, f"{iid}: open window no longer covered"
+    return True, ""
+
+
+def use_reference(m):
+    """Route every joint-state fold and the ghost invariant through the
+    unmemoized reference, within the monkeypatch context ``m``."""
+    for name in ("ghost", "explore", "studies"):
+        m.setattr(importlib.import_module(f"guardcheck.{name}"), "joint_state", ref_joint_state)
+    m.setitem(explore_mod.PROPERTY_EVALUATORS, "ghost-invariant", ref_prop_ghost_invariant)
+
+
+def shipped_doc(name):
+    return json.loads(demo_path(f"{name}.scenario.json").read_text())
+
+
+def unbound_cell_doc():
+    """rwlock-exc with a script entry on a cell that has no protocol
+    instance: the first exc_begin is a replay violation."""
+    doc = shipped_doc("rwlock-exc")
+    del doc["cell_instances"]["exc"]
+    doc["script"][0]["args"]["instance"] = "@cell"
+    return doc
+
+
+SCENARIO_DOCS = {
+    name: (lambda name=name: shipped_doc(name))
+    for name in ("rwlock-exc", "rwlock-shared", "rwlock-multi", "hashtable-collide",
+                 "race-negative")
+}
+SCENARIO_DOCS["unbound-cell"] = unbound_cell_doc
+
+
+def report(result):
+    return dumps(result_to_json(result))
+
+
+def assert_schedules_reproduce(sc, result, mode):
+    """Every reported schedule replays to what it is reported for."""
+    for reason, sched in result.stuck_examples:
+        last = replay(sc, sched, mode)[-1]
+        assert (last.kind, last.stuck_reason) == ("stuck", reason)
+    for v in result.violations:  # each raised by the schedule's last step
+        before_last = replay(sc, v.schedule[:-1], mode)[-1].state
+        found = transition(sc, before_last, v.schedule[-1], mode)[2]
+        assert (v.kind, v.name, v.detail) in found
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_DOCS))
+def test_ledger_memo_matches_unmemoized_reference(name, monkeypatch):
+    doc = SCENARIO_DOCS[name]()
+    modes = ("rule", "concrete")
+    with monkeypatch.context() as m:
+        use_reference(m)
+        reference = [report(explore(scenario_from_json(doc), mode)) for mode in modes]
+    sc = scenario_from_json(doc)
+    cold = [explore(sc, mode) for mode in modes]
+    warm = [report(explore(sc, mode)) for mode in modes]  # every cache of sc filled
+    assert [report(r) for r in cold] == reference
+    assert warm == reference
+    for mode, result in zip(modes, cold):
+        assert_schedules_reproduce(sc, result, mode)
+    if name == "unbound-cell":
+        assert all(any(v.kind == "replay" for v in r.violations) for r in cold)
+
+
+def lock_scenario():
+    """A fresh rwlock-exc scenario, with its caches cold, and a function
+    that puts a hand-built instance state for its lock into its initial
+    state."""
+    sc = scenario_from_json(shipped_doc("rwlock-exc"))
+    root = initial_state(sc)
+
+    def with_lock(inst):
+        return type(root)(root.machine, root.ledger.with_instance("lock", inst))
+
+    return sc, with_lock
+
+
+def lock_instances(sc):
+    """Instance states of the lock: a sound one, then one breaking each
+    clause of the ghost invariant."""
+    fields = sc.named["lock"].fields(False, 0, tint(0))
+    region = ("region:lock", fields)
+    x0, x1 = ("con", "ex", (tint(0),)), ("con", "ex", (tint(1),))
+    return {
+        "sound": InstanceState("lock", (region,), x0),
+        "not-completable": InstanceState("lock", (region, ("thread:0", fields)), x0),
+        "stored-invalid": InstanceState("lock", (region,), BOT),
+        "stored-out-of-sync": InstanceState("lock", (region,), x1),
+        "window-uncovered": InstanceState(
+            "lock", (region,), x0, (GuardWindow("lock", "thread:0", x1),)
+        ),
+    }
+
+
+GI = PropertySpec("gi", "ghost-invariant")
+
+
+def test_ghost_invariant_memo_hit_keeps_each_clause(monkeypatch):
+    sc, with_lock = lock_scenario()
+    states = {k: with_lock(inst) for k, inst in lock_instances(sc).items()}
+    want = {k: ref_prop_ghost_invariant(sc, st, GI) for k, st in states.items()}
+    assert want["sound"] == (True, "")
+    assert len({reason for _, reason in want.values()}) == len(want)
+    first = {k: check_property(sc, st, GI) for k, st in states.items()}
+
+    def recompute(*args):
+        raise AssertionError("memo miss on an instance state seen before")
+
+    monkeypatch.setattr(explore_mod, "_instance_invariant", recompute)
+    hit = {k: check_property(sc, st, GI) for k, st in states.items()}
+    assert first == want and hit == want
+
+
+@pytest.mark.parametrize("other", ["stored-out-of-sync", "window-uncovered"])
+def test_ghost_invariant_memo_tells_stored_and_windows_apart(other):
+    # the sound state and ``other`` differ only in stored content, or only
+    # in windows; whichever is asked first, each keeps its own verdict
+    for order in (("sound", other), (other, "sound")):
+        sc, with_lock = lock_scenario()
+        insts = lock_instances(sc)
+        got = {k: check_property(sc, with_lock(insts[k]), GI) for k in order}
+        assert got["sound"] == (True, "")
+        assert got[other] == ref_prop_ghost_invariant(sc, with_lock(insts[other]), GI)
+        assert not got[other][0]
