@@ -194,9 +194,10 @@ RESOLVERS: dict = {}
 PROPERTY_EVALUATORS: dict = {}
 
 
-def register_resolver(name: str):
+def register_resolver(*names: str):
     def wrap(fn):
-        RESOLVERS[name] = fn
+        for name in names:
+            RESOLVERS[name] = fn
         return fn
 
     return wrap

@@ -289,7 +289,7 @@ def _table_element(doc, monoid: MonoidSpec, path: str) -> Term:
     """A decision-table entry: a term in the carrier of ``monoid``."""
     try:
         el = term_from_json(doc)
-    except ValueError as exc:  # EncodingError, or a map entry that is not a pair
+    except EncodingError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if not is_element(monoid, el):
         raise FormatError(f"{path}: {pretty(el)} is not in the carrier of {monoid.name}")

@@ -55,6 +55,7 @@ __all__ = [
     "RwLockElems",
     "build_rwlock_multi",
     "RwLockMultiElems",
+    "set_part",
     "HashFunctionSpec",
     "build_hashtable_monoid",
     "build_hashtable_protocol",
@@ -472,23 +473,34 @@ def build_forever() -> StorageProtocolSpec:
 
 
 # ---------------------------------------------------------------------------
-# Reader-writer lock protocol (single counter)
+# Reader-writer lock protocols
+#
+# Both locks share one element layout, a 5-tuple
+#   (fields, exc-pending token, exc token, pending readers, reader agreement)
+# where fields is ex((exc flag, counter, value)) and reader agreement is
+# agn(value, readers). The single lock keeps one int counter, int pending
+# readers and the payload-free exc-pending token EX, and ignores every
+# counter index. The multi-counter lock keeps a tuple of k counters, one
+# pending count and one reader count per counter, and ex(j) for a writer
+# that has seen counters 0..j-1 at zero.
+
+
+def set_part(p: Term, i: int, v: Term) -> Term:
+    """The tuple ``p`` with its i-th part replaced by ``v``."""
+    return ttuple(*p[1][:i], v, *p[1][i + 1 :])
 
 
 @dataclass(frozen=True)
 class RwLockElems:
-    """Named elements of the reader-writer lock protocol.
-
-    A full element is a 5-tuple (fields slot, exc-pending token,
-    exc token, pending-reader count, reader agreement).
-    """
+    """Named elements of the single-counter reader-writer lock."""
 
     values: tuple[Term, ...]
+    k = 1  # counters
 
     def fields(self, exc: bool, rc: int, x: Term) -> Term:
         return ttuple(ex(ttuple(tbool(exc), tint(rc), x)), UNIT, UNIT, tint(0), UNIT)
 
-    def exc_pending(self) -> Term:
+    def exc_pending(self, j: int = 0) -> Term:
         return ttuple(UNIT, EX, UNIT, tint(0), UNIT)
 
     def exc(self) -> Term:
@@ -500,7 +512,7 @@ class RwLockElems:
     def sh(self, x: Term) -> Term:
         return ttuple(UNIT, UNIT, UNIT, tint(0), tcon("agn", x, tint(1)))
 
-    # -- inspection helpers used by resolvers and state properties
+    # -- the index-based interface of the lock resolvers and properties
 
     def fields_of(self, p: Term) -> tuple[bool, int, Term] | None:
         got = con_args(p[1][0], "ex")
@@ -509,14 +521,30 @@ class RwLockElems:
         exc_t, rc_t, x = got[0][1]
         return exc_t[1], rc_t[1], x
 
-    def has_exc_pending(self, p: Term) -> bool:
-        return p[1][1] != UNIT
+    def exc_pending_index(self, p: Term) -> int | None:
+        return 0 if p[1][1] != UNIT else None
 
     def has_exc(self, p: Term) -> bool:
         return p[1][2] != UNIT
 
-    def sh_pending_count(self, p: Term) -> int:
+    def add_count(self, rc: int, j: int, delta: int) -> int:
+        return rc + delta
+
+    def pending(self, p: Term, j: int) -> int:
         return p[1][3][1]
+
+    def add_pending(self, p: Term, j: int, delta: int) -> Term:
+        return set_part(p, 3, tint(p[1][3][1] + delta))
+
+    def reader(self, j: int, x: Term) -> Term:
+        return self.sh(x)
+
+    def release_reader(self, p: Term, j: int) -> Term | None:
+        got = con_args(p[1][4], "agn")
+        if got is None:
+            return None
+        y, n = got[0], got[1][1]
+        return UNIT if n == 1 else tcon("agn", y, tint(n - 1))
 
     def sh_value(self, p: Term) -> Term | None:
         got = con_args(p[1][4], "agn")
@@ -533,81 +561,18 @@ class RwLockElems:
         }
 
 
-def _rw_count(s: Term) -> int:
-    got = con_args(s, "agn")
-    return got[1][1] if got else 0
-
-
-def build_rwlock(
-    values: tuple[Term, ...] = (tsym("x0"), tsym("x1")),
-    rc_range: tuple[int, int] = (-2, 4),
-    sp_max: int = 4,
-    agn_max: int = 4,
-) -> tuple[StorageProtocolSpec, RwLockElems]:
-    """Reader-writer lock protocol over an abstract value set.
-
-    Completeness ties the reference count to the pending and acquired
-    reader tokens, makes the exc flag account for the writer tokens, and
-    forces reader agreement with the fields value.
-    """
-    fields_payloads = [
-        ttuple(tbool(e), tint(rc), x)
-        for e in (False, True)
-        for rc in range(rc_range[0], rc_range[1] + 1)
-        for x in values
-    ]
-    c_fields = build_excl(tuple(fields_payloads), name="rw-fields")
-    c_ep = _excl("rw-ep", [EX])
-    c_e = _excl("rw-e", [EX])
-    c_sp = build_nat(sp_max, name="rw-sp")
-    c_sh = build_agn(values, agn_max, name="rw-sh")
-    product = build_product("rwlock-protocol", [c_fields, c_ep, c_e, c_sp, c_sh], total=True)
-    storage = build_excl(values, name="rw-storage")
-
-    def complete(p):
-        c1, ep, e, spc, s = p[1]
-        got = con_args(c1, "ex")
-        if got is None:
-            return False
-        exc_t, rc_t, x = got[0][1]
-        exc_b, rc = exc_t[1], rc_t[1]
-        if rc != spc[1] + _rw_count(s):
-            return False
-        if not exc_b and (ep != UNIT or e != UNIT):
-            return False
-        if exc_b and not ((ep == EX or e == EX) and not (ep == EX and e == EX)):
-            return False
-        if e == EX and s != UNIT:
-            return False
-        got_s = con_args(s, "agn")
-        if got_s is not None and got_s[0] != x:
-            return False
-        return True
-
-    def stored_of(p):
-        c1, _, e, _, _ = p[1]
-        x = con_args(c1, "ex")[0][1][2]
-        return UNIT if e == EX else ex(x)
-
-    sp = StorageProtocolSpec(
-        "rwlock", product, storage, complete, stored_of, bot_parts_incomplete=True
-    )
-    return sp, RwLockElems(tuple(values))
-
-
-# ---------------------------------------------------------------------------
-# Reader-writer lock protocol (multiple counters)
-
-
 @dataclass(frozen=True)
 class RwLockMultiElems:
-    """Named elements of the multi-counter reader-writer lock protocol."""
+    """Named elements of the multi-counter reader-writer lock."""
 
     values: tuple[Term, ...]
     k: int
 
     def _vec(self, counts) -> Term:
         return ttuple(*(tint(c) for c in counts))
+
+    def _unit_vec(self, j: int) -> Term:
+        return self._vec(int(i == j) for i in range(self.k))
 
     def fields(self, exc: bool, rcs: tuple[int, ...], x: Term) -> Term:
         if len(rcs) != self.k:
@@ -616,7 +581,7 @@ class RwLockMultiElems:
             ex(ttuple(tbool(exc), self._vec(rcs), x)), UNIT, UNIT, self._vec([0] * self.k), UNIT
         )
 
-    def exc_pending(self, j: int) -> Term:
+    def exc_pending(self, j: int = 0) -> Term:
         if not 0 <= j <= self.k:
             raise ValueError("checked-counter index out of range")
         return ttuple(UNIT, ex(tint(j)), UNIT, self._vec([0] * self.k), UNIT)
@@ -625,14 +590,12 @@ class RwLockMultiElems:
         return ttuple(UNIT, UNIT, EX, self._vec([0] * self.k), UNIT)
 
     def sh_pending(self, k: int) -> Term:
-        counts = [0] * self.k
-        counts[k] = 1
-        return ttuple(UNIT, UNIT, UNIT, self._vec(counts), UNIT)
+        return ttuple(UNIT, UNIT, UNIT, self._unit_vec(k), UNIT)
 
     def sh(self, k: int, x: Term) -> Term:
-        counts = [0] * self.k
-        counts[k] = 1
-        return ttuple(UNIT, UNIT, UNIT, self._vec([0] * self.k), tcon("agn", x, self._vec(counts)))
+        return ttuple(
+            UNIT, UNIT, UNIT, self._vec([0] * self.k), tcon("agn", x, self._unit_vec(k))
+        )
 
     def fields_of(self, p: Term) -> tuple[bool, tuple[int, ...], Term] | None:
         got = con_args(p[1][0], "ex")
@@ -647,6 +610,26 @@ class RwLockMultiElems:
 
     def has_exc(self, p: Term) -> bool:
         return p[1][2] != UNIT
+
+    def add_count(self, rcs: tuple[int, ...], j: int, delta: int) -> tuple[int, ...]:
+        return rcs[:j] + (rcs[j] + delta,) + rcs[j + 1 :]
+
+    def pending(self, p: Term, j: int) -> int:
+        return p[1][3][1][j][1]
+
+    def add_pending(self, p: Term, j: int, delta: int) -> Term:
+        counts = tuple(c[1] for c in p[1][3][1])
+        return set_part(p, 3, self._vec(self.add_count(counts, j, delta)))
+
+    def reader(self, j: int, x: Term) -> Term:
+        return self.sh(j, x)
+
+    def release_reader(self, p: Term, j: int) -> Term | None:
+        got = con_args(p[1][4], "agn")
+        if got is None or got[1][1][j][1] < 1:
+            return None
+        counts = self.add_count(tuple(c[1] for c in got[1][1]), j, -1)
+        return tcon("agn", got[0], self._vec(counts)) if any(counts) else UNIT
 
     def sh_value(self, p: Term) -> Term | None:
         got = con_args(p[1][4], "agn")
@@ -665,9 +648,66 @@ class RwLockMultiElems:
         }
 
 
-def _vec_count(s: Term, k: int) -> int:
-    got = con_args(s, "agn")
-    return got[1][1][k][1] if got else 0
+def _build_rwlock_protocol(name, prefix, values, counters, c_ep, c_sp, c_sh, counts_ok):
+    """The lock protocol over the shared layout, with ``counters`` the
+    fields' counter terms. 𝒞 asks ``counts_ok(rc, spc,
+    agn, ep)`` whether each fields counter ``rc`` equals its pending
+    readers ``spc`` plus its acquired readers (``agn``, the agreement's
+    arguments, None without readers), and whatever else the lock's
+    writer token ``ep`` says about them. The rest of 𝒞 is shared: the
+    exc flag is set exactly when one writer token is out, a writer
+    excludes readers, and readers agree with the fields value."""
+    payloads = [ttuple(tbool(e), c, x) for e in (False, True) for c in counters for x in values]
+    c_fields = build_excl(tuple(payloads), name=f"{prefix}-fields")
+    c_e = _excl(f"{prefix}-e", [EX])
+    product = build_product(f"{name}-protocol", [c_fields, c_ep, c_e, c_sp, c_sh], total=True)
+    storage = build_excl(values, name=f"{prefix}-storage")
+
+    def complete(p):
+        c1, ep, e, spc, s = p[1]
+        got = con_args(c1, "ex")
+        if got is None:
+            return False
+        exc_t, rc_t, x = got[0][1]
+        agn = con_args(s, "agn")
+        return (
+            counts_ok(rc_t, spc, agn, ep)
+            and (ep != UNIT) + (e != UNIT) == exc_t[1]
+            and (e != EX or s == UNIT)
+            and (agn is None or agn[0] == x)
+        )
+
+    def stored_of(p):
+        c1, _, e, _, _ = p[1]
+        x = con_args(c1, "ex")[0][1][2]
+        return UNIT if e == EX else ex(x)
+
+    return StorageProtocolSpec(
+        name, product, storage, complete, stored_of, bot_parts_incomplete=True
+    )
+
+
+def build_rwlock(
+    values: tuple[Term, ...] = (tsym("x0"), tsym("x1")),
+    rc_range: tuple[int, int] = (-2, 4),
+    sp_max: int = 4,
+    agn_max: int = 4,
+) -> tuple[StorageProtocolSpec, RwLockElems]:
+    """Reader-writer lock protocol over an abstract value set.
+
+    Completeness ties the reference count to the pending and acquired
+    reader tokens, makes the exc flag account for the writer tokens, and
+    forces reader agreement with the fields value.
+    """
+    def counts_ok(rc, spc, agn, ep):
+        return rc[1] == spc[1] + (agn[1][1] if agn else 0)
+
+    c_ep = _excl("rw-ep", [EX])
+    c_sp = build_nat(sp_max, name="rw-sp")
+    c_sh = build_agn(values, agn_max, name="rw-sh")
+    counters = [tint(rc) for rc in range(rc_range[0], rc_range[1] + 1)]
+    sp = _build_rwlock_protocol("rwlock", "rw", values, counters, c_ep, c_sp, c_sh, counts_ok)
+    return sp, RwLockElems(tuple(values))
 
 
 def build_rwlock_multi(
@@ -679,17 +719,6 @@ def build_rwlock_multi(
 ) -> tuple[StorageProtocolSpec, RwLockMultiElems]:
     """Multi-counter variant: one reference counter per reader class, the
     writer checks them in order and records how many it has seen at zero."""
-    rcs_vecs = list(itertools.product(range(rc_range[0], rc_range[1] + 1), repeat=k))
-    fields_payloads = [
-        ttuple(tbool(e), ttuple(*(tint(c) for c in vec)), x)
-        for e in (False, True)
-        for vec in rcs_vecs
-        for x in values
-    ]
-    c_fields = build_excl(tuple(fields_payloads), name="rwm-fields")
-    c_ep = build_excl(tuple(tint(j) for j in range(k + 1)), name="rwm-ep")
-    c_e = _excl("rwm-e", [EX])
-
     sp_vecs = [
         ttuple(*(tint(c) for c in vec))
         for vec in itertools.product(range(sp_max + 1), repeat=k)
@@ -702,45 +731,23 @@ def build_rwlock_multi(
     c_sp = MonoidSpec(
         "rwm-sp", zero_vec, sp_compose, lambda t: True, _enum(sp_vecs, zero_vec, "bounded")
     )
-    c_sh = build_agnvec(values, k, agn_max, name="rwm-sh")
-    product = build_product("rwlock-multi-protocol", [c_fields, c_ep, c_e, c_sp, c_sh], total=True)
-    storage = build_excl(values, name="rwm-storage")
 
-    def complete(p):
-        c1, ep, e, spc, s = p[1]
-        got = con_args(c1, "ex")
-        if got is None:
-            return False
-        exc_t, rcs_t, x = got[0][1]
-        exc_b = exc_t[1]
+    def counts_ok(rcs, spc, agn, ep):
+        readers = agn[1][1] if agn else zero_vec[1]
         for i in range(k):
-            if rcs_t[1][i][1] != spc[1][i][1] + _vec_count(s, i):
+            if rcs[1][i][1] != spc[1][i][1] + readers[i][1]:
                 return False
-        if not exc_b and (ep != UNIT or e != UNIT):
-            return False
-        if exc_b and not ((ep != UNIT or e != UNIT) and not (ep != UNIT and e != UNIT)):
-            return False
-        if e == EX and s != UNIT:
-            return False
-        got_s = con_args(s, "agn")
-        if got_s is not None:
-            if got_s[0] != x:
-                return False
-        ep_got = con_args(ep, "ex")
-        if ep_got is not None:
-            checked = ep_got[0][1]
-            for i in range(min(checked, k)):
-                if _vec_count(s, i) != 0:
-                    return False
-        return True
+        checked = con_args(ep, "ex")  # counters the writer has seen at zero
+        return checked is None or not any(n[1] for n in readers[: checked[0][1]])
 
-    def stored_of(p):
-        c1, _, e, _, _ = p[1]
-        x = con_args(c1, "ex")[0][1][2]
-        return UNIT if e == EX else ex(x)
-
-    sp = StorageProtocolSpec(
-        "rwlock-multi", product, storage, complete, stored_of, bot_parts_incomplete=True
+    counters = [
+        ttuple(*(tint(c) for c in vec))
+        for vec in itertools.product(range(rc_range[0], rc_range[1] + 1), repeat=k)
+    ]
+    c_ep = build_excl(tuple(tint(j) for j in range(k + 1)), name="rwm-ep")
+    c_sh = build_agnvec(values, k, agn_max, name="rwm-sh")
+    sp = _build_rwlock_protocol(
+        "rwlock-multi", "rwm", values, counters, c_ep, c_sp, c_sh, counts_ok
     )
     return sp, RwLockMultiElems(tuple(values), k)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .explore import (
     PropertySpec,
+    ReplayError,
     ResolveCtx,
     Scenario,
     ScriptEntry,
@@ -50,11 +51,14 @@ from .library import (
     EX,
     NONE,
     HashFunctionSpec,
+    RwLockElems,
+    RwLockMultiElems,
     build_hashtable_monoid,
     build_rwlock,
     build_rwlock_multi,
     ex,
     pcm_as_protocol,
+    set_part,
     some,
 )
 from .terms import (
@@ -87,12 +91,6 @@ __all__ = [
 
 
 FALSE, TRUE = tbool(False), tbool(True)
-
-
-def _set_comp(p: Term, i: int, v: Term) -> Term:
-    parts = list(p[1])
-    parts[i] = v
-    return ttuple(*parts)
 
 
 def opt_to_ghost(v: Term) -> Term:
@@ -133,38 +131,48 @@ def _prop(name, kind, **params):
 
 
 # ---------------------------------------------------------------------------
-# Reader-writer lock resolvers (single counter)
+# Reader-writer lock resolvers
+#
+# One resolver per lock step serves both locks, under its rw.X and its
+# rwm.X name: the lock's Elems read and update counters by index, and the
+# single lock ignores the index. Only the writer's check differs:
+# rw.exc-acquire withdraws at once, rwm.exc-progress records counter j and
+# withdraws after the last one.
 
 
 def _rw_parts(ctx: ResolveCtx, entry: ScriptEntry):
     iid = ctx.instance_for(entry)
+    named = ctx.scenario.named.get(iid)
+    if not isinstance(named, (RwLockElems, RwLockMultiElems)):
+        raise ReplayError(f"instance {iid!r} is not a reader-writer lock")
     sp = ctx.scenario.protocols[iid]
-    named = ctx.scenario.named[iid]
     inst = ctx.ledger.instance(iid)
     region = inst.fragment_of(_region(iid), sp.protocol.unit)
     mine = inst.fragment_of(ctx.self_owner, sp.protocol.unit)
     return iid, sp, named, region, mine
 
 
-@register_resolver("rw.exc-begin")
+def _update(ctx, iid, region, mine, note, kind="update", **moved):
+    """Replace the lock's region fragment and the thread's fragment."""
+    updates = ((_region(iid), region), (ctx.self_owner, mine))
+    return ExchangeAction(iid, updates, kind=kind, note=note, **moved)
+
+
+def _withdraw(ctx, iid, region, mine, x, note):
+    """The writer trades its pending token for the exc token and takes x."""
+    acquired = set_part(set_part(mine, 1, UNIT), 2, EX)
+    return _update(ctx, iid, region, acquired, note, "withdraw", withdrawn=ex(x))
+
+
+@register_resolver("rw.exc-begin", "rwm.exc-begin")
 def _rw_exc_begin(ctx, entry):
     iid, sp, named, region, mine = _rw_parts(ctx, entry)
     got = named.fields_of(region)
     if got is None:
         return GhostViolation("missing-fields", iid)
     _, rc, x = got
-    comp = sp.protocol.compose_fn
-    return [
-        ExchangeAction(
-            iid,
-            (
-                (_region(iid), named.fields(True, rc, x)),
-                (ctx.self_owner, comp(mine, named.exc_pending())),
-            ),
-            kind="update",
-            note="exclusive acquisition begins",
-        )
-    ]
+    pending = sp.protocol.compose_fn(mine, named.exc_pending())
+    return [_update(ctx, iid, named.fields(True, rc, x), pending, "exclusive acquisition begins")]
 
 
 @register_resolver("rw.exc-acquire")
@@ -173,28 +181,40 @@ def _rw_exc_acquire(ctx, entry):
     got = named.fields_of(region)
     if got is None:
         return GhostViolation("missing-fields", iid)
-    if not named.has_exc_pending(mine):
+    if named.exc_pending_index(mine) is None:
         return GhostViolation("missing-token", iid, detail="no pending-exclusive token")
-    x = got[2]
-    new_mine = _set_comp(_set_comp(mine, 1, UNIT), 2, EX)
-    return [
-        ExchangeAction(
-            iid,
-            ((_region(iid), region), (ctx.self_owner, new_mine)),
-            withdrawn=ex(x),
-            kind="withdraw",
-            note="exclusive lock acquired, content withdrawn",
+    note = "exclusive lock acquired, content withdrawn"
+    return [_withdraw(ctx, iid, region, mine, got[2], note)]
+
+
+@register_resolver("rwm.exc-progress")
+def _rwm_exc_progress(ctx, entry):
+    iid, sp, named, region, mine = _rw_parts(ctx, entry)
+    got = named.fields_of(region)
+    if got is None:
+        return GhostViolation("missing-fields", iid)
+    j = named.exc_pending_index(mine)
+    if j is None:
+        return GhostViolation("missing-token", iid, detail="no pending-exclusive token")
+    counter = entry.arg("counter", 0)
+    if j != counter:
+        return GhostViolation(
+            "wrong-counter", iid, detail=f"checked counter {counter}, expected {j}"
         )
-    ]
+    seen = set_part(mine, 1, named.exc_pending(j + 1)[1][1])
+    actions = [_update(ctx, iid, region, seen, f"counter {j} observed zero")]
+    if j + 1 == named.k:
+        note = "all counters checked, content withdrawn"
+        actions.append(_withdraw(ctx, iid, region, mine, got[2], note))
+    return actions
 
 
-@register_resolver("rw.exc-release")
+@register_resolver("rw.exc-release", "rwm.exc-release")
 def _rw_exc_release(ctx, entry):
     iid, sp, named, region, mine = _rw_parts(ctx, entry)
     got = named.fields_of(region)
     if got is None:
         return GhostViolation("missing-fields", iid)
-    _, rc, _ = got
     cell = entry.arg("cell") or ctx.scenario.protected_cells[iid]
     raw = ctx.cell_value(cell)
     if raw is None:
@@ -202,113 +222,77 @@ def _rw_exc_release(ctx, entry):
     x_new = raw if entry.arg("raw_cell", True) else opt_to_ghost(raw)
     if not named.has_exc(mine):
         return GhostViolation("missing-token", iid, detail="no exclusive token held")
-    new_mine = _set_comp(mine, 2, UNIT)
     return [
-        ExchangeAction(
+        _update(
+            ctx,
             iid,
-            (
-                (_region(iid), named.fields(False, rc, x_new)),
-                (ctx.self_owner, new_mine),
-            ),
+            named.fields(False, got[1], x_new),
+            set_part(mine, 2, UNIT),
+            "exclusive lock released, content deposited",
+            "deposit",
             deposited=ex(x_new),
-            kind="deposit",
-            note="exclusive lock released, content deposited",
         )
     ]
 
 
-@register_resolver("rw.shared-begin")
+@register_resolver("rw.shared-begin", "rwm.shared-begin")
 def _rw_shared_begin(ctx, entry):
     iid, sp, named, region, mine = _rw_parts(ctx, entry)
     got = named.fields_of(region)
     if got is None:
         return GhostViolation("missing-fields", iid)
     exc_b, rc, x = got
-    new_mine = _set_comp(mine, 3, tint(mine[1][3][1] + 1))
-    return [
-        ExchangeAction(
-            iid,
-            (
-                (_region(iid), named.fields(exc_b, rc + 1, x)),
-                (ctx.self_owner, new_mine),
-            ),
-            kind="update",
-            note="reader registered",
-        )
-    ]
+    j = entry.arg("counter", 0)
+    note = "reader registered"
+    if entry.arg("counter") is not None:
+        note += f" on counter {j}"
+    fields = named.fields(exc_b, named.add_count(rc, j, 1), x)
+    return [_update(ctx, iid, fields, named.add_pending(mine, j, 1), note)]
 
 
-@register_resolver("rw.shared-acquire")
+@register_resolver("rw.shared-acquire", "rwm.shared-acquire")
 def _rw_shared_acquire(ctx, entry):
     iid, sp, named, region, mine = _rw_parts(ctx, entry)
     got = named.fields_of(region)
     if got is None:
         return GhostViolation("missing-fields", iid)
-    x = got[2]
-    pending = mine[1][3][1]
-    if pending < 1:
+    j = entry.arg("counter", 0)
+    if named.pending(mine, j) < 1:
         return GhostViolation("missing-token", iid, detail="no pending-reader token")
-    comp = sp.protocol.compose_fn
-    new_mine = comp(_set_comp(mine, 3, tint(pending - 1)), named.sh(x))
-    return [
-        ExchangeAction(
-            iid,
-            ((_region(iid), region), (ctx.self_owner, new_mine)),
-            kind="update",
-            note="shared lock acquired",
-        )
-    ]
+    reader = sp.protocol.compose_fn(named.add_pending(mine, j, -1), named.reader(j, got[2]))
+    return [_update(ctx, iid, region, reader, "shared lock acquired")]
 
 
-@register_resolver("rw.shared-retry")
+@register_resolver("rw.shared-retry", "rwm.shared-retry")
 def _rw_shared_retry(ctx, entry):
     iid, sp, named, region, mine = _rw_parts(ctx, entry)
     got = named.fields_of(region)
     if got is None:
         return GhostViolation("missing-fields", iid)
     exc_b, rc, x = got
-    pending = mine[1][3][1]
-    if pending < 1:
+    j = entry.arg("counter", 0)
+    if named.pending(mine, j) < 1:
         return GhostViolation("missing-token", iid, detail="no pending-reader token")
-    return [
-        ExchangeAction(
-            iid,
-            (
-                (_region(iid), named.fields(exc_b, rc - 1, x)),
-                (ctx.self_owner, _set_comp(mine, 3, tint(pending - 1))),
-            ),
-            kind="update",
-            note="reader backed out",
-        )
-    ]
+    fields = named.fields(exc_b, named.add_count(rc, j, -1), x)
+    return [_update(ctx, iid, fields, named.add_pending(mine, j, -1), "reader backed out")]
 
 
-@register_resolver("rw.shared-release")
+@register_resolver("rw.shared-release", "rwm.shared-release")
 def _rw_shared_release(ctx, entry):
     iid, sp, named, region, mine = _rw_parts(ctx, entry)
     got = named.fields_of(region)
     if got is None:
         return GhostViolation("missing-fields", iid)
     exc_b, rc, x = got
-    agn_got = con_args(mine[1][4], "agn")
-    if agn_got is None:
+    j = entry.arg("counter", 0)
+    released = named.release_reader(mine, j)
+    if released is None:
         return GhostViolation("missing-token", iid, detail="no reader token held")
-    y, n = agn_got[0], agn_got[1][1]
-    new_sh = UNIT if n == 1 else tcon("agn", y, tint(n - 1))
-    return [
-        ExchangeAction(
-            iid,
-            (
-                (_region(iid), named.fields(exc_b, rc - 1, x)),
-                (ctx.self_owner, _set_comp(mine, 4, new_sh)),
-            ),
-            kind="update",
-            note="shared lock released",
-        )
-    ]
+    fields = named.fields(exc_b, named.add_count(rc, j, -1), x)
+    return [_update(ctx, iid, fields, set_part(mine, 4, released), "shared lock released")]
 
 
-@register_resolver("rw.shared-read")
+@register_resolver("rw.shared-read", "rwm.shared-read")
 def _rw_shared_read(ctx, entry):
     """Open a one-step guard window for the reader's agreed value and
     check the physically read value against it."""
@@ -318,215 +302,6 @@ def _rw_shared_read(ctx, entry):
         return GhostViolation("missing-token", iid, detail="read outside a shared lock")
     want = x if entry.arg("raw_cell", True) else ghost_to_opt(x)
     if ctx.result != want:
-        return GhostViolation(
-            "reader-value-mismatch",
-            iid,
-            detail=f"read {pretty(ctx.result)}, lock agrees on {pretty(x)}",
-        )
-    return [OpenGuardAction(iid, ctx.self_owner, ex(x), licenses=ctx.label)]
-
-
-# ---------------------------------------------------------------------------
-# Multi-counter resolvers
-
-
-@register_resolver("rwm.exc-begin")
-def _rwm_exc_begin(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
-    _, rcs, x = got
-    comp = sp.protocol.compose_fn
-    return [
-        ExchangeAction(
-            iid,
-            (
-                (_region(iid), named.fields(True, rcs, x)),
-                (ctx.self_owner, comp(mine, named.exc_pending(0))),
-            ),
-            kind="update",
-            note="exclusive acquisition begins",
-        )
-    ]
-
-
-@register_resolver("rwm.exc-progress")
-def _rwm_exc_progress(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
-    _, rcs, x = got
-    j = named.exc_pending_index(mine)
-    if j is None:
-        return GhostViolation("missing-token", iid, detail="no pending-exclusive token")
-    if j != entry.arg("counter"):
-        return GhostViolation(
-            "wrong-counter", iid, detail=f"checked counter {entry.arg('counter')}, expected {j}"
-        )
-    actions = [
-        ExchangeAction(
-            iid,
-            (
-                (_region(iid), region),
-                (ctx.self_owner, _set_comp(mine, 1, ex(tint(j + 1)))),
-            ),
-            kind="update",
-            note=f"counter {j} observed zero",
-        )
-    ]
-    if j + 1 == named.k:
-        acquired = _set_comp(_set_comp(mine, 1, UNIT), 2, EX)
-        actions.append(
-            ExchangeAction(
-                iid,
-                ((_region(iid), region), (ctx.self_owner, acquired)),
-                withdrawn=ex(x),
-                kind="withdraw",
-                note="all counters checked, content withdrawn",
-            )
-        )
-    return actions
-
-
-@register_resolver("rwm.exc-release")
-def _rwm_exc_release(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
-    _, rcs, _ = got
-    cell = entry.arg("cell") or ctx.scenario.protected_cells[iid]
-    raw = ctx.cell_value(cell)
-    if raw is None:
-        return GhostViolation("protected-cell-freed", iid)
-    if not named.has_exc(mine):
-        return GhostViolation("missing-token", iid, detail="no exclusive token held")
-    return [
-        ExchangeAction(
-            iid,
-            (
-                (_region(iid), named.fields(False, rcs, raw)),
-                (ctx.self_owner, _set_comp(mine, 2, UNIT)),
-            ),
-            deposited=ex(raw),
-            kind="deposit",
-            note="exclusive lock released, content deposited",
-        )
-    ]
-
-
-def _vec_update(rcs: tuple[int, ...], k: int, delta: int) -> tuple[int, ...]:
-    return rcs[:k] + (rcs[k] + delta,) + rcs[k + 1 :]
-
-
-def _sp_vec_update(mine: Term, k: int, delta: int) -> Term:
-    vec = list(mine[1][3][1])
-    vec[k] = tint(vec[k][1] + delta)
-    return _set_comp(mine, 3, ttuple(*vec))
-
-
-@register_resolver("rwm.shared-begin")
-def _rwm_shared_begin(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
-    exc_b, rcs, x = got
-    k = entry.arg("counter")
-    return [
-        ExchangeAction(
-            iid,
-            (
-                (_region(iid), named.fields(exc_b, _vec_update(rcs, k, 1), x)),
-                (ctx.self_owner, _sp_vec_update(mine, k, 1)),
-            ),
-            kind="update",
-            note=f"reader registered on counter {k}",
-        )
-    ]
-
-
-@register_resolver("rwm.shared-acquire")
-def _rwm_shared_acquire(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
-    x = got[2]
-    k = entry.arg("counter")
-    if mine[1][3][1][k][1] < 1:
-        return GhostViolation("missing-token", iid, detail="no pending-reader token")
-    comp = sp.protocol.compose_fn
-    new_mine = comp(_sp_vec_update(mine, k, -1), named.sh(k, x))
-    return [
-        ExchangeAction(
-            iid,
-            ((_region(iid), region), (ctx.self_owner, new_mine)),
-            kind="update",
-            note="shared lock acquired",
-        )
-    ]
-
-
-@register_resolver("rwm.shared-retry")
-def _rwm_shared_retry(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
-    exc_b, rcs, x = got
-    k = entry.arg("counter")
-    if mine[1][3][1][k][1] < 1:
-        return GhostViolation("missing-token", iid, detail="no pending-reader token")
-    return [
-        ExchangeAction(
-            iid,
-            (
-                (_region(iid), named.fields(exc_b, _vec_update(rcs, k, -1), x)),
-                (ctx.self_owner, _sp_vec_update(mine, k, -1)),
-            ),
-            kind="update",
-            note="reader backed out",
-        )
-    ]
-
-
-@register_resolver("rwm.shared-release")
-def _rwm_shared_release(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
-    exc_b, rcs, x = got
-    k = entry.arg("counter")
-    agn_got = con_args(mine[1][4], "agn")
-    if agn_got is None or agn_got[1][1][k][1] < 1:
-        return GhostViolation("missing-token", iid, detail="no reader token held")
-    vec = list(agn_got[1][1])
-    vec[k] = tint(vec[k][1] - 1)
-    new_sh = UNIT if not any(c[1] for c in vec) else tcon("agn", agn_got[0], ttuple(*vec))
-    return [
-        ExchangeAction(
-            iid,
-            (
-                (_region(iid), named.fields(exc_b, _vec_update(rcs, k, -1), x)),
-                (ctx.self_owner, _set_comp(mine, 4, new_sh)),
-            ),
-            kind="update",
-            note="shared lock released",
-        )
-    ]
-
-
-@register_resolver("rwm.shared-read")
-def _rwm_shared_read(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    x = named.sh_value(mine)
-    if x is None:
-        return GhostViolation("missing-token", iid, detail="read outside a shared lock")
-    if ctx.result != x:
         return GhostViolation(
             "reader-value-mismatch",
             iid,
@@ -906,12 +681,8 @@ def _ht_slot_for_event(ctx: ResolveCtx, entry: ScriptEntry) -> tuple[str, int]:
     lock_iid = ctx.scenario.cell_instances.get(cell)
     slot = ctx.scenario.meta["lock_slot"].get(lock_iid)
     if slot is None:
-        raise ReplayKeyError(f"no slot lock for cell {cell!r}")
+        raise ReplayError(f"no slot lock for cell {cell!r}")
     return lock_iid, slot
-
-
-class ReplayKeyError(KeyError):
-    pass
 
 
 def _ht_total(scenario, ledger):

@@ -221,7 +221,9 @@ def term_from_json(doc) -> Term:
             return tmap((term_from_json(k), term_from_json(v)) for k, v in doc[1])
         if tag == "con":
             return tcon(doc[1], *(term_from_json(x) for x in doc[2]))
-    except (IndexError, TypeError) as exc:
+    except EncodingError:
+        raise
+    except (IndexError, TypeError, ValueError) as exc:  # ValueError: a map entry not a pair
         raise EncodingError(f"bad term document: {doc!r}") from exc
     raise EncodingError(f"unknown term tag {tag!r}")
 

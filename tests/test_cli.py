@@ -1,5 +1,6 @@
 """CLI: exit codes, output determinism, and the demo registry."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -136,6 +137,23 @@ def test_demo_json_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+# sha256 of each check demo's JSON report, pinned so that a refactor
+# which changes a verdict, witness or frame count fails here
+CHECK_DEMO_SHA256 = {
+    "protocol-count": "3e2a5a64aae874d342c8f3d2bb749fbb8c0a0c758f02cc0c4b20863032f06383",
+    "protocol-frac": "0cf7ef7d3fb297d8df368e1212f856ef3478134e074d3b18aae0da9ecd685434",
+    "protocol-rwlock": "0235895d6b2e9045b0f4add3b5de11a0a7e8319d50f52b851da58e883a04aff3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_DEMO_SHA256))
+def test_check_demo_report_bytes_pinned(capsys, name):
+    code, out, _ = run(capsys, "demo", name, "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CHECK_DEMO_SHA256[name], f"demo {name}: report changed"
+
+
 def test_quiet_suppresses_output(capsys):
     code, out, _ = run(capsys, "demo", "protocol-frac", "--quiet")
     assert code == 0 and out == ""
@@ -191,9 +209,14 @@ NOT_IN_CARRIER = {
         (doc, {"queries": [query]})
         for doc in (COUNTING, RWLOCK)
         for query in NOT_IN_CARRIER.values()
+    ]
+    + [
+        ({"builtin": "fractional"},
+         {"queries": [{"kind": "guard", "p": ["map", [[["int", 1]]]], "s": ["int", 1]}]}),
     ],
     ids=["query-not-object", "queries-not-list", "bad-term", "missing-field", "bare-named"]
-    + [f"{name}-{case}" for name in ("counting", "rwlock") for case in NOT_IN_CARRIER],
+    + [f"{name}-{case}" for name in ("counting", "rwlock") for case in NOT_IN_CARRIER]
+    + ["map-entry-not-a-pair"],
 )
 def test_malformed_relations_exit_2_without_traceback(tmp_path, protocol_doc, relations):
     path = tmp_path / "relations.json"
@@ -276,20 +299,53 @@ def test_malformed_protocol_exit_2_without_traceback(tmp_path, protocol_doc, arg
     assert_input_error(tmp_path, protocol_doc, args, message)
 
 
-def test_resolver_replay_error_is_a_violation(tmp_path):
+def shipped_scenario(name):
+    return json.loads(demo_path(f"{name}.scenario.json").read_text())
+
+
+def unbound_cell(doc):
     # a script entry that resolves its instance from a cell with no
-    # cell_instances entry: the explorer records it, and does not crash
-    doc = json.loads(demo_path("rwlock-exc.scenario.json").read_text())
+    # cell_instances entry
     del doc["cell_instances"]["exc"]
     doc["script"][0]["args"]["instance"] = "@cell"
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    proc = run_process("explore", str(path), "--format", "json")
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    violations = json.loads(proc.stdout)["violations"]
-    assert {
-        "kind": "replay", "name": "t0.exc_begin",
-        "detail": "label t0.exc_begin: no protocol instance for cell 'exc'",
-        "schedule": [0, 0],
-    } in violations
+
+
+def lock_step_on_table(doc):
+    # a lock resolver pointed at the hash-table instance
+    entry = next(e for e in doc["script"] if e["resolver"] == "rw.exc-begin")
+    entry["args"]["instance"] = "ht"
+
+
+def no_slot_locks(doc):
+    doc["meta"]["lock_slot"] = {}
+
+
+def test_resolver_replay_error_is_a_violation(tmp_path):
+    # each ReplayError a resolver raises is recorded; the explorer does
+    # not crash
+    cases = [
+        ("rwlock-exc", unbound_cell, {
+            "kind": "replay", "name": "t0.exc_begin",
+            "detail": "label t0.exc_begin: no protocol instance for cell 'exc'",
+            "schedule": [0, 0],
+        }),
+        ("hashtable-collide", lock_step_on_table, {
+            "kind": "replay", "name": "t0.exc_begin.0",
+            "detail": "instance 'ht' is not a reader-writer lock",
+            "schedule": [0, 0, 0, 0, 0, 0, 0],
+        }),
+        ("hashtable-collide", no_slot_locks, {
+            "kind": "replay", "name": "t0.exc_check0.0",
+            "detail": "no slot lock for cell 'rc0'",
+            "schedule": [0] * 14,
+        }),
+    ]
+    for name, edit, violation in cases:
+        doc = shipped_scenario(name)
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        proc = run_process("explore", str(path), "--format", "json")
+        assert proc.returncode == 1, (edit.__name__, proc.stderr)
+        assert "Traceback" not in proc.stderr, edit.__name__
+        assert violation in json.loads(proc.stdout)["violations"], edit.__name__

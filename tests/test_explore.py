@@ -303,6 +303,7 @@ def test_prop_memoization_preserves_outcomes(programs):
 # distinct input, differentially tested against the unmemoized fold, and
 # schedules built only when reported, checked by replaying them.
 
+import hashlib
 import importlib
 import json
 from functools import reduce
@@ -383,6 +384,36 @@ def assert_schedules_reproduce(sc, result, mode):
         assert (v.kind, v.name, v.detail) in found
 
 
+# sha256 of each scenario's report, pinned so that a refactor which
+# changes a single report byte fails here
+REPORT_SHA256 = {
+    ("hashtable-collide", "rule"):
+        "7575c4d8a7c6f18c839f6438ca193b796275674ce9d8cfd133af484b3e1c2754",
+    ("hashtable-collide", "concrete"):
+        "8b28a0b1c73ff7a8d82b1d8a4b324ec709d5dab99ed55e89483bd5e92a3386ea",
+    ("race-negative", "rule"):
+        "0a7e34bd17d78969441aaa85647861de76d8f45f45a05a6bfa37d2ded6959dbd",
+    ("race-negative", "concrete"):
+        "7d50d4e592d094ef0540b1538097f1aa329059dd7d232ee894fcf2a3b047e171",
+    ("rwlock-exc", "rule"):
+        "85aa7ebbd30648803bbddb36b13bc3d331b21ae0f5a55bf6835751b6e3f193af",
+    ("rwlock-exc", "concrete"):
+        "ca340b84d0d68f3e53b6337b49db656b851905bd864653ddf0f330c894feef9b",
+    ("rwlock-multi", "rule"):
+        "4b0a5b9ed8a3930372b9c649f76ad62f57fdbbbd86b19669c40c26e91b2112f1",
+    ("rwlock-multi", "concrete"):
+        "7e04274e7dd08d7dcc7e118b437704151c8bc655f60631b1efea0a09039ab2c5",
+    ("rwlock-shared", "rule"):
+        "7f053d83dccd6e30a71d7117e71c350bdc696e23adea64c874ed353e10993a4b",
+    ("rwlock-shared", "concrete"):
+        "9ab286d62eec4d3b1ddb23e05047ecaa85c22739d1609e77e69e7242872dcd4f",
+    ("unbound-cell", "rule"):
+        "7c6cb8b85591ad8d8e54dab812ff438419b911426dcc39851737b61c12081d93",
+    ("unbound-cell", "concrete"):
+        "774aac4ffd2bc26fcd251d72540779f9c350af0004c8e66b2a2f725630c45962",
+}
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIO_DOCS))
 def test_ledger_memo_matches_unmemoized_reference(name, monkeypatch):
     doc = SCENARIO_DOCS[name]()
@@ -390,6 +421,9 @@ def test_ledger_memo_matches_unmemoized_reference(name, monkeypatch):
     with monkeypatch.context() as m:
         use_reference(m)
         reference = [report(explore(scenario_from_json(doc), mode)) for mode in modes]
+    for mode, text in zip(modes, reference):
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == REPORT_SHA256[name, mode], f"{name} --mode {mode}: report changed"
     sc = scenario_from_json(doc)
     cold = [explore(sc, mode) for mode in modes]
     warm = [report(explore(sc, mode)) for mode in modes]  # every cache of sc filled
@@ -399,6 +433,22 @@ def test_ledger_memo_matches_unmemoized_reference(name, monkeypatch):
         assert_schedules_reproduce(sc, result, mode)
     if name == "unbound-cell":
         assert all(any(v.kind == "replay" for v in r.violations) for r in cold)
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [("rwlock-multi", "rwm.shared-begin", "rw.shared-begin"),
+     ("rwlock-shared", "rw.shared-begin", "rwm.shared-begin")],
+)
+def test_rw_and_rwm_name_one_resolver(name, old, new):
+    # either lock's scenario explores to its shipped report under the
+    # other lock's resolver name
+    doc = shipped_doc(name)
+    for entry in doc["script"]:
+        if entry["resolver"] == old:
+            entry["resolver"] = new
+    text = report(explore(scenario_from_json(doc), "concrete"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name, "concrete"]
 
 
 def lock_scenario():

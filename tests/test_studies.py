@@ -2,11 +2,19 @@
 and negative controls on the scripts themselves."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
-from guardcheck.explore import ScriptEntry, explore, replay
-from guardcheck.library import HashFunctionSpec
+from guardcheck.explore import RESOLVERS, ResolveCtx, ScriptEntry, explore, replay
+from guardcheck.ghost import (
+    ExchangeAction,
+    GhostLedger,
+    GhostViolation,
+    InstanceState,
+    OpenGuardAction,
+)
+from guardcheck.library import HashFunctionSpec, build_rwlock, build_rwlock_multi, ex
 from guardcheck.studies import (
     HashTableScenarioParams,
     RwLockScenarioParams,
@@ -21,7 +29,7 @@ from guardcheck.studies import (
     sequential_oracle,
 )
 from guardcheck.library import NONE, some
-from guardcheck.terms import UNIT, tcon, tint, ttuple
+from guardcheck.terms import UNIT, tcon, tint, tsym, ttuple
 
 
 A, B = tint(0), tint(1)
@@ -260,3 +268,194 @@ class TestMemoizationWithGhostState:
         assert on.ok and off.ok
         assert on.terminal_summaries == off.terminal_summaries
         assert on.violations == off.violations
+
+
+# ---------------------------------------------------------------------------
+# Reader-writer lock resolvers, called directly on hand-built ledgers
+
+
+RW, RWE = build_rwlock()
+RWM, RWME = build_rwlock_multi()
+X0, X1 = tsym("x0"), tsym("x1")
+REGION, ME = "region:lock", "thread:0"
+
+
+def _compose(sp, *parts):
+    out = sp.protocol.unit
+    for p in parts:
+        out = sp.protocol.compose_fn(out, p)
+    return out
+
+
+def _update(region, mine, note, **kw):
+    return ExchangeAction("lock", ((REGION, region), (ME, mine)), note=note, **kw)
+
+
+def _lock_cases():
+    """(id, (sp, named), resolver, args, region, mine, cell, result, expected);
+    ``expected`` is the action list or the violation's describe() text."""
+    e, m = RWE, RWME
+    c, cm = (lambda *p: _compose(RW, *p)), (lambda *p: _compose(RWM, *p))
+    u, um = RW.protocol.unit, RWM.protocol.unit
+    rw, rwm = (RW, RWE), (RWM, RWME)
+    cases = []
+    # missing-fields: the region holds no fields part
+    for pfx, lock, unit, args in (("rw", rw, u, {}), ("rwm", rwm, um, {"counter": 0})):
+        for step in ("exc-begin", "exc-acquire" if pfx == "rw" else "exc-progress",
+                     "exc-release", "shared-begin", "shared-acquire", "shared-retry",
+                     "shared-release"):
+            cases.append((f"{pfx}.{step}-missing-fields", lock, f"{pfx}.{step}", args,
+                          unit, unit, X1, None, "missing-fields [lock]"))
+    cases += [
+        # single lock: happy paths
+        ("rw.exc-begin", rw, "rw.exc-begin", {}, e.fields(False, 1, X0), e.sh_pending(),
+         None, None,
+         [_update(e.fields(True, 1, X0), c(e.sh_pending(), e.exc_pending()),
+                  "exclusive acquisition begins", kind="update")]),
+        ("rw.exc-acquire", rw, "rw.exc-acquire", {}, e.fields(True, 0, X0), e.exc_pending(),
+         None, None,
+         [_update(e.fields(True, 0, X0), e.exc(), "exclusive lock acquired, content withdrawn",
+                  withdrawn=ex(X0), kind="withdraw")]),
+        ("rw.exc-release", rw, "rw.exc-release", {"cell": "cell"}, e.fields(True, 0, X0),
+         e.exc(), X1, None,
+         [_update(e.fields(False, 0, X1), u, "exclusive lock released, content deposited",
+                  deposited=ex(X1), kind="deposit")]),
+        ("rw.exc-release-option-cell", rw, "rw.exc-release", {"raw_cell": False},
+         e.fields(True, 0, NONE), e.exc(), tcon("inr", X1), None,
+         [_update(e.fields(False, 0, some(X1)), u,
+                  "exclusive lock released, content deposited",
+                  deposited=ex(some(X1)), kind="deposit")]),
+        ("rw.shared-begin", rw, "rw.shared-begin", {}, e.fields(True, 1, X0), e.sh_pending(),
+         None, None,
+         [_update(e.fields(True, 2, X0), c(e.sh_pending(), e.sh_pending()),
+                  "reader registered", kind="update")]),
+        ("rw.shared-acquire", rw, "rw.shared-acquire", {}, e.fields(False, 1, X0),
+         e.sh_pending(), None, None,
+         [_update(e.fields(False, 1, X0), e.sh(X0), "shared lock acquired", kind="update")]),
+        ("rw.shared-retry", rw, "rw.shared-retry", {}, e.fields(True, 2, X0),
+         c(e.sh_pending(), e.sh_pending()), None, None,
+         [_update(e.fields(True, 1, X0), e.sh_pending(), "reader backed out", kind="update")]),
+        ("rw.shared-release", rw, "rw.shared-release", {}, e.fields(False, 1, X0), e.sh(X0),
+         None, None,
+         [_update(e.fields(False, 0, X0), u, "shared lock released", kind="update")]),
+        ("rw.shared-release-one-of-two", rw, "rw.shared-release", {}, e.fields(False, 2, X0),
+         c(e.sh(X0), e.sh(X0)), None, None,
+         [_update(e.fields(False, 1, X0), e.sh(X0), "shared lock released", kind="update")]),
+        ("rw.shared-read", rw, "rw.shared-read", {}, e.fields(False, 1, X0), e.sh(X0),
+         None, X0, [OpenGuardAction("lock", ME, ex(X0), licenses="lbl")]),
+        ("rw.shared-read-option-cell", rw, "rw.shared-read", {"raw_cell": False},
+         e.fields(False, 1, some(X0)), e.sh(some(X0)), None, tcon("inr", X0),
+         [OpenGuardAction("lock", ME, ex(some(X0)), licenses="lbl")]),
+        # single lock: failures
+        ("rw.exc-acquire-no-pending", rw, "rw.exc-acquire", {}, e.fields(True, 0, X0), u,
+         None, None, "missing-token [lock]: no pending-exclusive token"),
+        ("rw.exc-release-freed", rw, "rw.exc-release", {}, e.fields(True, 0, X0), e.exc(),
+         None, None, "protected-cell-freed [lock]"),
+        ("rw.exc-release-no-exc", rw, "rw.exc-release", {}, e.fields(True, 0, X0),
+         e.exc_pending(), X1, None, "missing-token [lock]: no exclusive token held"),
+        ("rw.shared-acquire-no-pending", rw, "rw.shared-acquire", {}, e.fields(False, 1, X0),
+         u, None, None, "missing-token [lock]: no pending-reader token"),
+        ("rw.shared-retry-no-pending", rw, "rw.shared-retry", {}, e.fields(True, 1, X0),
+         e.sh(X0), None, None, "missing-token [lock]: no pending-reader token"),
+        ("rw.shared-release-no-reader", rw, "rw.shared-release", {}, e.fields(False, 1, X0),
+         e.sh_pending(), None, None, "missing-token [lock]: no reader token held"),
+        ("rw.shared-read-no-reader", rw, "rw.shared-read", {}, e.fields(False, 1, X0),
+         e.sh_pending(), None, X0, "missing-token [lock]: read outside a shared lock"),
+        ("rw.shared-read-mismatch", rw, "rw.shared-read", {}, e.fields(False, 1, X0),
+         e.sh(X0), None, X1, "reader-value-mismatch [lock]: read x1, lock agrees on x0"),
+        # two-counter lock: happy paths
+        ("rwm.exc-begin", rwm, "rwm.exc-begin", {}, m.fields(False, (0, 1), X0),
+         m.sh_pending(0), None, None,
+         [_update(m.fields(True, (0, 1), X0), cm(m.sh_pending(0), m.exc_pending(0)),
+                  "exclusive acquisition begins", kind="update")]),
+        ("rwm.exc-progress-first", rwm, "rwm.exc-progress", {"counter": 0},
+         m.fields(True, (0, 0), X0), m.exc_pending(0), None, None,
+         [_update(m.fields(True, (0, 0), X0), m.exc_pending(1), "counter 0 observed zero",
+                  kind="update")]),
+        ("rwm.exc-progress-last", rwm, "rwm.exc-progress", {"counter": 1},
+         m.fields(True, (0, 0), X0), m.exc_pending(1), None, None,
+         [_update(m.fields(True, (0, 0), X0), m.exc_pending(2), "counter 1 observed zero",
+                  kind="update"),
+          _update(m.fields(True, (0, 0), X0), m.exc(),
+                  "all counters checked, content withdrawn", withdrawn=ex(X0),
+                  kind="withdraw")]),
+        ("rwm.exc-release", rwm, "rwm.exc-release", {"cell": "cell"},
+         m.fields(True, (0, 0), X0), m.exc(), X1, None,
+         [_update(m.fields(False, (0, 0), X1), um,
+                  "exclusive lock released, content deposited", deposited=ex(X1),
+                  kind="deposit")]),
+        ("rwm.shared-begin", rwm, "rwm.shared-begin", {"counter": 1},
+         m.fields(False, (1, 0), X0), um, None, None,
+         [_update(m.fields(False, (1, 1), X0), m.sh_pending(1),
+                  "reader registered on counter 1", kind="update")]),
+        ("rwm.shared-acquire", rwm, "rwm.shared-acquire", {"counter": 1},
+         m.fields(False, (0, 1), X0), m.sh_pending(1), None, None,
+         [_update(m.fields(False, (0, 1), X0), m.sh(1, X0), "shared lock acquired",
+                  kind="update")]),
+        ("rwm.shared-retry", rwm, "rwm.shared-retry", {"counter": 0},
+         m.fields(True, (1, 0), X0), m.sh_pending(0), None, None,
+         [_update(m.fields(True, (0, 0), X0), um, "reader backed out", kind="update")]),
+        ("rwm.shared-release", rwm, "rwm.shared-release", {"counter": 1},
+         m.fields(False, (0, 1), X0), m.sh(1, X0), None, None,
+         [_update(m.fields(False, (0, 0), X0), um, "shared lock released", kind="update")]),
+        ("rwm.shared-release-one-of-two", rwm, "rwm.shared-release", {"counter": 0},
+         m.fields(False, (1, 1), X0), cm(m.sh(0, X0), m.sh(1, X0)), None, None,
+         [_update(m.fields(False, (0, 1), X0), m.sh(1, X0), "shared lock released",
+                  kind="update")]),
+        ("rwm.shared-read", rwm, "rwm.shared-read", {"counter": 0},
+         m.fields(False, (1, 0), X0), m.sh(0, X0), None, X0,
+         [OpenGuardAction("lock", ME, ex(X0), licenses="lbl")]),
+        # two-counter lock: failures
+        ("rwm.exc-progress-no-pending", rwm, "rwm.exc-progress", {"counter": 0},
+         m.fields(True, (0, 0), X0), um, None, None,
+         "missing-token [lock]: no pending-exclusive token"),
+        ("rwm.exc-progress-wrong-counter", rwm, "rwm.exc-progress", {"counter": 1},
+         m.fields(True, (0, 0), X0), m.exc_pending(0), None, None,
+         "wrong-counter [lock]: checked counter 1, expected 0"),
+        ("rwm.exc-release-freed", rwm, "rwm.exc-release", {}, m.fields(True, (0, 0), X0),
+         m.exc(), None, None, "protected-cell-freed [lock]"),
+        ("rwm.exc-release-no-exc", rwm, "rwm.exc-release", {}, m.fields(True, (0, 0), X0),
+         m.exc_pending(2), X1, None, "missing-token [lock]: no exclusive token held"),
+        ("rwm.shared-acquire-no-pending", rwm, "rwm.shared-acquire", {"counter": 1},
+         m.fields(False, (1, 0), X0), m.sh_pending(0), None, None,
+         "missing-token [lock]: no pending-reader token"),
+        ("rwm.shared-retry-no-pending", rwm, "rwm.shared-retry", {"counter": 0},
+         m.fields(True, (1, 0), X0), um, None, None,
+         "missing-token [lock]: no pending-reader token"),
+        ("rwm.shared-release-no-reader", rwm, "rwm.shared-release", {"counter": 0},
+         m.fields(False, (1, 0), X0), m.sh_pending(0), None, None,
+         "missing-token [lock]: no reader token held"),
+        ("rwm.shared-release-other-counter", rwm, "rwm.shared-release", {"counter": 1},
+         m.fields(False, (1, 0), X0), m.sh(0, X0), None, None,
+         "missing-token [lock]: no reader token held"),
+        ("rwm.shared-read-no-reader", rwm, "rwm.shared-read", {"counter": 0},
+         m.fields(False, (1, 0), X0), m.sh_pending(0), None, X0,
+         "missing-token [lock]: read outside a shared lock"),
+        ("rwm.shared-read-mismatch", rwm, "rwm.shared-read", {"counter": 0},
+         m.fields(False, (1, 0), X0), m.sh(0, X0), None, X1,
+         "reader-value-mismatch [lock]: read x1, lock agrees on x0"),
+    ]
+    return cases
+
+
+LOCK_CASES = _lock_cases()
+
+
+@pytest.mark.parametrize("case", LOCK_CASES, ids=[case[0] for case in LOCK_CASES])
+def test_lock_resolver_table(case):
+    _, (sp, named), resolver, args, region, mine, cell, result, expected = case
+    fragments = tuple(sorted((o, el) for o, el in ((REGION, region), (ME, mine))
+                             if el != sp.protocol.unit))
+    ledger = GhostLedger((("lock", InstanceState("lock", fragments, UNIT)),))
+    scenario = SimpleNamespace(
+        protocols={"lock": sp}, named={"lock": named}, protected_cells={"lock": "cell"},
+        cell_loc=lambda name: name,
+    )
+    machine = SimpleNamespace(heap_value={"cell": cell}.get)
+    ctx = ResolveCtx(scenario, ledger, machine, 0, "lbl", result, None)
+    entry = ScriptEntry("lbl", resolver, tuple(sorted({"instance": "lock", **args}.items())))
+    got = RESOLVERS[resolver](ctx, entry)
+    if isinstance(expected, str):
+        assert isinstance(got, GhostViolation) and got.describe() == expected
+    else:
+        assert got == expected
