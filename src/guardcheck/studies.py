@@ -201,7 +201,7 @@ def _rwm_exc_progress(ctx, entry):
         return GhostViolation(
             "wrong-counter", iid, detail=f"checked counter {counter}, expected {j}"
         )
-    seen = set_part(mine, 1, named.exc_pending(j + 1)[1][1])
+    seen = set_part(mine, 1, named.exc_pending(j + 1)[1][1])  # counters 0..j seen at zero
     actions = [_update(ctx, iid, region, seen, f"counter {j} observed zero")]
     if j + 1 == named.k:
         note = "all counters checked, content withdrawn"
