@@ -65,27 +65,16 @@ def _law_report_json(report: LawReport) -> dict:
 
 
 def _run_query(sp, q: dict) -> dict:
-    eps = sp.storage.unit
     kind = q["kind"]
     if kind == "valid-fragment":
-        got = valid_fragment(sp, q["p"])
-        verdict = "holds" if got else "fails"
-        result = {"verdict": verdict, "witness": None, "reason": ""}
+        return _verdict_json(q, "holds" if valid_fragment(sp, q["p"]) else "fails", None, "")
+    if kind == "guard":
+        check = guard_holds(sp, q["p"], q["s"])
     else:
-        if kind == "exchange":
-            query = ExchangeQuery.exchange(q["p"], q.get("s", eps), q["p_after"], q.get("s_after", eps))
-        elif kind == "deposit":
-            query = ExchangeQuery.deposit(q["p"], q["s"], q["p_after"], eps)
-        elif kind == "withdraw":
-            query = ExchangeQuery.withdraw(q["p"], q["p_after"], q["s_after"], eps)
-        elif kind == "update":
-            query = ExchangeQuery.update(q["p"], q["p_after"], eps)
-        else:
-            check = guard_holds(sp, q["p"], q["s"])
-            return _verdict_json(q, check.verdict, check.witness, check.reason)
+        eps = sp.storage.unit
+        query = ExchangeQuery(q["p"], q.get("s", eps), q["p_after"], q.get("s_after", eps), kind)
         check = exchange_holds(sp, query)
-        return _verdict_json(q, check.verdict, check.witness, check.reason)
-    return _verdict_json(q, result["verdict"], None, "")
+    return _verdict_json(q, check.verdict, check.witness, check.reason)
 
 
 def _verdict_json(q: dict, verdict: str, witness, reason: str) -> dict:
@@ -173,16 +162,8 @@ def run_explore_scenario(scenario, mode: str, max_states=None, max_steps=None) -
         scenario = dataclasses.replace(scenario, **updates)
     result = explore(scenario, mode=mode)
     report = result_to_json(result)
-    if scenario.meta.get("thread_ops_json"):
-        ops = [
-            [
-                (op[0], term_from_json(op[1]))
-                if op[0] == "query"
-                else (op[0], term_from_json(op[1]), term_from_json(op[2]))
-                for op in thread
-            ]
-            for thread in scenario.meta["thread_ops_json"]
-        ]
+    ops = scenario.meta.get("thread_ops")
+    if ops:
         subset = explorer_outcomes(scenario, result) <= sequential_oracle(ops)
         report["oracle_subset"] = subset
         report["ok"] = report["ok"] and subset

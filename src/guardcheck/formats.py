@@ -48,6 +48,7 @@ __all__ = [
     "FormatError",
     "load_monoid",
     "load_protocol",
+    "load_protocols",
     "set_den_bound",
     "element_from_json",
     "load_queries",
@@ -338,10 +339,10 @@ def _named_or_term(doc, named) -> Term:
 # ---------------------------------------------------------------------------
 # Relation query files
 
-# the elements each query kind reads; "s" and "s_after" default to ε
-# where they are not listed
+# the elements each query kind reads; an exchange's "s" and "s_after"
+# may be left out and default to ε, every other listed element is needed
 _QUERY_FIELDS = {
-    "exchange": ("p", "p_after"),
+    "exchange": ("p", "s", "p_after", "s_after"),
     "deposit": ("p", "s", "p_after"),
     "withdraw": ("p", "p_after", "s_after"),
     "update": ("p", "p_after"),
@@ -353,7 +354,8 @@ _QUERY_FIELDS = {
 def load_queries(doc: dict, named, sp: StorageProtocolSpec | None = None) -> list[dict]:
     """The queries of a relations document. Given the protocol ``sp``,
     ``p`` and ``p_after`` are elements of its protocol monoid and ``s``
-    and ``s_after`` of its storage monoid (see :func:`element_from_json`)."""
+    and ``s_after`` of its storage monoid (see :func:`element_from_json`).
+    An element field that the query's kind does not read is an error."""
     queries = _need(_object(doc, "relations"), "queries")
     if not isinstance(queries, list):
         raise FormatError(f"queries: must be a list, got {type(queries).__name__}")
@@ -366,17 +368,21 @@ def load_queries(doc: dict, named, sp: StorageProtocolSpec | None = None) -> lis
         expect = q.get("expect", "holds")
         if expect not in ("holds", "fails"):
             raise FormatError(f"{path}.expect: must be holds|fails")
-        for key in _QUERY_FIELDS[kind]:
-            if key not in q:
+        reads = _QUERY_FIELDS[kind]
+        for key in reads:
+            if key not in q and not (kind == "exchange" and key in ("s", "s_after")):
                 raise FormatError(f"{path}.{key}: missing")
         fields = {"kind": kind, "expect": expect, "note": q.get("note", "")}
         for key in ("p", "s", "p_after", "s_after"):
-            if key in q:
-                monoid = sp and (sp.storage if key in ("s", "s_after") else sp.protocol)
-                try:
-                    fields[key] = element_from_json(q[key], named, monoid)
-                except (EncodingError, FormatError) as exc:
-                    raise FormatError(f"{path}.{key}: {exc}") from exc
+            if key not in q:
+                continue
+            if key not in reads:
+                raise FormatError(f"{path}.{key}: a {kind} query does not read it")
+            monoid = sp and (sp.storage if key in ("s", "s_after") else sp.protocol)
+            try:
+                fields[key] = element_from_json(q[key], named, monoid)
+            except (EncodingError, FormatError) as exc:
+                raise FormatError(f"{path}.{key}: {exc}") from exc
         out.append(fields)
     return out
 
@@ -411,6 +417,29 @@ def _encode_kv(pairs):
 
 def _decode_kv(doc) -> tuple:
     return tuple(sorted((k, _decode_value(v)) for k, v in doc.items()))
+
+
+def load_protocols(entries) -> tuple[dict, dict, dict]:
+    """A scenario's protocol list: each entry is an ``id`` and a
+    ``{"builtin", "params"}`` descriptor, and other keys are ignored.
+    Returns (id -> StorageProtocolSpec, id -> helper, id -> descriptor),
+    where a helper is as in :func:`_load_protocol`. Instances with
+    identical descriptors denote one protocol: it is built once, and they
+    share its spec and helper."""
+    built = {}
+    protocols, named, descriptors = {}, {}, {}
+    for i, entry in enumerate(entries):
+        path = f"protocols[{i}]"
+        iid = _need(_object(entry, path), "id")
+        descriptor = {k: v for k, v in entry.items() if k in ("builtin", "params")}
+        key = json.dumps(descriptor, sort_keys=True)
+        if key not in built:
+            built[key] = _load_protocol(descriptor, path)
+        protocols[iid], helper = built[key]
+        if helper is not None:
+            named[iid] = helper
+        descriptors[iid] = descriptor
+    return protocols, named, descriptors
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
@@ -458,30 +487,21 @@ def scenario_to_json(scenario: Scenario) -> dict:
         "meta": {
             "lock_slot": scenario.meta.get("lock_slot", {}),
             "slot_cells": scenario.meta.get("slot_cells", {}),
-            "thread_ops": scenario.meta.get("thread_ops_json", []),
+            "thread_ops": [
+                [[op[0], *map(term_to_json, op[1:])] for op in ops]
+                for ops in scenario.meta.get("thread_ops", ())
+            ],
         },
     }
 
 
 def scenario_from_json(doc: dict) -> Scenario:
-    protocols = {}
-    named_map = {}
-    initial_fragments = {}
-    descriptors = {}
-    ht_meta = {}
-    for i, p in enumerate(_need(doc, "protocols")):
-        iid = _need(p, "id")
-        descriptor = {k: v for k, v in p.items() if k in ("builtin", "params")}
-        sp, helper = _load_protocol(descriptor, f"protocols[{i}]")
-        protocols[iid] = sp
-        descriptors[iid] = descriptor
-        if p.get("builtin") in ("rwlock", "rwlock-multi"):
-            named_map[iid] = helper
-        elif p.get("builtin") == "hashtable":
-            ht_meta["ht_monoid"], ht_meta["ht_elems"] = helper
-        initial_fragments[iid] = tuple(
-            (o, term_from_json(el)) for o, el in p.get("fragments", [])
-        )
+    entries = _need(doc, "protocols")
+    protocols, named, descriptors = load_protocols(entries)
+    initial_fragments = {
+        p["id"]: tuple((o, term_from_json(el)) for o, el in p.get("fragments", []))
+        for p in entries
+    }
     script: dict = {}
     for e in doc.get("script", []):
         entry = ScriptEntry(
@@ -492,13 +512,7 @@ def scenario_from_json(doc: dict) -> Scenario:
             e.get("negate", False),
         )
         script.setdefault(entry.label, []).append(entry)
-    meta = {
-        "protocol_json": descriptors,
-        "lock_slot": doc.get("meta", {}).get("lock_slot", {}),
-        "slot_cells": doc.get("meta", {}).get("slot_cells", {}),
-        "thread_ops_json": doc.get("meta", {}).get("thread_ops", []),
-    }
-    meta.update(ht_meta)
+    meta = doc.get("meta", {})
     return Scenario(
         name=_need(doc, "name"),
         cells=tuple((n, term_from_json(v)) for n, v in _need(doc, "cells")),
@@ -517,10 +531,18 @@ def scenario_from_json(doc: dict) -> Scenario:
         expectation=doc.get("expectation", "no-stuck"),
         max_states=doc.get("max_states", 200_000),
         max_steps_per_thread=doc.get("max_steps_per_thread", 64),
-        named=named_map,
+        named=named,
         cell_instances=doc.get("cell_instances", {}),
         protected_cells=doc.get("protected_cells", {}),
-        meta=meta,
+        meta={
+            "protocol_json": descriptors,
+            "lock_slot": meta.get("lock_slot", {}),
+            "slot_cells": meta.get("slot_cells", {}),
+            "thread_ops": tuple(
+                tuple((op[0], *_terms(op[1:])) for op in ops)
+                for ops in meta.get("thread_ops", [])
+            ),
+        },
     )
 
 

@@ -13,7 +13,7 @@ explorer outcomes can be compared against the oracle's outcome set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .explore import (
     PropertySpec,
@@ -24,6 +24,7 @@ from .explore import (
     register_property,
     register_resolver,
 )
+from .formats import load_protocols
 from .ghost import ExchangeAction, GhostViolation, OpenGuardAction, TransferAction, joint_state
 from .lang import (
     abort,
@@ -53,11 +54,7 @@ from .library import (
     HashFunctionSpec,
     RwLockElems,
     RwLockMultiElems,
-    build_hashtable_monoid,
-    build_rwlock,
-    build_rwlock_multi,
     ex,
-    pcm_as_protocol,
     set_part,
     some,
 )
@@ -65,11 +62,13 @@ from .terms import (
     UNIT,
     Term,
     con_args,
-    map_entries,
     map_get,
+    map_remove,
+    map_set,
     pretty,
     tbool,
     tcon,
+    term_to_json,
     tint,
     tmap,
     ttuple,
@@ -152,6 +151,15 @@ def _rw_parts(ctx: ResolveCtx, entry: ScriptEntry):
     return iid, sp, named, region, mine
 
 
+def _counter(entry: ScriptEntry, named) -> int:
+    """The entry's ``counter``, by default 0: an index of the lock's
+    counters, 0 <= counter < k (the single lock has k = 1)."""
+    counter = entry.arg("counter", 0)
+    if not (isinstance(counter, int) and 0 <= counter < named.k):
+        raise ReplayError(f"counter {counter!r} out of range [0, {named.k})")
+    return counter
+
+
 def _update(ctx, iid, region, mine, note, kind="update", **moved):
     """Replace the lock's region fragment and the thread's fragment."""
     updates = ((_region(iid), region), (ctx.self_owner, mine))
@@ -196,7 +204,7 @@ def _rwm_exc_progress(ctx, entry):
     j = named.exc_pending_index(mine)
     if j is None:
         return GhostViolation("missing-token", iid, detail="no pending-exclusive token")
-    counter = entry.arg("counter", 0)
+    counter = _counter(entry, named)
     if j != counter:
         return GhostViolation(
             "wrong-counter", iid, detail=f"checked counter {counter}, expected {j}"
@@ -242,7 +250,7 @@ def _rw_shared_begin(ctx, entry):
     if got is None:
         return GhostViolation("missing-fields", iid)
     exc_b, rc, x = got
-    j = entry.arg("counter", 0)
+    j = _counter(entry, named)
     note = "reader registered"
     if entry.arg("counter") is not None:
         note += f" on counter {j}"
@@ -256,7 +264,7 @@ def _rw_shared_acquire(ctx, entry):
     got = named.fields_of(region)
     if got is None:
         return GhostViolation("missing-fields", iid)
-    j = entry.arg("counter", 0)
+    j = _counter(entry, named)
     if named.pending(mine, j) < 1:
         return GhostViolation("missing-token", iid, detail="no pending-reader token")
     reader = sp.protocol.compose_fn(named.add_pending(mine, j, -1), named.reader(j, got[2]))
@@ -270,7 +278,7 @@ def _rw_shared_retry(ctx, entry):
     if got is None:
         return GhostViolation("missing-fields", iid)
     exc_b, rc, x = got
-    j = entry.arg("counter", 0)
+    j = _counter(entry, named)
     if named.pending(mine, j) < 1:
         return GhostViolation("missing-token", iid, detail="no pending-reader token")
     fields = named.fields(exc_b, named.add_count(rc, j, -1), x)
@@ -284,7 +292,7 @@ def _rw_shared_release(ctx, entry):
     if got is None:
         return GhostViolation("missing-fields", iid)
     exc_b, rc, x = got
-    j = entry.arg("counter", 0)
+    j = _counter(entry, named)
     released = named.release_reader(mine, j)
     if released is None:
         return GhostViolation("missing-token", iid, detail="no reader token held")
@@ -314,15 +322,10 @@ def _rw_shared_read(ctx, entry):
 # Lock properties
 
 
-def _instance_fragments(scenario, state, iid):
-    sp = scenario.protocols[iid]
-    return sp, state.ledger.instance(iid).fragments
-
-
 @register_property("rw-mutual-exclusion")
 def _prop_rw_mutex(scenario, state, prop):
     iid = prop.param("instance")
-    _, fragments = _instance_fragments(scenario, state, iid)
+    fragments = state.ledger.instance(iid).fragments
     holders = [o for o, el in fragments if el[1][2] != UNIT]
     return len(holders) <= 1, f"{iid}: exclusive holders {holders}"
 
@@ -330,9 +333,8 @@ def _prop_rw_mutex(scenario, state, prop):
 @register_property("rw-reader-agreement")
 def _prop_rw_agree(scenario, state, prop):
     iid = prop.param("instance")
-    _, fragments = _instance_fragments(scenario, state, iid)
     values = set()
-    for _, el in fragments:
+    for _, el in state.ledger.instance(iid).fragments:
         got = con_args(el[1][4], "agn")
         if got is not None:
             values.add(got[0])
@@ -462,12 +464,6 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
     multi = k > 1
     values = _reachable_values(params)
     nreaders = len(params.readers)
-    if multi:
-        sp, named = build_rwlock_multi(values, k, sp_max=max(1, nreaders))
-    else:
-        sp, named = build_rwlock(
-            values, rc_range=(-2, max(4, nreaders + 1)), sp_max=max(4, nreaders)
-        )
     pfx = "rwm" if multi else "rw"
 
     cells = [("exc", FALSE)] + [(f"rc{i}", tint(0)) for i in range(k)] + [
@@ -565,20 +561,24 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
             programs.append(load("na", cell_loc))
         tid += 1
 
-    protocols = {}
+    if multi:
+        builtin = "rwlock-multi"
+        lock_params = {"k": k, "rc_range": [-1, 2], "sp_max": max(1, nreaders), "agn_max": 1}
+    else:
+        builtin = "rwlock"
+        lock_params = {"rc_range": [-2, max(4, nreaders + 1)], "sp_max": max(4, nreaders),
+                       "agn_max": 4}
+    lock_params["values"] = [term_to_json(v) for v in values]
+    entries = [{"id": "lock", "builtin": builtin, "params": lock_params}] if params.locked else []
+    protocols, named_map, descriptors = load_protocols(entries)
     initial_fragments = {}
-    named_map = {}
     cell_instances = {}
     protected = {}
     if params.locked:
-        protocols["lock"] = sp
-        named_map["lock"] = named
-        init_fields = (
-            named.fields(False, (0,) * k, tint(params.initial))
-            if multi
-            else named.fields(False, 0, tint(params.initial))
+        rc0 = (0,) * k if multi else 0
+        initial_fragments["lock"] = (
+            (_region("lock"), named_map["lock"].fields(False, rc0, tint(params.initial))),
         )
-        initial_fragments["lock"] = ((_region("lock"), init_fields),)
         for name, _ in cells:
             cell_instances[name] = "lock"
         protected["lock"] = "cell"
@@ -618,32 +618,6 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
                 )
             )
 
-    from .terms import term_to_json
-
-    protocol_json = {}
-    if params.locked:
-        if multi:
-            protocol_json["lock"] = {
-                "builtin": "rwlock-multi",
-                "params": {
-                    "values": [term_to_json(v) for v in values],
-                    "k": k,
-                    "rc_range": [-1, 2],
-                    "sp_max": max(1, nreaders),
-                    "agn_max": 1,
-                },
-            }
-        else:
-            protocol_json["lock"] = {
-                "builtin": "rwlock",
-                "params": {
-                    "values": [term_to_json(v) for v in values],
-                    "rc_range": [-2, max(4, nreaders + 1)],
-                    "sp_max": max(4, nreaders),
-                    "agn_max": 4,
-                },
-            }
-
     name = ("rwlock-multi" if multi else "rwlock") + ("" if params.locked else "-unlocked")
     return Scenario(
         name=name,
@@ -659,7 +633,7 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
         named=named_map,
         cell_instances=cell_instances,
         protected_cells=protected,
-        meta={"params": params, "protocol_json": protocol_json},
+        meta={"protocol_json": descriptors},
     )
 
 
@@ -715,14 +689,10 @@ def _ht_give_slot(ctx, entry):
             "missing-slot-fragment", "ht", detail=f"thread does not hold slot {slot}"
         )
     element = ttuple(tmap(()), tmap([(tint(slot), got)]))
-    remainder = ttuple(mine[1][0], _map_without(mine[1][1], tint(slot)))
+    remainder = ttuple(mine[1][0], map_remove(mine[1][1], tint(slot)))
     return [
         TransferAction("ht", ctx.self_owner, f"store:slot{slot}", element, remainder)
     ]
-
-
-def _map_without(m: Term, key: Term) -> Term:
-    return tmap((k, v) for k, v in map_entries(m) if k != key)
 
 
 @register_resolver("ht.update")
@@ -745,8 +715,8 @@ def _ht_update(ctx, entry):
         return GhostViolation(
             "missing-slot-fragment", "ht", detail=f"thread does not hold slot {slot}"
         )
-    new_keymap = _map_set(mine[1][0], k, ex(some(v)))
-    new_slotmap = _map_set(mine[1][1], tint(slot), ex(written))
+    new_keymap = map_set(mine[1][0], k, ex(some(v)))
+    new_slotmap = map_set(mine[1][1], tint(slot), ex(written))
     return [
         ExchangeAction(
             "ht",
@@ -757,12 +727,6 @@ def _ht_update(ctx, entry):
     ]
 
 
-def _map_set(m: Term, key: Term, value: Term) -> Term:
-    entries = [(k, v) for k, v in map_entries(m) if k != key]
-    entries.append((key, value))
-    return tmap(entries)
-
-
 @register_resolver("ht.query-check")
 def _ht_query_check(ctx, entry):
     """Pure observations at a probed slot: the physical read agrees with
@@ -770,8 +734,7 @@ def _ht_query_check(ctx, entry):
     from .monoid import and_premise, memo
 
     _, slot = _ht_slot_for_event(ctx, entry)
-    monoid = ctx.scenario.meta["ht_monoid"]
-    elems = ctx.scenario.meta["ht_elems"]
+    monoid, elems = ctx.scenario.named["ht"]
     total = _ht_total(ctx.scenario, ctx.ledger)
     ghost_slot = elems.slot_value(total, slot)
     if ghost_slot is None:
@@ -808,7 +771,7 @@ def _prop_ht_valid(scenario, state, prop):
 
 @register_property("ht-slots-match-heap")
 def _prop_ht_slots(scenario, state, prop):
-    elems = scenario.meta["ht_elems"]
+    _, elems = scenario.named["ht"]
     total = _ht_total(scenario, state.ledger)
     for i in range(elems.length):
         ghost_slot = elems.slot_value(total, i)
@@ -965,14 +928,30 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
     exc_locs = [loc(length + 2 * i) for i in range(length)]
     rc_locs = [loc(length + 2 * i + 1) for i in range(length)]
 
-    raw_monoid, ht_elems = build_hashtable_monoid(hash_spec, params.values)
-    ht_sp = pcm_as_protocol(raw_monoid)
     slot_states = (NONE,) + tuple(
         some(ttuple(k, v)) for k in keys for v in params.values
     )
-
-    protocols = {"ht": ht_sp}
-    named_map = {}
+    slot_lock = {
+        "builtin": "rwlock",
+        "params": {
+            "values": [term_to_json(v) for v in slot_states],
+            "rc_range": list(params.rc_range),
+            "sp_max": params.sp_max,
+            "agn_max": params.agn_max,
+        },
+    }
+    table = {
+        "builtin": "hashtable",
+        "params": {
+            "length": length,
+            "hash": [[term_to_json(key), h] for key, h in hash_spec.table],
+            "values": [term_to_json(v) for v in params.values],
+        },
+    }
+    protocols, named_map, descriptors = load_protocols(
+        [{"id": "ht", **table}] + [{"id": f"lock{i}", **slot_lock} for i in range(length)]
+    )
+    _, ht_elems = named_map["ht"]
     initial_fragments = {
         "ht": tuple(
             [
@@ -997,15 +976,7 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
     ]
     for i in range(length):
         iid = f"lock{i}"
-        sp, named = build_rwlock(
-            slot_states,
-            rc_range=params.rc_range,
-            sp_max=params.sp_max,
-            agn_max=params.agn_max,
-        )
-        protocols[iid] = sp
-        named_map[iid] = named
-        initial_fragments[iid] = ((_region(iid), named.fields(False, 0, NONE)),)
+        initial_fragments[iid] = ((_region(iid), named_map[iid].fields(False, 0, NONE)),)
         for cell in (f"slot{i}", f"exc{i}", f"rc{i}"):
             cell_instances[cell] = iid
         protected[iid] = f"slot{i}"
@@ -1056,38 +1027,6 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
 
         programs.append(build(0))
 
-    from .terms import term_to_json
-
-    protocol_json = {
-        "ht": {
-            "builtin": "hashtable",
-            "params": {
-                "length": length,
-                "hash": [[term_to_json(key), h] for key, h in hash_spec.table],
-                "values": [term_to_json(v) for v in params.values],
-            },
-        }
-    }
-    for i in range(length):
-        protocol_json[f"lock{i}"] = {
-            "builtin": "rwlock",
-            "params": {
-                "values": [term_to_json(v) for v in slot_states],
-                "rc_range": list(params.rc_range),
-                "sp_max": params.sp_max,
-                "agn_max": params.agn_max,
-            },
-        }
-    thread_ops_json = [
-        [
-            ["update", term_to_json(op[1]), term_to_json(op[2])]
-            if op[0] == "update"
-            else ["query", term_to_json(op[1])]
-            for op in ops
-        ]
-        for ops in params.thread_ops
-    ]
-
     return Scenario(
         name="hashtable",
         cells=tuple(cells),
@@ -1103,13 +1042,10 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
         cell_instances=cell_instances,
         protected_cells=protected,
         meta={
-            "params": params,
+            "protocol_json": descriptors,
             "lock_slot": lock_slot,
-            "ht_monoid": raw_monoid,
-            "ht_elems": ht_elems,
             "slot_cells": {f"slot{i}": i for i in range(length)},
-            "protocol_json": protocol_json,
-            "thread_ops_json": thread_ops_json,
+            "thread_ops": params.thread_ops,
         },
     )
 
@@ -1124,22 +1060,11 @@ def build_abort_scenario() -> Scenario:
         (tint(10), tint(11)),
         ((("update", k0, tint(10)), ("update", k1, tint(11))),),
     )
-    scenario = build_hashtable_scenario(params)
-    return Scenario(
+    return replace(
+        build_hashtable_scenario(params),
         name="hashtable-abort",
-        cells=scenario.cells,
-        programs=scenario.programs,
-        protocols=scenario.protocols,
-        initial_fragments=scenario.initial_fragments,
-        script=scenario.script,
-        properties=scenario.properties,
         terminal_properties=(),
         expectation="stuck-reachable",
-        max_steps_per_thread=scenario.max_steps_per_thread,
-        named=scenario.named,
-        cell_instances=scenario.cell_instances,
-        protected_cells=scenario.protected_cells,
-        meta=scenario.meta,
     )
 
 

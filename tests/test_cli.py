@@ -213,10 +213,13 @@ NOT_IN_CARRIER = {
     + [
         ({"builtin": "fractional"},
          {"queries": [{"kind": "guard", "p": ["map", [[["int", 1]]]], "s": ["int", 1]}]}),
+        ({"builtin": "fractional"},
+         {"queries": [{"kind": "deposit", "p": ["frac", 0, 1], "s": ["int", 1],
+                       "p_after": ["frac", 1, 1], "s_after": ["int", 1]}]}),
     ],
     ids=["query-not-object", "queries-not-list", "bad-term", "missing-field", "bare-named"]
     + [f"{name}-{case}" for name in ("counting", "rwlock") for case in NOT_IN_CARRIER]
-    + ["map-entry-not-a-pair"],
+    + ["map-entry-not-a-pair", "field-not-read"],
 )
 def test_malformed_relations_exit_2_without_traceback(tmp_path, protocol_doc, relations):
     path = tmp_path / "relations.json"
@@ -320,6 +323,16 @@ def no_slot_locks(doc):
     doc["meta"]["lock_slot"] = {}
 
 
+def counter_out_of_range(counter):
+    # a reader step on a counter the multi-counter lock does not have
+    def edit(doc):
+        entry = next(e for e in doc["script"] if e["resolver"] == "rwm.shared-begin")
+        entry["args"]["counter"] = counter
+
+    edit.__name__ = f"counter_{counter}"
+    return edit
+
+
 def test_resolver_replay_error_is_a_violation(tmp_path):
     # each ReplayError a resolver raises is recorded; the explorer does
     # not crash
@@ -339,6 +352,13 @@ def test_resolver_replay_error_is_a_violation(tmp_path):
             "detail": "no slot lock for cell 'rc0'",
             "schedule": [0] * 14,
         }),
+    ] + [
+        ("rwlock-multi", counter_out_of_range(counter), {
+            "kind": "replay", "name": "t1.sh_begin",
+            "detail": f"counter {counter} out of range [0, 2)",
+            "schedule": [0] * 23 + [1, 1],
+        })
+        for counter in (5, -1)
     ]
     for name, edit, violation in cases:
         doc = shipped_scenario(name)

@@ -17,9 +17,17 @@ from guardcheck.formats import (
     scenario_from_json,
     scenario_to_json,
 )
+from guardcheck.library import HashFunctionSpec
 from guardcheck.monoid import carrier, check_pcm_laws
 from guardcheck.protocol import check_wellformed, guard_holds
-from guardcheck.studies import RwLockScenarioParams, build_rwlock_scenario
+from guardcheck.studies import (
+    HashTableScenarioParams,
+    RwLockScenarioParams,
+    build_abort_scenario,
+    build_hashtable_scenario,
+    build_race_scenario,
+    build_rwlock_scenario,
+)
 from guardcheck.terms import UNIT, tfrac, tint, tmap
 
 
@@ -153,13 +161,45 @@ class TestElements:
             load_queries({"queries": [{"kind": "zap"}]}, None)
 
 
-class TestScenarioRoundtrip:
-    def test_report_identical_after_roundtrip(self):
-        s = build_rwlock_scenario(
-            RwLockScenarioParams(writers=(("incr", 1),), readers=(0,))
+def _small_hashtable():
+    a, b = tint(0), tint(1)
+    return build_hashtable_scenario(
+        HashTableScenarioParams(
+            HashFunctionSpec(2, ((a, 0), (b, 0))),
+            (tint(10),),
+            ((("update", a, tint(10)),), (("query", a),)),
         )
+    )
+
+
+# one small scenario from each case-study builder
+CASE_STUDIES = {
+    "rwlock-exc": lambda: build_rwlock_scenario(
+        RwLockScenarioParams(writers=(("incr", 1), ("incr", 1)))
+    ),
+    "rwlock-shared": lambda: build_rwlock_scenario(
+        RwLockScenarioParams(writers=(("incr", 1),), readers=(0,))
+    ),
+    "rwlock-multi": lambda: build_rwlock_scenario(
+        RwLockScenarioParams(counters=2, writers=(("write", 5),), readers=(1,))
+    ),
+    "race": build_race_scenario,
+    "hashtable": _small_hashtable,
+    "abort": build_abort_scenario,
+}
+
+
+class TestScenarioRoundtrip:
+    @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
+    def test_report_identical_after_roundtrip(self, name):
+        s = CASE_STUDIES[name]()
         doc = json.loads(json.dumps(scenario_to_json(s)))
         s2 = scenario_from_json(doc)
+        assert s2.meta.get("thread_ops", ()) == s.meta.get("thread_ops", ())
+        if name == "hashtable":
+            # the slot locks have one descriptor, so they share one protocol
+            for built in (s, s2):
+                assert built.protocols["lock0"] is built.protocols["lock1"]
         r1 = dumps(result_to_json(explore(s)))
         r2 = dumps(result_to_json(explore(s2)))
         assert r1 == r2
