@@ -14,6 +14,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 
@@ -75,6 +76,15 @@ def _need(doc: dict, key: str):
 
 def _terms(docs) -> tuple[Term, ...]:
     return tuple(term_from_json(d) for d in docs)
+
+
+def _term(doc, path: str) -> Term:
+    """The term that ``doc`` encodes; ``path`` locates ``doc`` in its
+    file, for error messages."""
+    try:
+        return term_from_json(doc)
+    except EncodingError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _at(path: str, key: str) -> str:
@@ -164,14 +174,26 @@ def _compose_table(rows, listed: tuple[Term, ...], path: str) -> dict:
 # ---------------------------------------------------------------------------
 # Protocols
 
-_HASH_PARAMS = ("length", "hash", "values")
+
+def _hashtable(length, hash, values):
+    """The hash-table builtin; its helper is (raw monoid, elements)."""
+    spec = HashFunctionSpec(length, tuple((term_from_json(k), h) for k, h in hash))
+    monoid, elems = build_hashtable_monoid(spec, values)
+    return pcm_as_protocol(monoid), (monoid, elems)
 
 
-def _hash_spec(params: dict) -> HashFunctionSpec:
-    return HashFunctionSpec(
-        _need(params, "length"),
-        tuple((term_from_json(k), h) for k, h in _need(params, "hash")),
-    )
+# builtin name -> (builder, the params it requires). The builder's
+# signature names the params a builtin reads and holds their defaults.
+_BUILTINS = {
+    "fractional": (build_fractional, ()),
+    "fractional-memory": (build_fractional_memory, ("keys",)),
+    "counting": (build_counting, ()),
+    "forever": (build_forever, ()),
+    "rwlock": (build_rwlock, ("values",)),
+    "rwlock-multi": (build_rwlock_multi, ("values",)),
+    "hashtable": (_hashtable, ("length", "hash", "values")),
+}
+_TERM_LIST_PARAMS = ("keys", "values")
 
 
 def _params(doc: dict, path: str = "") -> dict:
@@ -200,52 +222,23 @@ def _load_protocol(doc: dict, path: str = ""):
     if "builtin" in doc:
         name = doc["builtin"]
         params = _params(doc, path)
+        if not isinstance(name, str) or name not in _BUILTINS:
+            raise FormatError(f"unknown builtin protocol {name!r}")
+        builder, required = _BUILTINS[name]
+        accepted = inspect.signature(builder).parameters
+        for key in params:
+            if key not in accepted:
+                raise FormatError(f"{_at(_at(path, 'params'), key)}: unknown parameter")
+        for key in required:
+            _need(params, key)
         try:
-            if name == "fractional":
-                return (
-                    build_fractional(
-                        params.get("den_bound", 12),
-                        params.get("max_value", 4),
-                        params.get("nat_limit", 16),
-                    ),
-                    None,
-                )
-            if name == "fractional-memory":
-                return build_fractional_memory(_terms(_need(params, "keys"))), None
-            if name == "counting":
-                return build_counting(
-                    tuple(params.get("r_range", (-4, 4))),
-                    params.get("c_max", 4),
-                    params.get("nat_limit", 8),
-                    params.get("drop_carrier_constraint", False),
-                )
-            if name == "forever":
-                return build_forever(), None
-            if name == "rwlock":
-                return build_rwlock(
-                    _terms(_need(params, "values")),
-                    tuple(params.get("rc_range", (-2, 4))),
-                    params.get("sp_max", 4),
-                    params.get("agn_max", 4),
-                )
-            if name == "rwlock-multi":
-                return build_rwlock_multi(
-                    _terms(_need(params, "values")),
-                    params.get("k", 2),
-                    tuple(params.get("rc_range", (-1, 2))),
-                    params.get("sp_max", 1),
-                    params.get("agn_max", 1),
-                )
-            if name == "hashtable":
-                monoid, elems = build_hashtable_monoid(
-                    _hash_spec(params), _terms(_need(params, "values"))
-                )
-                return pcm_as_protocol(monoid), (monoid, elems)
-        except FormatError:
-            raise
+            built = builder(**{
+                k: _terms(v) if k in _TERM_LIST_PARAMS else tuple(v) if isinstance(v, list) else v
+                for k, v in params.items()
+            })
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad builtin protocol {name}: {exc}") from exc
-        raise FormatError(f"unknown builtin protocol {name!r}")
+        return (built, None) if isinstance(built, StorageProtocolSpec) else built
 
     protocol = load_monoid(_need(doc, "protocol"), _at(path, "protocol"))
     storage = load_monoid(_need(doc, "storage"), _at(path, "storage"))
@@ -288,10 +281,7 @@ def _table_rows(doc: dict, key: str, path: str):
 
 def _table_element(doc, monoid: MonoidSpec, path: str) -> Term:
     """A decision-table entry: a term in the carrier of ``monoid``."""
-    try:
-        el = term_from_json(doc)
-    except EncodingError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    el = _term(doc, path)
     if not is_element(monoid, el):
         raise FormatError(f"{path}: {pretty(el)} is not in the carrier of {monoid.name}")
     return el
@@ -401,12 +391,12 @@ def _encode_value(v):
     raise FormatError(f"cannot encode value {v!r}")
 
 
-def _decode_value(doc):
+def _decode_value(doc, path: str):
     if isinstance(doc, dict):
         if "term" in doc:
-            return term_from_json(doc["term"])
+            return _term(doc["term"], f"{path}.term")
         if "list" in doc:
-            return tuple(_decode_value(x) for x in doc["list"])
+            return tuple(_decode_value(x, f"{path}.list[{i}]") for i, x in enumerate(doc["list"]))
         raise FormatError(f"bad encoded value {doc!r}")
     return doc
 
@@ -415,13 +405,14 @@ def _encode_kv(pairs):
     return {k: _encode_value(v) for k, v in pairs}
 
 
-def _decode_kv(doc) -> tuple:
-    return tuple(sorted((k, _decode_value(v)) for k, v in doc.items()))
+def _decode_kv(doc, path: str) -> tuple:
+    return tuple(sorted((k, _decode_value(v, f"{path}.{k}")) for k, v in doc.items()))
 
 
 def load_protocols(entries) -> tuple[dict, dict, dict]:
-    """A scenario's protocol list: each entry is an ``id`` and a
-    ``{"builtin", "params"}`` descriptor, and other keys are ignored.
+    """A scenario's protocol list: each entry is an ``id``, the instance's
+    initial ``fragments``, and a descriptor, the protocol document that
+    the rest of the entry forms.
     Returns (id -> StorageProtocolSpec, id -> helper, id -> descriptor),
     where a helper is as in :func:`_load_protocol`. Instances with
     identical descriptors denote one protocol: it is built once, and they
@@ -431,7 +422,7 @@ def load_protocols(entries) -> tuple[dict, dict, dict]:
     for i, entry in enumerate(entries):
         path = f"protocols[{i}]"
         iid = _need(_object(entry, path), "id")
-        descriptor = {k: v for k, v in entry.items() if k in ("builtin", "params")}
+        descriptor = {k: v for k, v in entry.items() if k not in ("id", "fragments")}
         key = json.dumps(descriptor, sort_keys=True)
         if key not in built:
             built[key] = _load_protocol(descriptor, path)
@@ -499,35 +490,42 @@ def scenario_from_json(doc: dict) -> Scenario:
     entries = _need(doc, "protocols")
     protocols, named, descriptors = load_protocols(entries)
     initial_fragments = {
-        p["id"]: tuple((o, term_from_json(el)) for o, el in p.get("fragments", []))
-        for p in entries
+        p["id"]: tuple(
+            (o, _term(el, f"protocols[{i}].fragments[{j}][1]"))
+            for j, (o, el) in enumerate(p.get("fragments", []))
+        )
+        for i, p in enumerate(entries)
     }
     script: dict = {}
-    for e in doc.get("script", []):
+    for i, e in enumerate(doc.get("script", [])):
         entry = ScriptEntry(
             _need(e, "label"),
             _need(e, "resolver"),
-            _decode_kv(e.get("args", {})),
-            term_from_json(e["when"]) if "when" in e else None,
+            _decode_kv(e.get("args", {}), f"script[{i}].args"),
+            _term(e["when"], f"script[{i}].when") if "when" in e else None,
             e.get("negate", False),
         )
         script.setdefault(entry.label, []).append(entry)
+
+    def property_specs(key):
+        return tuple(
+            PropertySpec(_need(p, "name"), _need(p, "kind"),
+                         _decode_kv(p.get("params", {}), f"{key}[{i}].params"))
+            for i, p in enumerate(doc.get(key, []))
+        )
+
     meta = doc.get("meta", {})
     return Scenario(
         name=_need(doc, "name"),
-        cells=tuple((n, term_from_json(v)) for n, v in _need(doc, "cells")),
+        cells=tuple(
+            (n, _term(v, f"cells[{i}][1]")) for i, (n, v) in enumerate(_need(doc, "cells"))
+        ),
         programs=tuple(ast_from_json(t) for t in _need(doc, "threads")),
         protocols=protocols,
         initial_fragments=initial_fragments,
         script=script,
-        properties=tuple(
-            PropertySpec(_need(p, "name"), _need(p, "kind"), _decode_kv(p.get("params", {})))
-            for p in doc.get("properties", [])
-        ),
-        terminal_properties=tuple(
-            PropertySpec(_need(p, "name"), _need(p, "kind"), _decode_kv(p.get("params", {})))
-            for p in doc.get("terminal_properties", [])
-        ),
+        properties=property_specs("properties"),
+        terminal_properties=property_specs("terminal_properties"),
         expectation=doc.get("expectation", "no-stuck"),
         max_states=doc.get("max_states", 200_000),
         max_steps_per_thread=doc.get("max_steps_per_thread", 64),
@@ -539,8 +537,12 @@ def scenario_from_json(doc: dict) -> Scenario:
             "lock_slot": meta.get("lock_slot", {}),
             "slot_cells": meta.get("slot_cells", {}),
             "thread_ops": tuple(
-                tuple((op[0], *_terms(op[1:])) for op in ops)
-                for ops in meta.get("thread_ops", [])
+                tuple(
+                    (op[0], *(_term(x, f"meta.thread_ops[{t}][{j}][{n}]")
+                              for n, x in enumerate(op[1:], 1)))
+                    for j, op in enumerate(ops)
+                )
+                for t, ops in enumerate(meta.get("thread_ops", []))
             ),
         },
     )

@@ -115,16 +115,6 @@ def _region(iid: str) -> str:
     return f"region:{iid}"
 
 
-def _entry(label_name, resolver, when=None, negate=False, **args):
-    return ScriptEntry(
-        label_name,
-        resolver,
-        tuple(sorted(args.items())),
-        when_result=when,
-        negate=negate,
-    )
-
-
 def _prop(name, kind, **params):
     return PropertySpec(name, kind, tuple(sorted(params.items())))
 
@@ -172,35 +162,42 @@ def _withdraw(ctx, iid, region, mine, x, note):
     return _update(ctx, iid, region, acquired, note, "withdraw", withdrawn=ex(x))
 
 
-@register_resolver("rw.exc-begin", "rwm.exc-begin")
-def _rw_exc_begin(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
+def _lock_step(*names):
+    """Register a lock step under ``names``. It is called as
+    ``step(ctx, entry, iid, sp, named, region, mine, got)``, where ``got``
+    is the (exc flag, counters, content) fields of the lock's region
+    fragment; a region without them is a missing-fields violation."""
+
+    def wrap(step):
+        def resolve(ctx, entry):
+            iid, sp, named, region, mine = _rw_parts(ctx, entry)
+            got = named.fields_of(region)
+            if got is None:
+                return GhostViolation("missing-fields", iid)
+            return step(ctx, entry, iid, sp, named, region, mine, got)
+
+        return register_resolver(*names)(resolve)
+
+    return wrap
+
+
+@_lock_step("rw.exc-begin", "rwm.exc-begin")
+def _rw_exc_begin(ctx, entry, iid, sp, named, region, mine, got):
     _, rc, x = got
     pending = sp.protocol.compose_fn(mine, named.exc_pending())
     return [_update(ctx, iid, named.fields(True, rc, x), pending, "exclusive acquisition begins")]
 
 
-@register_resolver("rw.exc-acquire")
-def _rw_exc_acquire(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
+@_lock_step("rw.exc-acquire")
+def _rw_exc_acquire(ctx, entry, iid, sp, named, region, mine, got):
     if named.exc_pending_index(mine) is None:
         return GhostViolation("missing-token", iid, detail="no pending-exclusive token")
     note = "exclusive lock acquired, content withdrawn"
     return [_withdraw(ctx, iid, region, mine, got[2], note)]
 
 
-@register_resolver("rwm.exc-progress")
-def _rwm_exc_progress(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
+@_lock_step("rwm.exc-progress")
+def _rwm_exc_progress(ctx, entry, iid, sp, named, region, mine, got):
     j = named.exc_pending_index(mine)
     if j is None:
         return GhostViolation("missing-token", iid, detail="no pending-exclusive token")
@@ -217,12 +214,8 @@ def _rwm_exc_progress(ctx, entry):
     return actions
 
 
-@register_resolver("rw.exc-release", "rwm.exc-release")
-def _rw_exc_release(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
+@_lock_step("rw.exc-release", "rwm.exc-release")
+def _rw_exc_release(ctx, entry, iid, sp, named, region, mine, got):
     cell = entry.arg("cell") or ctx.scenario.protected_cells[iid]
     raw = ctx.cell_value(cell)
     if raw is None:
@@ -243,12 +236,8 @@ def _rw_exc_release(ctx, entry):
     ]
 
 
-@register_resolver("rw.shared-begin", "rwm.shared-begin")
-def _rw_shared_begin(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
+@_lock_step("rw.shared-begin", "rwm.shared-begin")
+def _rw_shared_begin(ctx, entry, iid, sp, named, region, mine, got):
     exc_b, rc, x = got
     j = _counter(entry, named)
     note = "reader registered"
@@ -258,12 +247,8 @@ def _rw_shared_begin(ctx, entry):
     return [_update(ctx, iid, fields, named.add_pending(mine, j, 1), note)]
 
 
-@register_resolver("rw.shared-acquire", "rwm.shared-acquire")
-def _rw_shared_acquire(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
+@_lock_step("rw.shared-acquire", "rwm.shared-acquire")
+def _rw_shared_acquire(ctx, entry, iid, sp, named, region, mine, got):
     j = _counter(entry, named)
     if named.pending(mine, j) < 1:
         return GhostViolation("missing-token", iid, detail="no pending-reader token")
@@ -271,12 +256,8 @@ def _rw_shared_acquire(ctx, entry):
     return [_update(ctx, iid, region, reader, "shared lock acquired")]
 
 
-@register_resolver("rw.shared-retry", "rwm.shared-retry")
-def _rw_shared_retry(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
+@_lock_step("rw.shared-retry", "rwm.shared-retry")
+def _rw_shared_retry(ctx, entry, iid, sp, named, region, mine, got):
     exc_b, rc, x = got
     j = _counter(entry, named)
     if named.pending(mine, j) < 1:
@@ -285,12 +266,8 @@ def _rw_shared_retry(ctx, entry):
     return [_update(ctx, iid, fields, named.add_pending(mine, j, -1), "reader backed out")]
 
 
-@register_resolver("rw.shared-release", "rwm.shared-release")
-def _rw_shared_release(ctx, entry):
-    iid, sp, named, region, mine = _rw_parts(ctx, entry)
-    got = named.fields_of(region)
-    if got is None:
-        return GhostViolation("missing-fields", iid)
+@_lock_step("rw.shared-release", "rwm.shared-release")
+def _rw_shared_release(ctx, entry, iid, sp, named, region, mine, got):
     exc_b, rc, x = got
     j = _counter(entry, named)
     released = named.release_reader(mine, j)
@@ -381,45 +358,79 @@ def _prop_rw_stored(scenario, state, prop):
 
 
 # ---------------------------------------------------------------------------
-# Lock program fragments
+# Lock steps in programs
+#
+# Each step builds its program fragment and binds its labels' script
+# entries. The single lock's steps run the rw.X resolvers; the
+# multi-counter lock's run rwm.X, and a reader names its counter.
 
 
-def _lock_exc_program(t: str, exc_loc, rc_locs: list, labels_suffix: str = ""):
-    sfx = labels_suffix
-    steps = [
-        do_until(
-            label(f"{t}.exc_begin{sfx}", cas(exc_loc, FALSE, TRUE)), "s", var("s")
-        )
-    ]
-    for k, rl in enumerate(rc_locs):
-        steps.append(
-            do_until(
-                label(f"{t}.exc_check{k}{sfx}", load("sc", rl)),
-                "r",
-                eq(var("r"), tint(0)),
-            )
-        )
-    return seq(*steps, UNIT)
+def _bind(script: dict, lbl: str, resolver: str, when=None, **args) -> str:
+    """Append an entry for ``lbl`` to ``script``; returns ``lbl``."""
+    entry = ScriptEntry(lbl, resolver, tuple(sorted(args.items())), when_result=when)
+    script.setdefault(lbl, []).append(entry)
+    return lbl
 
 
-def _lock_shared_program(t: str, exc_loc, rc_loc, sfx: str = ""):
-    body = let(
+def _exc_acquire(script, t, sfx, exc_loc, rc_locs, instance):
+    """The writer's acquire loop: set the exc flag, then wait for each
+    counter to read zero. Returns the program and the label of the last
+    check, where the content is withdrawn."""
+    multi = len(rc_locs) > 1
+    begin = f"{t}.exc_begin{sfx}"
+    _bind(script, begin, "rwm.exc-begin" if multi else "rw.exc-begin", TRUE, instance=instance)
+    steps = [do_until(label(begin, cas(exc_loc, FALSE, TRUE)), "s", var("s"))]
+    for j, rc_loc in enumerate(rc_locs):
+        check = f"{t}.exc_check{j}{sfx}"
+        if multi:
+            _bind(script, check, "rwm.exc-progress", tint(0), instance=instance, counter=j)
+        else:
+            _bind(script, check, "rw.exc-acquire", tint(0), instance=instance)
+        steps.append(do_until(label(check, load("sc", rc_loc)), "r", eq(var("r"), tint(0))))
+    return seq(*steps, UNIT), check
+
+
+def _shared_section(script, t, sfx, exc_loc, rc_loc, instance, name, read, **counter):
+    """The reader's section: register on the counter and back out while
+    the exc flag is set, then bind ``name`` to ``read``, release, and
+    return ``name``. ``counter`` is the multi-counter lock's ``counter``
+    argument, and empty for the single lock."""
+    pfx = "rwm" if counter else "rw"
+
+    def step(kind, resolver, when=None):
+        lbl = f"{t}.{kind}{sfx}"
+        return _bind(script, lbl, f"{pfx}.{resolver}", when, instance=instance, **counter)
+
+    retry = label(step("sh_retry", "shared-retry"), fetch_add(rc_loc, tint(-1)))
+    enter = let(
         "_",
-        label(f"{t}.sh_begin{sfx}", fetch_add(rc_loc, tint(1))),
+        label(step("sh_begin", "shared-begin"), fetch_add(rc_loc, tint(1))),
         let(
             "e",
-            label(f"{t}.sh_check{sfx}", load("sc", exc_loc)),
-            seq(
-                if_(
-                    var("e"),
-                    label(f"{t}.sh_retry{sfx}", fetch_add(rc_loc, tint(-1))),
-                    UNIT,
-                ),
-                var("e"),
-            ),
+            label(step("sh_check", "shared-acquire", FALSE), load("sc", exc_loc)),
+            seq(if_(var("e"), retry, UNIT), var("e")),
         ),
     )
-    return do_until(body, "e", eq(var("e"), FALSE))
+    release = label(step("sh_release", "shared-release"), fetch_add(rc_loc, tint(-1)))
+    return seq(
+        do_until(enter, "e", eq(var("e"), FALSE)), let(name, read, seq(release, var(name)))
+    )
+
+
+def _lock_instance(iid, named, x0, exc_cell, rc_cells, cell, sfx="", **stored):
+    """Lock instance ``iid``'s region fragment (flag clear, counters zero,
+    content ``x0``) and its four rw-* properties, named with ``sfx``;
+    ``stored`` holds more arguments of its stored-matches-cell property."""
+    rc0 = (0,) * len(rc_cells) if len(rc_cells) > 1 else 0
+    fragments = ((_region(iid), named.fields(False, rc0, x0)),)
+    return fragments, [
+        _prop(f"mutual-exclusion{sfx}", "rw-mutual-exclusion", instance=iid),
+        _prop(f"reader-agreement{sfx}", "rw-reader-agreement", instance=iid),
+        _prop(f"fields-match-heap{sfx}", "rw-fields-match-heap", instance=iid,
+              exc_cell=exc_cell, rc_cells=tuple(rc_cells)),
+        _prop(f"stored-matches-cell{sfx}", "rw-stored-matches-cell", instance=iid, cell=cell,
+              **stored),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -462,104 +473,40 @@ def _reachable_values(params: RwLockScenarioParams) -> tuple[Term, ...]:
 def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
     k = params.counters
     multi = k > 1
+    pfx = "rwm" if multi else "rw"
     values = _reachable_values(params)
     nreaders = len(params.readers)
-    pfx = "rwm" if multi else "rw"
 
-    cells = [("exc", FALSE)] + [(f"rc{i}", tint(0)) for i in range(k)] + [
-        ("cell", tint(params.initial))
-    ]
+    rc_cells = tuple(f"rc{i}" for i in range(k))
+    cells = [("exc", FALSE)] + [(c, tint(0)) for c in rc_cells] + [("cell", tint(params.initial))]
     exc_loc = loc(0)
     rc_locs = [loc(1 + i) for i in range(k)]
     cell_loc = loc(1 + k)
 
     programs = []
     script: dict = {}
-    properties = [
-        _prop("ghost-invariant", "ghost-invariant"),
-    ]
-    tid = 0
-    for kind, n in params.writers:
+    for tid, (kind, n) in enumerate(params.writers):
         t = f"t{tid}"
-        if params.locked:
-            lock = _lock_exc_program(t, exc_loc, rc_locs)
-            if kind == "incr":
-                crit = let(
-                    "v", load("na", cell_loc), store("na", cell_loc, add(var("v"), tint(n)))
-                )
-            else:
-                crit = store("na", cell_loc, tint(n))
-            unlock = label(f"{t}.exc_release", store("sc", exc_loc, FALSE))
-            programs.append(seq(lock, crit, unlock, UNIT))
-            script[f"{t}.exc_begin"] = [
-                _entry(f"{t}.exc_begin", f"{pfx}.exc-begin", when=TRUE, instance="lock")
-            ]
-            if multi:
-                for j in range(k):
-                    script[f"{t}.exc_check{j}"] = [
-                        _entry(
-                            f"{t}.exc_check{j}",
-                            "rwm.exc-progress",
-                            when=tint(0),
-                            instance="lock",
-                            counter=j,
-                        )
-                    ]
-            else:
-                script[f"{t}.exc_check0"] = [
-                    _entry(
-                        f"{t}.exc_check0", "rw.exc-acquire", when=tint(0), instance="lock"
-                    )
-                ]
-            script[f"{t}.exc_release"] = [
-                _entry(f"{t}.exc_release", f"{pfx}.exc-release", instance="lock", cell="cell")
-            ]
+        if kind == "incr":
+            body = let("v", load("na", cell_loc), store("na", cell_loc, add(var("v"), tint(n))))
         else:
-            if kind == "incr":
-                programs.append(
-                    let("v", load("na", cell_loc), store("na", cell_loc, add(var("v"), tint(n))))
-                )
-            else:
-                programs.append(store("na", cell_loc, tint(n)))
-        tid += 1
-
-    for kidx in params.readers:
-        t = f"t{tid}"
+            body = store("na", cell_loc, tint(n))
         if params.locked:
-            lock = _lock_shared_program(t, exc_loc, rc_locs[kidx])
-            unlock_then_v = let(
-                "v",
-                label(f"{t}.sh_read", load("na", cell_loc)),
-                seq(label(f"{t}.sh_release", fetch_add(rc_locs[kidx], tint(-1))), var("v")),
+            lock, _ = _exc_acquire(script, t, "", exc_loc, rc_locs, "lock")
+            release = f"{t}.exc_release"
+            _bind(script, release, f"{pfx}.exc-release", instance="lock", cell="cell")
+            body = seq(lock, body, label(release, store("sc", exc_loc, FALSE)), UNIT)
+        programs.append(body)
+    for tid, kidx in enumerate(params.readers, len(params.writers)):
+        t = f"t{tid}"
+        body = load("na", cell_loc)
+        if params.locked:
+            counter = {"counter": kidx} if multi else {}
+            read = _bind(script, f"{t}.sh_read", f"{pfx}.shared-read", instance="lock", **counter)
+            body = _shared_section(
+                script, t, "", exc_loc, rc_locs[kidx], "lock", "v", label(read, body), **counter
             )
-            programs.append(seq(lock, unlock_then_v))
-            counter_arg = {"counter": kidx} if multi else {}
-            script[f"{t}.sh_begin"] = [
-                _entry(f"{t}.sh_begin", f"{pfx}.shared-begin", instance="lock", **counter_arg)
-            ]
-            script[f"{t}.sh_check"] = [
-                _entry(
-                    f"{t}.sh_check",
-                    f"{pfx}.shared-acquire",
-                    when=FALSE,
-                    instance="lock",
-                    **counter_arg,
-                )
-            ]
-            script[f"{t}.sh_retry"] = [
-                _entry(f"{t}.sh_retry", f"{pfx}.shared-retry", instance="lock", **counter_arg)
-            ]
-            script[f"{t}.sh_read"] = [
-                _entry(f"{t}.sh_read", f"{pfx}.shared-read", instance="lock", **counter_arg)
-            ]
-            script[f"{t}.sh_release"] = [
-                _entry(
-                    f"{t}.sh_release", f"{pfx}.shared-release", instance="lock", **counter_arg
-                )
-            ]
-        else:
-            programs.append(load("na", cell_loc))
-        tid += 1
+        programs.append(body)
 
     if multi:
         builtin = "rwlock-multi"
@@ -571,52 +518,25 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
     lock_params["values"] = [term_to_json(v) for v in values]
     entries = [{"id": "lock", "builtin": builtin, "params": lock_params}] if params.locked else []
     protocols, named_map, descriptors = load_protocols(entries)
-    initial_fragments = {}
-    cell_instances = {}
-    protected = {}
+    initial_fragments, cell_instances, protected = {}, {}, {}
+    properties, terminal = (), ()
     if params.locked:
-        rc0 = (0,) * k if multi else 0
-        initial_fragments["lock"] = (
-            (_region("lock"), named_map["lock"].fields(False, rc0, tint(params.initial))),
+        initial_fragments["lock"], lock_properties = _lock_instance(
+            "lock", named_map["lock"], tint(params.initial), "exc", rc_cells, "cell"
         )
-        for name, _ in cells:
-            cell_instances[name] = "lock"
+        cell_instances = {name: "lock" for name, _ in cells}
         protected["lock"] = "cell"
-        properties += [
-            _prop("mutual-exclusion", "rw-mutual-exclusion", instance="lock"),
-            _prop("reader-agreement", "rw-reader-agreement", instance="lock"),
-            _prop(
-                "fields-match-heap",
-                "rw-fields-match-heap",
-                instance="lock",
-                exc_cell="exc",
-                rc_cells=tuple(f"rc{i}" for i in range(k)),
-            ),
-            _prop("stored-matches-cell", "rw-stored-matches-cell", instance="lock", cell="cell"),
+        properties = (_prop("ghost-invariant", "ghost-invariant"), *lock_properties)
+        terminal = [_prop("all-finished", "all-finished")]
+        if all(kind == "incr" for kind, _ in params.writers):
+            total = params.initial + sum(n for _, n in params.writers)
+            terminal.append(_prop("cell-incremented", "heap-cell", cell="cell", op="eq",
+                                  value=tint(total)))
+        terminal += [
+            _prop(f"reader-{i}-sane", "thread-result-in", tid=len(params.writers) + i,
+                  values=values)
+            for i in range(nreaders)
         ]
-
-    terminal = [_prop("all-finished", "all-finished")]
-    incr_total = sum(n for kind, n in params.writers if kind == "incr")
-    if params.locked and all(kind == "incr" for kind, _ in params.writers):
-        terminal.append(
-            _prop(
-                "cell-incremented",
-                "heap-cell",
-                cell="cell",
-                op="eq",
-                value=tint(params.initial + incr_total),
-            )
-        )
-    if params.locked:
-        for i, kidx in enumerate(params.readers):
-            terminal.append(
-                _prop(
-                    f"reader-{i}-sane",
-                    "thread-result-in",
-                    tid=len(params.writers) + i,
-                    values=values,
-                )
-            )
 
     name = ("rwlock-multi" if multi else "rwlock") + ("" if params.locked else "-unlocked")
     return Scenario(
@@ -626,8 +546,8 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
         protocols=protocols,
         initial_fragments=initial_fragments,
         script=script,
-        properties=tuple(properties) if params.locked else (),
-        terminal_properties=tuple(terminal) if params.locked else (),
+        properties=properties,
+        terminal_properties=tuple(terminal),
         expectation="no-stuck" if params.locked else "stuck-reachable",
         max_steps_per_thread=params.max_steps_per_thread,
         named=named_map,
@@ -817,102 +737,48 @@ class HashTableScenarioParams:
         return owner
 
 
-def _ht_query_program(t, op_idx, key, hash_spec, exc_locs, rc_locs, slot_locs, script):
-    sfx = f".{op_idx}"
-    length = hash_spec.length
-    i = var("i")
-    exc_at = index_chain(i, exc_locs, abort())
-    rc_at = index_chain(i, rc_locs, abort())
-    slot_at = index_chain(i, slot_locs, abort())
-    read_lbl = f"{t}.read{sfx}"
-    release_lbl = f"{t}.sh_release{sfx}"
-    lock = _lock_shared_program(t, exc_at, rc_at, sfx)
-    body = if_(
-        eq(i, tint(length)),
-        abort(),
-        seq(
-            lock,
-            let(
-                "r",
-                match(
-                    label(read_lbl, load("na", slot_at)),
-                    "n",
-                    tcon("inl", UNIT),
-                    "kv",
-                    if_(
-                        eq(proj(1, var("kv")), key),
-                        ("con", "inr", (proj(2, var("kv")),)),
-                        app(var("probe"), add(i, tint(1))),
-                    ),
-                ),
-                seq(label(release_lbl, fetch_add(rc_at, tint(-1))), var("r")),
-            ),
-        ),
-    )
-    for lbl, resolver, kw in (
-        (f"{t}.sh_begin{sfx}", "rw.shared-begin", {}),
-        (f"{t}.sh_retry{sfx}", "rw.shared-retry", {}),
-        (release_lbl, "rw.shared-release", {}),
-    ):
-        script[lbl] = [_entry(lbl, resolver, instance="@cell", **kw)]
-    script[f"{t}.sh_check{sfx}"] = [
-        _entry(f"{t}.sh_check{sfx}", "rw.shared-acquire", when=FALSE, instance="@cell")
-    ]
-    script[read_lbl] = [
-        _entry(read_lbl, "rw.shared-read", instance="@cell", raw_cell=False),
-        _entry(read_lbl, "ht.query-check", instance="ht", key=key),
-    ]
+# the probe's slot index, and the probe of the next slot
+_I = var("i")
+_NEXT_SLOT = app(var("probe"), add(_I, tint(1)))
+
+
+def _probe(key, hash_spec: HashFunctionSpec, at_slot):
+    """The linear probe for ``key`` from its hash: at slot ``_I`` it runs
+    ``at_slot``, which may go on with ``_NEXT_SLOT``, and past the end of
+    the table it aborts."""
+    body = if_(eq(_I, tint(hash_spec.length)), abort(), at_slot)
     return app(rec("probe", "i", body), tint(hash_spec.hash_of(key)))
 
 
-def _ht_update_program(t, op_idx, key, value, hash_spec, exc_locs, rc_locs, slot_locs, script):
-    sfx = f".{op_idx}"
-    length = hash_spec.length
-    i = var("i")
-    exc_at = index_chain(i, exc_locs, abort())
-    rc_at = index_chain(i, rc_locs, abort())
-    slot_at = index_chain(i, slot_locs, abort())
-    write_lbl = f"{t}.write{sfx}"
-    unlock_lbl = f"{t}.unlock{sfx}"
-    new_entry = tcon("inr", ttuple(key, value))
-    write = label(write_lbl, store("na", slot_at, new_entry))
-    body = if_(
-        eq(i, tint(length)),
-        abort(),
-        seq(
-            _lock_exc_program(t, exc_at, [rc_at], sfx),
-            let(
-                "s",
-                load("na", slot_at),
-                match(
-                    var("s"),
-                    "n",
-                    write,
-                    "kv",
-                    if_(
-                        eq(proj(1, var("kv")), key),
-                        write,
-                        app(var("probe"), add(i, tint(1))),
-                    ),
-                ),
-            ),
-            label(unlock_lbl, store("sc", exc_at, FALSE)),
-            UNIT,
-        ),
-    )
-    begin_lbl = f"{t}.exc_begin{sfx}"
-    check_lbl = f"{t}.exc_check0{sfx}"
-    script[begin_lbl] = [_entry(begin_lbl, "rw.exc-begin", when=TRUE, instance="@cell")]
-    script[check_lbl] = [
-        _entry(check_lbl, "rw.exc-acquire", when=tint(0), instance="@cell"),
-        _entry(check_lbl, "ht.take-slot", when=tint(0), instance="ht"),
-    ]
-    script[write_lbl] = [_entry(write_lbl, "ht.update", instance="ht")]
-    script[unlock_lbl] = [
-        _entry(unlock_lbl, "ht.give-slot", instance="ht"),
-        _entry(unlock_lbl, "rw.exc-release", instance="@cell", raw_cell=False),
-    ]
-    return app(rec("probe", "i", body), tint(hash_spec.hash_of(key)))
+def _ht_query_program(script, t, idx, key, hash_spec, exc_at, rc_at, slot_at):
+    """Operation ``idx`` of thread ``t``: read each probed slot under its
+    shared lock; an empty slot gives none, ``key``'s entry its value."""
+    sfx = f".{idx}"
+    read = _bind(script, f"{t}.read{sfx}", "rw.shared-read", instance="@cell", raw_cell=False)
+    _bind(script, read, "ht.query-check", instance="ht", key=key)
+    found = if_(eq(proj(1, var("kv")), key), ("con", "inr", (proj(2, var("kv")),)), _NEXT_SLOT)
+    lookup = match(label(read, load("na", slot_at)), "n", tcon("inl", UNIT), "kv", found)
+    return _probe(key, hash_spec, _shared_section(script, t, sfx, exc_at, rc_at, "@cell", "r",
+                                                  lookup))
+
+
+def _ht_update_program(script, t, idx, key, value, hash_spec, exc_at, rc_at, slot_at):
+    """Operation ``idx`` of thread ``t``: take each probed slot's lock and
+    write ``key``'s entry into the slot if it is empty or holds ``key``."""
+    sfx = f".{idx}"
+    lock, acquired = _exc_acquire(script, t, sfx, exc_at, [rc_at], "@cell")
+    _bind(script, acquired, "ht.take-slot", tint(0), instance="ht")
+    write = _bind(script, f"{t}.write{sfx}", "ht.update", instance="ht")
+    write = label(write, store("na", slot_at, tcon("inr", ttuple(key, value))))
+    unlock = _bind(script, f"{t}.unlock{sfx}", "ht.give-slot", instance="ht")
+    _bind(script, unlock, "rw.exc-release", instance="@cell", raw_cell=False)
+    found = if_(eq(proj(1, var("kv")), key), write, _NEXT_SLOT)
+    return _probe(key, hash_spec, seq(
+        lock,
+        let("s", load("na", slot_at), match(var("s"), "n", write, "kv", found)),
+        label(unlock, store("sc", exc_at, FALSE)),
+        UNIT,
+    ))
 
 
 def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
@@ -927,6 +793,8 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
     slot_locs = [loc(i) for i in range(length)]
     exc_locs = [loc(length + 2 * i) for i in range(length)]
     rc_locs = [loc(length + 2 * i + 1) for i in range(length)]
+    # the exc, rc and slot locations of the probed slot _I
+    probed = tuple(index_chain(_I, locs, abort()) for locs in (exc_locs, rc_locs, slot_locs))
 
     slot_states = (NONE,) + tuple(
         some(ttuple(k, v)) for k in keys for v in params.values
@@ -976,56 +844,31 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
     ]
     for i in range(length):
         iid = f"lock{i}"
-        initial_fragments[iid] = ((_region(iid), named_map[iid].fields(False, 0, NONE)),)
+        initial_fragments[iid], lock_properties = _lock_instance(
+            iid, named_map[iid], NONE, f"exc{i}", (f"rc{i}",), f"slot{i}", f"-{i}",
+            raw_cell=False,
+        )
+        properties += lock_properties
         for cell in (f"slot{i}", f"exc{i}", f"rc{i}"):
             cell_instances[cell] = iid
         protected[iid] = f"slot{i}"
         lock_slot[iid] = i
-        properties += [
-            _prop(f"mutual-exclusion-{i}", "rw-mutual-exclusion", instance=iid),
-            _prop(f"reader-agreement-{i}", "rw-reader-agreement", instance=iid),
-            _prop(
-                f"fields-match-heap-{i}",
-                "rw-fields-match-heap",
-                instance=iid,
-                exc_cell=f"exc{i}",
-                rc_cells=(f"rc{i}",),
-            ),
-            _prop(
-                f"stored-matches-cell-{i}",
-                "rw-stored-matches-cell",
-                instance=iid,
-                cell=f"slot{i}",
-                raw_cell=False,
-            ),
-        ]
 
     script: dict = {}
     programs = []
     for t, ops in enumerate(params.thread_ops):
-        tname = f"t{t}"
-        qvars = [f"qr{idx}" for idx, op in enumerate(ops) if op[0] == "query"]
-        results: list = []
-
-        def build(idx: int):
-            if idx == len(ops):
-                out = UNIT
-                for q in reversed(results):
-                    out = pair(var(q), out)
-                return out
-            op = ops[idx]
+        # a thread's value is the list of its query results, as nested pairs
+        out = UNIT
+        for idx in reversed([idx for idx, op in enumerate(ops) if op[0] != "update"]):
+            out = pair(var(f"qr{idx}"), out)
+        for idx, op in reversed(list(enumerate(ops))):
             if op[0] == "update":
-                expr = _ht_update_program(
-                    tname, idx, op[1], op[2], hash_spec, exc_locs, rc_locs, slot_locs, script
-                )
-                return seq(expr, build(idx + 1))
-            results.append(f"qr{idx}")
-            expr = _ht_query_program(
-                tname, idx, op[1], hash_spec, exc_locs, rc_locs, slot_locs, script
-            )
-            return let(f"qr{idx}", expr, build(idx + 1))
-
-        programs.append(build(0))
+                expr = _ht_update_program(script, f"t{t}", idx, *op[1:], hash_spec, *probed)
+                out = seq(expr, out)
+            else:
+                expr = _ht_query_program(script, f"t{t}", idx, op[1], hash_spec, *probed)
+                out = let(f"qr{idx}", expr, out)
+        programs.append(out)
 
     return Scenario(
         name="hashtable",

@@ -238,12 +238,12 @@ def run_process(*argv):
     )
 
 
-def assert_input_error(tmp_path, protocol_doc, args, message):
-    """`guardcheck check` on ``protocol_doc`` exits 2 with ``message``
-    and no traceback."""
-    protocol = tmp_path / "protocol.json"
-    protocol.write_text(json.dumps(protocol_doc))
-    proc = run_process("check", str(protocol), *args)
+def assert_input_error(tmp_path, doc, args, message, command="check"):
+    """`guardcheck COMMAND` on ``doc`` (by default `check` on a protocol)
+    exits 2 with ``message`` and no traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    proc = run_process(command, str(path), *args)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(message), proc.stderr
@@ -271,9 +271,42 @@ def _trivial_protocol(complete, stored_of):
             "complete": complete, "stored_of": stored_of}
 
 
+def shipped_scenario(name):
+    return json.loads(demo_path(f"{name}.scenario.json").read_text())
+
+
+def edited_scenario(path, value):
+    """rwlock-exc.scenario.json with ``value`` set at ``path``, a list of
+    keys and indices."""
+    doc = shipped_scenario("rwlock-exc")
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# malformed scenario fields: (path, value, message after "input error: ")
+MALFORMED_SCENARIO = {
+    "scenario-cell-term": (["cells", 0, 1], ["nope"], "cells[0][1]: unknown term tag 'nope'"),
+    "scenario-fragment-term": (["protocols", 0, "fragments", 0, 1], ["nope"],
+                               "protocols[0].fragments[0][1]: unknown term tag 'nope'"),
+    "scenario-when-term": (["script", 0, "when"], ["nope"],
+                           "script[0].when: unknown term tag 'nope'"),
+    "scenario-arg-term": (["script", 0, "args", "x"], {"list": [{"term": ["nope"]}]},
+                          "script[0].args.x.list[0].term: unknown term tag 'nope'"),
+    "scenario-param-term": (["terminal_properties", 1, "params", "value"], {"term": "x"},
+                            "terminal_properties[1].params.value.term: bad term document: 'x'"),
+    "scenario-thread-op-term": (["meta", "thread_ops"], [[["query", "x"]]],
+                                "meta.thread_ops[0][0][1]: bad term document: 'x'"),
+    "scenario-unknown-param": (["protocols", 0, "params", "sp_mx"], 3,
+                               "protocols[0].params.sp_mx: unknown parameter"),
+}
+
+
 @pytest.mark.parametrize(
-    "protocol_doc, args, message",
-    [
+    "command, doc, args, message",
+    [("check", doc, args, message) for doc, args, message in [
         (_table_protocol([[U, U, U], [ONE, U, ONE]]), [],
          "input error: protocol.parts[1].compose: no row for 1 · 1"),
         (_table_protocol([[U, U, U], [U, ONE, ONE], [ONE, ONE, TWO]]), [],
@@ -292,18 +325,19 @@ def _trivial_protocol(complete, stored_of):
          "input error: complete: must be an object, got int"),
         (_trivial_protocol({"table": [U]}, {"table": [[U, ["int", 3]]]}), [],
          "input error: stored_of.table[0][1]: 3 is not in the carrier of trivial"),
-    ],
+        (dict(RWLOCK, params=dict(RWLOCK["params"], sp_mx=3)), [],
+         "input error: params.sp_mx: unknown parameter"),
+    ]]
+    + [("explore", edited_scenario(path, value), [], f"input error: {message}")
+       for path, value, message in MALFORMED_SCENARIO.values()],
     ids=["table-missing-row", "table-unlisted-result", "params-not-object",
          "bound-params-not-object", "bound-protocol-not-object",
          "complete-not-a-term", "stored-of-row-not-a-pair", "complete-not-object",
-         "stored-value-not-in-storage"],
+         "stored-value-not-in-storage", "unknown-param"]
+    + list(MALFORMED_SCENARIO),
 )
-def test_malformed_protocol_exit_2_without_traceback(tmp_path, protocol_doc, args, message):
-    assert_input_error(tmp_path, protocol_doc, args, message)
-
-
-def shipped_scenario(name):
-    return json.loads(demo_path(f"{name}.scenario.json").read_text())
+def test_malformed_protocol_exit_2_without_traceback(tmp_path, command, doc, args, message):
+    assert_input_error(tmp_path, doc, args, message, command)
 
 
 def unbound_cell(doc):

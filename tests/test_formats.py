@@ -82,6 +82,16 @@ class TestMonoidLoading:
             load_monoid([1, 2, 3])
 
 
+# the one-item forever pattern written out longhand
+CUSTOM_FOREVER = {
+    "name": "custom-forever",
+    "protocol": {"kind": "trivial"},
+    "storage": {"kind": "excl", "values": [["int", 1]]},
+    "complete": {"table": [["unit"]]},
+    "stored_of": {"table": [[["unit"], ["con", "ex", [["int", 1]]]]]},
+}
+
+
 class TestProtocolLoading:
     def test_builtins(self):
         for doc in (
@@ -101,20 +111,20 @@ class TestProtocolLoading:
             sp, _ = load_protocol(doc)
             assert check_wellformed(sp).ok, doc
 
+    def test_fractional_memory_reads_its_bounds(self):
+        keys = [["sym", "a"]]
+        default, _ = load_protocol({"builtin": "fractional-memory", "params": {"keys": keys}})
+        small, _ = load_protocol({"builtin": "fractional-memory", "params": {
+            "keys": keys, "den_bound": 1, "max_value": 1, "nat_limit": 1}})
+        assert len(carrier(small.protocol)) < len(carrier(default.protocol))
+        assert len(carrier(small.storage)) < len(carrier(default.storage))
+
     def test_unknown_builtin(self):
         with pytest.raises(FormatError):
             load_protocol({"builtin": "alchemy"})
 
     def test_custom_protocol_tables(self):
-        # the one-item forever pattern written out longhand
-        doc = {
-            "name": "custom-forever",
-            "protocol": {"kind": "trivial"},
-            "storage": {"kind": "excl", "values": [["int", 1]]},
-            "complete": {"table": [["unit"]]},
-            "stored_of": {"table": [[["unit"], ["con", "ex", [["int", 1]]]]]},
-        }
-        sp, _ = load_protocol(doc)
+        sp, _ = load_protocol(CUSTOM_FOREVER)
         assert check_wellformed(sp).ok
         assert guard_holds(sp, UNIT, ("con", "ex", (tint(1),))).ok
 
@@ -269,6 +279,30 @@ class TestHandWrittenScenario:
         r = explore(s)
         assert not r.ok
         assert any("rejected" in v.detail for v in r.violations)
+
+    def test_custom_protocol_instance(self):
+        # a protocol entry's descriptor is the entry without its id and
+        # fragments, so it may be a custom protocol
+        doc = {
+            "name": "custom-instance",
+            "cells": [["c", ["int", 1]]],
+            "threads": [["label", "look", ["load", "sc", ["con", "loc", [["int", 0]]]]]],
+            "protocols": [{"id": "item", **CUSTOM_FOREVER, "fragments": []}],
+            "script": [{
+                "label": "look",
+                "resolver": "ghost.open-guard",
+                "args": {"instance": "item", "owner": "self",
+                         "element": {"term": ["con", "ex", [["int", 1]]]}},
+            }],
+            "properties": [{"name": "ledger", "kind": "ghost-invariant", "params": {}}],
+        }
+        r = explore(scenario_from_json(doc))
+        assert r.ok and not r.violations and not r.warnings
+        again = json.loads(json.dumps(scenario_to_json(scenario_from_json(doc))))
+        assert again["protocols"] == doc["protocols"]
+        assert dumps(result_to_json(explore(scenario_from_json(again)))) == dumps(
+            result_to_json(r)
+        )
 
     def test_open_guard_literal(self):
         doc = json.loads(json.dumps(self.DOC))

@@ -2,11 +2,13 @@
 and negative controls on the scripts themselves."""
 
 import dataclasses
+import hashlib
 from types import SimpleNamespace
 
 import pytest
 
 from guardcheck.explore import RESOLVERS, ResolveCtx, ScriptEntry, explore, replay
+from guardcheck.formats import dumps, scenario_to_json
 from guardcheck.ghost import (
     ExchangeAction,
     GhostLedger,
@@ -459,3 +461,54 @@ def test_lock_resolver_table(case):
         assert isinstance(got, GhostViolation) and got.describe() == expected
     else:
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Builder output pinned byte for byte, for configurations no demo covers
+
+
+def _pinned_hashtable():
+    k0, k1, v = tint(0), tint(1), tint(10)
+    return build_hashtable_scenario(HashTableScenarioParams(
+        HashFunctionSpec(2, ((k0, 1), (k1, 0))),
+        (v,),
+        ((("query", k1), ("update", k0, v)), (("update", k1, v), ("query", k0))),
+    ))
+
+
+BUILDER_SHA256 = {
+    "rwlock-two-incr": (
+        lambda: build_rwlock_scenario(RwLockScenarioParams(
+            writers=(("incr", 1), ("incr", 1)), readers=(), initial=7)),
+        "c2312662a1d68a53cc7ab8a87c171d9647665498e149af84b116dcefd07be209",
+    ),
+    "rwlock-three-counters": (
+        lambda: build_rwlock_scenario(RwLockScenarioParams(
+            counters=3, writers=(("write", 5), ("incr", 2)), readers=(0, 2, 1))),
+        "089fe7fdc9fd18237480afbac10e61bd32e8cbca9912075ac7649a1c5b3c767d",
+    ),
+    "rwlock-unlocked": (
+        lambda: build_rwlock_scenario(RwLockScenarioParams(
+            writers=(("write", 7), ("incr", 1)), readers=(0,), locked=False)),
+        "d62fc474cf48c5d38969e4d7566c66dc6bf153cd5d437d647ccb6f89ec56f775",
+    ),
+    "race-two-readers": (
+        lambda: build_race_scenario(2, 1),
+        "cc0814f59a85c02e6e1cd815e516718f082d686c3006717dc2cb6c7cf60e5983",
+    ),
+    "hashtable-two-threads": (
+        _pinned_hashtable,
+        "5fe49f9612cc35ff6dff99beab72dfc04b3963aff29aba0a6bd02c1f1f0ecccc",
+    ),
+    "abort": (
+        build_abort_scenario,
+        "5b31489fdad21d43db1e768be8895af86b04f81f497b24296b3f14a0eea98086",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_SHA256))
+def test_builder_output_pinned(name):
+    build, digest = BUILDER_SHA256[name]
+    text = dumps(scenario_to_json(build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
