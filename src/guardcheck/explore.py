@@ -46,6 +46,7 @@ __all__ = [
     "register_property",
     "RESOLVERS",
     "PROPERTY_EVALUATORS",
+    "THREAD_FREE_PROPERTIES",
 ]
 
 
@@ -192,6 +193,7 @@ class ReplayError(ValueError):
 
 RESOLVERS: dict = {}
 PROPERTY_EVALUATORS: dict = {}
+THREAD_FREE_PROPERTIES: set = set()  # kinds whose evaluators read no thread state
 
 
 def register_resolver(*names: str):
@@ -203,9 +205,24 @@ def register_resolver(*names: str):
     return wrap
 
 
-def register_property(kind: str):
+def register_property(kind: str, reads_threads: bool = True):
+    """Register ``fn(scenario, state, prop) -> (ok, reason)`` as the
+    evaluator of property ``kind``.
+
+    ``reads_threads=False`` declares that ``fn`` reads nothing of
+    ``state`` but ``state.ledger`` and ``state.machine.heap``: not the
+    threads, the cursor or the freed log. When every safety property of a
+    scenario is so declared, :func:`transition` computes their verdicts
+    once per distinct (ledger, heap). Otherwise every safety property runs
+    on every transition.
+    """
+
     def wrap(fn):
         PROPERTY_EVALUATORS[kind] = fn
+        if reads_threads:
+            THREAD_FREE_PROPERTIES.discard(kind)
+        else:
+            THREAD_FREE_PROPERTIES.add(kind)
         return fn
 
     return wrap
@@ -311,7 +328,7 @@ def _resolve_transfer(ctx: ResolveCtx, entry: ScriptEntry):
 # -- generic property evaluators
 
 
-@register_property("ghost-invariant")
+@register_property("ghost-invariant", reads_threads=False)
 def _prop_ghost_invariant(scenario, state, prop):
     for iid, inst in state.ledger.instances:
         sp = scenario.protocols[iid]
@@ -337,7 +354,7 @@ def _instance_invariant(sp, iid: str, inst) -> tuple[bool, str]:
     return True, ""
 
 
-@register_property("heap-cell")
+@register_property("heap-cell", reads_threads=False)
 def _prop_heap_cell(scenario, state, prop):
     name = prop.param("cell")
     value = state.machine.heap_value(scenario.cell_loc(name))
@@ -383,6 +400,53 @@ def _prop_thread_result_in(scenario, state, prop):
 # The combined transition: machine step + script + properties
 
 
+class TransitionMemo:
+    """The pure parts of :func:`transition` for one scenario and admission
+    mode, each computed once per distinct input. :func:`explore` and
+    :func:`replay` make one per call. See :func:`transition` for the keys."""
+
+    def __init__(self, scenario: Scenario, mode: str):
+        self.scenario = scenario
+        self.mode = mode
+        self.steps: dict = {}  # (expr, heap, cursor, freed) -> lang.ThreadStep
+        self.admissions: dict = {}  # (ledger, action) -> ApplyOutcome
+        self.closed: dict = {}  # ledger -> ApplyOutcome
+        # (ledger, heap) -> safety verdicts; None if there are no safety
+        # properties or one of them reads threads
+        props = scenario.properties
+        thread_free = bool(props) and all(p.kind in THREAD_FREE_PROPERTIES for p in props)
+        self.verdicts: dict | None = {} if thread_free else None
+
+    def admit(self, ledger: GhostLedger, action):
+        key = (ledger, action)
+        got = self.admissions.get(key)
+        if got is None:
+            got = apply_action(self.scenario.protocols, ledger, action, self.mode)
+            self.admissions[key] = got
+        return got
+
+    def close(self, ledger: GhostLedger):
+        got = self.closed.get(ledger)
+        if got is None:
+            got = self.closed[ledger] = close_windows(self.scenario.protocols, ledger)
+        return got
+
+    def property_violations(self, state: ExplState) -> list:
+        """A violation for each safety property that fails at ``state``."""
+        props = self.scenario.properties
+        if self.verdicts is None:
+            verdicts = [check_property(self.scenario, state, p) for p in props]
+        else:
+            key = (state.ledger, state.machine.heap)
+            verdicts = self.verdicts.get(key)
+            if verdicts is None:
+                verdicts = [check_property(self.scenario, state, p) for p in props]
+                self.verdicts[key] = verdicts
+        return [
+            ("property", p.name, reason) for p, (ok, reason) in zip(props, verdicts) if not ok
+        ]
+
+
 def initial_state(scenario: Scenario) -> ExplState:
     machine = initial_config([v for _, v in scenario.cells], scenario.programs)
     ledger = empty_ledger()
@@ -398,9 +462,27 @@ def initial_state(scenario: Scenario) -> ExplState:
     return ExplState(machine, ledger)
 
 
-def transition(scenario: Scenario, state: ExplState, tid: int, mode: str):
-    """Returns (kind, new_state, violations, fired_labels, stuck_reason)."""
-    out = step(state.machine, tid)
+def transition(
+    scenario: Scenario, state: ExplState, tid: int, mode: str, memo: TransitionMemo | None = None
+):
+    """Returns (kind, new_state, violations, fired_labels, stuck_reason).
+
+    ``memo`` (fresh when None) is a :class:`TransitionMemo` for
+    ``scenario`` and ``mode``. It holds the parts of a transition that are
+    pure functions of part of the state, each keyed on what it reads:
+    - the thread step on (expression, heap, cursor, freed log), see
+      :func:`lang.step`;
+    - each ghost admission on (ledger, action), and the closing of guard
+      windows on the ledger;
+    - the safety-property verdicts on (ledger, heap) after the step's
+      ghost actions, but only if no safety property reads thread state
+      (see :func:`register_property`). If one does, every safety property
+      runs on every transition.
+    Resolvers read the whole post-step machine and run on every transition.
+    """
+    if memo is None:
+        memo = TransitionMemo(scenario, mode)
+    out = step(state.machine, tid, memo.steps)
     if out.kind == "done":
         return "next", ExplState(out.config, state.ledger), [], (), ""
     if out.kind == "stuck":
@@ -427,19 +509,15 @@ def transition(scenario: Scenario, state: ExplState, tid: int, mode: str):
                 violations.append(("ghost", lbl, resolved.describe()))
                 continue
             for action in resolved:
-                applied = apply_action(scenario.protocols, ledger, action, mode)
+                applied = memo.admit(ledger, action)
                 if not applied.ok:
                     violations.append(("ghost", lbl, applied.violation.describe()))
                     break
                 ledger = applied.ledger
 
-    mid = ExplState(out.config, ledger)
-    for prop in scenario.properties:
-        ok, reason = check_property(scenario, mid, prop)
-        if not ok:
-            violations.append(("property", prop.name, reason))
+    violations += memo.property_violations(ExplState(out.config, ledger))
 
-    closed = close_windows(scenario.protocols, ledger)
+    closed = memo.close(ledger)
     if not closed.ok:
         violations.append(("ghost", "close-window", closed.violation.describe()))
     else:
@@ -489,6 +567,7 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             return ()
         return trace(*nodes[nid])
 
+    transition_memo = TransitionMemo(scenario, mode)
     seen_violations: dict = {}
     stuck_examples: dict = {}
     terminals: set = set()
@@ -501,13 +580,7 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             if key not in seen_violations:
                 seen_violations[key] = Violation(kind, name, detail, sched)
 
-    # initial-state property check
-    init_vios = []
-    for prop in scenario.properties:
-        ok, reason = check_property(scenario, root, prop)
-        if not ok:
-            init_vios.append(("property", prop.name, reason))
-    record_violations(init_vios, ())
+    record_violations(transition_memo.property_violations(root), ())
 
     visited = {root: 0}
     on_path: set = set()  # memo-off cycle pruning
@@ -534,7 +607,9 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             if counts[tid] >= max_depth:
                 result.bound_exceeded = True
                 continue
-            kind, st2, vios, crossed, stuck_reason = transition(scenario, st, tid, mode)
+            kind, st2, vios, crossed, stuck_reason = transition(
+                scenario, st, tid, mode, transition_memo
+            )
             result.transitions += 1
             crossed_labels.update(crossed)
             # a schedule is walked back from the node only when reported
@@ -600,11 +675,12 @@ def replay(scenario: Scenario, schedule, mode: str = "rule"):
     Raises ReplayError when the schedule picks a non-enabled thread.
     """
     st = initial_state(scenario)
+    memo = TransitionMemo(scenario, mode)
     entries = [TraceEntry(-1, "init", (), "", st)]
     for i, tid in enumerate(schedule):
         if tid not in enabled_threads(st.machine):
             raise ReplayError(f"schedule step {i}: thread {tid} not enabled")
-        kind, st2, vios, crossed, stuck_reason = transition(scenario, st, tid, mode)
+        kind, st2, vios, crossed, stuck_reason = transition(scenario, st, tid, mode, memo)
         entries.append(TraceEntry(tid, kind, crossed, stuck_reason, st2))
         st = st2
         if kind == "stuck":

@@ -19,7 +19,7 @@ import itertools
 import json
 
 from .explore import ExplorationResult, PropertySpec, Scenario, ScriptEntry
-from .lang import ast_from_json, ast_to_json
+from .lang import UsageError, ast_from_json, ast_to_json
 from .library import (
     HashFunctionSpec,
     build_agn,
@@ -98,14 +98,41 @@ def _object(doc, path: str) -> dict:
     return doc
 
 
+def _known_fields(doc: dict, fields, path: str) -> None:
+    """Reject a key of ``doc`` that is not in ``fields``: a misspelt
+    optional field would otherwise fall back to its default unseen."""
+    for key in doc:
+        if key not in fields:
+            raise FormatError(f"{_at(path, key)}: unknown field")
+
+
 # ---------------------------------------------------------------------------
 # Monoids
+
+
+# monoid kind -> the fields its node may hold besides "kind"
+_MONOID_FIELDS = {
+    "excl": ("values",),
+    "agn": ("values", "max_count"),
+    "agnvec": ("values", "k", "max_count"),
+    "nat": ("limit",),
+    "int": ("lo", "hi"),
+    "frac": ("den_bound", "max_value"),
+    "product": ("name", "parts", "total"),
+    "finmap": ("keys", "value"),
+    "table": ("name", "unit", "elements", "compose", "invalid"),
+    "custom-table": ("name", "unit", "elements", "compose", "invalid"),
+    "trivial": (),
+}
 
 
 def load_monoid(doc: dict, path: str = "") -> MonoidSpec:
     """The monoid of a combinator tree. ``path`` locates ``doc`` in its
     file, for error messages."""
     kind = _need(_object(doc, path or "monoid"), "kind")
+    if not isinstance(kind, str) or kind not in _MONOID_FIELDS:
+        raise FormatError(f"unknown monoid kind {kind!r}")
+    _known_fields(doc, ("kind", *_MONOID_FIELDS[kind]), path)
     try:
         if kind == "excl":
             return build_excl(_terms(_need(doc, "values")))
@@ -145,13 +172,11 @@ def load_monoid(doc: dict, path: str = "") -> MonoidSpec:
                 _compose_table(_need(doc, "compose"), listed, _at(path, "compose")),
                 _terms(doc.get("invalid", [])),
             )
-        if kind == "trivial":
-            return build_trivial()
+        return build_trivial()
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad {kind} monoid: {exc}") from exc
-    raise FormatError(f"unknown monoid kind {kind!r}")
 
 
 def _compose_table(rows, listed: tuple[Term, ...], path: str) -> dict:
@@ -398,6 +423,10 @@ def _decode_value(doc, path: str):
         if "list" in doc:
             return tuple(_decode_value(x, f"{path}.list[{i}]") for i, x in enumerate(doc["list"]))
         raise FormatError(f"bad encoded value {doc!r}")
+    if isinstance(doc, list):
+        raise FormatError(
+            f"{path}: write a list as {{\"list\": [...]}} and a term as {{\"term\": T}}"
+        )
     return doc
 
 
@@ -486,7 +515,29 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
+_SCENARIO_FIELDS = (
+    "name", "cells", "threads", "protocols", "cell_instances", "protected_cells", "script",
+    "properties", "terminal_properties", "expectation", "max_states", "max_steps_per_thread",
+    "meta",
+)
+
+
+def _program(doc, path: str):
+    try:
+        return ast_from_json(doc)
+    except UsageError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _count(doc: dict, key: str, default: int) -> int:
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FormatError(f"{key}: must be a non-negative integer, got {value!r}")
+    return value
+
+
 def scenario_from_json(doc: dict) -> Scenario:
+    _known_fields(_object(doc, "scenario"), _SCENARIO_FIELDS, "")
     entries = _need(doc, "protocols")
     protocols, named, descriptors = load_protocols(entries)
     initial_fragments = {
@@ -520,15 +571,15 @@ def scenario_from_json(doc: dict) -> Scenario:
         cells=tuple(
             (n, _term(v, f"cells[{i}][1]")) for i, (n, v) in enumerate(_need(doc, "cells"))
         ),
-        programs=tuple(ast_from_json(t) for t in _need(doc, "threads")),
+        programs=tuple(_program(t, f"threads[{i}]") for i, t in enumerate(_need(doc, "threads"))),
         protocols=protocols,
         initial_fragments=initial_fragments,
         script=script,
         properties=property_specs("properties"),
         terminal_properties=property_specs("terminal_properties"),
         expectation=doc.get("expectation", "no-stuck"),
-        max_states=doc.get("max_states", 200_000),
-        max_steps_per_thread=doc.get("max_steps_per_thread", 64),
+        max_states=_count(doc, "max_states", 200_000),
+        max_steps_per_thread=_count(doc, "max_steps_per_thread", 64),
         named=named,
         cell_instances=doc.get("cell_instances", {}),
         protected_cells=doc.get("protected_cells", {}),

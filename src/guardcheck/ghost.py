@@ -80,6 +80,14 @@ class InstanceState:
 class GhostLedger:
     instances: tuple  # sorted (iid, InstanceState)
 
+    def __hash__(self):
+        # the explorer hashes each ledger several times per transition
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.instances))
+            return self._hash
+
     def instance(self, iid: str) -> InstanceState:
         for i, st in self.instances:
             if i == iid:

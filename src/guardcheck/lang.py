@@ -16,8 +16,8 @@ produce stuck states, each tagged with the failed rule.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .terms import UNIT, Term, con_args, tbool, tcon, tint
 
@@ -25,10 +25,12 @@ __all__ = [
     "MachineConfig",
     "StepOutcome",
     "StepEvent",
+    "ThreadStep",
     "UsageError",
     "is_value",
     "subst",
     "step",
+    "thread_step",
     "enabled_threads",
     "canonical_hash",
     "initial_config",
@@ -312,21 +314,42 @@ class StepOutcome:
     value: Term | None = None
 
 
+class ThreadStep(NamedTuple):
+    """One step of a thread's expression: what :func:`thread_step` gives.
+
+    It reads only the expression, the heap, the cursor and the freed log,
+    never the other threads or the thread's index. ``thread`` is the
+    thread's state after the step and ``spawned`` the states of the
+    threads it forks.
+    """
+
+    kind: str  # next | stuck | done
+    thread: tuple
+    spawned: tuple
+    heap: tuple
+    cursor: int
+    freed: tuple
+    fired: tuple = ()
+    event: StepEvent | None = None
+
+
+def _thread(e) -> tuple:
+    return ("done", e) if is_value(e) else ("run", e)
+
+
 def initial_config(cells: Iterable[Term], programs: Iterable) -> MachineConfig:
     """Allocate the named cells in order at locations 0.. and start one
     thread per program."""
     heap = tuple((i, v, ("r", 0)) for i, v in enumerate(cells))
-    threads = tuple(
-        ("done", p) if is_value(p) else ("run", p) for p in programs
-    )
-    return MachineConfig(heap, threads, len(heap), ())
+    return MachineConfig(heap, tuple(_thread(p) for p in programs), len(heap), ())
 
 
 class _Stepper:
-    def __init__(self, cfg: MachineConfig):
-        self.heap = cfg.heap_dict()
-        self.cursor = cfg.cursor
-        self.freed = set(cfg.freed)
+    def __init__(self, heap: tuple, cursor: int, freed: tuple):
+        self.heap = {l: (v, rw) for l, v, rw in heap}
+        self.cursor = cursor
+        self.freed = set(freed)
+        self.wrote = False  # whether the heap, cursor or freed log changed
         self.forks: list = []
         self.fired: list = []
         self.event: StepEvent | None = None
@@ -337,6 +360,10 @@ class _Stepper:
         if l not in self.heap:
             raise _Stuck("use-after-free" if l in self.freed else "load-absent")
         return self.heap[l]
+
+    def _put(self, l: int, v: Term, rw: tuple):
+        self.heap[l] = (v, rw)
+        self.wrote = True
 
     def _note(self, **kw):
         self.event = StepEvent(**kw)
@@ -439,7 +466,7 @@ class _Stepper:
                 return ("ref", self.step(e[1]))
             l = self.cursor
             self.cursor += 1
-            self.heap[l] = (e[1], ("r", 0))
+            self._put(l, e[1], ("r", 0))
             self._note(op="ref", loc=l, written=e[1])
             return loc(l)
         if tag == "free":
@@ -452,6 +479,7 @@ class _Stepper:
                 raise _Stuck("free-race")
             del self.heap[l]
             self.freed.add(l)
+            self.wrote = True
             self._note(op="free", loc=l)
             return UNIT
         if tag == "load":
@@ -469,7 +497,7 @@ class _Stepper:
             if rw != ("r", 0):
                 raise _Stuck("race-cas")
             if v == e[2]:
-                self.heap[l] = (e[3], ("r", 0))
+                self._put(l, e[3], ("r", 0))
                 out = tbool(True)
             else:
                 out = tbool(False)
@@ -490,7 +518,7 @@ class _Stepper:
             n = v[1] + e[2][1]
             if not -INT_BOUND <= n < INT_BOUND:
                 raise _Stuck("overflow")
-            self.heap[l] = (tint(n), ("r", 0))
+            self._put(l, tint(n), ("r", 0))
             self._note(op="faa", loc=l, value=v, written=tint(n))
             return v
         raise _Stuck(f"bad-expression:{tag}")
@@ -509,11 +537,11 @@ class _Stepper:
         if ordering == "na":
             if rw == ("w",):
                 raise _Stuck("race-na-read")
-            self.heap[l] = (v, ("r", rw[1] + 1))
+            self._put(l, v, ("r", rw[1] + 1))
             self._note(op="load", loc=l, ordering="na")
             return ("load", "na2", e[2])
         # na2: the matching end step; the begin guarantees a positive count
-        self.heap[l] = (v, ("r", rw[1] - 1))
+        self._put(l, v, ("r", rw[1] - 1))
         self._note(op="load", loc=l, ordering="na2", value=v)
         return v
 
@@ -528,62 +556,72 @@ class _Stepper:
         if ordering == "sc":
             if rw != ("r", 0):
                 raise _Stuck("race-sc-write")
-            self.heap[l] = (e[3], ("r", 0))
+            self._put(l, e[3], ("r", 0))
             self._note(op="store", loc=l, ordering="sc", written=e[3])
             return UNIT
         if ordering == "na":
             if rw != ("r", 0):
                 raise _Stuck("race-na-write")
-            self.heap[l] = (v, ("w",))
+            self._put(l, v, ("w",))
             self._note(op="store", loc=l, ordering="na")
             return ("store", "na2", e[2], e[3])
         # na2: cell is in the writing state owned by this thread
-        self.heap[l] = (e[3], ("r", 0))
+        self._put(l, e[3], ("r", 0))
         self._note(op="store", loc=l, ordering="na2", written=e[3])
         return UNIT
 
 
-def step(cfg: MachineConfig, tid: int) -> StepOutcome:
+def thread_step(e, heap: tuple, cursor: int, freed: tuple) -> ThreadStep:
+    """Apply the unique head reduction of the expression ``e`` against the
+    heap, allocation cursor and freed log. A step that changes none of
+    them returns the input tuples themselves.
+    """
+    if is_value(e):
+        return ThreadStep("done", ("done", e), (), heap, cursor, freed)
+    machine = _Stepper(heap, cursor, freed)
+    try:
+        out = machine.step(e)
+    except _Stuck as exc:
+        return ThreadStep("stuck", ("stuck", exc.reason), (), heap, cursor, freed)
+    if machine.wrote:
+        heap = tuple(sorted((l, v, rw) for l, (v, rw) in machine.heap.items()))
+        cursor, freed = machine.cursor, tuple(sorted(machine.freed))
+    return ThreadStep(
+        "next", _thread(out), tuple(_thread(f) for f in machine.forks),
+        heap, cursor, freed, tuple(machine.fired), machine.event,
+    )
+
+
+def step(cfg: MachineConfig, tid: int, memo: dict | None = None) -> StepOutcome:
     """Apply the unique head reduction of thread ``tid``.
 
     Outcomes: next (one step applied, forks spawned, labels fired), stuck
     (side condition failed; the thread is marked stuck in the returned
     config), or done (the thread's expression is already a value).
+
+    The step itself is :func:`thread_step`; this function places its
+    result in the thread pool. Given ``memo``, a dict, :func:`thread_step`
+    runs once per distinct (expression, heap, cursor, freed log) the dict
+    has seen.
     """
     if not 0 <= tid < len(cfg.threads):
         raise UsageError(f"thread {tid} out of range")
     state = cfg.threads[tid]
     if state[0] != "run":
         raise UsageError(f"thread {tid} is not running ({state[0]})")
-    e = state[1]
-    if is_value(e):
-        threads = list(cfg.threads)
-        threads[tid] = ("done", e)
-        return StepOutcome("done", replace(cfg, threads=tuple(threads)), value=e)
-
-    machine = _Stepper(cfg)
-    try:
-        out = machine.step(e)
-    except _Stuck as exc:
-        threads = list(cfg.threads)
-        threads[tid] = ("stuck", exc.reason)
-        return StepOutcome(
-            "stuck", replace(cfg, threads=tuple(threads)), reason=exc.reason
-        )
-
-    threads = list(cfg.threads)
-    threads[tid] = ("done", out) if is_value(out) else ("run", out)
-    for f in machine.forks:
-        threads.append(("done", f) if is_value(f) else ("run", f))
-    new_cfg = MachineConfig(
-        tuple(sorted((l, v, rw) for l, (v, rw) in machine.heap.items())),
-        tuple(threads),
-        machine.cursor,
-        tuple(sorted(machine.freed)),
-    )
-    return StepOutcome(
-        "next", new_cfg, fired=tuple(machine.fired), event=machine.event
-    )
+    key = (state[1], cfg.heap, cfg.cursor, cfg.freed)
+    out = None if memo is None else memo.get(key)
+    if out is None:
+        out = thread_step(*key)
+        if memo is not None:
+            memo[key] = out
+    threads = cfg.threads[:tid] + (out.thread,) + cfg.threads[tid + 1 :] + out.spawned
+    config = MachineConfig(out.heap, threads, out.cursor, out.freed)
+    if out.kind == "next":
+        return StepOutcome("next", config, fired=out.fired, event=out.event)
+    if out.kind == "stuck":
+        return StepOutcome("stuck", config, reason=out.thread[1])
+    return StepOutcome("done", config, value=out.thread[1])
 
 
 def enabled_threads(cfg: MachineConfig) -> list[int]:
@@ -623,6 +661,10 @@ _FIXED_ARITY = {
     "bool": 1,
     "int": 1,
     "unit": 0,
+    "sym": 1,
+    "frac": 2,
+    "tuple": 1,
+    "con": 2,
 }
 
 
@@ -659,6 +701,12 @@ def ast_from_json(doc):
         raise UsageError(f"bad program node: {doc!r}")
     tag = doc[0]
     body = doc[1:]
+    if tag not in _FIXED_ARITY:
+        raise UsageError(f"unknown program tag {tag!r}")
+    if len(body) != _FIXED_ARITY[tag]:
+        raise UsageError(f"bad arity for {tag}: {doc!r}")
+    if tag in ("tuple", "con") and not isinstance(body[-1], list):
+        raise UsageError(f"bad program node: {doc!r}")
     if tag == "tuple":
         return ("tuple", tuple(ast_from_json(x) for x in body[0]))
     if tag == "con":
@@ -692,8 +740,4 @@ def ast_from_json(doc):
         return (tag, body[0]) + tuple(ast_from_json(x) for x in body[1:])
     if tag == "proj":
         return ("proj", body[0], ast_from_json(body[1]))
-    if tag in _FIXED_ARITY:
-        if len(body) != _FIXED_ARITY[tag]:
-            raise UsageError(f"bad arity for {tag}: {doc!r}")
-        return (tag,) + tuple(ast_from_json(x) for x in body)
-    raise UsageError(f"unknown program tag {tag!r}")
+    return (tag,) + tuple(ast_from_json(x) for x in body)

@@ -299,7 +299,7 @@ def _rw_shared_read(ctx, entry):
 # Lock properties
 
 
-@register_property("rw-mutual-exclusion")
+@register_property("rw-mutual-exclusion", reads_threads=False)
 def _prop_rw_mutex(scenario, state, prop):
     iid = prop.param("instance")
     fragments = state.ledger.instance(iid).fragments
@@ -307,7 +307,7 @@ def _prop_rw_mutex(scenario, state, prop):
     return len(holders) <= 1, f"{iid}: exclusive holders {holders}"
 
 
-@register_property("rw-reader-agreement")
+@register_property("rw-reader-agreement", reads_threads=False)
 def _prop_rw_agree(scenario, state, prop):
     iid = prop.param("instance")
     values = set()
@@ -318,7 +318,7 @@ def _prop_rw_agree(scenario, state, prop):
     return len(values) <= 1, f"{iid}: readers disagree: {[pretty(v) for v in values]}"
 
 
-@register_property("rw-fields-match-heap")
+@register_property("rw-fields-match-heap", reads_threads=False)
 def _prop_rw_fields(scenario, state, prop):
     iid = prop.param("instance")
     named = scenario.named[iid]
@@ -340,7 +340,7 @@ def _prop_rw_fields(scenario, state, prop):
     return True, ""
 
 
-@register_property("rw-stored-matches-cell")
+@register_property("rw-stored-matches-cell", reads_threads=False)
 def _prop_rw_stored(scenario, state, prop):
     iid = prop.param("instance")
     inst = state.ledger.instance(iid)
@@ -682,14 +682,14 @@ def _ht_query_check(ctx, entry):
     return []
 
 
-@register_property("ht-valid")
+@register_property("ht-valid", reads_threads=False)
 def _prop_ht_valid(scenario, state, prop):
     sp = scenario.protocols["ht"]
     total = _ht_total(scenario, state.ledger)
     return sp.complete(total), "joint table state violates the table invariants"
 
 
-@register_property("ht-slots-match-heap")
+@register_property("ht-slots-match-heap", reads_threads=False)
 def _prop_ht_slots(scenario, state, prop):
     _, elems = scenario.named["ht"]
     total = _ht_total(scenario, state.ledger)

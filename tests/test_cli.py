@@ -301,6 +301,14 @@ MALFORMED_SCENARIO = {
                                 "meta.thread_ops[0][0][1]: bad term document: 'x'"),
     "scenario-unknown-param": (["protocols", 0, "params", "sp_mx"], 3,
                                "protocols[0].params.sp_mx: unknown parameter"),
+    "scenario-raw-list-arg": (
+        ["script", 0, "args", "x"], ["int", 1],
+        'script[0].args.x: write a list as {"list": [...]} and a term as {"term": T}',
+    ),
+    "scenario-unknown-field": (["expectaton"], "stuck-reachable", "expectaton: unknown field"),
+    "scenario-thread-node": (["threads", 0], [["bogus"]], "threads[0]: bad program node"),
+    "scenario-max-steps": (["max_steps_per_thread"], "x",
+                           "max_steps_per_thread: must be a non-negative integer, got 'x'"),
 }
 
 
@@ -327,13 +335,15 @@ MALFORMED_SCENARIO = {
          "input error: stored_of.table[0][1]: 3 is not in the carrier of trivial"),
         (dict(RWLOCK, params=dict(RWLOCK["params"], sp_mx=3)), [],
          "input error: params.sp_mx: unknown parameter"),
+        (_trivial_protocol({"table": []}, {"table": []}) | {"protocol": {"kind": "nat", "limt": 2}},
+         [], "input error: protocol.limt: unknown field"),
     ]]
     + [("explore", edited_scenario(path, value), [], f"input error: {message}")
        for path, value, message in MALFORMED_SCENARIO.values()],
     ids=["table-missing-row", "table-unlisted-result", "params-not-object",
          "bound-params-not-object", "bound-protocol-not-object",
          "complete-not-a-term", "stored-of-row-not-a-pair", "complete-not-object",
-         "stored-value-not-in-storage", "unknown-param"]
+         "stored-value-not-in-storage", "unknown-param", "monoid-unknown-field"]
     + list(MALFORMED_SCENARIO),
 )
 def test_malformed_protocol_exit_2_without_traceback(tmp_path, command, doc, args, message):

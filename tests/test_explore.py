@@ -299,24 +299,33 @@ def test_prop_memoization_preserves_outcomes(programs):
 
 
 # ---------------------------------------------------------------------------
-# The ledger memo: joint states and instance invariants computed once per
-# distinct input, differentially tested against the unmemoized fold, and
-# schedules built only when reported, checked by replaying them.
+# The ledger memo and the transition memo: joint states, instance
+# invariants, thread steps, ghost admissions and safety verdicts computed
+# once per distinct input, differentially tested against the unmemoized
+# code, and schedules built only when reported, checked by replaying them.
 
 import hashlib
 import importlib
 import json
+from dataclasses import replace
 from functools import reduce
 
 from guardcheck.demos import demo_path
-from guardcheck.explore import transition
+from guardcheck.explore import RESOLVERS, ExplState, ResolveCtx, transition
 from guardcheck.formats import dumps, result_to_json, scenario_from_json
-from guardcheck.ghost import GuardWindow, InstanceState
+from guardcheck.ghost import (
+    GhostViolation, GuardWindow, InstanceState, apply_action, close_windows,
+)
+from guardcheck.lang import (
+    MachineConfig, StepOutcome, UsageError, _Stepper, _Stuck, ast_to_json, free, is_value,
+    let, ref, var,
+)
 from guardcheck.monoid import leq
 from guardcheck.protocol import valid_fragment
 from guardcheck.terms import BOT
 
 explore_mod = importlib.import_module("guardcheck.explore")
+lang_mod = importlib.import_module("guardcheck.lang")
 
 
 def ref_joint_state(sp, fragments):
@@ -340,12 +349,107 @@ def ref_prop_ghost_invariant(scenario, state, prop):
     return True, ""
 
 
+def ref_step(cfg, tid, memo=None):
+    """lang.step before it was split into the pure thread step and the
+    thread pool around it; ``memo`` is ignored, and the stepper is built
+    from the heap, cursor and freed log that it used to read from ``cfg``."""
+    if not 0 <= tid < len(cfg.threads):
+        raise UsageError(f"thread {tid} out of range")
+    state = cfg.threads[tid]
+    if state[0] != "run":
+        raise UsageError(f"thread {tid} is not running ({state[0]})")
+    e = state[1]
+    if is_value(e):
+        threads = list(cfg.threads)
+        threads[tid] = ("done", e)
+        return StepOutcome("done", replace(cfg, threads=tuple(threads)), value=e)
+
+    machine = _Stepper(cfg.heap, cfg.cursor, cfg.freed)
+    try:
+        out = machine.step(e)
+    except _Stuck as exc:
+        threads = list(cfg.threads)
+        threads[tid] = ("stuck", exc.reason)
+        return StepOutcome(
+            "stuck", replace(cfg, threads=tuple(threads)), reason=exc.reason
+        )
+
+    threads = list(cfg.threads)
+    threads[tid] = ("done", out) if is_value(out) else ("run", out)
+    for f in machine.forks:
+        threads.append(("done", f) if is_value(f) else ("run", f))
+    new_cfg = MachineConfig(
+        tuple(sorted((l, v, rw) for l, (v, rw) in machine.heap.items())),
+        tuple(threads),
+        machine.cursor,
+        tuple(sorted(machine.freed)),
+    )
+    return StepOutcome(
+        "next", new_cfg, fired=tuple(machine.fired), event=machine.event
+    )
+
+
+def ref_transition(scenario, state, tid, mode, memo=None):
+    """explore.transition without its memo (``memo`` is ignored): every
+    part runs on every transition."""
+    out = ref_step(state.machine, tid)
+    if out.kind == "done":
+        return "next", ExplState(out.config, state.ledger), [], (), ""
+    if out.kind == "stuck":
+        return "stuck", ExplState(out.config, state.ledger), [], (), out.reason
+
+    ledger = state.ledger
+    violations: list[tuple[str, str, str]] = []
+    crossed = tuple(lbl for lbl, _ in out.fired)
+    for lbl, result in out.fired:
+        for entry in scenario.script.get(lbl, ()):
+            if not entry.matches(result):
+                continue
+            fn = RESOLVERS.get(entry.resolver)
+            if fn is None:
+                violations.append(("ghost", lbl, f"unknown resolver {entry.resolver!r}"))
+                continue
+            ctx = ResolveCtx(scenario, ledger, out.config, tid, lbl, result, out.event)
+            try:
+                resolved = fn(ctx, entry)
+            except ReplayError as exc:
+                violations.append(("replay", lbl, str(exc)))
+                continue
+            if isinstance(resolved, GhostViolation):
+                violations.append(("ghost", lbl, resolved.describe()))
+                continue
+            for action in resolved:
+                applied = apply_action(scenario.protocols, ledger, action, mode)
+                if not applied.ok:
+                    violations.append(("ghost", lbl, applied.violation.describe()))
+                    break
+                ledger = applied.ledger
+
+    mid = ExplState(out.config, ledger)
+    for prop in scenario.properties:
+        ok, reason = check_property(scenario, mid, prop)
+        if not ok:
+            violations.append(("property", prop.name, reason))
+
+    closed = close_windows(scenario.protocols, ledger)
+    if not closed.ok:
+        violations.append(("ghost", "close-window", closed.violation.describe()))
+    else:
+        ledger = closed.ledger
+
+    return "next", ExplState(out.config, ledger), violations, crossed, ""
+
+
 def use_reference(m):
-    """Route every joint-state fold and the ghost invariant through the
-    unmemoized reference, within the monkeypatch context ``m``."""
+    """Route every transition, thread step, joint-state fold and the ghost
+    invariant through the unmemoized reference, within the monkeypatch
+    context ``m``."""
     for name in ("ghost", "explore", "studies"):
         m.setattr(importlib.import_module(f"guardcheck.{name}"), "joint_state", ref_joint_state)
     m.setitem(explore_mod.PROPERTY_EVALUATORS, "ghost-invariant", ref_prop_ghost_invariant)
+    m.setattr(explore_mod, "transition", ref_transition)
+    m.setattr(explore_mod, "step", ref_step)
+    m.setattr(lang_mod, "step", ref_step)
 
 
 def shipped_doc(name):
@@ -361,12 +465,73 @@ def unbound_cell_doc():
     return doc
 
 
+def finished_first_doc():
+    """rwlock-exc with a third thread that finishes in one step, and a
+    safety property that it has finished: a property that reads thread
+    state, so no two states share a verdict for sharing a ledger and heap."""
+    doc = shipped_doc("rwlock-exc")
+    doc["threads"].append(["add", ["int", 0], ["int", 1]])
+    doc["properties"].append({
+        "name": "t2-finished", "kind": "thread-result-in",
+        "params": {"tid": 2, "values": {"list": [{"term": ["int", 1]}]}},
+    })
+    return doc
+
+
+def cell_bound_doc():
+    """rwlock-exc with a safety property on the protected cell that the
+    second increment breaks: a verdict that the heap decides."""
+    doc = shipped_doc("rwlock-exc")
+    doc["properties"].append({
+        "name": "cell-below-2", "kind": "heap-cell",
+        "params": {"cell": "cell", "op": "in",
+                   "values": {"list": [{"term": ["int", 0]}, {"term": ["int", 1]}]}},
+    })
+    return doc
+
+
+def guard_at_begin_doc():
+    """rwlock-exc where each writer also opens a guard window on the
+    stored 0 as it begins. Rule mode rejects it (a completion of the
+    pending writer may store another value); concrete mode admits it
+    while the lock stores 0, so the two modes' reports differ."""
+    doc = shipped_doc("rwlock-exc")
+    for t in (0, 1):
+        doc["script"].append({
+            "label": f"t{t}.exc_begin", "resolver": "ghost.open-guard",
+            "when": ["bool", True],
+            "args": {"instance": "lock", "owner": "self",
+                     "element": {"term": ["con", "ex", [["int", 0]]]}},
+        })
+    return doc
+
+
+def alloc_free_doc():
+    """Two threads that allocate, one of which frees its cell, and a
+    third that loads location 0: the same expression meets the same heap
+    under different cursors and freed logs."""
+    threads = (
+        let("x", ref(tint(1)), free(var("x"))),
+        ref(tint(2)),
+        load("sc", loc(0)),
+    )
+    return {
+        "name": "alloc-free", "cells": [], "protocols": [],
+        "threads": [ast_to_json(t) for t in threads],
+        "expectation": "stuck-reachable",
+    }
+
+
 SCENARIO_DOCS = {
     name: (lambda name=name: shipped_doc(name))
     for name in ("rwlock-exc", "rwlock-shared", "rwlock-multi", "hashtable-collide",
                  "race-negative")
 }
 SCENARIO_DOCS["unbound-cell"] = unbound_cell_doc
+SCENARIO_DOCS["finished-first"] = finished_first_doc
+SCENARIO_DOCS["cell-bound"] = cell_bound_doc
+SCENARIO_DOCS["guard-at-begin"] = guard_at_begin_doc
+SCENARIO_DOCS["alloc-free"] = alloc_free_doc
 
 
 def report(result):
@@ -379,6 +544,10 @@ def assert_schedules_reproduce(sc, result, mode):
         last = replay(sc, sched, mode)[-1]
         assert (last.kind, last.stuck_reason) == ("stuck", reason)
     for v in result.violations:  # each raised by the schedule's last step
+        if not v.schedule:  # or by the initial state's safety check
+            prop = next(p for p in sc.properties if p.name == v.name)
+            assert check_property(sc, initial_state(sc), prop) == (False, v.detail)
+            continue
         before_last = replay(sc, v.schedule[:-1], mode)[-1].state
         found = transition(sc, before_last, v.schedule[-1], mode)[2]
         assert (v.kind, v.name, v.detail) in found
@@ -387,6 +556,22 @@ def assert_schedules_reproduce(sc, result, mode):
 # sha256 of each scenario's report, pinned so that a refactor which
 # changes a single report byte fails here
 REPORT_SHA256 = {
+    ("alloc-free", "rule"):
+        "bcdee6b51c232490fa6cadc3c756bb261fb959bc49b4db5e98fc2441224b718b",
+    ("alloc-free", "concrete"):
+        "0e809a806c26e7fcf523281f2b5818cc587636112093e4b1265330f86356a020",
+    ("cell-bound", "rule"):
+        "40c0067d5c6e19724e379a2ff814b2e218bc59aab303d0887f3b983b934c3336",
+    ("cell-bound", "concrete"):
+        "fbb265449c5d542351b4525777d06cbc9cb09981eb99a59713ba586ae6e6b342",
+    ("finished-first", "rule"):
+        "652bbb31c5f70d41134309963c32795e61539b64018e6ed2ef449255d0a1a6bb",
+    ("finished-first", "concrete"):
+        "8e9f42c5449dbdc96c967bb6f5cc80f56580a3d08107dd36fb2402399b18bf1c",
+    ("guard-at-begin", "rule"):
+        "a5e057496fd6463894c05760cb1b158f1bbdede5697268c4cd324a8b9f662c6e",
+    ("guard-at-begin", "concrete"):
+        "c0ed4a229ab63625c7449f981953ba1efabc999b462321c6b0b9aac50e7101d8",
     ("hashtable-collide", "rule"):
         "7575c4d8a7c6f18c839f6438ca193b796275674ce9d8cfd133af484b3e1c2754",
     ("hashtable-collide", "concrete"):
@@ -433,6 +618,19 @@ def test_ledger_memo_matches_unmemoized_reference(name, monkeypatch):
         assert_schedules_reproduce(sc, result, mode)
     if name == "unbound-cell":
         assert all(any(v.kind == "replay" for v in r.violations) for r in cold)
+
+
+def test_transition_memo_without_state_dedup(monkeypatch):
+    # the transition memo under the memo-off DFS, which revisits states
+    # along other paths; bounded, as rwlock-exc has over 200,000 paths
+    doc = dict(shipped_doc("rwlock-exc"), max_states=10_000)
+    modes = ("rule", "concrete")
+    with monkeypatch.context() as m:
+        use_reference(m)
+        reference = [report(explore(scenario_from_json(doc), mode, memo=False)) for mode in modes]
+    sc = scenario_from_json(doc)
+    assert [report(explore(sc, mode, memo=False)) for mode in modes] == reference
+    assert all(json.loads(text)["bound_exceeded"] for text in reference)
 
 
 @pytest.mark.parametrize(
