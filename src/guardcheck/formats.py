@@ -524,9 +524,18 @@ _SCENARIO_FIELDS = (
 
 def _program(doc, path: str):
     try:
-        return ast_from_json(doc)
+        return ast_from_json(doc, path)
     except UsageError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        raise FormatError(str(exc)) from exc
+
+
+def _unique(what: str, names) -> None:
+    """Reject a repeated name; ``names`` are (JSON path, name) pairs."""
+    seen = []
+    for path, name in names:
+        if name in seen:
+            raise FormatError(f"{path}: duplicate {what} name {name!r}")
+        seen.append(name)
 
 
 def _count(doc: dict, key: str, default: int) -> int:
@@ -565,19 +574,31 @@ def scenario_from_json(doc: dict) -> Scenario:
             for i, p in enumerate(doc.get(key, []))
         )
 
+    cells = tuple(
+        (n, _term(v, f"cells[{i}][1]")) for i, (n, v) in enumerate(_need(doc, "cells"))
+    )
+    _unique("cell", ((f"cells[{i}][0]", n) for i, (n, _) in enumerate(cells)))
+    properties = property_specs("properties")
+    terminal_properties = property_specs("terminal_properties")
+    _unique("property", (
+        (f"{key}[{i}].name", p.name)
+        for key, specs in (("properties", properties), ("terminal_properties", terminal_properties))
+        for i, p in enumerate(specs)
+    ))
+    expectation = doc.get("expectation", "no-stuck")
+    if expectation not in ("no-stuck", "stuck-reachable"):
+        raise FormatError(f"expectation: must be no-stuck or stuck-reachable, got {expectation!r}")
     meta = doc.get("meta", {})
     return Scenario(
         name=_need(doc, "name"),
-        cells=tuple(
-            (n, _term(v, f"cells[{i}][1]")) for i, (n, v) in enumerate(_need(doc, "cells"))
-        ),
+        cells=cells,
         programs=tuple(_program(t, f"threads[{i}]") for i, t in enumerate(_need(doc, "threads"))),
         protocols=protocols,
         initial_fragments=initial_fragments,
         script=script,
-        properties=property_specs("properties"),
-        terminal_properties=property_specs("terminal_properties"),
-        expectation=doc.get("expectation", "no-stuck"),
+        properties=properties,
+        terminal_properties=terminal_properties,
+        expectation=expectation,
         max_states=_count(doc, "max_states", 200_000),
         max_steps_per_thread=_count(doc, "max_steps_per_thread", 64),
         named=named,

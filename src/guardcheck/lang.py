@@ -19,7 +19,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .terms import UNIT, Term, con_args, tbool, tcon, tint
+from .terms import (
+    UNIT, EncodingError, Term, con_args, tbool, tcon, term_from_json, term_to_json, tint,
+)
 
 __all__ = [
     "MachineConfig",
@@ -39,7 +41,6 @@ __all__ = [
     "loc",
     "loc_index",
     "var",
-    "lam",
     "rec",
     "app",
     "let",
@@ -67,8 +68,44 @@ __all__ = [
 
 INT_BOUND = 1 << 63
 
-_SCALAR_VALUE_TAGS = frozenset(["bool", "int", "unit", "sym", "frac", "rec"])
 _ORDERINGS = frozenset(["sc", "na", "na2"])
+
+# The kinds of field an expression form has after its tag. _FORMS gives
+# them for each form; it drives the JSON codec, substitution outside the
+# binders, and the order in which a form's subexpressions step.
+_EXPR = "expr"  # a subexpression, evaluated left to right before the form reduces
+_BODY = "body"  # a subexpression the form does not evaluate: a body or a branch
+_EXPRS = "exprs"  # a list of subexpressions, evaluated left to right
+_NAME = "name"
+_INDEX = "index"  # a projection index
+_ORDER = "order"  # a memory ordering
+
+_FORMS = {
+    "var": (_NAME,),
+    "rec": (_NAME, _NAME, _BODY),
+    "app": (_EXPR, _EXPR),
+    "let": (_NAME, _EXPR, _BODY),
+    "seq": (_EXPR, _BODY),
+    "proj": (_INDEX, _EXPR),
+    "match": (_EXPR, _NAME, _BODY, _NAME, _BODY),
+    "if": (_EXPR, _BODY, _BODY),
+    "fork": (_BODY,),
+    "add": (_EXPR, _EXPR),
+    "eq": (_EXPR, _EXPR),
+    "abort": (),
+    "ref": (_EXPR,),
+    "free": (_EXPR,),
+    "load": (_ORDER, _EXPR),
+    "store": (_ORDER, _EXPR, _EXPR),
+    "cas": (_EXPR, _EXPR, _EXPR),
+    "faa": (_EXPR, _EXPR),
+    "label": (_NAME, _EXPR),
+    "tuple": (_EXPRS,),
+    "con": (_NAME, _EXPRS),
+}
+
+# Scalar leaves: values in the term encoding, decoded by the term codec.
+_SCALARS = frozenset(["bool", "int", "unit", "sym", "frac"])
 
 
 class UsageError(ValueError):
@@ -83,13 +120,9 @@ class _Stuck(Exception):
 
 def is_value(e) -> bool:
     tag = e[0]
-    if tag in _SCALAR_VALUE_TAGS:
-        return True
-    if tag == "tuple":
-        return all(is_value(x) for x in e[1])
-    if tag == "con":
-        return all(is_value(x) for x in e[2])
-    return False
+    if tag in ("tuple", "con"):
+        return all(is_value(x) for x in e[-1])
+    return tag in _SCALARS or tag == "rec"
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +146,6 @@ def var(x: str):
 
 def rec(f: str, x: str, body):
     return ("rec", f, x, body)
-
-
-def lam(x: str, body):
-    return ("rec", "_self", x, body)
 
 
 def app(f, a):
@@ -229,15 +258,8 @@ def index_chain(i_expr, options: list, fallback):
 # ---------------------------------------------------------------------------
 # Substitution
 
-_BINDERLESS = frozenset(
-    ["bool", "int", "unit", "sym", "frac", "abort"]
-)
-
-
 def subst(e, x: str, v):
     tag = e[0]
-    if tag in _BINDERLESS:
-        return e
     if tag == "var":
         return v if e[1] == x else e
     if tag == "rec":
@@ -252,20 +274,15 @@ def subst(e, x: str, v):
         el = e[3] if e[2] == x else subst(e[3], x, v)
         er = e[5] if e[4] == x else subst(e[5], x, v)
         return ("match", scrut, e[2], el, e[4], er)
-    if tag == "tuple":
-        return ("tuple", tuple(subst(p, x, v) for p in e[1]))
-    if tag == "con":
-        return ("con", e[1], tuple(subst(p, x, v) for p in e[2]))
-    if tag == "label":
-        return ("label", e[1], subst(e[2], x, v))
-    if tag == "load":
-        return ("load", e[1], subst(e[2], x, v))
-    if tag == "store":
-        return ("store", e[1], subst(e[2], x, v), subst(e[3], x, v))
-    if tag == "proj":
-        return ("proj", e[1], subst(e[2], x, v))
-    # remaining forms: uniform positional children
-    return (tag,) + tuple(subst(p, x, v) for p in e[1:])
+    kinds = _FORMS.get(tag)
+    if kinds is None:  # a scalar leaf
+        return e
+    return (tag,) + tuple(
+        tuple(subst(p, x, v) for p in f) if kind is _EXPRS
+        else subst(f, x, v) if kind in (_EXPR, _BODY)
+        else f
+        for kind, f in zip(kinds, e[1:])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,61 +389,32 @@ class _Stepper:
 
     def step(self, e):
         tag = e[0]
+        out = self._step_field(e)
+        if out is not None and not (tag == "label" and is_value(out[2])):
+            return out
+        if tag == "label":  # fires in the step that makes its body a value
+            inner = (out or e)[2]
+            self.fired.append((e[1], inner))
+            return inner
         if tag == "var":
             raise _Stuck("unbound-var")
         if tag == "abort":
             raise _Stuck("abort")
-        if tag == "label":
-            inner = e[2]
-            if is_value(inner):
-                self.fired.append((e[1], inner))
-                return inner
-            out = self.step(inner)
-            if is_value(out):
-                self.fired.append((e[1], out))
-                return out
-            return ("label", e[1], out)
         if tag == "app":
             f, a = e[1], e[2]
-            if not is_value(f):
-                return ("app", self.step(f), a)
-            if not is_value(a):
-                return ("app", f, self.step(a))
             if f[0] != "rec":
                 raise _Stuck("type-app")
             return subst(subst(f[3], f[1], f), f[2], a)
         if tag == "let":
-            if not is_value(e[2]):
-                return ("let", e[1], self.step(e[2]), e[3])
             return subst(e[3], e[1], e[2])
         if tag == "seq":
-            if not is_value(e[1]):
-                return ("seq", self.step(e[1]), e[2])
             return e[2]
-        if tag == "tuple":
-            parts = list(e[1])
-            for i, p in enumerate(parts):
-                if not is_value(p):
-                    parts[i] = self.step(p)
-                    return ("tuple", tuple(parts))
-            raise AssertionError("tuple of values is a value")
-        if tag == "con":
-            parts = list(e[2])
-            for i, p in enumerate(parts):
-                if not is_value(p):
-                    parts[i] = self.step(p)
-                    return ("con", e[1], tuple(parts))
-            raise AssertionError("saturated constructor is a value")
         if tag == "proj":
-            if not is_value(e[2]):
-                return ("proj", e[1], self.step(e[2]))
             v = e[2]
             if v[0] != "tuple" or len(v[1]) != 2 or e[1] not in (1, 2):
                 raise _Stuck("type-proj")
             return v[1][e[1] - 1]
         if tag == "match":
-            if not is_value(e[1]):
-                return ("match", self.step(e[1]), e[2], e[3], e[4], e[5])
             got = con_args(e[1], "inl")
             if got is not None and len(got) == 1:
                 return subst(e[3], e[2], got[0])
@@ -435,8 +423,6 @@ class _Stepper:
                 return subst(e[5], e[4], got[0])
             raise _Stuck("type-match")
         if tag == "if":
-            if not is_value(e[1]):
-                return ("if", self.step(e[1]), e[2], e[3])
             if e[1][0] != "bool":
                 raise _Stuck("type-if")
             return e[2] if e[1][1] else e[3]
@@ -445,10 +431,6 @@ class _Stepper:
             self._note(op="fork")
             return UNIT
         if tag == "add":
-            if not is_value(e[1]):
-                return ("add", self.step(e[1]), e[2])
-            if not is_value(e[2]):
-                return ("add", e[1], self.step(e[2]))
             if e[1][0] != "int" or e[2][0] != "int":
                 raise _Stuck("type-add")
             n = e[1][1] + e[2][1]
@@ -456,22 +438,14 @@ class _Stepper:
                 raise _Stuck("overflow")
             return tint(n)
         if tag == "eq":
-            if not is_value(e[1]):
-                return ("eq", self.step(e[1]), e[2])
-            if not is_value(e[2]):
-                return ("eq", e[1], self.step(e[2]))
             return tbool(e[1] == e[2])
         if tag == "ref":
-            if not is_value(e[1]):
-                return ("ref", self.step(e[1]))
             l = self.cursor
             self.cursor += 1
             self._put(l, e[1], ("r", 0))
             self._note(op="ref", loc=l, written=e[1])
             return loc(l)
         if tag == "free":
-            if not is_value(e[1]):
-                return ("free", self.step(e[1]))
             l = loc_index(e[1])
             if l not in self.heap:
                 raise _Stuck("use-after-free" if l in self.freed else "free-absent")
@@ -487,11 +461,6 @@ class _Stepper:
         if tag == "store":
             return self._store(e)
         if tag == "cas":
-            for i in (1, 2, 3):
-                if not is_value(e[i]):
-                    parts = list(e)
-                    parts[i] = self.step(e[i])
-                    return tuple(parts)
             l = loc_index(e[1])
             v, rw = self._cell(l)
             if rw != ("r", 0):
@@ -504,11 +473,6 @@ class _Stepper:
             self._note(op="cas", loc=l, value=out, written=e[3] if out[1] else None)
             return out
         if tag == "faa":
-            for i in (1, 2):
-                if not is_value(e[i]):
-                    parts = list(e)
-                    parts[i] = self.step(e[i])
-                    return tuple(parts)
             l = loc_index(e[1])
             v, rw = self._cell(l)
             if rw != ("r", 0):
@@ -523,10 +487,21 @@ class _Stepper:
             return v
         raise _Stuck(f"bad-expression:{tag}")
 
+    def _step_field(self, e):
+        """``e`` with its leftmost evaluated field that is not a value
+        stepped, or None when every evaluated field is a value."""
+        for i, kind in enumerate(_FORMS.get(e[0], ()), 1):
+            if kind is _EXPR and not is_value(e[i]):
+                return e[:i] + (self.step(e[i]),) + e[i + 1 :]
+            if kind is _EXPRS:
+                for j, p in enumerate(e[i]):
+                    if not is_value(p):
+                        parts = e[i][:j] + (self.step(p),) + e[i][j + 1 :]
+                        return e[:i] + (parts,) + e[i + 1 :]
+        return None
+
     def _load(self, e):
         ordering = e[1]
-        if not is_value(e[2]):
-            return ("load", ordering, self.step(e[2]))
         l = loc_index(e[2])
         v, rw = self._cell(l)
         if ordering == "sc":
@@ -547,10 +522,6 @@ class _Stepper:
 
     def _store(self, e):
         ordering = e[1]
-        if not is_value(e[2]):
-            return ("store", ordering, self.step(e[2]), e[3])
-        if not is_value(e[3]):
-            return ("store", ordering, e[2], self.step(e[3]))
         l = loc_index(e[2])
         v, rw = self._cell(l)
         if ordering == "sc":
@@ -638,106 +609,56 @@ def canonical_hash(cfg: MachineConfig) -> str:
 # ---------------------------------------------------------------------------
 # JSON AST
 
-_FIXED_ARITY = {
-    "var": 1,
-    "rec": 3,
-    "app": 2,
-    "let": 3,
-    "seq": 2,
-    "proj": 2,
-    "match": 5,
-    "if": 3,
-    "fork": 1,
-    "add": 2,
-    "eq": 2,
-    "abort": 0,
-    "ref": 1,
-    "free": 1,
-    "load": 2,
-    "store": 3,
-    "cas": 3,
-    "faa": 2,
-    "label": 2,
-    "bool": 1,
-    "int": 1,
-    "unit": 0,
-    "sym": 1,
-    "frac": 2,
-    "tuple": 1,
-    "con": 2,
+def ast_to_json(e):
+    kinds = _FORMS.get(e[0])
+    if kinds is None:  # a scalar leaf
+        return term_to_json(e)
+    return [e[0]] + [
+        [ast_to_json(p) for p in f] if kind is _EXPRS
+        else ast_to_json(f) if kind in (_EXPR, _BODY)
+        else f
+        for kind, f in zip(kinds, e[1:])
+    ]
+
+
+# field kind -> (whether a JSON value is a well-formed field, the error's wording)
+_LEAF_FIELDS = {
+    _NAME: (lambda x: isinstance(x, str) and x != "", "bad name"),
+    _INDEX: (lambda x: type(x) is int, "bad projection index"),
+    _ORDER: (lambda x: x in ("sc", "na"), "ordering must be sc or na, got"),
 }
 
 
-def ast_to_json(e):
-    tag = e[0]
-    if tag == "tuple":
-        return ["tuple", [ast_to_json(x) for x in e[1]]]
-    if tag == "con":
-        return ["con", e[1], [ast_to_json(x) for x in e[2]]]
-    if tag in ("var", "bool", "int", "sym"):
-        return [tag, e[1]]
-    if tag == "frac":
-        return [tag, e[1], e[2]]
-    if tag in ("load", "store", "label", "proj"):
-        return [tag, e[1]] + [ast_to_json(x) for x in e[2:]]
-    if tag == "rec":
-        return ["rec", e[1], e[2], ast_to_json(e[3])]
-    if tag == "let":
-        return ["let", e[1], ast_to_json(e[2]), ast_to_json(e[3])]
-    if tag == "match":
-        return [
-            "match",
-            ast_to_json(e[1]),
-            e[2],
-            ast_to_json(e[3]),
-            e[4],
-            ast_to_json(e[5]),
-        ]
-    return [tag] + [ast_to_json(x) for x in e[1:]]
-
-
-def ast_from_json(doc):
+def ast_from_json(doc, path: str = "program"):
+    """The expression that ``doc`` encodes. ``path`` locates ``doc`` in its
+    file: a malformed node raises :class:`UsageError` naming its path."""
     if not isinstance(doc, list) or not doc or not isinstance(doc[0], str):
-        raise UsageError(f"bad program node: {doc!r}")
+        raise UsageError(f"{path}: bad program node: {doc!r}")
     tag = doc[0]
-    body = doc[1:]
-    if tag not in _FIXED_ARITY:
-        raise UsageError(f"unknown program tag {tag!r}")
-    if len(body) != _FIXED_ARITY[tag]:
-        raise UsageError(f"bad arity for {tag}: {doc!r}")
-    if tag in ("tuple", "con") and not isinstance(body[-1], list):
-        raise UsageError(f"bad program node: {doc!r}")
-    if tag == "tuple":
-        return ("tuple", tuple(ast_from_json(x) for x in body[0]))
-    if tag == "con":
-        return ("con", body[0], tuple(ast_from_json(x) for x in body[1]))
-    if tag == "unit":
-        return UNIT
-    if tag in ("var", "bool", "int", "sym"):
-        return (tag, body[0])
-    if tag == "frac":
-        return (tag, body[0], body[1])
-    if tag == "rec":
-        return ("rec", body[0], body[1], ast_from_json(body[2]))
-    if tag == "let":
-        return ("let", body[0], ast_from_json(body[1]), ast_from_json(body[2]))
-    if tag == "match":
-        return (
-            "match",
-            ast_from_json(body[0]),
-            body[1],
-            ast_from_json(body[2]),
-            body[3],
-            ast_from_json(body[4]),
-        )
-    if tag in ("load", "store"):
-        if body[0] not in ("sc", "na"):
-            raise UsageError(
-                f"{tag} ordering must be sc or na in source programs, got {body[0]!r}"
-            )
-        return (tag, body[0]) + tuple(ast_from_json(x) for x in body[1:])
-    if tag == "label":
-        return (tag, body[0]) + tuple(ast_from_json(x) for x in body[1:])
-    if tag == "proj":
-        return ("proj", body[0], ast_from_json(body[1]))
-    return (tag,) + tuple(ast_from_json(x) for x in body)
+    if tag in _SCALARS:
+        try:
+            return term_from_json(doc)
+        except EncodingError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
+    kinds = _FORMS.get(tag)
+    if kinds is None:
+        raise UsageError(f"{path}: unknown program tag {tag!r}")
+    if len(doc) != len(kinds) + 1:
+        raise UsageError(f"{path}: bad arity for {tag}: {doc!r}")
+    return (tag,) + tuple(
+        _field_from_json(kind, f, f"{path}[{i}]")
+        for i, (kind, f) in enumerate(zip(kinds, doc[1:]), 1)
+    )
+
+
+def _field_from_json(kind: str, doc, path: str):
+    if kind is _EXPRS:
+        if not isinstance(doc, list):
+            raise UsageError(f"{path}: bad expression list {doc!r}")
+        return tuple(ast_from_json(x, f"{path}[{j}]") for j, x in enumerate(doc))
+    if kind in (_EXPR, _BODY):
+        return ast_from_json(doc, path)
+    ok, wording = _LEAF_FIELDS[kind]
+    if not ok(doc):
+        raise UsageError(f"{path}: {wording} {doc!r}")
+    return doc

@@ -226,16 +226,13 @@ def check_wellformed(sp: StorageProtocolSpec, **law_limits) -> WellformedReport:
     storage_laws = check_pcm_laws(sp.storage, **law_limits)
     extra = []
 
-    witness = None
-    n = 0
-    for p in carrier(sp.protocol):
-        n += 1
-        if not sp.protocol.valid_fn(p):
-            witness = (p,)
-            break
-    extra.append(
-        LawCheck("protocol-monoid-total", witness is None, not sp.protocol.bounded, n, witness)
+    total = first_counterexample(
+        sp.protocol, lambda p: None if sp.protocol.valid_fn(p) else "not valid"
     )
+    witness = None if total.witness is None else (total.witness,)
+    extra.append(LawCheck(
+        "protocol-monoid-total", witness is None, not sp.protocol.bounded, total.frames, witness
+    ))
 
     witness = None
     err = ""

@@ -198,20 +198,36 @@ def term_to_json(t: Term):
     raise EncodingError(f"not a term: {t!r}")
 
 
+# tag -> the number of fields after the tag in a term's JSON form
+_JSON_ARITY = {
+    "unit": 0, "bot": 0, "bool": 1, "int": 1, "frac": 2, "sym": 1, "tuple": 1, "map": 1, "con": 2,
+}
+
+
 def term_from_json(doc) -> Term:
     if not isinstance(doc, list) or not doc or not isinstance(doc[0], str):
         raise EncodingError(f"bad term document: {doc!r}")
     tag = doc[0]
+    if tag not in _JSON_ARITY:
+        raise EncodingError(f"unknown term tag {tag!r}")
+    if len(doc) != _JSON_ARITY[tag] + 1:
+        raise EncodingError(f"bad arity for {tag}: {doc!r}")
+    if tag in ("tuple", "map", "con") and not isinstance(doc[-1], list):
+        raise EncodingError(f"{tag} term needs a list, got {doc[-1]!r}")
     try:
         if tag == "unit":
             return UNIT
         if tag == "bot":
             return BOT
         if tag == "bool":
+            if not isinstance(doc[1], bool):
+                raise EncodingError(f"bool term needs true or false, got {doc[1]!r}")
             return tbool(doc[1])
         if tag == "int":
             return tint(doc[1])
         if tag == "frac":
+            if type(doc[1]) is not int or type(doc[2]) is not int:
+                raise EncodingError(f"frac term needs two ints, got {doc!r}")
             return tfrac(doc[1], doc[2])
         if tag == "sym":
             return tsym(doc[1])
@@ -223,9 +239,8 @@ def term_from_json(doc) -> Term:
             return tcon(doc[1], *(term_from_json(x) for x in doc[2]))
     except EncodingError:
         raise
-    except (IndexError, TypeError, ValueError) as exc:  # ValueError: a map entry not a pair
+    except (TypeError, ValueError) as exc:  # ValueError: a map entry not a pair
         raise EncodingError(f"bad term document: {doc!r}") from exc
-    raise EncodingError(f"unknown term tag {tag!r}")
 
 
 def map_entries(t: Term) -> tuple[tuple[Term, Term], ...]:

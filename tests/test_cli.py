@@ -309,6 +309,36 @@ MALFORMED_SCENARIO = {
     "scenario-thread-node": (["threads", 0], [["bogus"]], "threads[0]: bad program node"),
     "scenario-max-steps": (["max_steps_per_thread"], "x",
                            "max_steps_per_thread: must be a non-negative integer, got 'x'"),
+    "scenario-thread-float-int": (["threads", 0], ["add", ["int", 1.5], ["int", 1]],
+                                  "threads[0][1]: int term needs a plain int, got 1.5"),
+    "scenario-thread-var-name": (["threads", 0], ["var", 3], "threads[0][1]: bad name 3"),
+    "scenario-thread-proj-index": (["threads", 0], ["proj", "x", ["int", 1]],
+                                   "threads[0][1]: bad projection index 'x'"),
+    "scenario-thread-label-name": (["threads", 0], ["label", 7, ["int", 1]],
+                                   "threads[0][1]: bad name 7"),
+    "scenario-thread-sym": (["threads", 0], ["sym", 5],
+                            "threads[0]: symbol needs a nonempty string, got 5"),
+    "scenario-thread-bool-int": (["threads", 0], ["int", True],
+                                 "threads[0]: int term needs a plain int, got True"),
+    "scenario-thread-zero-den": (["threads", 0], ["frac", 1, 0],
+                                 "threads[0]: fraction with zero denominator"),
+    "scenario-thread-nested": (["threads", 0, 1], ["tuple", [["unit"], ["var", 3]]],
+                               "threads[0][1][1][1][1]: bad name 3"),
+    "scenario-cell-int-arity": (["cells", 0, 1], ["int", 1, 2],
+                                "cells[0][1]: bad arity for int: ['int', 1, 2]"),
+    "scenario-fragment-unit-arity": (["protocols", 0, "fragments", 0, 1], ["unit", 5],
+                                     "protocols[0].fragments[0][1]: bad arity for unit: ['unit', 5]"),
+    "scenario-when-con-arity": (["script", 0, "when"], ["con", "x", [], 1],
+                                "script[0].when: bad arity for con: ['con', 'x', [], 1]"),
+    "scenario-cell-bool-payload": (["cells", 0, 1], ["bool", "yes"],
+                                   "cells[0][1]: bool term needs true or false, got 'yes'"),
+    "scenario-expectation": (["expectation"], "bogus",
+                             "expectation: must be no-stuck or stuck-reachable, got 'bogus'"),
+    "scenario-duplicate-cell": (["cells", 2, 0], "exc", "cells[2][0]: duplicate cell name 'exc'"),
+    "scenario-duplicate-property": (
+        ["terminal_properties", 0, "name"], "ghost-invariant",
+        "terminal_properties[0].name: duplicate property name 'ghost-invariant'",
+    ),
 }
 
 

@@ -20,6 +20,7 @@ from guardcheck.lang import (
     fetch_add,
     fork,
     free,
+    inl,
     if_,
     index_chain,
     initial_config,
@@ -38,7 +39,8 @@ from guardcheck.lang import (
     subst,
     var,
 )
-from guardcheck.terms import UNIT, tbool, tcon, tint
+from guardcheck.lang import _FORMS
+from guardcheck.terms import UNIT, tbool, tcon, tfrac, tint, tsym
 
 
 def run_to_end(cfg, tid=0, limit=500):
@@ -135,6 +137,13 @@ class TestHeapOps:
     def test_boolean_cell(self):
         v, _ = run_single(load("sc", loc(0)), cells=[tbool(True)])
         assert v == tbool(True)
+
+    def test_fields_evaluate_left_to_right(self):
+        bump = fetch_add(loc(0), tint(1))
+        v, _ = run_single(pair(bump, bump), cells=[tint(0)])
+        assert v == pair(tint(0), tint(1))
+        v, _ = run_single(eq(bump, load("sc", loc(0))), cells=[tint(0)])
+        assert v == tbool(False)
 
 
 class TestNonAtomic:
@@ -288,35 +297,64 @@ class TestSugar:
         assert cfg.heap[0][1] == tint(1)
 
 
+def program_forms(inner):
+    """Program form tag -> a strategy for that form over subexpressions
+    drawn from ``inner``. The closures bind ``y``, which no generated
+    expression reads, so every closure ignores its argument and closed
+    programs terminate."""
+    two, three = st.tuples(inner, inner), st.tuples(inner, inner, inner)
+    orderings = st.sampled_from(["sc", "na"])
+    return {
+        "var": st.just(var("x")),
+        "rec": inner.map(lambda e: rec("f", "y", e)),
+        "app": two.map(lambda p: app(*p)),
+        "let": two.map(lambda p: let("x", *p)),
+        "seq": two.map(lambda p: seq(*p)),
+        "proj": st.tuples(st.integers(0, 3), inner).map(lambda p: proj(*p)),
+        "match": three.map(lambda t: match(t[0], "x", t[1], "y", t[2])),
+        "if": three.map(lambda t: if_(*t)),
+        "fork": inner.map(fork),
+        "add": two.map(lambda p: add(*p)),
+        "eq": two.map(lambda p: eq(*p)),
+        "abort": st.just(abort()),
+        "ref": inner.map(ref),
+        "free": inner.map(free),
+        "load": st.tuples(orderings, inner).map(lambda p: load(*p)),
+        "store": st.tuples(orderings, inner, inner).map(lambda t: store(*t)),
+        "cas": three.map(lambda t: cas(*t)),
+        "faa": two.map(lambda p: fetch_add(*p)),
+        "label": inner.map(lambda e: label("l", e)),
+        "tuple": two.map(lambda p: pair(*p)),
+        "con": inner.map(inl),
+    }
+
+
 def programs():
-    base = st.one_of(
+    leaves = st.one_of(
         st.integers(-5, 5).map(tint),
         st.booleans().map(tbool),
         st.just(UNIT),
+        st.sampled_from(["a", "b"]).map(tsym),
+        st.tuples(st.integers(-3, 3), st.integers(1, 4)).map(lambda p: tfrac(*p)),
         st.just(var("x")),
     )
     return st.recursive(
-        base,
-        lambda inner: st.one_of(
-            st.tuples(inner, inner).map(lambda p: add(*p)),
-            st.tuples(inner, inner).map(lambda p: eq(*p)),
-            st.tuples(inner, inner, inner).map(lambda t: if_(*t)),
-            st.tuples(inner, inner).map(lambda p: let("x", p[0], p[1])),
-            st.tuples(inner, inner).map(lambda p: pair(*p)),
-            inner.map(lambda e: proj(1, e)),
-        ),
-        max_leaves=10,
+        leaves, lambda inner: st.one_of(*program_forms(inner).values()), max_leaves=10
     )
 
 
+def test_programs_cover_every_form():
+    assert set(program_forms(st.nothing())) == set(_FORMS)
+
+
 @given(programs())
-@settings(max_examples=60)
+@settings(max_examples=200)
 def test_prop_ast_json_roundtrip(prog):
     assert ast_from_json(ast_to_json(prog)) == prog
 
 
 @given(programs())
-@settings(max_examples=60)
+@settings(max_examples=200)
 def test_prop_closed_programs_terminate_or_stick(prog):
     closed = subst(prog, "x", tint(0))
     cfg = initial_config([], [closed])
@@ -328,3 +366,30 @@ def test_prop_closed_programs_terminate_or_stick(prog):
         if out.kind == "stuck":
             break
     assert cfg.threads[0][0] in ("done", "stuck")
+
+
+def test_scalar_leaves_use_the_term_encoding():
+    assert ast_from_json(["frac", 2, 4]) == tfrac(1, 2)
+    assert ast_to_json(ast_from_json(["sym", "a"])) == ["sym", "a"]
+
+
+def test_projection_index_is_not_range_checked():
+    prog = ast_from_json(["proj", 3, ["tuple", [["int", 1], ["int", 2]]]])
+    assert first_stuck(prog) == "type-proj"
+
+
+@pytest.mark.parametrize("doc, message", [
+    (["var", 3], "t[1]: bad name 3"),
+    (["rec", "f", "", ["unit"]], "t[2]: bad name ''"),
+    (["proj", True, ["unit"]], "t[1]: bad projection index True"),
+    (["load", "na2", ["unit"]], "t[1]: ordering must be sc or na, got 'na2'"),
+    (["con", "inl", ["unit"]], "t[2][0]: bad program node: 'unit'"),
+    (["tuple", [["unit"], ["int", 1.5]]], "t[1][1]: int term needs a plain int, got 1.5"),
+    (["let", "x", ["unit"]], "t: bad arity for let: ['let', 'x', ['unit']]"),
+    (["int", 1, 2], "t: bad arity for int: ['int', 1, 2]"),
+    (["map", []], "t: unknown program tag 'map'"),
+])
+def test_malformed_node_names_its_path(doc, message):
+    with pytest.raises(UsageError) as exc:
+        ast_from_json(doc, "t")
+    assert str(exc.value) == message

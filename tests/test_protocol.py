@@ -7,6 +7,7 @@ from guardcheck.library import (
     build_counting,
     build_excl,
     build_forever,
+    build_frac,
     build_fractional,
     build_trivial,
     ex,
@@ -125,6 +126,21 @@ def test_wellformed_reports_bad_storage_map():
     assert not report.ok
     names = [c.law for c in report.extra]
     assert any("complete-implies-valid-storage" in n for n in names)
+
+
+def test_wellformed_reports_a_protocol_monoid_that_is_not_total():
+    # shares above 1 are invalid: the witness is the first one in carrier
+    # order, and the check counts the carrier up to it
+    frac = build_frac(den_bound=2, max_value=2)
+    partial = MonoidSpec(
+        "partial-frac", frac.unit, frac.compose_fn, lambda t: t[1] <= t[2], frac.enumerator
+    )
+    sp = StorageProtocolSpec("partial", partial, build_trivial("one-point"),
+                             lambda p: False, lambda p: UNIT)
+    check = next(c for c in check_wellformed(sp).extra if c.law == "protocol-monoid-total")
+    elements = carrier(partial)
+    assert elements == (tfrac(0), tfrac(1, 2), tfrac(1), tfrac(3, 2), tfrac(2))
+    assert (check.ok, check.checked, check.witness) == (False, 4, (tfrac(3, 2),))
 
 
 def test_stored_outside_complete_raises_domain_error():

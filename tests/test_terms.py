@@ -92,6 +92,24 @@ def test_json_roundtrip(t):
     assert term_from_json(term_to_json(t)) == t
 
 
+@pytest.mark.parametrize("doc, message", [
+    (["int", 1, 2], "bad arity for int: ['int', 1, 2]"),
+    (["unit", 5], "bad arity for unit: ['unit', 5]"),
+    (["con", "x", [], 1], "bad arity for con: ['con', 'x', [], 1]"),
+    (["frac", 1], "bad arity for frac: ['frac', 1]"),
+    (["frac", True, 2], "frac term needs two ints, got ['frac', True, 2]"),
+    (["bool", "yes"], "bool term needs true or false, got 'yes'"),
+    (["bool", 1], "bool term needs true or false, got 1"),
+    (["map", {}], "map term needs a list, got {}"),
+    (["tuple", "ab"], "tuple term needs a list, got 'ab'"),
+    (["nope"], "unknown term tag 'nope'"),
+])
+def test_json_decoding_rejects_malformed_documents(doc, message):
+    with pytest.raises(EncodingError) as exc:
+        term_from_json(doc)
+    assert str(exc.value) == message
+
+
 @given(terms(), terms())
 def test_order_total_and_consistent(a, b):
     ka, kb = term_key(a), term_key(b)
