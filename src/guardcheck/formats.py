@@ -98,6 +98,25 @@ def _object(doc, path: str) -> dict:
     return doc
 
 
+def _list(doc, path: str) -> list:
+    if not isinstance(doc, list):
+        raise FormatError(f"{path}: must be a list, got {type(doc).__name__}")
+    return doc
+
+
+def _pair(doc, path: str, form: str) -> list:
+    """``doc``, a two-element list; ``form`` spells it out for error
+    messages."""
+    if not isinstance(doc, list) or len(doc) != 2:
+        raise FormatError(f"{path}: {form}, got {doc!r}")
+    return doc
+
+
+def _pairs(doc, path: str, form: str) -> list:
+    """The list ``doc`` of two-element lists (see :func:`_pair`)."""
+    return [_pair(entry, f"{path}[{i}]", form) for i, entry in enumerate(_list(doc, path))]
+
+
 def _known_fields(doc: dict, fields, path: str) -> None:
     """Reject a key of ``doc`` that is not in ``fields``: a misspelt
     optional field would otherwise fall back to its default unseen."""
@@ -273,9 +292,7 @@ def _load_protocol(doc: dict, path: str = ""):
     )
     stored_map = {}
     for at, row in _table_rows(doc, "stored_of", path):
-        if not isinstance(row, list) or len(row) != 2:
-            raise FormatError(f"{at}: a row is [p, s], got {row!r}")
-        p = _table_element(row[0], protocol, f"{at}[0]")
+        p = _table_element(_pair(row, at, "a row is [p, s]")[0], protocol, f"{at}[0]")
         stored_map[p] = _table_element(row[1], storage, f"{at}[1]")
     missing = complete_set - set(stored_map)
     if missing:
@@ -299,9 +316,7 @@ def _table_rows(doc: dict, key: str, path: str):
     at = _at(path, key)
     rows = _need(_object(_need(doc, key), at), "table")
     at = _at(at, "table")
-    if not isinstance(rows, list):
-        raise FormatError(f"{at}: must be a list, got {type(rows).__name__}")
-    return [(f"{at}[{i}]", row) for i, row in enumerate(rows)]
+    return [(f"{at}[{i}]", row) for i, row in enumerate(_list(rows, at))]
 
 
 def _table_element(doc, monoid: MonoidSpec, path: str) -> Term:
@@ -371,9 +386,7 @@ def load_queries(doc: dict, named, sp: StorageProtocolSpec | None = None) -> lis
     ``p`` and ``p_after`` are elements of its protocol monoid and ``s``
     and ``s_after`` of its storage monoid (see :func:`element_from_json`).
     An element field that the query's kind does not read is an error."""
-    queries = _need(_object(doc, "relations"), "queries")
-    if not isinstance(queries, list):
-        raise FormatError(f"queries: must be a list, got {type(queries).__name__}")
+    queries = _list(_need(_object(doc, "relations"), "queries"), "queries")
     out = []
     for i, q in enumerate(queries):
         path = f"queries[{i}]"
@@ -421,7 +434,8 @@ def _decode_value(doc, path: str):
         if "term" in doc:
             return _term(doc["term"], f"{path}.term")
         if "list" in doc:
-            return tuple(_decode_value(x, f"{path}.list[{i}]") for i, x in enumerate(doc["list"]))
+            items = _list(doc["list"], f"{path}.list")
+            return tuple(_decode_value(x, f"{path}.list[{i}]") for i, x in enumerate(items))
         raise FormatError(f"bad encoded value {doc!r}")
     if isinstance(doc, list):
         raise FormatError(
@@ -435,7 +449,8 @@ def _encode_kv(pairs):
 
 
 def _decode_kv(doc, path: str) -> tuple:
-    return tuple(sorted((k, _decode_value(v, f"{path}.{k}")) for k, v in doc.items()))
+    pairs = _object(doc, path).items()
+    return tuple(sorted((k, _decode_value(v, f"{path}.{k}")) for k, v in pairs))
 
 
 def load_protocols(entries) -> tuple[dict, dict, dict]:
@@ -545,19 +560,37 @@ def _count(doc: dict, key: str, default: int) -> int:
     return value
 
 
+# hash-table operation name -> the number of terms it takes
+_THREAD_OPS = {"update": 2, "query": 1}
+
+
+def _thread_op(op, path: str) -> tuple:
+    """One operation of a hash-table thread: ["update", key, value] or
+    ["query", key]."""
+    if not (isinstance(op, list) and op and isinstance(op[0], str)
+            and _THREAD_OPS.get(op[0]) == len(op) - 1):
+        raise FormatError(f'{path}: an operation is ["update", key, value] or ["query", key], '
+                          f"got {op!r}")
+    return (op[0], *(_term(x, f"{path}[{n}]") for n, x in enumerate(op[1:], 1)))
+
+
 def scenario_from_json(doc: dict) -> Scenario:
     _known_fields(_object(doc, "scenario"), _SCENARIO_FIELDS, "")
-    entries = _need(doc, "protocols")
+    entries = _list(_need(doc, "protocols"), "protocols")
     protocols, named, descriptors = load_protocols(entries)
     initial_fragments = {
         p["id"]: tuple(
             (o, _term(el, f"protocols[{i}].fragments[{j}][1]"))
-            for j, (o, el) in enumerate(p.get("fragments", []))
+            for j, (o, el) in enumerate(_pairs(
+                p.get("fragments", []), f"protocols[{i}].fragments",
+                "a fragment is [owner, element]",
+            ))
         )
         for i, p in enumerate(entries)
     }
     script: dict = {}
-    for i, e in enumerate(doc.get("script", [])):
+    for i, e in enumerate(_list(doc.get("script", []), "script")):
+        _object(e, f"script[{i}]")
         entry = ScriptEntry(
             _need(e, "label"),
             _need(e, "resolver"),
@@ -569,13 +602,14 @@ def scenario_from_json(doc: dict) -> Scenario:
 
     def property_specs(key):
         return tuple(
-            PropertySpec(_need(p, "name"), _need(p, "kind"),
+            PropertySpec(_need(_object(p, f"{key}[{i}]"), "name"), _need(p, "kind"),
                          _decode_kv(p.get("params", {}), f"{key}[{i}].params"))
-            for i, p in enumerate(doc.get(key, []))
+            for i, p in enumerate(_list(doc.get(key, []), key))
         )
 
     cells = tuple(
-        (n, _term(v, f"cells[{i}][1]")) for i, (n, v) in enumerate(_need(doc, "cells"))
+        (n, _term(v, f"cells[{i}][1]"))
+        for i, (n, v) in enumerate(_pairs(_need(doc, "cells"), "cells", "a cell is [name, term]"))
     )
     _unique("cell", ((f"cells[{i}][0]", n) for i, (n, _) in enumerate(cells)))
     properties = property_specs("properties")
@@ -588,11 +622,14 @@ def scenario_from_json(doc: dict) -> Scenario:
     expectation = doc.get("expectation", "no-stuck")
     if expectation not in ("no-stuck", "stuck-reachable"):
         raise FormatError(f"expectation: must be no-stuck or stuck-reachable, got {expectation!r}")
-    meta = doc.get("meta", {})
+    meta = _object(doc.get("meta", {}), "meta")
     return Scenario(
         name=_need(doc, "name"),
         cells=cells,
-        programs=tuple(_program(t, f"threads[{i}]") for i, t in enumerate(_need(doc, "threads"))),
+        programs=tuple(
+            _program(t, f"threads[{i}]")
+            for i, t in enumerate(_list(_need(doc, "threads"), "threads"))
+        ),
         protocols=protocols,
         initial_fragments=initial_fragments,
         script=script,
@@ -602,19 +639,18 @@ def scenario_from_json(doc: dict) -> Scenario:
         max_states=_count(doc, "max_states", 200_000),
         max_steps_per_thread=_count(doc, "max_steps_per_thread", 64),
         named=named,
-        cell_instances=doc.get("cell_instances", {}),
-        protected_cells=doc.get("protected_cells", {}),
+        cell_instances=_object(doc.get("cell_instances", {}), "cell_instances"),
+        protected_cells=_object(doc.get("protected_cells", {}), "protected_cells"),
         meta={
             "protocol_json": descriptors,
-            "lock_slot": meta.get("lock_slot", {}),
-            "slot_cells": meta.get("slot_cells", {}),
+            "lock_slot": _object(meta.get("lock_slot", {}), "meta.lock_slot"),
+            "slot_cells": _object(meta.get("slot_cells", {}), "meta.slot_cells"),
             "thread_ops": tuple(
                 tuple(
-                    (op[0], *(_term(x, f"meta.thread_ops[{t}][{j}][{n}]")
-                              for n, x in enumerate(op[1:], 1)))
-                    for j, op in enumerate(ops)
+                    _thread_op(op, f"meta.thread_ops[{t}][{j}]")
+                    for j, op in enumerate(_list(ops, f"meta.thread_ops[{t}]"))
                 )
-                for t, ops in enumerate(meta.get("thread_ops", []))
+                for t, ops in enumerate(_list(meta.get("thread_ops", []), "meta.thread_ops"))
             ),
         },
     )

@@ -82,15 +82,6 @@ def _enum(elements, unit, mode, note=""):
     return ElementEnumerator(mode, lambda: iter(elems), note)
 
 
-def _tuples_in_order(columns, unit) -> list[Term]:
-    """Every tuple over ``columns``, each in term order: tuples compare
-    part by part, so the product is in term order as generated. ``unit``
-    moves to the front."""
-    elems = [ttuple(*c) for c in itertools.product(*columns)]
-    elems.remove(unit)
-    return [unit] + elems
-
-
 # ---------------------------------------------------------------------------
 # Combinators
 
@@ -241,8 +232,11 @@ def build_frac(den_bound: int = 12, max_value: int = 4, name: str = "frac") -> M
 
 
 def build_product(name: str, parts: list[MonoidSpec], total: bool = False) -> MonoidSpec:
-    """Componentwise product. ``total`` forces validity to be constantly
-    true (protocol-monoid convention); otherwise validity is componentwise."""
+    """Componentwise product: it composes and enumerates part by part.
+    ``total`` forces validity to be constantly true (protocol-monoid
+    convention); otherwise validity is componentwise. A caller may set
+    another ``valid_fn`` on the result before using it, as the hash table
+    does: validity need not be componentwise."""
     units = ttuple(*(p.unit for p in parts))
     fns = [p.compose_fn for p in parts]
     vals = [p.valid_fn for p in parts]
@@ -260,7 +254,12 @@ def build_product(name: str, parts: list[MonoidSpec], total: bool = False) -> Mo
     mode = "bounded" if any(p.bounded for p in parts) else "exhaustive"
 
     def generate():
-        return iter(_tuples_in_order([term_order(p)[0] for p in parts], units))
+        # every tuple of part elements, each part in term order: tuples
+        # compare part by part, so the product is in term order as
+        # generated; the unit moves to the front
+        elems = [ttuple(*c) for c in itertools.product(*(term_order(p)[0] for p in parts))]
+        elems.remove(units)
+        return iter([units] + elems)
 
     return MonoidSpec(
         name, units, compose, valid_fn, ElementEnumerator(mode, generate), tuple(parts)
@@ -287,9 +286,7 @@ def build_finmap(keys: tuple[Term, ...], value: MonoidSpec, name: str = "finmap"
 
     def generate():
         per_key = [[(k, v) for v in carrier(value) if v != vunit] + [None] for k in keys]
-        elems = []
-        for combo in itertools.product(*per_key):
-            elems.append(tmap(kv for kv in combo if kv is not None))
+        elems = [tmap(kv for kv in combo if kv is not None) for combo in itertools.product(*per_key)]
         out = sort_terms(set(elems))
         out.remove(tmap(()))
         return iter([tmap(())] + out)
@@ -328,14 +325,15 @@ def build_trivial(name: str = "trivial") -> MonoidSpec:
 
 
 def as_total(spec: MonoidSpec, name: str | None = None) -> MonoidSpec:
-    """Same carrier and composition, validity constantly true. The carrier
-    is read from ``spec``, so it is enumerated once for both."""
+    """Same carrier, composition and parts, validity constantly true. The
+    carrier is read from ``spec``, so it is enumerated once for both."""
     return MonoidSpec(
         name or spec.name + "-total",
         spec.unit,
         spec.compose_fn,
         lambda t: True,
         ElementEnumerator(spec.enumerator.mode, lambda: carrier(spec), spec.enumerator.note),
+        spec.parts,
     )
 
 
@@ -801,36 +799,24 @@ class HashTableElems:
         return some(ttuple(k, v))
 
     def map_value(self, z: Term, k: Term) -> Term | None:
-        got = map_get(z[1][0], k)
-        if got is None:
-            return None
-        inner = con_args(got, "ex")
-        return inner[0] if inner else None
+        return _owned(z[1][0], k)
 
     def slot_value(self, z: Term, i: int) -> Term | None:
-        got = map_get(z[1][1], tint(i))
-        if got is None:
-            return None
-        inner = con_args(got, "ex")
-        return inner[0] if inner else None
+        return _owned(z[1][1], tint(i))
 
 
-def _ht_compose(a, b):
-    # entries are ex(...) or ⊥, never ε, so any coordinate overlap conflicts
-    out = []
-    for idx in (0, 1):
-        merged = dict(map_entries(a[1][idx]))
-        for kk, v in map_entries(b[1][idx]):
-            merged[kk] = BOT if kk in merged else v
-        out.append(tmap(merged.items()))
-    return ttuple(*out)
+def _owned(m: Term, k: Term) -> Term | None:
+    """x where the exclusive map ``m`` holds ex(x) at ``k``, else None."""
+    inner = con_args(map_get(m, k) or BOT, "ex")
+    return inner[0] if inner else None
 
 
 def build_hashtable_monoid(
     hash_spec: HashFunctionSpec, values: tuple[Term, ...]
 ) -> tuple[MonoidSpec, HashTableElems]:
-    """Product of two exclusive finite maps — logical key map and physical
-    slot map — with validity 𝒱(z) = "z extends to a consistent table".
+    """The product of two exclusive finite maps — logical key map and
+    physical slot map — with validity 𝒱(z) = "z extends to a consistent
+    table" in place of the componentwise one.
 
     Consistency of a full state: entries are all exclusive, slot keys are
     distinct, map and slots agree, and every occupied slot sits in a
@@ -845,80 +831,47 @@ def build_hashtable_monoid(
     map_opts = [NONE] + [some(v) for v in values]
 
     def consistent(keymap: dict, slotmap: dict) -> bool:
-        filled = {}
-        for i, s in slotmap.items():
-            if s == NONE:
-                continue
-            k, v = con_args(s, "some")[0][1]
-            filled[i] = (k, v)
+        filled = {i: con_args(s, "some")[0][1] for i, s in slotmap.items() if s != NONE}
+        entries = set(filled.values())
         # distinct keys across slots
-        ks = [k for k, _ in filled.values()]
-        if len(ks) != len(set(ks)):
+        if len({k for k, _ in entries}) != len(filled):
             return False
         # map entries point at a matching slot
-        for k, mv in keymap.items():
-            if mv == NONE:
-                continue
-            v = con_args(mv, "some")[0]
-            if not any(fk == k and fv == v for fk, fv in filled.values()):
-                return False
+        if any(m != NONE and (k, con_args(m, "some")[0]) not in entries
+               for k, m in keymap.items()):
+            return False
         # slot entries are registered in the map with a non-none value
-        for i, (k, v) in filled.items():
-            if k not in keymap or keymap[k] == NONE:
-                return False
+        if any(keymap.get(k, NONE) == NONE for k, _ in entries):
+            return False
         # contiguous probe runs from the hash index
-        for i, (k, _) in filled.items():
-            h = hash_spec.hash_of(k)
-            if h > i:
-                return False
-            for j in range(h, i + 1):
-                if j not in slotmap or slotmap[j] == NONE:
-                    return False
-        return True
+        return all(
+            hash_spec.hash_of(k) <= i
+            and all(slotmap.get(j, NONE) != NONE for j in range(hash_spec.hash_of(k), i))
+            for i, (k, _) in filled.items()
+        )
 
+    def sub_maps(entries):
+        """The maps of some of ``entries``, each value owned exclusively."""
+        owned = [(k, ex(v)) for k, v in entries]
+        return [tmap(c) for r in range(len(owned) + 1) for c in itertools.combinations(owned, r)]
+
+    # the downward closure of the consistent states
     valid_set: set[Term] = set()
     for slot_combo in itertools.product([None] + slot_opts, repeat=length):
         slotmap = {i: s for i, s in enumerate(slot_combo) if s is not None}
         for map_combo in itertools.product([None] + map_opts, repeat=len(keys)):
             keymap = {k: m for k, m in zip(keys, map_combo) if m is not None}
-            if not consistent(keymap, slotmap):
-                continue
-            key_items = list(keymap.items())
-            slot_items = list(slotmap.items())
-            for key_mask in range(1 << len(key_items)):
-                sub_keys = [key_items[b] for b in range(len(key_items)) if key_mask >> b & 1]
-                for slot_mask in range(1 << len(slot_items)):
-                    sub_slots = [
-                        slot_items[b] for b in range(len(slot_items)) if slot_mask >> b & 1
-                    ]
-                    valid_set.add(
-                        ttuple(
-                            tmap((k, ex(v)) for k, v in sub_keys),
-                            tmap((tint(i), ex(s)) for i, s in sub_slots),
-                        )
-                    )
+            if consistent(keymap, slotmap):
+                key_maps = sub_maps(keymap.items())
+                slot_maps = sub_maps((tint(i), s) for i, s in slotmap.items())
+                valid_set.update(ttuple(km, sm) for km in key_maps for sm in slot_maps)
 
-    def generate():
-        per_key = [[None, BOT] + [ex(o) for o in map_opts] for _ in keys]
-        per_slot = [[None, BOT] + [ex(o) for o in slot_opts] for _ in range(length)]
-        kmaps = [
-            tmap((k, v) for k, v in zip(keys, combo) if v is not None)
-            for combo in itertools.product(*per_key)
-        ]
-        smaps = [
-            tmap((tint(i), v) for i, v in enumerate(combo) if v is not None)
-            for combo in itertools.product(*per_slot)
-        ]
-        unit = ttuple(tmap(()), tmap(()))
-        return iter(_tuples_in_order([sort_terms(kmaps), sort_terms(smaps)], unit))
-
-    spec = MonoidSpec(
-        "hashtable",
-        ttuple(tmap(()), tmap(())),
-        _ht_compose,
-        lambda z: z in valid_set,
-        ElementEnumerator("exhaustive", generate, f"L={length}, {len(keys)} keys"),
-    )
+    slot_indices = tuple(tint(i) for i in range(length))
+    spec = build_product("hashtable", [
+        build_finmap(keys, build_excl(tuple(map_opts), "ht-value"), "ht-keys"),
+        build_finmap(slot_indices, build_excl(tuple(slot_opts), "ht-slot"), "ht-slots"),
+    ])
+    spec.valid_fn = valid_set.__contains__
     return spec, elems_api
 
 

@@ -75,9 +75,11 @@ class MonoidSpec:
 
     ``compose`` must be total on the carrier encoding and return canonical
     terms. Specs compare by identity; results of carrier enumeration and
-    relation checks are cached on the instance. A componentwise product
-    records its ``parts``; its carrier is then every tuple of part
-    elements, in term order with the unit moved to the front.
+    relation checks are cached on the instance. A product records its
+    ``parts``: it composes part by part, and its carrier is every tuple of
+    part elements, in term order with the unit moved to the front. Its
+    validity may be any predicate, so laws and relations that read
+    validity still walk its tuples.
     """
 
     name: str
@@ -245,10 +247,15 @@ def _frames_against(part: MonoidSpec, x: Term) -> tuple[Term, ...]:
     return tuple(c for c in term_order(part)[0] if comp(x, c) != BOT)
 
 
-def _image(spec: MonoidSpec, a: Term) -> frozenset[Term]:
-    """{a·c : c enumerated} — decides x ≼ t by membership."""
+def _image(spec: MonoidSpec, a: Term) -> Callable[[Term], bool]:
+    """Membership in {a·c : c enumerated}, which decides a ≼ t. A product's
+    carrier is every tuple of part elements, so t_j in the image of a_j for
+    every part j decides it, without composing the product's tuples."""
+    if spec.parts:
+        tests = [_image(part, x) for part, x in zip(spec.parts, a[1])]
+        return lambda t: all(test(x) for test, x in zip(tests, t[1]))
     comp = spec.compose_fn
-    return frozenset(comp(a, c) for c in carrier(spec))
+    return frozenset(comp(a, c) for c in carrier(spec)).__contains__
 
 
 def leq(spec: MonoidSpec, a: Term, b: Term) -> bool:
@@ -274,14 +281,15 @@ def frame_preserving_update(spec: MonoidSpec, a: Term, b: Term) -> CheckResult:
 
 
 def and_premise(spec: MonoidSpec, x: Term, y: Term, z: Term) -> CheckResult:
-    """∀t. (x ≼ t ∧ y ≼ t ∧ 𝒱(t)) ⟹ z ≼ t, over the enumerated carrier."""
+    """∀t. (x ≼ t ∧ y ≼ t ∧ 𝒱(t)) ⟹ z ≼ t, over the enumerated carrier;
+    on a product, ≼ is decided part by part (see :func:`_image`)."""
     above_x = _image(spec, x)
     above_y = _image(spec, y)
     above_z = _image(spec, z)
     ok = spec.valid_fn
 
     def body(t):
-        if t in above_x and t in above_y and ok(t) and t not in above_z:
+        if above_x(t) and above_y(t) and ok(t) and not above_z(t):
             return f"{pretty(t)} extends both operands but not {pretty(z)}"
 
     return first_counterexample(spec, body)

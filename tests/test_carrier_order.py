@@ -26,6 +26,7 @@ from guardcheck.library import (
     build_rwlock_multi,
     build_trivial,
     ex,
+    pcm_as_protocol,
     some,
 )
 from guardcheck.monoid import carrier
@@ -68,6 +69,15 @@ def test_hashtable_carrier_matches_the_sorted_reference():
     hash_spec = HashFunctionSpec(3, ((tint(0), 0), (tint(1), 0)))
     monoid, _ = build_hashtable_monoid(hash_spec, (tint(10), tint(11)))
     assert carrier(monoid) == ref_hashtable_carrier(hash_spec, (tint(10), tint(11)))
+
+
+def test_hashtable_protocol_keeps_its_two_maps():
+    # the protocol view is a product of the key map and the slot map too
+    hash_spec = HashFunctionSpec(2, ((tint(0), 0), (tint(1), 1)))
+    monoid, _ = build_hashtable_monoid(hash_spec, (tint(10),))
+    parts = pcm_as_protocol(monoid).protocol.parts
+    assert parts == monoid.parts and len(parts) == 2
+    assert ref_product_carrier(parts) == ref_hashtable_carrier(hash_spec, (tint(10),))
 
 
 def test_product_with_a_unit_that_is_not_least():

@@ -339,6 +339,25 @@ MALFORMED_SCENARIO = {
         ["terminal_properties", 0, "name"], "ghost-invariant",
         "terminal_properties[0].name: duplicate property name 'ghost-invariant'",
     ),
+    "scenario-cell-not-pair": (["cells", 0], 5, "cells[0]: a cell is [name, term], got 5"),
+    "scenario-fragment-not-pair": (
+        ["protocols", 0, "fragments", 0], 5,
+        "protocols[0].fragments[0]: a fragment is [owner, element], got 5",
+    ),
+    "scenario-script-entry": (["script", 0], 5, "script[0]: must be an object, got int"),
+    "scenario-property": (["properties", 0], 5, "properties[0]: must be an object, got int"),
+    "scenario-terminal-property": (["terminal_properties", 0], 5,
+                                   "terminal_properties[0]: must be an object, got int"),
+    "scenario-thread-ops": (["meta", "thread_ops"], 5, "meta.thread_ops: must be a list, got int"),
+    "scenario-thread-op-arity": (
+        ["meta", "thread_ops"], [[["query"]]],
+        'meta.thread_ops[0][0]: an operation is ["update", key, value] or ["query", key], '
+        "got ['query']",
+    ),
+    "scenario-args-not-object": (["script", 0, "args"], [],
+                                 "script[0].args: must be an object, got list"),
+    "scenario-meta": (["meta"], 5, "meta: must be an object, got int"),
+    "scenario-cell-instances": (["cell_instances"], [], "cell_instances: must be an object, got list"),
 }
 
 

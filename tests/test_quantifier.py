@@ -8,7 +8,8 @@ library (``ref_leq`` for ``leq``, ``ref_exchange_body_at`` for the
 exchange body). The new path must return the same verdict, witness,
 reason and frame count on the shipped relation suites, on the acceptance
 cross-validation pairs, and on elements that hypothesis draws over small
-builtins.
+builtins, a product and a small hash table; on the last two,
+``and_premise`` decides its images part by part.
 
 For a product protocol whose 𝒞 rejects every element with a ⊥ part (the
 two lock builders, and custom tables that prove it), the quantifier
@@ -22,7 +23,7 @@ from __future__ import annotations
 from functools import partial, reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import guardcheck.monoid as monoid_module
 
@@ -30,6 +31,7 @@ from guardcheck.demos import load_demo_document
 from guardcheck.formats import load_protocol, load_queries
 from guardcheck.ghost import GhostLedger, InstanceState, OpenGuardAction, apply_action
 from guardcheck.library import (
+    NONE,
     HashFunctionSpec,
     as_total,
     build_agn,
@@ -37,12 +39,15 @@ from guardcheck.library import (
     build_excl,
     build_forever,
     build_fractional,
+    build_hashtable_monoid,
     build_hashtable_protocol,
     build_nat,
+    build_product,
     build_rwlock,
     build_rwlock_multi,
     ex,
     pcm_as_protocol,
+    some,
 )
 from guardcheck.monoid import (
     FAILS,
@@ -323,7 +328,13 @@ EXCL = build_excl((tint(0), tint(1)))
 AGN = build_agn((X0, X1), max_count=2)
 NAT = build_nat(4)
 COUNTING, _ = build_counting(r_range=(-2, 2), c_max=2, nat_limit=4)
-MONOIDS = {"excl": EXCL, "agn": AGN, "nat": NAT, "counting": COUNTING.protocol}
+# a product and a hash table: and_premise decides their images part by part
+EXCL_NAT = build_product("excl-nat", [EXCL, build_nat(2)])
+SMALL_HT, SMALL_HTE = build_hashtable_monoid(HashFunctionSpec(2, ((tint(0), 0),)), (tint(10),))
+MONOIDS = {
+    "excl": EXCL, "agn": AGN, "nat": NAT, "counting": COUNTING.protocol,
+    "excl-nat": EXCL_NAT, "hashtable": SMALL_HT,
+}
 # an exhaustive protocol monoid over a bounded storage monoid: the verdict
 # is up to the bound because of the storage side alone
 TOKEN_COUNT = StorageProtocolSpec(
@@ -358,7 +369,14 @@ def protocol_and_elements(draw):
     return sp, p, s, p_after, s_after
 
 
+# few pairs of hash-table elements make and_premise fail, so one failing
+# and one holding pair of each product are always checked
 @given(monoid_and_elements())
+@example((EXCL_NAT, ttuple(UNIT, tint(1)), ttuple(UNIT, tint(1))))
+@example((EXCL_NAT, ttuple(ex(tint(0)), tint(1)), ttuple(UNIT, tint(0))))
+@example((SMALL_HT, SMALL_HTE.slot(0, NONE), SMALL_HTE.slot(0, NONE)))
+@example((SMALL_HT, SMALL_HTE.m(tint(0), some(tint(10))),
+          SMALL_HTE.slot(0, SMALL_HTE.entry(tint(0), tint(10)))))
 @settings(max_examples=60, deadline=None)
 def test_monoid_relations_agree(drawn):
     agree_monoid(*drawn)
@@ -403,7 +421,7 @@ def test_skipping_is_on_exactly_where_c_rejects_bot_parts():
     for sp in (build_fractional(), COUNTING, build_forever(), TOKEN_COUNT, PROTOCOLS["excl"]):
         assert not sp.bot_parts_incomplete, sp.name
     ht = build_hashtable_protocol(HASH, (tint(10),))[0]
-    assert not ht.bot_parts_incomplete and not ht.protocol.parts
+    assert not ht.bot_parts_incomplete and ht.protocol.parts
 
 
 def test_pruned_walk_builds_no_product_carrier():
