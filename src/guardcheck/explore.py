@@ -46,6 +46,7 @@ __all__ = [
     "register_property",
     "RESOLVERS",
     "PROPERTY_EVALUATORS",
+    "PROPERTY_PARAMS",
     "THREAD_FREE_PROPERTIES",
 ]
 
@@ -80,10 +81,14 @@ class PropertySpec:
     kind: str
     params: tuple = ()  # sorted (key, value) pairs
 
-    def param(self, key, default=None):
+    def param(self, key, default=KeyError):
+        """Param ``key``; if it is absent, ``default``, and without one a
+        KeyError, which fails the property (see :func:`check_property`)."""
         for k, v in self.params:
             if k == key:
                 return v
+        if default is KeyError:
+            raise KeyError(f"missing param {key}")
         return default
 
 
@@ -193,6 +198,7 @@ class ReplayError(ValueError):
 
 RESOLVERS: dict = {}
 PROPERTY_EVALUATORS: dict = {}
+PROPERTY_PARAMS: dict = {}  # kind -> param -> its kind, see register_property
 THREAD_FREE_PROPERTIES: set = set()  # kinds whose evaluators read no thread state
 
 
@@ -205,9 +211,16 @@ def register_resolver(*names: str):
     return wrap
 
 
-def register_property(kind: str, reads_threads: bool = True):
+def register_property(kind: str, reads_threads: bool = True, params: dict | None = None):
     """Register ``fn(scenario, state, prop) -> (ok, reason)`` as the
     evaluator of property ``kind``.
+
+    ``params`` maps each param that ``fn`` reads to its kind, which
+    :func:`formats.scenario_from_json` checks: "term" ({"term": T}),
+    "terms" ({"list": [{"term": T}, ...]}), "cell" (a cell name), "cells"
+    ({"list": [cell names...]}), "instance" (a protocol instance id),
+    "count" (a non-negative integer), "bool", or a tuple of the strings it
+    may be. Every param may be left out; ``fn`` reads its default.
 
     ``reads_threads=False`` declares that ``fn`` reads nothing of
     ``state`` but ``state.ledger`` and ``state.machine.heap``: not the
@@ -219,6 +232,7 @@ def register_property(kind: str, reads_threads: bool = True):
 
     def wrap(fn):
         PROPERTY_EVALUATORS[kind] = fn
+        PROPERTY_PARAMS[kind] = params or {}
         if reads_threads:
             THREAD_FREE_PROPERTIES.discard(kind)
         else:
@@ -262,17 +276,22 @@ class ResolveCtx:
         return iid
 
     def cell_value(self, name: str) -> Term | None:
-        return self.machine.heap_value(self.scenario.cell_loc(name))
+        try:
+            return self.machine.heap_value(self.scenario.cell_loc(name))
+        except KeyError as exc:
+            raise ReplayError(f"label {self.label}: {exc.args[0]}") from exc
 
 
 def check_property(scenario: Scenario, state: ExplState, prop: PropertySpec):
-    """Evaluate one registered property; (ok, reason)."""
+    """Evaluate one registered property; (ok, reason). An evaluator that
+    raises KeyError or ValueError, finding the scenario or the state
+    without what it reads, fails the property."""
     fn = PROPERTY_EVALUATORS.get(prop.kind)
     if fn is None:
         return False, f"unknown property kind {prop.kind!r}"
     try:
         return fn(scenario, state, prop)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         return False, f"evaluator error: {exc}"
 
 
@@ -354,7 +373,10 @@ def _instance_invariant(sp, iid: str, inst) -> tuple[bool, str]:
     return True, ""
 
 
-@register_property("heap-cell", reads_threads=False)
+@register_property(
+    "heap-cell", reads_threads=False,
+    params={"cell": "cell", "op": ("eq", "in"), "value": "term", "values": "terms"},
+)
 def _prop_heap_cell(scenario, state, prop):
     name = prop.param("cell")
     value = state.machine.heap_value(scenario.cell_loc(name))
@@ -376,9 +398,11 @@ def _prop_all_finished(scenario, state, prop):
     return not bad, f"threads not finished: {bad}"
 
 
-@register_property("thread-result-eq")
+@register_property("thread-result-eq", params={"tid": "count", "value": "term"})
 def _prop_thread_result_eq(scenario, state, prop):
     tid = prop.param("tid")
+    if tid >= len(state.machine.threads):
+        return False, f"no thread {tid}"
     t = state.machine.threads[tid]
     if t[0] != "done":
         return False, f"thread {tid} not finished"
@@ -386,9 +410,11 @@ def _prop_thread_result_eq(scenario, state, prop):
     return t[1] == want, f"thread {tid} returned {pretty(t[1])}, want {pretty(want)}"
 
 
-@register_property("thread-result-in")
+@register_property("thread-result-in", params={"tid": "count", "values": "terms"})
 def _prop_thread_result_in(scenario, state, prop):
     tid = prop.param("tid")
+    if tid >= len(state.machine.threads):
+        return False, f"no thread {tid}"
     t = state.machine.threads[tid]
     if t[0] != "done":
         return False, f"thread {tid} not finished"
@@ -479,6 +505,9 @@ def transition(
       (see :func:`register_property`). If one does, every safety property
       runs on every transition.
     Resolvers read the whole post-step machine and run on every transition.
+    A resolver that raises KeyError or ValueError (ReplayError is one),
+    finding the scenario or the state without what it reads, gives a
+    replay violation.
     """
     if memo is None:
         memo = TransitionMemo(scenario, mode)
@@ -502,7 +531,7 @@ def transition(
             ctx = ResolveCtx(scenario, ledger, out.config, tid, lbl, result, out.event)
             try:
                 resolved = fn(ctx, entry)
-            except ReplayError as exc:
+            except (KeyError, ValueError) as exc:  # ReplayError among them
                 violations.append(("replay", lbl, str(exc)))
                 continue
             if isinstance(resolved, GhostViolation):

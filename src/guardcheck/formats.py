@@ -6,7 +6,8 @@ product | finmap | table | trivial). Protocols are either a named builtin
 with parameters or a custom pair of monoids with ``complete`` and
 ``stored_of`` given as decision tables over enumerated elements. Elements
 are canonical term arrays, with ["named", ctor, [args...]] resolving
-through a protocol's named-element constructors.
+through a protocol's named-element constructors. Every input document
+is read through one field table (see :func:`_read`).
 
 All emitters produce key-sorted JSON so identical inputs give
 byte-identical outputs.
@@ -18,7 +19,14 @@ import inspect
 import itertools
 import json
 
-from .explore import ExplorationResult, PropertySpec, Scenario, ScriptEntry
+from .explore import (
+    PROPERTY_PARAMS,
+    ExplorationResult,
+    PropertySpec,
+    Scenario,
+    ScriptEntry,
+    initial_state,
+)
 from .lang import UsageError, ast_from_json, ast_to_json
 from .library import (
     HashFunctionSpec,
@@ -68,23 +76,16 @@ def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _need(doc: dict, key: str):
-    if key not in doc:
-        raise FormatError(f"missing field {key!r} in {sorted(doc)}")
-    return doc[key]
+# ---------------------------------------------------------------------------
+# The field table
+#
+# A node is a dict: field -> (kind, default). A kind is a reader
+# fn(doc, path) -> value; ``path`` locates ``doc`` in its file, for error
+# messages. The default is _REQUIRED; _UNSET, which leaves an absent
+# field out, so that the builder it is passed to supplies the default; or
+# a JSON value that the kind reads in place of an absent field.
 
-
-def _terms(docs) -> tuple[Term, ...]:
-    return tuple(term_from_json(d) for d in docs)
-
-
-def _term(doc, path: str) -> Term:
-    """The term that ``doc`` encodes; ``path`` locates ``doc`` in its
-    file, for error messages."""
-    try:
-        return term_from_json(doc)
-    except EncodingError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+_REQUIRED, _UNSET = object(), object()
 
 
 def _at(path: str, key: str) -> str:
@@ -92,109 +93,167 @@ def _at(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _object(doc, path: str) -> dict:
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: must be an object, got {type(doc).__name__}")
+def _read(doc, node: dict, path: str, field: str = "field") -> dict:
+    """The fields of the object ``doc``, decoded by their kinds in
+    ``node``. A missing required field is an error, and so is a ``field``
+    that ``node`` does not list: a misspelt optional one would otherwise
+    fall back to its default unseen."""
+    for key in _object(doc, path):
+        if key not in node:
+            raise FormatError(f"{_at(path, key)}: unknown {field}")
+    out = {}
+    for key, (kind, default) in node.items():
+        if key in doc:
+            out[key] = kind(doc[key], _at(path, key))
+        elif default is _REQUIRED:
+            raise FormatError(f"{_at(path, key)}: missing")
+        elif default is not _UNSET:
+            out[key] = kind(default, _at(path, key))
+    return out
+
+
+# -- kinds
+
+
+def _typed(test, expected: str, by_type: bool = False):
+    """A value that passes ``test``; ``expected`` describes one for error
+    messages, which show a stray value, or its type if ``by_type``."""
+
+    def read(doc, path: str):
+        if not test(doc):
+            got = type(doc).__name__ if by_type else repr(doc)
+            raise FormatError(f"{path}: must be {expected}, got {got}")
+        return doc
+
+    return read
+
+
+_any = _typed(lambda doc: True, "anything")  # read by the code it is passed to
+_object = _typed(lambda doc: isinstance(doc, dict), "an object", by_type=True)
+_list = _typed(lambda doc: isinstance(doc, list), "a list", by_type=True)
+_name = _typed(lambda doc: isinstance(doc, str), "a string", by_type=True)
+_int = _typed(lambda doc: type(doc) is int, "an integer")
+_count = _typed(lambda doc: type(doc) is int and doc >= 0, "a non-negative integer")
+_bool = _typed(lambda doc: isinstance(doc, bool), "true or false")
+
+
+def _term(doc, path: str) -> Term:
+    try:
+        return term_from_json(doc)
+    except EncodingError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _element_of(monoid: MonoidSpec):
+    """A term in the carrier of ``monoid``."""
+
+    def read(doc, path: str) -> Term:
+        el = _term(doc, path)
+        if not is_element(monoid, el):
+            raise FormatError(f"{path}: {pretty(el)} is not in the carrier of {monoid.name}")
+        return el
+
+    return read
+
+
+def _program(doc, path: str):
+    try:
+        return ast_from_json(doc, path)
+    except UsageError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _value(doc, path: str):
+    """An encoded value: a string, number or bool as itself, {"term": T}
+    or {"list": [values...]}."""
+    if isinstance(doc, dict):
+        if "term" in doc:
+            return _term(doc["term"], f"{path}.term")
+        if "list" in doc:
+            return _list_of(_value)(doc["list"], f"{path}.list")
+        raise FormatError(f"{path}: bad encoded value {doc!r}")
+    if isinstance(doc, list):
+        raise FormatError(
+            f"{path}: write a list as {{\"list\": [...]}} and a term as {{\"term\": T}}"
+        )
     return doc
 
 
-def _list(doc, path: str) -> list:
-    if not isinstance(doc, list):
-        raise FormatError(f"{path}: must be a list, got {type(doc).__name__}")
-    return doc
+def _one_of(values, what: str = ""):
+    """A string in ``values``. The error calls a stray one an unknown
+    ``what`` or, without ``what``, lists the values."""
+
+    def read(doc, path: str) -> str:
+        if isinstance(doc, str) and doc in values:
+            return doc
+        if what:
+            raise FormatError(f"{path}: unknown {what} {doc!r}")
+        raise FormatError(f"{path}: must be {' or '.join(values)}, got {doc!r}")
+
+    return read
 
 
-def _pair(doc, path: str, form: str) -> list:
-    """``doc``, a two-element list; ``form`` spells it out for error
-    messages."""
-    if not isinstance(doc, list) or len(doc) != 2:
-        raise FormatError(f"{path}: {form}, got {doc!r}")
-    return doc
+def _list_of(kind):
+    return lambda doc, path: tuple(kind(x, f"{path}[{i}]") for i, x in enumerate(_list(doc, path)))
 
 
-def _pairs(doc, path: str, form: str) -> list:
-    """The list ``doc`` of two-element lists (see :func:`_pair`)."""
-    return [_pair(entry, f"{path}[{i}]", form) for i, entry in enumerate(_list(doc, path))]
+def _object_of(kind):
+    return lambda doc, path: {k: kind(v, _at(path, k)) for k, v in _object(doc, path).items()}
 
 
-def _known_fields(doc: dict, fields, path: str) -> None:
-    """Reject a key of ``doc`` that is not in ``fields``: a misspelt
-    optional field would otherwise fall back to its default unseen."""
-    for key in doc:
-        if key not in fields:
-            raise FormatError(f"{_at(path, key)}: unknown field")
+def _tuple_of(kinds: tuple, form: str):
+    """A list of one item of each of ``kinds``; ``form`` spells it out
+    for error messages."""
+
+    def read(doc, path: str) -> tuple:
+        if not isinstance(doc, list) or len(doc) != len(kinds):
+            raise FormatError(f"{path}: {form}, got {doc!r}")
+        return tuple(kind(x, f"{path}[{i}]") for i, (kind, x) in enumerate(zip(kinds, doc)))
+
+    return read
+
+
+def _form_of(forms: dict, form: str):
+    """A list [tag, items...] whose items have the kinds ``forms[tag]``;
+    ``form`` spells it out for error messages."""
+
+    def read(doc, path: str) -> tuple:
+        if not (isinstance(doc, list) and doc and isinstance(doc[0], str) and doc[0] in forms):
+            raise FormatError(f"{path}: {form}, got {doc!r}")
+        return _tuple_of((_any, *forms[doc[0]]), form)(doc, path)
+
+    return read
+
+
+def _node(node: dict):
+    return lambda doc, path: _read(doc, node, path)
+
+
+def _wrapped(key: str, kind):
+    """The object {key: X}, read as the X of ``kind``."""
+    return lambda doc, path: _read(doc, {key: (kind, _REQUIRED)}, path)[key]
+
+
+_TERMS = _list_of(_term)
 
 
 # ---------------------------------------------------------------------------
 # Monoids
 
 
-# monoid kind -> the fields its node may hold besides "kind"
-_MONOID_FIELDS = {
-    "excl": ("values",),
-    "agn": ("values", "max_count"),
-    "agnvec": ("values", "k", "max_count"),
-    "nat": ("limit",),
-    "int": ("lo", "hi"),
-    "frac": ("den_bound", "max_value"),
-    "product": ("name", "parts", "total"),
-    "finmap": ("keys", "value"),
-    "table": ("name", "unit", "elements", "compose", "invalid"),
-    "custom-table": ("name", "unit", "elements", "compose", "invalid"),
-    "trivial": (),
-}
-
-
 def load_monoid(doc: dict, path: str = "") -> MonoidSpec:
     """The monoid of a combinator tree. ``path`` locates ``doc`` in its
     file, for error messages."""
-    kind = _need(_object(doc, path or "monoid"), "kind")
-    if not isinstance(kind, str) or kind not in _MONOID_FIELDS:
-        raise FormatError(f"unknown monoid kind {kind!r}")
-    _known_fields(doc, ("kind", *_MONOID_FIELDS[kind]), path)
+    kind = _object(doc, path or "monoid").get("kind")
+    builder, node = _MONOIDS[_one_of(_MONOIDS, "monoid kind")(kind, _at(path, "kind"))]
+    fields = _read(doc, {"kind": (_any, _REQUIRED), **node}, path)
+    del fields["kind"]
+    if "compose" in fields:
+        listed = tuple(dict.fromkeys([fields["unit"], *fields["elements"]]))
+        fields["table"] = _compose_table(fields.pop("compose"), listed, _at(path, "compose"))
     try:
-        if kind == "excl":
-            return build_excl(_terms(_need(doc, "values")))
-        if kind == "agn":
-            return build_agn(_terms(_need(doc, "values")), doc.get("max_count", 4))
-        if kind == "agnvec":
-            return build_agnvec(
-                _terms(_need(doc, "values")), _need(doc, "k"), doc.get("max_count", 2)
-            )
-        if kind == "nat":
-            return build_nat(doc.get("limit", 8))
-        if kind == "int":
-            return build_int(doc.get("lo", -8), doc.get("hi", 8))
-        if kind == "frac":
-            return build_frac(doc.get("den_bound", 12), doc.get("max_value", 4))
-        if kind == "product":
-            return build_product(
-                doc.get("name", "product"),
-                [
-                    load_monoid(p, f"{_at(path, 'parts')}[{i}]")
-                    for i, p in enumerate(_need(doc, "parts"))
-                ],
-                doc.get("total", False),
-            )
-        if kind == "finmap":
-            return build_finmap(
-                _terms(_need(doc, "keys")), load_monoid(_need(doc, "value"), _at(path, "value"))
-            )
-        if kind in ("table", "custom-table"):
-            unit = term_from_json(_need(doc, "unit"))
-            elements = list(_terms(_need(doc, "elements")))
-            listed = tuple(dict.fromkeys([unit, *elements]))
-            return build_table_monoid(
-                doc.get("name", "table"),
-                elements,
-                unit,
-                _compose_table(_need(doc, "compose"), listed, _at(path, "compose")),
-                _terms(doc.get("invalid", [])),
-            )
-        return build_trivial()
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        return builder(**fields)
+    except ValueError as exc:
         raise FormatError(f"bad {kind} monoid: {exc}") from exc
 
 
@@ -203,8 +262,7 @@ def _compose_table(rows, listed: tuple[Term, ...], path: str) -> dict:
     a listed element (the unit counts as listed), and every unordered pair
     of listed elements has a row, in either order."""
     table = {}
-    for i, row in enumerate(rows):
-        a, b, ab = _terms(row)
+    for i, (a, b, ab) in enumerate(rows):
         for t in (a, b, ab):
             if t not in listed:
                 raise FormatError(f"{path}[{i}]: {pretty(t)} is not a listed element")
@@ -215,14 +273,44 @@ def _compose_table(rows, listed: tuple[Term, ...], path: str) -> dict:
     return table
 
 
+_TABLE = {
+    "name": (_name, "table"),
+    "unit": (_term, _REQUIRED),
+    "elements": (_TERMS, _REQUIRED),
+    "compose": (_list_of(_tuple_of((_term,) * 3, "a row is [a, b, a·b]")), _REQUIRED),
+    "invalid": (_TERMS, _UNSET),
+}
+
+# monoid kind -> (builder, the fields its node holds besides "kind"). A
+# field that the node leaves unset takes the builder's default.
+_MONOIDS = {
+    "excl": (build_excl, {"values": (_TERMS, _REQUIRED)}),
+    "agn": (build_agn, {"values": (_TERMS, _REQUIRED), "max_count": (_int, _UNSET)}),
+    "agnvec": (build_agnvec, {
+        "values": (_TERMS, _REQUIRED), "k": (_int, _REQUIRED), "max_count": (_int, _UNSET),
+    }),
+    "nat": (build_nat, {"limit": (_int, _UNSET)}),
+    "int": (build_int, {"lo": (_int, _UNSET), "hi": (_int, _UNSET)}),
+    "frac": (build_frac, {"den_bound": (_int, _UNSET), "max_value": (_int, _UNSET)}),
+    "product": (build_product, {
+        "name": (_name, "product"),
+        "parts": (_list_of(load_monoid), _REQUIRED),
+        "total": (_bool, _UNSET),
+    }),
+    "finmap": (build_finmap, {"keys": (_TERMS, _REQUIRED), "value": (load_monoid, _REQUIRED)}),
+    "table": (build_table_monoid, _TABLE),
+    "custom-table": (build_table_monoid, _TABLE),
+    "trivial": (build_trivial, {}),
+}
+
+
 # ---------------------------------------------------------------------------
 # Protocols
 
 
 def _hashtable(length, hash, values):
     """The hash-table builtin; its helper is (raw monoid, elements)."""
-    spec = HashFunctionSpec(length, tuple((term_from_json(k), h) for k, h in hash))
-    monoid, elems = build_hashtable_monoid(spec, values)
+    monoid, elems = build_hashtable_monoid(HashFunctionSpec(length, hash), values)
     return pcm_as_protocol(monoid), (monoid, elems)
 
 
@@ -237,19 +325,36 @@ _BUILTINS = {
     "rwlock-multi": (build_rwlock_multi, ("values",)),
     "hashtable": (_hashtable, ("length", "hash", "values")),
 }
-_TERM_LIST_PARAMS = ("keys", "values")
-
-
-def _params(doc: dict, path: str = "") -> dict:
-    """A builtin protocol's ``params``, by default none."""
-    return _object(doc.get("params", {}), _at(path, "params"))
+_RANGE = _tuple_of((_int, _int), "a range is [lo, hi]")
+# builtin param -> its kind
+_PARAMS = {
+    **dict.fromkeys(("keys", "values"), _TERMS),
+    **dict.fromkeys(("r_range", "rc_range"), _RANGE),
+    **dict.fromkeys(
+        ("length", "den_bound", "max_value", "nat_limit", "c_max", "sp_max", "agn_max", "k"), _int
+    ),
+    "hash": _list_of(_tuple_of((_term, _int), "a hash entry is [key, index]")),
+    "drop_carrier_constraint": _bool,
+}
+_BUILTIN = {
+    "builtin": (_one_of(_BUILTINS, "builtin protocol"), _REQUIRED),
+    "params": (_object, {}),
+}
+# the decision tables are read once the monoids are known
+_CUSTOM = {
+    "name": (_name, "custom"),
+    "protocol": (load_monoid, _REQUIRED),
+    "storage": (load_monoid, _REQUIRED),
+    "complete": (_any, _REQUIRED),
+    "stored_of": (_any, _REQUIRED),
+}
 
 
 def set_den_bound(doc: dict, bound: int) -> None:
     """Make ``bound`` the fraction denominator bound of ``doc`` if it is
     the fractional builtin; other protocols have none."""
     if _object(doc, "protocol").get("builtin") == "fractional":
-        doc["params"] = dict(_params(doc), den_bound=bound)
+        doc["params"] = dict(_object(doc.get("params", {}), "params"), den_bound=bound)
 
 
 def load_protocol(doc: dict):
@@ -262,69 +367,41 @@ def _load_protocol(doc: dict, path: str = ""):
     """(StorageProtocolSpec, helper). The helper is the builder's
     named-element object, (raw monoid, elements) for the hash table, or
     None. ``path`` locates ``doc`` in its file, for error messages."""
-    _object(doc, path or "protocol")
-    if "builtin" in doc:
-        name = doc["builtin"]
-        params = _params(doc, path)
-        if not isinstance(name, str) or name not in _BUILTINS:
-            raise FormatError(f"unknown builtin protocol {name!r}")
-        builder, required = _BUILTINS[name]
-        accepted = inspect.signature(builder).parameters
-        for key in params:
-            if key not in accepted:
-                raise FormatError(f"{_at(_at(path, 'params'), key)}: unknown parameter")
-        for key in required:
-            _need(params, key)
-        try:
-            built = builder(**{
-                k: _terms(v) if k in _TERM_LIST_PARAMS else tuple(v) if isinstance(v, list) else v
-                for k, v in params.items()
-            })
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad builtin protocol {name}: {exc}") from exc
-        return (built, None) if isinstance(built, StorageProtocolSpec) else built
+    if "builtin" not in _object(doc, path or "protocol"):
+        return _custom_protocol(_read(doc, _CUSTOM, path), path), None
+    fields = _read(doc, _BUILTIN, path)
+    builder, required = _BUILTINS[fields["builtin"]]
+    node = {
+        key: (_PARAMS[key], _REQUIRED if key in required else _UNSET)
+        for key in inspect.signature(builder).parameters
+    }
+    params = _read(fields["params"], node, _at(path, "params"), "parameter")
+    try:
+        built = builder(**params)
+    except ValueError as exc:
+        raise FormatError(f"bad builtin protocol {fields['builtin']}: {exc}") from exc
+    return (built, None) if isinstance(built, StorageProtocolSpec) else built
 
-    protocol = load_monoid(_need(doc, "protocol"), _at(path, "protocol"))
-    storage = load_monoid(_need(doc, "storage"), _at(path, "storage"))
-    complete_set = frozenset(
-        _table_element(el, protocol, at)
-        for at, el in _table_rows(doc, "complete", path)
-    )
-    stored_map = {}
-    for at, row in _table_rows(doc, "stored_of", path):
-        p = _table_element(_pair(row, at, "a row is [p, s]")[0], protocol, f"{at}[0]")
-        stored_map[p] = _table_element(row[1], storage, f"{at}[1]")
+
+def _custom_protocol(fields: dict, path: str) -> StorageProtocolSpec:
+    protocol, storage = fields["protocol"], fields["storage"]
+    in_protocol, in_storage = _element_of(protocol), _element_of(storage)
+    complete = _wrapped("table", _list_of(in_protocol))
+    complete_set = frozenset(complete(fields["complete"], _at(path, "complete")))
+    stored_of = _wrapped("table", _list_of(_tuple_of((in_protocol, in_storage), "a row is [p, s]")))
+    stored_map = dict(stored_of(fields["stored_of"], _at(path, "stored_of")))
     missing = complete_set - set(stored_map)
     if missing:
         raise FormatError(f"stored_of table missing {len(missing)} complete elements")
-    return (
-        StorageProtocolSpec(
-            doc.get("name", "custom"),
-            protocol,
-            storage,
-            lambda p: p in complete_set,
-            lambda p: stored_map[p],
-            bot_parts_incomplete=bool(protocol.parts)
-            and not any(p[0] == "tuple" and BOT in p[1] for p in complete_set),
-        ),
-        None,
+    return StorageProtocolSpec(
+        fields["name"],
+        protocol,
+        storage,
+        lambda p: p in complete_set,
+        lambda p: stored_map[p],
+        bot_parts_incomplete=bool(protocol.parts)
+        and not any(p[0] == "tuple" and BOT in p[1] for p in complete_set),
     )
-
-
-def _table_rows(doc: dict, key: str, path: str):
-    """(JSON path, entry) for each entry of the decision table ``key``."""
-    at = _at(path, key)
-    rows = _need(_object(_need(doc, key), at), "table")
-    at = _at(at, "table")
-    return [(f"{at}[{i}]", row) for i, row in enumerate(_list(rows, at))]
-
-
-def _table_element(doc, monoid: MonoidSpec, path: str) -> Term:
-    """A decision-table entry: a term in the carrier of ``monoid``."""
-    el = _term(doc, path)
-    if not is_element(monoid, el):
-        raise FormatError(f"{path}: {pretty(el)} is not in the carrier of {monoid.name}")
-    return el
 
 
 def element_from_json(doc, named, monoid: MonoidSpec | None = None) -> Term:
@@ -369,15 +446,15 @@ def _named_or_term(doc, named) -> Term:
 # ---------------------------------------------------------------------------
 # Relation query files
 
-# the elements each query kind reads; an exchange's "s" and "s_after"
-# may be left out and default to ε, every other listed element is needed
-_QUERY_FIELDS = {
-    "exchange": ("p", "s", "p_after", "s_after"),
-    "deposit": ("p", "s", "p_after"),
-    "withdraw": ("p", "p_after", "s_after"),
-    "update": ("p", "p_after"),
-    "guard": ("p", "s"),
-    "valid-fragment": ("p",),
+# query kind -> the elements it reads; an exchange's "s" and "s_after"
+# may be left out and default to ε
+_QUERIES = {
+    "exchange": {"p": _REQUIRED, "s": _UNSET, "p_after": _REQUIRED, "s_after": _UNSET},
+    "deposit": {"p": _REQUIRED, "s": _REQUIRED, "p_after": _REQUIRED},
+    "withdraw": {"p": _REQUIRED, "p_after": _REQUIRED, "s_after": _REQUIRED},
+    "update": {"p": _REQUIRED, "p_after": _REQUIRED},
+    "guard": {"p": _REQUIRED, "s": _REQUIRED},
+    "valid-fragment": {"p": _REQUIRED},
 }
 
 
@@ -386,33 +463,31 @@ def load_queries(doc: dict, named, sp: StorageProtocolSpec | None = None) -> lis
     ``p`` and ``p_after`` are elements of its protocol monoid and ``s``
     and ``s_after`` of its storage monoid (see :func:`element_from_json`).
     An element field that the query's kind does not read is an error."""
-    queries = _list(_need(_object(doc, "relations"), "queries"), "queries")
-    out = []
-    for i, q in enumerate(queries):
-        path = f"queries[{i}]"
-        kind = _object(q, path).get("kind")
-        if not isinstance(kind, str) or kind not in _QUERY_FIELDS:
-            raise FormatError(f"{path}.kind: unknown query kind {kind!r}")
-        expect = q.get("expect", "holds")
-        if expect not in ("holds", "fails"):
-            raise FormatError(f"{path}.expect: must be holds|fails")
-        reads = _QUERY_FIELDS[kind]
-        for key in reads:
-            if key not in q and not (kind == "exchange" and key in ("s", "s_after")):
-                raise FormatError(f"{path}.{key}: missing")
-        fields = {"kind": kind, "expect": expect, "note": q.get("note", "")}
-        for key in ("p", "s", "p_after", "s_after"):
-            if key not in q:
-                continue
-            if key not in reads:
-                raise FormatError(f"{path}.{key}: a {kind} query does not read it")
-            monoid = sp and (sp.storage if key in ("s", "s_after") else sp.protocol)
+
+    def element(monoid):
+        def read(el, path: str) -> Term:
             try:
-                fields[key] = element_from_json(q[key], named, monoid)
+                return element_from_json(el, named, monoid)
             except (EncodingError, FormatError) as exc:
-                raise FormatError(f"{path}.{key}: {exc}") from exc
-        out.append(fields)
-    return out
+                raise FormatError(f"{path}: {exc}") from exc
+
+        return read
+
+    # an element field's first letter names its monoid
+    elements = {"p": element(sp and sp.protocol), "s": element(sp and sp.storage)}
+
+    def query(q, path: str) -> dict:
+        kind = _one_of(_QUERIES, "query kind")(_object(q, path).get("kind"), f"{path}.kind")
+        node = {
+            "kind": (_any, _REQUIRED),
+            "expect": (_one_of(("holds", "fails")), "holds"),
+            "note": (_name, ""),
+            **{key: (elements[key[0]], need) for key, need in _QUERIES[kind].items()},
+        }
+        return _read(q, node, path)
+
+    node = {"queries": (_list_of(query), _REQUIRED)}
+    return list(_read(_object(doc, "relations"), node, "")["queries"])
 
 
 # ---------------------------------------------------------------------------
@@ -429,28 +504,17 @@ def _encode_value(v):
     raise FormatError(f"cannot encode value {v!r}")
 
 
-def _decode_value(doc, path: str):
-    if isinstance(doc, dict):
-        if "term" in doc:
-            return _term(doc["term"], f"{path}.term")
-        if "list" in doc:
-            items = _list(doc["list"], f"{path}.list")
-            return tuple(_decode_value(x, f"{path}.list[{i}]") for i, x in enumerate(items))
-        raise FormatError(f"bad encoded value {doc!r}")
-    if isinstance(doc, list):
-        raise FormatError(
-            f"{path}: write a list as {{\"list\": [...]}} and a term as {{\"term\": T}}"
-        )
-    return doc
-
-
 def _encode_kv(pairs):
     return {k: _encode_value(v) for k, v in pairs}
 
 
-def _decode_kv(doc, path: str) -> tuple:
-    pairs = _object(doc, path).items()
-    return tuple(sorted((k, _decode_value(v, f"{path}.{k}")) for k, v in pairs))
+# a scenario's protocol entry: an id, the instance's initial fragments,
+# and the fields of the protocol document that the rest of the entry forms
+_PROTOCOL_ENTRY = {
+    "id": (_name, _REQUIRED),
+    "fragments": (_list_of(_tuple_of((_name, _term), "a fragment is [owner, element]")), []),
+    **dict.fromkeys(("builtin", "params", *_CUSTOM), (_any, _UNSET)),
+}
 
 
 def load_protocols(entries) -> tuple[dict, dict, dict]:
@@ -461,12 +525,18 @@ def load_protocols(entries) -> tuple[dict, dict, dict]:
     where a helper is as in :func:`_load_protocol`. Instances with
     identical descriptors denote one protocol: it is built once, and they
     share its spec and helper."""
+    return _load_entries(entries)[:3]
+
+
+def _load_entries(entries) -> tuple[dict, dict, dict, dict]:
+    """:func:`load_protocols`, and id -> the instance's initial fragments."""
     built = {}
-    protocols, named, descriptors = {}, {}, {}
+    protocols, named, descriptors, fragments = {}, {}, {}, {}
     for i, entry in enumerate(entries):
         path = f"protocols[{i}]"
-        iid = _need(_object(entry, path), "id")
-        descriptor = {k: v for k, v in entry.items() if k not in ("id", "fragments")}
+        descriptor = _read(entry, _PROTOCOL_ENTRY, path)
+        iid = descriptor.pop("id")
+        fragments[iid] = descriptor.pop("fragments")
         key = json.dumps(descriptor, sort_keys=True)
         if key not in built:
             built[key] = _load_protocol(descriptor, path)
@@ -474,7 +544,7 @@ def load_protocols(entries) -> tuple[dict, dict, dict]:
         if helper is not None:
             named[iid] = helper
         descriptors[iid] = descriptor
-    return protocols, named, descriptors
+    return protocols, named, descriptors, fragments
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
@@ -530,130 +600,131 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
-_SCENARIO_FIELDS = (
-    "name", "cells", "threads", "protocols", "cell_instances", "protected_cells", "script",
-    "properties", "terminal_properties", "expectation", "max_states", "max_steps_per_thread",
-    "meta",
-)
+def _script_entry(doc, path: str) -> ScriptEntry:
+    fields = _read(doc, _SCRIPT_ENTRY, path)
+    if "args" in fields:
+        fields["args"] = tuple(sorted(fields["args"].items()))
+    if "when" in fields:
+        fields["when_result"] = fields.pop("when")
+    return ScriptEntry(**fields)
 
 
-def _program(doc, path: str):
-    try:
-        return ast_from_json(doc, path)
-    except UsageError as exc:
-        raise FormatError(str(exc)) from exc
+_SCRIPT_ENTRY = {
+    "label": (_name, _REQUIRED),
+    "resolver": (_name, _REQUIRED),
+    "args": (_object_of(_value), _UNSET),
+    "when": (_term, _UNSET),
+    "negate": (_bool, _UNSET),
+}
+# a property's params are read by the kinds its kind declares, once the
+# scenario's cells and protocol instances are known (see _property)
+_PROPERTY = {"name": (_name, _REQUIRED), "kind": (_name, _REQUIRED), "params": (_object, {})}
+_META = {
+    "lock_slot": (_object_of(_count), {}),
+    "slot_cells": (_object_of(_count), {}),
+    "thread_ops": (_list_of(_list_of(_form_of(
+        {"update": (_term, _term), "query": (_term,)},
+        'an operation is ["update", key, value] or ["query", key]',
+    ))), []),
+}
+# Scenario's field defaults hold for the fields left unset here.
+_SCENARIO = {
+    "name": (_name, _REQUIRED),
+    "cells": (_list_of(_tuple_of((_name, _term), "a cell is [name, term]")), _REQUIRED),
+    "threads": (_list_of(_program), _REQUIRED),
+    "protocols": (_list, _REQUIRED),
+    "cell_instances": (_object_of(_name), _UNSET),
+    "protected_cells": (_object_of(_name), _UNSET),
+    "script": (_list_of(_script_entry), _UNSET),
+    "properties": (_list_of(_node(_PROPERTY)), _UNSET),
+    "terminal_properties": (_list_of(_node(_PROPERTY)), _UNSET),
+    "expectation": (_one_of(("no-stuck", "stuck-reachable")), _UNSET),
+    "max_states": (_count, _UNSET),
+    "max_steps_per_thread": (_count, _UNSET),
+    "meta": (_node(_META), {}),
+}
+
+
+def _param_kinds(cells, instances) -> dict:
+    """The readers of the param kinds that properties declare (see
+    :func:`explore.register_property`) in a scenario with ``cells`` and
+    protocol ``instances``."""
+    term = _wrapped("term", _term)
+    cell = _one_of(cells, "cell")
+    return {
+        "term": term,
+        "terms": _wrapped("list", _list_of(term)),
+        "cell": cell,
+        "cells": _wrapped("list", _list_of(cell)),
+        "instance": _one_of(instances, "protocol instance"),
+        "count": _count,
+        "bool": _bool,
+    }
+
+
+def _property(doc: dict, path: str, kinds: dict) -> PropertySpec:
+    """The property ``doc`` read by :data:`_PROPERTY`, its params read by
+    ``kinds`` (see :func:`_param_kinds`); a kind that no evaluator is
+    registered for takes any encoded values."""
+    declared = PROPERTY_PARAMS.get(doc["kind"])
+    at = _at(path, "params")
+    if declared is None:
+        params = _object_of(_value)(doc["params"], at)
+    else:
+        node = {
+            key: (kinds[kind] if isinstance(kind, str) else _one_of(kind), _UNSET)
+            for key, kind in declared.items()
+        }
+        params = _read(doc["params"], node, at, "parameter")
+    return PropertySpec(doc["name"], doc["kind"], tuple(sorted(params.items())))
 
 
 def _unique(what: str, names) -> None:
     """Reject a repeated name; ``names`` are (JSON path, name) pairs."""
-    seen = []
+    seen = set()
     for path, name in names:
         if name in seen:
             raise FormatError(f"{path}: duplicate {what} name {name!r}")
-        seen.append(name)
-
-
-def _count(doc: dict, key: str, default: int) -> int:
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise FormatError(f"{key}: must be a non-negative integer, got {value!r}")
-    return value
-
-
-# hash-table operation name -> the number of terms it takes
-_THREAD_OPS = {"update": 2, "query": 1}
-
-
-def _thread_op(op, path: str) -> tuple:
-    """One operation of a hash-table thread: ["update", key, value] or
-    ["query", key]."""
-    if not (isinstance(op, list) and op and isinstance(op[0], str)
-            and _THREAD_OPS.get(op[0]) == len(op) - 1):
-        raise FormatError(f'{path}: an operation is ["update", key, value] or ["query", key], '
-                          f"got {op!r}")
-    return (op[0], *(_term(x, f"{path}[{n}]") for n, x in enumerate(op[1:], 1)))
+        seen.add(name)
 
 
 def scenario_from_json(doc: dict) -> Scenario:
-    _known_fields(_object(doc, "scenario"), _SCENARIO_FIELDS, "")
-    entries = _list(_need(doc, "protocols"), "protocols")
-    protocols, named, descriptors = load_protocols(entries)
-    initial_fragments = {
-        p["id"]: tuple(
-            (o, _term(el, f"protocols[{i}].fragments[{j}][1]"))
-            for j, (o, el) in enumerate(_pairs(
-                p.get("fragments", []), f"protocols[{i}].fragments",
-                "a fragment is [owner, element]",
-            ))
-        )
-        for i, p in enumerate(entries)
-    }
-    script: dict = {}
-    for i, e in enumerate(_list(doc.get("script", []), "script")):
-        _object(e, f"script[{i}]")
-        entry = ScriptEntry(
-            _need(e, "label"),
-            _need(e, "resolver"),
-            _decode_kv(e.get("args", {}), f"script[{i}].args"),
-            _term(e["when"], f"script[{i}].when") if "when" in e else None,
-            e.get("negate", False),
-        )
-        script.setdefault(entry.label, []).append(entry)
-
-    def property_specs(key):
-        return tuple(
-            PropertySpec(_need(_object(p, f"{key}[{i}]"), "name"), _need(p, "kind"),
-                         _decode_kv(p.get("params", {}), f"{key}[{i}].params"))
-            for i, p in enumerate(_list(doc.get(key, []), key))
-        )
-
-    cells = tuple(
-        (n, _term(v, f"cells[{i}][1]"))
-        for i, (n, v) in enumerate(_pairs(_need(doc, "cells"), "cells", "a cell is [name, term]"))
-    )
+    fields = _read(_object(doc, "scenario"), _SCENARIO, "")
+    entries = fields.pop("protocols")
+    protocols, named, descriptors, fragments = _load_entries(entries)
+    cells = fields["cells"]
     _unique("cell", ((f"cells[{i}][0]", n) for i, (n, _) in enumerate(cells)))
-    properties = property_specs("properties")
-    terminal_properties = property_specs("terminal_properties")
+    kinds = _param_kinds([n for n, _ in cells], list(protocols))
+    lists = ("properties", "terminal_properties")
+    for key in lists:
+        if key in fields:
+            fields[key] = tuple(
+                _property(p, f"{key}[{i}]", kinds) for i, p in enumerate(fields[key])
+            )
     _unique("property", (
-        (f"{key}[{i}].name", p.name)
-        for key, specs in (("properties", properties), ("terminal_properties", terminal_properties))
-        for i, p in enumerate(specs)
+        (f"{key}[{i}].name", p.name) for key in lists for i, p in enumerate(fields.get(key, ()))
     ))
-    expectation = doc.get("expectation", "no-stuck")
-    if expectation not in ("no-stuck", "stuck-reachable"):
-        raise FormatError(f"expectation: must be no-stuck or stuck-reachable, got {expectation!r}")
-    meta = _object(doc.get("meta", {}), "meta")
-    return Scenario(
-        name=_need(doc, "name"),
-        cells=cells,
-        programs=tuple(
-            _program(t, f"threads[{i}]")
-            for i, t in enumerate(_list(_need(doc, "threads"), "threads"))
-        ),
+    script: dict = {}
+    for entry in fields.pop("script", ()):
+        script.setdefault(entry.label, []).append(entry)
+    scenario = Scenario(
+        programs=fields.pop("threads"),
         protocols=protocols,
-        initial_fragments=initial_fragments,
+        initial_fragments=fragments,
         script=script,
-        properties=properties,
-        terminal_properties=terminal_properties,
-        expectation=expectation,
-        max_states=_count(doc, "max_states", 200_000),
-        max_steps_per_thread=_count(doc, "max_steps_per_thread", 64),
         named=named,
-        cell_instances=_object(doc.get("cell_instances", {}), "cell_instances"),
-        protected_cells=_object(doc.get("protected_cells", {}), "protected_cells"),
-        meta={
-            "protocol_json": descriptors,
-            "lock_slot": _object(meta.get("lock_slot", {}), "meta.lock_slot"),
-            "slot_cells": _object(meta.get("slot_cells", {}), "meta.slot_cells"),
-            "thread_ops": tuple(
-                tuple(
-                    _thread_op(op, f"meta.thread_ops[{t}][{j}]")
-                    for j, op in enumerate(_list(ops, f"meta.thread_ops[{t}]"))
-                )
-                for t, ops in enumerate(_list(meta.get("thread_ops", []), "meta.thread_ops"))
-            ),
-        },
+        meta={"protocol_json": descriptors, **fields.pop("meta")},
+        **fields,
     )
+    try:
+        initial_state(scenario)
+    except (TypeError, ValueError) as exc:  # the fragments do not compose to a complete state
+        for i, entry in enumerate(entries):  # name a fragment outside its carrier, if one is
+            element = _element_of(protocols[entry["id"]].protocol)
+            for j, (_, el) in enumerate(entry.get("fragments", ())):
+                element(el, f"protocols[{i}].fragments[{j}][1]")
+        raise FormatError(f"protocols: {exc}") from exc
+    return scenario
 
 
 # ---------------------------------------------------------------------------

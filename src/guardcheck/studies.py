@@ -129,11 +129,18 @@ def _prop(name, kind, **params):
 # withdraws after the last one.
 
 
+def _lock_elems(scenario: Scenario, iid):
+    """The named elements of instance ``iid``, a reader-writer lock. On
+    another instance, the ValueError fails the step or the property."""
+    named = scenario.named.get(iid)
+    if not isinstance(named, (RwLockElems, RwLockMultiElems)):
+        raise ValueError(f"instance {iid!r} is not a reader-writer lock")
+    return named
+
+
 def _rw_parts(ctx: ResolveCtx, entry: ScriptEntry):
     iid = ctx.instance_for(entry)
-    named = ctx.scenario.named.get(iid)
-    if not isinstance(named, (RwLockElems, RwLockMultiElems)):
-        raise ReplayError(f"instance {iid!r} is not a reader-writer lock")
+    named = _lock_elems(ctx.scenario, iid)
     sp = ctx.scenario.protocols[iid]
     inst = ctx.ledger.instance(iid)
     region = inst.fragment_of(_region(iid), sp.protocol.unit)
@@ -216,7 +223,7 @@ def _rwm_exc_progress(ctx, entry, iid, sp, named, region, mine, got):
 
 @_lock_step("rw.exc-release", "rwm.exc-release")
 def _rw_exc_release(ctx, entry, iid, sp, named, region, mine, got):
-    cell = entry.arg("cell") or ctx.scenario.protected_cells[iid]
+    cell = entry.arg("cell") or ctx.scenario.protected_cells.get(iid)
     raw = ctx.cell_value(cell)
     if raw is None:
         return GhostViolation("protected-cell-freed", iid)
@@ -299,17 +306,19 @@ def _rw_shared_read(ctx, entry):
 # Lock properties
 
 
-@register_property("rw-mutual-exclusion", reads_threads=False)
+@register_property("rw-mutual-exclusion", reads_threads=False, params={"instance": "instance"})
 def _prop_rw_mutex(scenario, state, prop):
     iid = prop.param("instance")
+    _lock_elems(scenario, iid)
     fragments = state.ledger.instance(iid).fragments
     holders = [o for o, el in fragments if el[1][2] != UNIT]
     return len(holders) <= 1, f"{iid}: exclusive holders {holders}"
 
 
-@register_property("rw-reader-agreement", reads_threads=False)
+@register_property("rw-reader-agreement", reads_threads=False, params={"instance": "instance"})
 def _prop_rw_agree(scenario, state, prop):
     iid = prop.param("instance")
+    _lock_elems(scenario, iid)
     values = set()
     for _, el in state.ledger.instance(iid).fragments:
         got = con_args(el[1][4], "agn")
@@ -318,10 +327,13 @@ def _prop_rw_agree(scenario, state, prop):
     return len(values) <= 1, f"{iid}: readers disagree: {[pretty(v) for v in values]}"
 
 
-@register_property("rw-fields-match-heap", reads_threads=False)
+@register_property(
+    "rw-fields-match-heap", reads_threads=False,
+    params={"instance": "instance", "exc_cell": "cell", "rc_cells": "cells"},
+)
 def _prop_rw_fields(scenario, state, prop):
     iid = prop.param("instance")
-    named = scenario.named[iid]
+    named = _lock_elems(scenario, iid)
     sp = scenario.protocols[iid]
     region = state.ledger.instance(iid).fragment_of(_region(iid), sp.protocol.unit)
     got = named.fields_of(region)
@@ -333,6 +345,8 @@ def _prop_rw_fields(scenario, state, prop):
         return False, f"{iid}: exc flag ghost {exc_b} vs heap {pretty(heap_exc)}"
     rc_cells = prop.param("rc_cells")
     rcs = rc if isinstance(rc, tuple) else (rc,)
+    if len(rc_cells) != len(rcs):
+        return False, f"{iid}: {len(rc_cells)} counter cells for {len(rcs)} counters"
     for k, cell in enumerate(rc_cells):
         heap_rc = state.machine.heap_value(scenario.cell_loc(cell))
         if heap_rc != tint(rcs[k]):
@@ -340,9 +354,13 @@ def _prop_rw_fields(scenario, state, prop):
     return True, ""
 
 
-@register_property("rw-stored-matches-cell", reads_threads=False)
+@register_property(
+    "rw-stored-matches-cell", reads_threads=False,
+    params={"instance": "instance", "cell": "cell", "raw_cell": "bool"},
+)
 def _prop_rw_stored(scenario, state, prop):
     iid = prop.param("instance")
+    _lock_elems(scenario, iid)
     inst = state.ledger.instance(iid)
     got = con_args(inst.stored, "ex")
     if got is None:
@@ -959,18 +977,22 @@ def decode_results(v: Term) -> tuple:
 
 
 def explorer_outcomes(scenario: Scenario, result) -> frozenset:
-    """Terminal summaries in the oracle's outcome shape."""
+    """Terminal summaries in the oracle's outcome shape. A summary that
+    has none, with a thread that returns no result list or a slot cell
+    that holds no option, is None, which matches no oracle outcome."""
     from .terms import term_key
 
     slot_cells = scenario.meta["slot_cells"]
     outcomes = set()
     for summary in result.terminal_summaries:
-        results = tuple(decode_results(v) for v in summary.thread_values)
+        try:
+            results = tuple(decode_results(v) for v in summary.thread_values)
+            slots = [opt_to_ghost(value) for name, value in summary.cells if name in slot_cells]
+        except ValueError:
+            outcomes.add(None)
+            continue
         mapping = {}
-        for name, value in summary.cells:
-            if name not in slot_cells:
-                continue
-            ghost = opt_to_ghost(value)
+        for ghost in slots:
             kv = con_args(ghost, "some")
             if kv is not None:
                 k, v = kv[0][1]

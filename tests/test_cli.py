@@ -1,13 +1,18 @@
 """CLI: exit codes, output determinism, and the demo registry."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guardcheck
 from guardcheck.cli import main
@@ -358,6 +363,57 @@ MALFORMED_SCENARIO = {
                                  "script[0].args: must be an object, got list"),
     "scenario-meta": (["meta"], 5, "meta: must be an object, got int"),
     "scenario-cell-instances": (["cell_instances"], [], "cell_instances: must be an object, got list"),
+    # names are strings
+    "scenario-name": (["name"], 5, "name: must be a string, got int"),
+    "scenario-cell-name": (["cells", 2, 0], ["x"], "cells[2][0]: must be a string, got list"),
+    "scenario-label": (["script", 0, "label"], ["x"], "script[0].label: must be a string, got list"),
+    "scenario-resolver": (["script", 0, "resolver"], {},
+                          "script[0].resolver: must be a string, got dict"),
+    "scenario-property-name": (["properties", 0, "name"], ["x"],
+                               "properties[0].name: must be a string, got list"),
+    "scenario-property-kind": (["properties", 0, "kind"], 7,
+                               "properties[0].kind: must be a string, got int"),
+    "scenario-protocol-id": (["protocols", 0, "id"], 7, "protocols[0].id: must be a string, got int"),
+    "scenario-fragment-owner": (["protocols", 0, "fragments", 0, 0], ["x"],
+                                "protocols[0].fragments[0][0]: must be a string, got list"),
+    # a missing field, an unknown builtin, names its path
+    "scenario-script-missing-label": (["script", 0], {}, "script[0].label: missing"),
+    "scenario-protocol-missing-id": (["protocols", 0], {"builtin": "rwlock"},
+                                     "protocols[0].id: missing"),
+    "scenario-unknown-builtin": (["protocols", 0, "builtin"], "zzz",
+                                 "protocols[0].builtin: unknown builtin protocol 'zzz'"),
+    # fields of the wrong kind
+    "scenario-negate": (["script", 0, "negate"], "yes",
+                        "script[0].negate: must be true or false, got 'yes'"),
+    "scenario-cell-instance": (["cell_instances", "exc"], 5,
+                               "cell_instances.exc: must be a string, got int"),
+    "scenario-protected-cell": (["protected_cells", "lock"], ["cell"],
+                                "protected_cells.lock: must be a string, got list"),
+    "scenario-lock-slot": (["meta", "lock_slot"], {"lock": "zzz"},
+                           "meta.lock_slot.lock: must be a non-negative integer, got 'zzz'"),
+    "scenario-slot-cells": (["meta", "slot_cells"], {"cell": -1},
+                            "meta.slot_cells.cell: must be a non-negative integer, got -1"),
+    # property params, by the kinds their property kind declares
+    "scenario-param-value": (["terminal_properties", 1, "params", "value"], True,
+                             "terminal_properties[1].params.value: must be an object, got bool"),
+    "scenario-param-rc-cells": (["properties", 3, "params", "rc_cells"], 7,
+                                "properties[3].params.rc_cells: must be an object, got int"),
+    "scenario-param-cell": (["properties", 4, "params", "cell"], "x",
+                            "properties[4].params.cell: unknown cell 'x'"),
+    "scenario-param-instance": (["properties", 1, "params", "instance"], "x",
+                                "properties[1].params.instance: unknown protocol instance 'x'"),
+    "scenario-param-unknown": (["properties", 1, "params", "instanse"], "lock",
+                               "properties[1].params.instanse: unknown parameter"),
+    # initial fragments are carrier elements whose joint state is complete
+    "scenario-fragment-not-element": (
+        ["protocols", 0, "fragments", 0, 1], ["int", 1],
+        "protocols[0].fragments[0][1]: 1 is not in the carrier of rwlock-protocol",
+    ),
+    "scenario-fragments-incomplete": (
+        ["protocols", 0, "fragments"], [],
+        "protocols: scenario setup: alloc-not-complete [lock]: initial joint state must "
+        "satisfy the completeness predicate",
+    ),
 }
 
 
@@ -386,13 +442,17 @@ MALFORMED_SCENARIO = {
          "input error: params.sp_mx: unknown parameter"),
         (_trivial_protocol({"table": []}, {"table": []}) | {"protocol": {"kind": "nat", "limt": 2}},
          [], "input error: protocol.limt: unknown field"),
+        (_trivial_protocol({"table": []}, {"table": []}) | {"protocol": {"kind": "martian"}},
+         [], "input error: protocol.kind: unknown monoid kind 'martian'"),
+        ({"builtin": "alchemy"}, [], "input error: builtin: unknown builtin protocol 'alchemy'"),
     ]]
     + [("explore", edited_scenario(path, value), [], f"input error: {message}")
        for path, value, message in MALFORMED_SCENARIO.values()],
     ids=["table-missing-row", "table-unlisted-result", "params-not-object",
          "bound-params-not-object", "bound-protocol-not-object",
          "complete-not-a-term", "stored-of-row-not-a-pair", "complete-not-object",
-         "stored-value-not-in-storage", "unknown-param", "monoid-unknown-field"]
+         "stored-value-not-in-storage", "unknown-param", "monoid-unknown-field",
+         "unknown-monoid-kind", "unknown-builtin"]
     + list(MALFORMED_SCENARIO),
 )
 def test_malformed_protocol_exit_2_without_traceback(tmp_path, command, doc, args, message):
@@ -426,8 +486,24 @@ def counter_out_of_range(counter):
     return edit
 
 
+def cell_arg_names_no_cell(doc):
+    entry = next(e for e in doc["script"] if e["resolver"] == "rw.exc-release")
+    entry["args"]["cell"] = "x"
+
+
+def tid_names_no_thread(doc):
+    doc["terminal_properties"][1]["params"]["tid"] = 7
+
+
+def lock_properties_on_table(doc):
+    for prop in doc["properties"]:
+        if prop["kind"].startswith("rw-"):
+            prop["params"]["instance"] = "ht"
+
+
 def test_resolver_replay_error_is_a_violation(tmp_path):
-    # each ReplayError a resolver raises is recorded; the explorer does
+    # each ReplayError a resolver raises is recorded, and so is each fault
+    # that a resolver or a property meets at run time; the explorer does
     # not crash
     cases = [
         ("rwlock-exc", unbound_cell, {
@@ -452,6 +528,21 @@ def test_resolver_replay_error_is_a_violation(tmp_path):
             "schedule": [0] * 23 + [1, 1],
         })
         for counter in (5, -1)
+    ] + [
+        ("rwlock-exc", cell_arg_names_no_cell, {
+            "kind": "replay", "name": "t0.exc_release",
+            "detail": "label t0.exc_release: unknown cell 'x'",
+            "schedule": [0] * 20,
+        }),
+        ("rwlock-shared", tid_names_no_thread, {
+            "kind": "terminal", "name": "reader-0-sane", "detail": "no thread 7",
+            "schedule": [0] * 17 + [1] * 16 + [2] * 16,
+        }),
+        ("hashtable-collide", lock_properties_on_table, {
+            "kind": "property", "name": "mutual-exclusion-0",
+            "detail": "evaluator error: instance 'ht' is not a reader-writer lock",
+            "schedule": [],
+        }),
     ]
     for name, edit, violation in cases:
         doc = shipped_scenario(name)
@@ -462,3 +553,39 @@ def test_resolver_replay_error_is_a_violation(tmp_path):
         assert proc.returncode == 1, (edit.__name__, proc.stderr)
         assert "Traceback" not in proc.stderr, edit.__name__
         assert violation in json.loads(proc.stdout)["violations"], edit.__name__
+
+
+# the shape fuzz: each example replaces one node of a checked-in scenario,
+# outside its threads, with one of these values or a list of one
+FUZZ_VALUES = [None, 7, "x", [], {}, -3, True, [["int", 1]], ["map", [[["int", 1]]]]]
+SCENARIO_DEMOS = sorted(name for name, spec in DEMOS.items() if spec["kind"] == "explore")
+
+
+def node_paths(doc, path=()):
+    """The path of every node of the scenario ``doc`` outside its threads."""
+    if isinstance(doc, dict):
+        items = [(k, v) for k, v in doc.items() if path or k != "threads"]
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+    else:
+        return []
+    return [p for k, v in items for p in [(*path, k), *node_paths(v, (*path, k))]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scenario_shape_fuzz_never_raises(data):
+    doc = shipped_scenario(data.draw(st.sampled_from(SCENARIO_DEMOS)))
+    path = data.draw(st.sampled_from(node_paths(doc)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES + [[v] for v in FUZZ_VALUES]))
+    mode = data.draw(st.sampled_from(["rule", "concrete"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["explore", str(scenario), "--mode", mode, "--max-states", "300",
+                         "--quiet"])
+    assert code in (0, 1, 2, 3)
