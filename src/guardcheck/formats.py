@@ -51,7 +51,7 @@ from .library import (
 )
 from .monoid import MonoidSpec, is_element
 from .protocol import StorageProtocolSpec
-from .terms import BOT, EncodingError, Term, is_term, pretty, term_from_json, term_to_json
+from .terms import EncodingError, Term, is_term, pretty, term_from_json, term_to_json
 
 __all__ = [
     "FormatError",
@@ -399,8 +399,6 @@ def _custom_protocol(fields: dict, path: str) -> StorageProtocolSpec:
         storage,
         lambda p: p in complete_set,
         lambda p: stored_map[p],
-        bot_parts_incomplete=bool(protocol.parts)
-        and not any(p[0] == "tuple" and BOT in p[1] for p in complete_set),
     )
 
 

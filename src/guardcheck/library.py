@@ -662,6 +662,8 @@ def _build_rwlock_protocol(name, prefix, values, counters, c_ep, c_sp, c_sh, cou
     storage = build_excl(values, name=f"{prefix}-storage")
 
     def complete(p):
+        if BOT in p[1]:
+            return False
         c1, ep, e, spc, s = p[1]
         got = con_args(c1, "ex")
         if got is None:
@@ -680,9 +682,7 @@ def _build_rwlock_protocol(name, prefix, values, counters, c_ep, c_sp, c_sh, cou
         x = con_args(c1, "ex")[0][1][2]
         return UNIT if e == EX else ex(x)
 
-    return StorageProtocolSpec(
-        name, product, storage, complete, stored_of, bot_parts_incomplete=True
-    )
+    return StorageProtocolSpec(name, product, storage, complete, stored_of)
 
 
 def build_rwlock(

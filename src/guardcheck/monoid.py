@@ -6,7 +6,9 @@ derived relations — extension order, frame-preserving update, and the
 overlapping-conjunction premise — are decided by enumeration over the
 carrier, exactly or up to the enumerator's declared bound. Every such
 "for each frame" check, here and in the storage protocols, goes through
-:func:`first_counterexample`; :func:`memo` keeps the results.
+:func:`first_counterexample`; :func:`memo` keeps the results. A caller
+whose body holds outside some boxes of frames (tuples of part elements)
+has the walk visit only those boxes, in carrier order.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import prod
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .terms import BOT, Term, pretty, sort_terms, ttuple
+from .terms import Term, pretty, sort_terms, ttuple
 
 __all__ = [
     "ElementEnumerator",
@@ -35,6 +37,9 @@ __all__ = [
     "leq",
     "leq_witness",
     "first_counterexample",
+    "Box",
+    "axes",
+    "components",
     "memo",
     "frame_preserving_update",
     "and_premise",
@@ -159,8 +164,8 @@ class CheckResult:
     A failing result carries a frame that, substituted back into the
     quantified body, falsifies it. ``frames`` counts carrier positions:
     up to and including the witness when the check fails, the whole
-    carrier when it holds. Frames a pruned walk skipped count too, so it
-    is not the number of bodies evaluated.
+    carrier when it holds. Frames a walk over boxes skipped count too, so
+    it is not the number of bodies evaluated.
     """
 
     verdict: str  # HOLDS | FAILS | UP_TO_BOUND
@@ -178,11 +183,28 @@ class CheckResult:
         return f"{self.verdict}: {self.reason} [witness {pretty(self.witness)}]"
 
 
+# A box of frames: one list of distinct elements per axis of a monoid; the
+# box holds every tuple of one element from each list. A product's axes
+# are its parts, and its frames are those tuples; any other monoid has one
+# axis, and its frames are that axis's elements.
+Box = Sequence[Sequence[Term]]
+
+
+def axes(spec: MonoidSpec) -> tuple[MonoidSpec, ...]:
+    """The monoids a frame of ``spec`` has one component in."""
+    return spec.parts or (spec,)
+
+
+def components(spec: MonoidSpec, frame: Term) -> tuple[Term, ...]:
+    """A frame's component on each axis (see :func:`axes`)."""
+    return frame[1] if spec.parts else (frame,)
+
+
 def first_counterexample(
     spec: MonoidSpec,
     body: Callable[[Term], str | None],
     bounded: bool = False,
-    against: Term | None = None,
+    boxes: Iterable[Box] | None = None,
 ) -> CheckResult:
     """Decide ∀c. body(c) over the carrier of ``spec``, in carrier order.
 
@@ -192,59 +214,52 @@ def first_counterexample(
     carrier size. The verdict holds up to the bound when ``spec`` is
     bounded or ``bounded`` says that something else the body reads is.
 
-    ``against`` is a promise by the caller: body(c) holds wherever some
-    part of against·c is ⊥. For a product ``spec`` the walk then visits
-    only the frames whose every part composes with ``against`` without ⊥,
-    and never builds the product carrier.
+    ``boxes`` is a promise by the caller: body(c) holds at every frame
+    outside them. The walk then visits only the frames in the boxes,
+    ranked by carrier position (see :data:`Box`), and never builds a
+    product's carrier.
     """
-    frames, position, size = _walk(spec, against)
-    for frame in frames:
+    if boxes is None:
+        frames = carrier(spec)
+        walk, size = enumerate(frames), len(frames)
+    else:
+        walk, size = _box_walk(spec, boxes)
+    for position, frame in walk:
         why = body(frame)
         if why is not None:
-            return CheckResult(FAILS, frame, why, position(frame) + 1)
+            return CheckResult(FAILS, frame, why, position + 1)
     return CheckResult(UP_TO_BOUND if spec.bounded or bounded else HOLDS, frames=size)
 
 
-def _walk(spec: MonoidSpec, against: Term | None):
-    """(frames to visit in carrier order, frame -> carrier position, carrier size)."""
-    if against is None or not spec.parts:
-        frames = carrier(spec)
-        return frames, frames.index, len(frames)
-    indices = [term_order(part)[1] for part in spec.parts]
-    strides, unit_rank, size = memo(spec, "strides", _strides, spec)
-    lists = [
-        memo(part, ("frames-against", x), _frames_against, part, x)
-        for part, x in zip(spec.parts, against[1])
-    ]
-    frames = [ttuple(*c) for c in itertools.product(*lists)]
-    unit = spec.unit
-    if all(u in frames_j for u, frames_j in zip(unit[1], lists)):
-        frames.remove(unit)
-        frames.insert(0, unit)
+def _box_walk(spec: MonoidSpec, boxes: Iterable[Box]):
+    """(every (carrier position, frame) of ``boxes`` in position order, the
+    carrier size). Boxes must not overlap."""
+    position, size = memo(spec, "position", _position, spec)
+    frame = ttuple if spec.parts else lambda c: c
+    ranked = sorted(
+        (position(c), c) for box in boxes for c in itertools.product(*box)
+    )
+    return ((i, frame(*c)) for i, c in ranked), size
 
-    def position(frame):
-        # the frame's rank in the term-ordered product, before the unit moved
-        rank = sum(s * index[c] for s, index, c in zip(strides, indices, frame[1]))
+
+def _position(spec: MonoidSpec):
+    """(components -> carrier position, carrier size). A product's carrier
+    is its parts' term orders multiplied out, with the unit moved to the
+    front, so a tuple's position is its mixed-radix rank there, shifted
+    by one if it ranks below the unit. Any other carrier is indexed."""
+    if not spec.parts:
+        index = {t: i for i, t in enumerate(carrier(spec))}
+        return (lambda c: index[c[0]]), len(index)
+    indices = [term_order(part)[1] for part in spec.parts]
+    sizes = [len(index) for index in indices]
+    strides = [prod(sizes[j + 1:]) for j in range(len(sizes))]
+    unit_rank = sum(s * index[u] for s, index, u in zip(strides, indices, spec.unit[1]))
+
+    def position(c):
+        rank = sum(s * index[x] for s, index, x in zip(strides, indices, c))
         return 0 if rank == unit_rank else rank + (rank < unit_rank)
 
-    return frames, position, size
-
-
-def _strides(spec: MonoidSpec):
-    """Mixed-radix strides of the term-ordered product, the unit's rank in
-    it, and the carrier size."""
-    sizes = [len(term_order(part)[0]) for part in spec.parts]
-    strides = tuple(prod(sizes[j + 1:]) for j in range(len(sizes)))
-    unit_rank = sum(
-        s * term_order(part)[1][u] for s, part, u in zip(strides, spec.parts, spec.unit[1])
-    )
-    return strides, unit_rank, prod(sizes)
-
-
-def _frames_against(part: MonoidSpec, x: Term) -> tuple[Term, ...]:
-    """The elements c of ``part``, in term order, with x·c ≠ ⊥."""
-    comp = part.compose_fn
-    return tuple(c for c in term_order(part)[0] if comp(x, c) != BOT)
+    return position, prod(sizes)
 
 
 def _image(spec: MonoidSpec, a: Term) -> Callable[[Term], bool]:
@@ -281,18 +296,25 @@ def frame_preserving_update(spec: MonoidSpec, a: Term, b: Term) -> CheckResult:
 
 
 def and_premise(spec: MonoidSpec, x: Term, y: Term, z: Term) -> CheckResult:
-    """∀t. (x ≼ t ∧ y ≼ t ∧ 𝒱(t)) ⟹ z ≼ t, over the enumerated carrier;
-    on a product, ≼ is decided part by part (see :func:`_image`)."""
-    above_x = _image(spec, x)
-    above_y = _image(spec, y)
+    """∀t. (x ≼ t ∧ y ≼ t ∧ 𝒱(t)) ⟹ z ≼ t, over the enumerated carrier.
+    On a product, ≼ is decided part by part (see :func:`_image`), so the
+    walk visits the one box of tuples whose every part extends both x's
+    and y's."""
+    parts = axes(spec)
+    box = [
+        [c for c in term_order(part)[0] if above_x(c) and above_y(c)]
+        for part, above_x, above_y in zip(
+            parts, map(_image, parts, components(spec, x)), map(_image, parts, components(spec, y))
+        )
+    ]
     above_z = _image(spec, z)
     ok = spec.valid_fn
 
     def body(t):
-        if above_x(t) and above_y(t) and ok(t) and not above_z(t):
+        if ok(t) and not above_z(t):
             return f"{pretty(t)} extends both operands but not {pretty(z)}"
 
-    return first_counterexample(spec, body)
+    return first_counterexample(spec, body, boxes=[box])
 
 
 @dataclass(frozen=True)

@@ -6,28 +6,33 @@ exactly where 𝒞 holds). The derived relations — exchange (with
 its deposit, withdraw and update specializations) and guard — quantify
 over frames from P's enumerator and report Holds / FailsWithWitness /
 HoldsUpToBound. They constrain only frames q where 𝒞(p·q) holds, so
-where 𝒞 rejects every element with a ⊥ part, the frames that give p·q a
-⊥ part are skipped (see :func:`quantify_frames`).
+only those frames are visited: grouped by the value of p·q, part by
+part, and found by asking 𝒞 of each value (see :func:`completion_boxes`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from .monoid import (
+    Box,
     CheckResult,
     LawCheck,
     LawReport,
     MonoidSpec,
+    axes,
     carrier,
+    components,
     check_pcm_laws,
     first_counterexample,
     leq,
     memo,
+    term_order,
 )
-from .terms import BOT, Term, pretty
+from .terms import Term, pretty, ttuple
 
 __all__ = [
     "StorageProtocolSpec",
@@ -41,6 +46,7 @@ __all__ = [
     "exchange_body_at",
     "guard_body_at",
     "quantify_frames",
+    "completion_boxes",
     "recheck_exchange_witness",
     "recheck_guard_witness",
 ]
@@ -56,10 +62,6 @@ class StorageProtocolSpec:
 
     ``stored_of`` may assume 𝒞 holds; callers go through :meth:`stored`,
     which raises :class:`StorageDomainError` outside 𝒞.
-
-    ``bot_parts_incomplete`` (for a product P only) makes 𝒞 fail at every
-    element with a ⊥ part, before ``complete_fn`` is asked. Relation
-    checks then skip the frames q where some part of p·q is ⊥.
     """
 
     name: str
@@ -67,13 +69,7 @@ class StorageProtocolSpec:
     storage: MonoidSpec
     complete_fn: Callable[[Term], bool]
     stored_of_fn: Callable[[Term], Term]
-    bot_parts_incomplete: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.bot_parts_incomplete:
-            decide = self.complete_fn
-            self.complete_fn = lambda p: BOT not in p[1] and decide(p)
 
     def complete(self, p: Term) -> bool:
         return self.complete_fn(p)
@@ -161,13 +157,50 @@ def quantify_frames(
 ) -> CheckResult:
     """∀q. body(q) over the protocol frames, kept in the memo under ``key``.
 
-    ``body`` must hold wherever p·q is not complete: the frames that give
-    p·q a ⊥ part are then skipped when 𝒞 rejects those by construction.
+    ``body`` must hold wherever p·q is not complete: only the frames in
+    :func:`completion_boxes` are visited.
     """
     return memo(
-        sp, key, first_counterexample, sp.protocol, body, sp.bounded,
-        p if sp.bot_parts_incomplete else None,
+        sp, key,
+        lambda: first_counterexample(sp.protocol, body, sp.bounded, completion_boxes(sp, p)),
     )
+
+
+def completion_boxes(sp: StorageProtocolSpec, p: Term) -> tuple[Box, ...]:
+    """The enumerated frames q with 𝒞(p·q), as boxes (see :data:`Box`).
+
+    P composes part by part (a non-product P is its own one part), so on
+    each part j the elements q_j are grouped by the value of p_j·q_j.
+    Each tuple c of such values is asked 𝒞 once, and where it holds, the
+    frames q with p·q = c form the box of those groups. 𝒞 is asked of the
+    values p·q themselves, so a completion outside the enumerated carrier
+    is found too. Kept in the memo.
+    """
+    return memo(sp, ("completions", p), lambda: tuple(_completions(sp, p)))
+
+
+def _completions(sp: StorageProtocolSpec, p: Term) -> Iterator[Box]:
+    """The boxes of :func:`completion_boxes`, one at a time."""
+    proto = sp.protocol
+    groups = [
+        memo(part, ("by-value", x), _by_value, part, x)
+        for part, x in zip(axes(proto), components(proto, p))
+    ]
+    value = ttuple if proto.parts else lambda v: v
+    return (
+        [by_value[v] for by_value, v in zip(groups, c)]
+        for c in itertools.product(*groups)
+        if sp.complete(value(*c))
+    )
+
+
+def _by_value(part: MonoidSpec, x: Term) -> dict[Term, list[Term]]:
+    """The elements q of ``part`` in term order, grouped by x·q."""
+    comp = part.compose_fn
+    groups: dict[Term, list[Term]] = {}
+    for q in term_order(part)[0]:
+        groups.setdefault(comp(x, q), []).append(q)
+    return groups
 
 
 def exchange_holds(sp: StorageProtocolSpec, q: ExchangeQuery) -> CheckResult:
@@ -184,12 +217,9 @@ def guard_holds(sp: StorageProtocolSpec, p: Term, s: Term) -> CheckResult:
 
 
 def valid_fragment(sp: StorageProtocolSpec, p: Term) -> bool:
-    """Some enumerated frame completes p to a 𝒞-state."""
-    comp_p = sp.protocol.compose_fn
-    found = quantify_frames(
-        sp, ("vf", p), p, lambda q: "completes" if sp.complete(comp_p(p, q)) else None
-    )
-    return not found.ok
+    """Some enumerated frame completes p to a 𝒞-state: the first complete
+    value tuple of :func:`completion_boxes` decides it."""
+    return memo(sp, ("vf", p), lambda: next(_completions(sp, p), None) is not None)
 
 
 def recheck_exchange_witness(sp: StorageProtocolSpec, q: ExchangeQuery, frame: Term) -> bool:

@@ -52,6 +52,7 @@ from .library import (
     EX,
     NONE,
     HashFunctionSpec,
+    HashTableElems,
     RwLockElems,
     RwLockMultiElems,
     ex,
@@ -597,39 +598,65 @@ def _ht_slot_for_event(ctx: ResolveCtx, entry: ScriptEntry) -> tuple[str, int]:
     return lock_iid, slot
 
 
-def _ht_total(scenario, ledger):
-    return joint_state(scenario.protocols["ht"], ledger.instance("ht").fragments)
+def _is_table(named) -> bool:
+    return isinstance(named, tuple) and isinstance(named[1], HashTableElems)
+
+
+def _table(scenario: Scenario, iid):
+    """(iid, protocol, monoid, named elements) of instance ``iid``, a hash
+    table. On another instance, the ValueError fails the step or the
+    property."""
+    named = scenario.named.get(iid)
+    if not _is_table(named):
+        raise ValueError(f"instance {iid!r} is not a hash table")
+    return (iid, scenario.protocols[iid], *named)
+
+
+def _prop_table(scenario: Scenario, prop: PropertySpec):
+    """:func:`_table` of the instance a hash-table property reads: its
+    ``instance`` param, by default the scenario's one hash table."""
+    iid = prop.param("instance", None)
+    if iid is None:
+        tables = [i for i, named in scenario.named.items() if _is_table(named)]
+        if len(tables) != 1:
+            raise ValueError(f"{len(tables)} hash-table instances: set param instance")
+        iid = tables[0]
+    return _table(scenario, iid)
+
+
+def _ht_total(scenario, ledger, iid):
+    return joint_state(scenario.protocols[iid], ledger.instance(iid).fragments)
 
 
 @register_resolver("ht.take-slot")
 def _ht_take_slot(ctx, entry):
     """Exclusive acquisition also hands the slot fragment to the thread."""
     _, slot = _ht_slot_for_event(ctx, entry)
-    sp = ctx.scenario.protocols["ht"]
+    iid, sp, _, _ = _table(ctx.scenario, ctx.instance_for(entry))
     store_owner = f"store:slot{slot}"
-    frag = ctx.ledger.instance("ht").fragment_of(store_owner, sp.protocol.unit)
+    frag = ctx.ledger.instance(iid).fragment_of(store_owner, sp.protocol.unit)
     if map_get(frag[1][1], tint(slot)) is None:
         return GhostViolation(
-            "missing-slot-fragment", "ht", detail=f"slot {slot} not in its store region"
+            "missing-slot-fragment", iid, detail=f"slot {slot} not in its store region"
         )
-    return [TransferAction("ht", store_owner, ctx.self_owner, frag, sp.protocol.unit)]
+    return [TransferAction(iid, store_owner, ctx.self_owner, frag, sp.protocol.unit)]
 
 
 @register_resolver("ht.give-slot")
 def _ht_give_slot(ctx, entry):
     """Release returns the (possibly updated) slot fragment to its region."""
     _, slot = _ht_slot_for_event(ctx, entry)
-    sp = ctx.scenario.protocols["ht"]
-    mine = ctx.ledger.instance("ht").fragment_of(ctx.self_owner, sp.protocol.unit)
+    iid, sp, _, _ = _table(ctx.scenario, ctx.instance_for(entry))
+    mine = ctx.ledger.instance(iid).fragment_of(ctx.self_owner, sp.protocol.unit)
     got = map_get(mine[1][1], tint(slot))
     if got is None:
         return GhostViolation(
-            "missing-slot-fragment", "ht", detail=f"thread does not hold slot {slot}"
+            "missing-slot-fragment", iid, detail=f"thread does not hold slot {slot}"
         )
     element = ttuple(tmap(()), tmap([(tint(slot), got)]))
     remainder = ttuple(mine[1][0], map_remove(mine[1][1], tint(slot)))
     return [
-        TransferAction("ht", ctx.self_owner, f"store:slot{slot}", element, remainder)
+        TransferAction(iid, ctx.self_owner, f"store:slot{slot}", element, remainder)
     ]
 
 
@@ -637,27 +664,27 @@ def _ht_give_slot(ctx, entry):
 def _ht_update(ctx, entry):
     """Slot write: move the logical map and the slot fragment together."""
     _, slot = _ht_slot_for_event(ctx, entry)
-    sp = ctx.scenario.protocols["ht"]
+    iid, sp, _, _ = _table(ctx.scenario, ctx.instance_for(entry))
     written = opt_to_ghost(ctx.event.written)
     kv = con_args(written, "some")
     if kv is None:
-        return GhostViolation("ht-update-clears-slot", "ht")
+        return GhostViolation("ht-update-clears-slot", iid)
     k, v = kv[0][1]
-    mine = ctx.ledger.instance("ht").fragment_of(ctx.self_owner, sp.protocol.unit)
+    mine = ctx.ledger.instance(iid).fragment_of(ctx.self_owner, sp.protocol.unit)
     if map_get(mine[1][0], k) is None:
         return GhostViolation(
-            "missing-map-fragment", "ht",
+            "missing-map-fragment", iid,
             detail=f"thread updates {pretty(k)} without owning its map entry",
         )
     if map_get(mine[1][1], tint(slot)) is None:
         return GhostViolation(
-            "missing-slot-fragment", "ht", detail=f"thread does not hold slot {slot}"
+            "missing-slot-fragment", iid, detail=f"thread does not hold slot {slot}"
         )
     new_keymap = map_set(mine[1][0], k, ex(some(v)))
     new_slotmap = map_set(mine[1][1], tint(slot), ex(written))
     return [
         ExchangeAction(
-            "ht",
+            iid,
             ((ctx.self_owner, ttuple(new_keymap, new_slotmap)),),
             kind="update",
             note=f"table write at slot {slot}",
@@ -672,15 +699,15 @@ def _ht_query_check(ctx, entry):
     from .monoid import and_premise, memo
 
     _, slot = _ht_slot_for_event(ctx, entry)
-    monoid, elems = ctx.scenario.named["ht"]
-    total = _ht_total(ctx.scenario, ctx.ledger)
+    iid, _, monoid, elems = _table(ctx.scenario, ctx.instance_for(entry))
+    total = _ht_total(ctx.scenario, ctx.ledger, iid)
     ghost_slot = elems.slot_value(total, slot)
     if ghost_slot is None:
-        return GhostViolation("ht-slot-unowned", "ht", detail=f"slot {slot}")
+        return GhostViolation("ht-slot-unowned", iid, detail=f"slot {slot}")
     phys = opt_to_ghost(ctx.result)
     if phys != ghost_slot:
         return GhostViolation(
-            "ht-slot-desync", "ht",
+            "ht-slot-desync", iid,
             detail=f"slot {slot} reads {pretty(phys)}, ghost holds {pretty(ghost_slot)}",
         )
     key = entry.arg("key")
@@ -694,33 +721,33 @@ def _ht_query_check(ctx, entry):
         )
         if not verdict.ok:
             return GhostViolation(
-                "overlap-composition-failed", "ht",
+                "overlap-composition-failed", iid,
                 detail=f"m({pretty(key)}) ∧ slot({slot}) does not compose",
             )
     return []
 
 
-@register_property("ht-valid", reads_threads=False)
+@register_property("ht-valid", reads_threads=False, params={"instance": "instance"})
 def _prop_ht_valid(scenario, state, prop):
-    sp = scenario.protocols["ht"]
-    total = _ht_total(scenario, state.ledger)
-    return sp.complete(total), "joint table state violates the table invariants"
+    iid, sp, _, _ = _prop_table(scenario, prop)
+    total = _ht_total(scenario, state.ledger, iid)
+    return sp.complete(total), f"{iid}: joint table state violates the table invariants"
 
 
-@register_property("ht-slots-match-heap", reads_threads=False)
+@register_property("ht-slots-match-heap", reads_threads=False, params={"instance": "instance"})
 def _prop_ht_slots(scenario, state, prop):
-    _, elems = scenario.named["ht"]
-    total = _ht_total(scenario, state.ledger)
+    iid, _, _, elems = _prop_table(scenario, prop)
+    total = _ht_total(scenario, state.ledger, iid)
     for i in range(elems.length):
         ghost_slot = elems.slot_value(total, i)
         if ghost_slot is None:
-            return False, f"slot {i} unowned"
+            return False, f"{iid}: slot {i} unowned"
         raw = state.machine.heap_value(scenario.cell_loc(f"slot{i}"))
         if raw is None:
-            return False, f"slot {i} cell freed"
+            return False, f"{iid}: slot {i} cell freed"
         if opt_to_ghost(raw) != ghost_slot:
             return False, (
-                f"slot {i}: heap {pretty(opt_to_ghost(raw))} vs ghost {pretty(ghost_slot)}"
+                f"{iid}: slot {i}: heap {pretty(opt_to_ghost(raw))} vs ghost {pretty(ghost_slot)}"
             )
     return True, ""
 

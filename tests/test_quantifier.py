@@ -9,26 +9,35 @@ exchange body). The new path must return the same verdict, witness,
 reason and frame count on the shipped relation suites, on the acceptance
 cross-validation pairs, and on elements that hypothesis draws over small
 builtins, a product and a small hash table; on the last two,
-``and_premise`` decides its images part by part.
+``and_premise`` decides its images part by part and walks only the box
+of tuples above both operands.
 
-For a product protocol whose 𝒞 rejects every element with a ⊥ part (the
-two lock builders, and custom tables that prove it), the quantifier
-walks only the frames q where no part of p·q is ⊥. The same references
-check that walk: it must report the same witness and the same carrier
-positions as a walk over every frame.
+Exchange, guard and valid-fragment walk only the frames q that make p·q
+complete: ``protocol.completion_boxes`` groups each part's elements by
+the value of p_j·q_j and asks 𝒞 of each tuple of values, and the walk
+visits the frames of the complete tuples in carrier order. The same
+references check that walk on the lock protocols, on a custom table
+whose 𝒞 holds an element with a ⊥ part, and on a completion outside the
+enumerated carrier: it must report the same witness and the same carrier
+positions as a walk over every frame. Mutants of the walk (a frame
+dropped, 𝒞 read off the carrier, the first failing value tuple taken in
+place of the least position) must be caught.
 """
 
 from __future__ import annotations
 
-from functools import partial, reduce
+import itertools
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import guardcheck.monoid as monoid_module
+import guardcheck.protocol as protocol_module
 
 from guardcheck.demos import load_demo_document
-from guardcheck.formats import load_protocol, load_queries
+from guardcheck.explore import explore
+from guardcheck.formats import load_protocol, load_queries, scenario_from_json
 from guardcheck.ghost import GhostLedger, InstanceState, OpenGuardAction, apply_action
 from guardcheck.library import (
     NONE,
@@ -57,15 +66,16 @@ from guardcheck.monoid import (
     MonoidSpec,
     and_premise,
     carrier,
-    first_counterexample,
     frame_preserving_update,
+    is_element,
     leq_witness,
+    term_order,
 )
 from guardcheck.protocol import (
     ExchangeQuery,
     StorageProtocolSpec,
+    completion_boxes,
     exchange_holds,
-    guard_body_at,
     guard_holds,
     recheck_exchange_witness,
     recheck_guard_witness,
@@ -393,7 +403,7 @@ def test_protocol_relations_agree(drawn):
 
 
 # ---------------------------------------------------------------------------
-# The ⊥-pruned walk over the lock protocols
+# The completion walk over the lock protocols
 
 RW, RW_ELEMS = build_rwlock((X0, X1))
 VALUES = st.sampled_from((X0, X1))
@@ -416,12 +426,38 @@ def rwlock_fragments(draw):
     return reduce(RW.protocol.compose_fn, pieces)
 
 
-def test_skipping_is_on_exactly_where_c_rejects_bot_parts():
-    assert RW.bot_parts_incomplete and build_rwlock_multi((X0,))[0].bot_parts_incomplete
-    for sp in (build_fractional(), COUNTING, build_forever(), TOKEN_COUNT, PROTOCOLS["excl"]):
-        assert not sp.bot_parts_incomplete, sp.name
+def box_frames(spec, box):
+    join = ttuple if spec.parts else (lambda q: q)
+    return [join(*c) for c in itertools.product(*box)]
+
+
+def assert_boxes_are_the_completions(sp, p):
+    """completion_boxes(sp, p) holds each carrier frame q with 𝒞(p·q)
+    exactly once, and no other frame; each box lists its parts' elements
+    in term order."""
+    proto = sp.protocol
+    boxes = completion_boxes(sp, p)
+    got = [q for box in boxes for q in box_frames(proto, box)]
+    want = [q for q in carrier(proto) if sp.complete(proto.compose_fn(p, q))]
+    assert len(got) == len(set(got)) and set(got) == set(want), (sp.name, p)
+    for box in boxes:
+        for part, elems in zip(monoid_module.axes(proto), box):
+            index = term_order(part)[1]
+            assert elems and [index[q] for q in elems] == sorted(index[q] for q in elems)
+
+
+def test_completion_boxes_are_the_completing_frames():
     ht = build_hashtable_protocol(HASH, (tint(10),))[0]
-    assert not ht.bot_parts_incomplete and ht.protocol.parts
+    bot_in_c = load_protocol(BOT_IN_C)[0]
+    for sp in (build_fractional(), COUNTING, build_forever(), TOKEN_COUNT, PROTOCOLS["excl"],
+               PROTOCOLS["agn"], ht, INT_EXCL, bot_in_c, RW):
+        for p in carrier(sp.protocol)[:12]:
+            assert_boxes_are_the_completions(sp, p)
+    for p in (RW_ELEMS.fields(False, 0, X0), RW_ELEMS.exc(),
+              RW.protocol.compose_fn(RW_ELEMS.sh(X1), RW_ELEMS.sh_pending())):
+        assert_boxes_are_the_completions(RW, p)
+    for p in outside_fragments(RWM_ELEMS, lambda *pieces: reduce(RWM.protocol.compose_fn, pieces)):
+        assert_boxes_are_the_completions(RWM, p)
 
 
 def test_pruned_walk_builds_no_product_carrier():
@@ -430,6 +466,16 @@ def test_pruned_walk_builds_no_product_carrier():
     assert guard_holds(sp, p, ex(X0)).ok
     assert guard_holds(sp, p, UNIT).frames == 13_500
     assert "carrier" not in sp.protocol._cache
+
+
+def test_hashtable_exploration_builds_no_product_carrier():
+    # exchange on the table's protocol view walks its completions, and
+    # and_premise on the table walks one box of tuples
+    scenario = scenario_from_json(load_demo_document("hashtable-collide.scenario.json"))
+    assert explore(scenario, mode="rule").states > 1
+    monoid, _ = scenario.named["ht"]
+    assert "carrier" not in monoid._cache
+    assert "carrier" not in scenario.protocols["ht"].protocol._cache
 
 
 @given(rwlock_fragments(), rwlock_fragments(), st.sampled_from(carrier(RW.storage)),
@@ -465,9 +511,49 @@ def test_rwlock_multi_pruned_relations_agree(pieces, s):
     agree_valid_fragment(RWM, p)
 
 
-# a custom table protocol over int × excl: its 𝒞 table has no ⊥ part, so
-# its walk is pruned, and int's unit 0 sorts after -2 and -1, so frames
-# before the unit in the carrier are positioned around it
+# (ex((False, (2, 0), x0)), ε, ε, (2, 0), ε) is complete, but its pending
+# readers (2, 0) are past sp_max = 1: a value outside the carrier, reached
+# from the first fragment by the frame of one more pending reader. The
+# second fragment holds the writer's token as well, which excludes the
+# completion by an acquired reader instead: its one completion lies
+# outside the carrier.
+def outside_fragments(elems, compose):
+    return [
+        compose(elems.fields(exc, (2, 0), X0), *tokens, elems.sh_pending(0))
+        for exc, tokens in ((False, ()), (True, (elems.exc(),)))
+    ]
+
+
+def test_a_completion_outside_the_carrier_is_walked():
+    sp, elems = build_rwlock_multi((X0, X1))  # cold memo
+    proto = sp.protocol
+
+    def compose(*pieces):
+        return reduce(proto.compose_fn, pieces)
+
+    for p in outside_fragments(elems, compose):
+        completed = compose(p, elems.sh_pending(0))
+        assert sp.complete(completed) and not is_element(proto, completed)
+        assert valid_fragment(sp, p)
+        agree_valid_fragment(sp, p)
+        for s in carrier(sp.storage):
+            agree_guard(sp, p, s)
+        for p_after in (p, elems.fields(False, (2, 0), X1), proto.unit):
+            agree_exchange(sp, ExchangeQuery.update(p, p_after, sp.storage.unit))
+
+
+def test_and_premise_builds_no_product_carrier():
+    monoid, elems = build_hashtable_monoid(HASH, (tint(10), tint(11)))
+    x = elems.m(tint(0), some(tint(10)))
+    y = elems.slot(0, elems.entry(tint(0), tint(10)))
+    results = [and_premise(monoid, x, y, monoid.compose_fn(x, y)), and_premise(monoid, x, y, x)]
+    assert "carrier" not in monoid._cache
+    assert results == [ref_and_premise(monoid, x, y, monoid.compose_fn(x, y)),
+                       ref_and_premise(monoid, x, y, x)]
+
+
+# a custom table protocol over int × excl: int's unit 0 sorts after -2 and
+# -1, so the frames that rank before the unit are positioned around it
 def _pair(n, tok):
     return ["tuple", [["int", n], tok]]
 
@@ -475,7 +561,7 @@ def _pair(n, tok):
 EX0, EX1 = ["con", "ex", [["int", 0]]], ["con", "ex", [["int", 1]]]
 C_TABLE = [(_pair(n, ["unit"]), n) for n in range(3)]
 C_TABLE += [(_pair(n, EX0), n + 1) for n in (-1, 0, 1)]
-INT_EXCL = load_protocol({
+INT_EXCL_DOC = {
     "name": "int-excl",
     "protocol": {"kind": "product", "total": True, "parts": [
         {"kind": "int", "lo": -2, "hi": 2}, {"kind": "excl", "values": [["int", 0]]},
@@ -483,7 +569,8 @@ INT_EXCL = load_protocol({
     "storage": {"kind": "nat", "limit": 3},
     "complete": {"table": [p for p, _ in C_TABLE]},
     "stored_of": {"table": [[p, ["int", n]] for p, n in C_TABLE]},
-})[0]
+}
+INT_EXCL = load_protocol(INT_EXCL_DOC)[0]
 
 
 int_excl_fragments = st.lists(
@@ -495,7 +582,6 @@ int_excl_fragments = st.lists(
        st.sampled_from(carrier(INT_EXCL.storage)))
 @settings(max_examples=80, deadline=None)
 def test_pruned_walk_around_a_unit_that_is_not_least(p, p_after, s, s_after):
-    assert INT_EXCL.bot_parts_incomplete
     agree_exchange(INT_EXCL, ExchangeQuery.exchange(p, s, p_after, s_after))
     agree_concrete_guard(INT_EXCL, p, s)  # before guard_holds, which shares its memo
     agree_guard(INT_EXCL, p, s)
@@ -521,23 +607,79 @@ BOT_IN_C = {
 }
 
 
-def test_bot_in_c_table_falls_back_to_every_frame():
+def agree_on_every_element(doc, exchanges=True):
+    """Every relation on every element of a small custom protocol, on cold
+    memos."""
+    sp, live = load_protocol(doc)[0], load_protocol(doc)[0]
+    elems, stored = carrier(sp.protocol), carrier(sp.storage)
+    for p in elems:
+        agree_valid_fragment(sp, p)
+        for s in stored:
+            agree_concrete_guard(live, p, s)
+            agree_guard(sp, p, s)
+            if exchanges:
+                for p_after, s_after in itertools.product(elems, stored):
+                    agree_exchange(sp, ExchangeQuery.exchange(p, s, p_after, s_after))
+
+
+def test_bot_in_c_table_agrees_on_the_one_walk():
     sp, _ = load_protocol(BOT_IN_C)
-    assert sp.protocol.parts and not sp.bot_parts_incomplete
     p, s = ttuple(term(EX0), term(EX1)), term(EX1)
-    agree_guard(sp, p, s)
-    assert not guard_holds(sp, p, s).ok  # the frame (ε, ex 1) completes p at (ex 0, ⊥)
-    forced = first_counterexample(sp.protocol, partial(guard_body_at, sp, p, s), against=p)
-    assert forced.ok and forced != ref_guard_holds(sp, p, s)
+    # the frame (ε, ex 1) completes p at (ex 0, ⊥)
+    assert guard_holds(sp, p, s) == CheckResult(
+        FAILS, ttuple(UNIT, term(EX1)), "completion stores ε, short of ex(1)", 2
+    )
+    agree_on_every_element(BOT_IN_C)
+
+
+def test_a_walk_that_skips_bot_values_is_caught(monkeypatch):
+    by_value = protocol_module._by_value
+    monkeypatch.setattr(
+        protocol_module, "_by_value",
+        lambda part, x: {v: qs for v, qs in by_value(part, x).items() if v != BOT},
+    )
+    with pytest.raises(AssertionError):
+        test_bot_in_c_table_agrees_on_the_one_walk()
 
 
 def test_dropping_one_compatible_frame_is_caught(monkeypatch):
-    walk = monoid_module._walk
+    box_walk = monoid_module._box_walk
 
-    def drop_first(spec, against):
-        frames, position, size = walk(spec, against)
-        return (frames[1:] if against is not None else frames), position, size
+    def drop_first(spec, boxes):
+        walk, size = box_walk(spec, boxes)
+        next(walk, None)
+        return walk, size
 
-    monkeypatch.setattr(monoid_module, "_walk", drop_first)
+    monkeypatch.setattr(monoid_module, "_box_walk", drop_first)
     with pytest.raises(AssertionError):
         agree_on_suite("protocol-rwlock")
+
+
+def test_reading_c_off_the_carrier_is_caught(monkeypatch):
+    completions = protocol_module._completions
+
+    def carrier_only(sp, p):
+        proto = sp.protocol
+        return (
+            box for box in completions(sp, p)
+            if is_element(proto, proto.compose_fn(p, box_frames(proto, box)[0]))
+        )
+
+    monkeypatch.setattr(protocol_module, "_completions", carrier_only)
+    with pytest.raises(AssertionError):
+        test_a_completion_outside_the_carrier_is_walked()
+
+
+def test_taking_the_first_failing_value_tuple_is_caught(monkeypatch):
+    position_of = monoid_module._position
+
+    def in_box_order(spec, boxes):
+        position, size = position_of(spec)
+        return ((position(c), frame) for box in boxes
+                for c, frame in zip(itertools.product(*box), box_frames(spec, box))), size
+
+    monkeypatch.setattr(monoid_module, "_box_walk", in_box_order)
+    # on int × excl the unit frame fails some guards that frames ranking
+    # below it fail too
+    with pytest.raises(AssertionError):
+        agree_on_every_element(INT_EXCL_DOC, exchanges=False)

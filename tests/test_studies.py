@@ -3,12 +3,14 @@ and negative controls on the scripts themselves."""
 
 import dataclasses
 import hashlib
+import json
 from types import SimpleNamespace
 
 import pytest
 
+from guardcheck.demos import load_demo_document
 from guardcheck.explore import RESOLVERS, ResolveCtx, ScriptEntry, explore, replay
-from guardcheck.formats import dumps, scenario_to_json
+from guardcheck.formats import dumps, result_to_json, scenario_from_json, scenario_to_json
 from guardcheck.ghost import (
     ExchangeAction,
     GhostLedger,
@@ -180,6 +182,37 @@ class TestHashTableScenario:
         r = explore(s)
         assert r.ok
         assert explorer_outcomes(s, r) == {(((some(V10),),), ((A, V10),))}
+
+    def test_table_instance_may_have_any_id(self):
+        # the shipped scenario with its table's id "ht" renamed: the
+        # resolvers read their instance argument and the ht-* properties
+        # default to the one table, so counts and verdicts stay the same
+        doc = load_demo_document("hashtable-collide.scenario.json")
+        renamed = json.loads(json.dumps(doc).replace('"ht"', '"tbl"'))
+        assert renamed["protocols"][0]["id"] == "tbl"
+        named = json.loads(json.dumps(renamed))
+        for prop in named["properties"]:
+            if prop["kind"].startswith("ht-"):
+                prop["params"]["instance"] = "tbl"
+
+        def report(document, mode):
+            # the terminal summaries list stored contents by instance id
+            got = result_to_json(explore(scenario_from_json(document), mode=mode))
+            got = json.loads(json.dumps(got).replace('"ht"', '"tbl"'))
+            for summary in got["terminal_summaries"]:
+                summary["stored"].sort()
+            return got
+
+        for mode in ("rule", "concrete"):
+            want = report(doc, mode)
+            assert want["ok"] and want["states"] > 1
+            assert report(renamed, mode) == want, mode
+            assert report(named, mode) == want, mode
+        on_a_lock = json.loads(json.dumps(named).replace('"instance": "tbl"}', '"instance": "lock0"}'))
+        r = explore(scenario_from_json(on_a_lock), mode="rule")
+        assert [(v.kind, v.detail) for v in r.violations] == [
+            ("property", "evaluator error: instance 'lock0' is not a hash table")
+        ] * 2
 
     def test_update_requires_map_ownership(self):
         # two threads updating the same key is not a valid scenario
