@@ -7,6 +7,13 @@ and an expectation about stuck states. Exploration is a deterministic DFS
 over scheduler choices with state memoization; each transition carries
 the machine step, the ghost actions it fires, and property evaluation,
 so every schedule sees the same combined semantics as a replay.
+
+The DFS walks numbered states: each distinct thread state and store
+(heap, cursor, freed log) is numbered when first met, and a state is
+(thread numbers, store number, ledger), equal exactly when the
+:class:`ExplState`s are. One table computes each transition once per
+(tid, thread tid's number, store number, ledger), with all thread
+numbers in place of thread tid's when a safety property reads threads.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ __all__ = [
     "register_resolver",
     "register_property",
     "RESOLVERS",
+    "RESOLVER_ARGS",
     "PROPERTY_EVALUATORS",
     "PROPERTY_PARAMS",
     "THREAD_FREE_PROPERTIES",
@@ -197,15 +205,31 @@ class ReplayError(ValueError):
 # Resolver and property registries
 
 RESOLVERS: dict = {}
+RESOLVER_ARGS: dict = {}  # name -> arg -> its kind, see register_resolver
 PROPERTY_EVALUATORS: dict = {}
 PROPERTY_PARAMS: dict = {}  # kind -> param -> its kind, see register_property
 THREAD_FREE_PROPERTIES: set = set()  # kinds whose evaluators read no thread state
 
 
-def register_resolver(*names: str):
+def register_resolver(*names: str, args: dict | None = None):
+    """Register ``fn(ctx, entry) -> actions or GhostViolation`` as the
+    resolver ``names``. It reads ``entry`` and the :class:`ResolveCtx`
+    (tid, post-step heap, ledger, the step's label, result and event),
+    not the thread pool: so a transition reads (tid, thread tid's state,
+    heap, cursor, freed log, ledger), plus all threads when a safety
+    property reads them. ``args`` maps each arg ``fn`` reads to a param
+    kind of :func:`register_property`, or "owner" (a string), "updates"
+    ({"list": [{"list": [owner, {"term": T}]}, ...]}) or
+    "instance-or-@cell" (an instance, or "@cell" for the instance of the
+    cell the step touches); without ``args`` they may be any encoded
+    values.
+    """
+
     def wrap(fn):
         for name in names:
             RESOLVERS[name] = fn
+            if args is not None:
+                RESOLVER_ARGS[name] = args
         return fn
 
     return wrap
@@ -244,12 +268,12 @@ def register_property(kind: str, reads_threads: bool = True, params: dict | None
 
 @dataclass
 class ResolveCtx:
-    """What a script resolver sees: the post-step machine, the ledger as
+    """What a script resolver sees: the post-step heap, the ledger as
     actions apply, and the step's observable result and heap event."""
 
     scenario: Scenario
     ledger: GhostLedger
-    machine: MachineConfig
+    heap: tuple
     tid: int
     label: str
     result: Term
@@ -277,9 +301,10 @@ class ResolveCtx:
 
     def cell_value(self, name: str) -> Term | None:
         try:
-            return self.machine.heap_value(self.scenario.cell_loc(name))
+            l = self.scenario.cell_loc(name)
         except KeyError as exc:
             raise ReplayError(f"label {self.label}: {exc.args[0]}") from exc
+        return next((v for hl, v, _ in self.heap if hl == l), None)
 
 
 def check_property(scenario: Scenario, state: ExplState, prop: PropertySpec):
@@ -303,7 +328,10 @@ def _owner(ctx: ResolveCtx, name) -> str:
     return ctx.self_owner if name in (None, "self") else name
 
 
-@register_resolver("ghost.exchange")
+@register_resolver("ghost.exchange", args={
+    "instance": "instance-or-@cell", "updates": "updates", "deposited": "term",
+    "withdrawn": "term", "kind": ("exchange", "deposit", "withdraw", "update"),
+})
 def _resolve_exchange(ctx: ResolveCtx, entry: ScriptEntry):
     updates = tuple(
         (_owner(ctx, o), el) for o, el in (entry.arg("updates") or ())
@@ -319,29 +347,24 @@ def _resolve_exchange(ctx: ResolveCtx, entry: ScriptEntry):
     ]
 
 
-@register_resolver("ghost.open-guard")
+@register_resolver("ghost.open-guard", args={
+    "instance": "instance-or-@cell", "owner": "owner", "element": "term",
+})
 def _resolve_open_guard(ctx: ResolveCtx, entry: ScriptEntry):
-    return [
-        OpenGuardAction(
-            ctx.instance_for(entry),
-            _owner(ctx, entry.arg("owner")),
-            entry.arg("element"),
-            licenses=ctx.label,
-        )
-    ]
+    iid = ctx.instance_for(entry)
+    element = entry.arg("element", ctx.scenario.protocols[iid].storage.unit)
+    return [OpenGuardAction(iid, _owner(ctx, entry.arg("owner")), element, licenses=ctx.label)]
 
 
-@register_resolver("ghost.transfer")
+@register_resolver("ghost.transfer", args={
+    "instance": "instance-or-@cell", "from": "owner", "to": "owner", "element": "term",
+    "remainder": "term",
+})
 def _resolve_transfer(ctx: ResolveCtx, entry: ScriptEntry):
-    return [
-        TransferAction(
-            ctx.instance_for(entry),
-            _owner(ctx, entry.arg("from")),
-            _owner(ctx, entry.arg("to")),
-            entry.arg("element"),
-            entry.arg("remainder"),
-        )
-    ]
+    iid = ctx.instance_for(entry)
+    unit = ctx.scenario.protocols[iid].protocol.unit  # for an element left out
+    owners = (_owner(ctx, entry.arg("from")), _owner(ctx, entry.arg("to")))
+    return [TransferAction(iid, *owners, entry.arg("element", unit), entry.arg("remainder", unit))]
 
 
 # -- generic property evaluators
@@ -429,7 +452,9 @@ def _prop_thread_result_in(scenario, state, prop):
 class TransitionMemo:
     """The pure parts of :func:`transition` for one scenario and admission
     mode, each computed once per distinct input. :func:`explore` and
-    :func:`replay` make one per call. See :func:`transition` for the keys."""
+    :func:`replay` make one per call. See :func:`transition` for the keys;
+    :func:`explore` calls it only on a miss in its table of whole
+    transitions, keyed on all thread numbers when ``verdicts`` is None."""
 
     def __init__(self, scenario: Scenario, mode: str):
         self.scenario = scenario
@@ -437,11 +462,10 @@ class TransitionMemo:
         self.steps: dict = {}  # (expr, heap, cursor, freed) -> lang.ThreadStep
         self.admissions: dict = {}  # (ledger, action) -> ApplyOutcome
         self.closed: dict = {}  # ledger -> ApplyOutcome
-        # (ledger, heap) -> safety verdicts; None if there are no safety
-        # properties or one of them reads threads
-        props = scenario.properties
-        thread_free = bool(props) and all(p.kind in THREAD_FREE_PROPERTIES for p in props)
-        self.verdicts: dict | None = {} if thread_free else None
+        # (ledger, heap) -> safety verdicts; None if a safety property
+        # reads threads
+        reads_threads = any(p.kind not in THREAD_FREE_PROPERTIES for p in scenario.properties)
+        self.verdicts: dict | None = None if reads_threads else {}
 
     def admit(self, ledger: GhostLedger, action):
         key = (ledger, action)
@@ -503,8 +527,10 @@ def transition(
     - the safety-property verdicts on (ledger, heap) after the step's
       ghost actions, but only if no safety property reads thread state
       (see :func:`register_property`). If one does, every safety property
-      runs on every transition.
-    Resolvers read the whole post-step machine and run on every transition.
+      runs on every call.
+    Resolvers read the post-step heap, not the thread pool, so a
+    transition reads (tid, thread tid's state, heap, cursor, freed log,
+    ledger), and all threads only when a safety property reads them.
     A resolver that raises KeyError or ValueError (ReplayError is one),
     finding the scenario or the state without what it reads, gives a
     replay violation.
@@ -528,7 +554,7 @@ def transition(
             if fn is None:
                 violations.append(("ghost", lbl, f"unknown resolver {entry.resolver!r}"))
                 continue
-            ctx = ResolveCtx(scenario, ledger, out.config, tid, lbl, result, out.event)
+            ctx = ResolveCtx(scenario, ledger, out.config.heap, tid, lbl, result, out.event)
             try:
                 resolved = fn(ctx, entry)
             except (KeyError, ValueError) as exc:  # ReplayError among them
@@ -597,6 +623,29 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
         return trace(*nodes[nid])
 
     transition_memo = TransitionMemo(scenario, mode)
+    thread_local = transition_memo.verdicts is not None  # no safety property reads threads
+    ids: dict = {}  # each distinct thread state and store -> its number
+    items: list = []  # number -> thread state, or store (heap, cursor, freed)
+
+    def number(item) -> int:
+        n = ids.setdefault(item, len(items))
+        if n == len(items):
+            items.append(item)
+        return n
+
+    def key_of(st: ExplState) -> tuple:
+        m = st.machine
+        return tuple(map(number, m.threads)), number((m.heap, m.cursor, m.freed)), st.ledger
+
+    def state_of(key: tuple) -> ExplState:
+        nums, store, ledger = key
+        heap, cursor, freed = items[store]
+        return ExplState(MachineConfig(heap, tuple(items[n] for n in nums), cursor, freed), ledger)
+
+    # (tid, thread tid's number or all thread numbers, store number, ledger)
+    # -> (kind, tid's new number, spawned numbers, store number, ledger,
+    #     violations, crossed labels, stuck reason)
+    table: dict = {}
     seen_violations: dict = {}
     stuck_examples: dict = {}
     terminals: set = set()
@@ -611,20 +660,23 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
 
     record_violations(transition_memo.property_violations(root), ())
 
-    visited = {root: 0}
+    root_key = key_of(root)
+    visited = {root_key: 0}
     on_path: set = set()  # memo-off cycle pruning
     result.states = 1
-    stack = [(0, root, (0,) * len(scenario.programs), True)]
+    stack = [(0, root_key, (0,) * len(scenario.programs), True)]
     while stack:
-        nid, st, counts, entering = stack.pop()
+        nid, key, counts, entering = stack.pop()
         if not memo:
             if not entering:
-                on_path.discard(st)
+                on_path.discard(key)
                 continue
-            stack.append((nid, st, counts, False))
-            on_path.add(st)
-        enabled = enabled_threads(st.machine)
+            stack.append((nid, key, counts, False))
+            on_path.add(key)
+        nums, store, ledger = key
+        enabled = [tid for tid, n in enumerate(nums) if items[n][0] == "run"]
         if not enabled:
+            st = state_of(key)
             result.schedules_completed += 1
             record_violations(_terminal_checks(scenario, st), schedule_to(nid))
             terminals.add(_summary(scenario, st))
@@ -636,9 +688,13 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             if counts[tid] >= max_depth:
                 result.bound_exceeded = True
                 continue
-            kind, st2, vios, crossed, stuck_reason = transition(
-                scenario, st, tid, mode, transition_memo
-            )
+            move = (tid, nums[tid] if thread_local else nums, store, ledger)
+            out = table.get(move)
+            if out is None:
+                kind, st2, *rest = transition(scenario, state_of(key), tid, mode, transition_memo)
+                nums2, store2, ledger2 = key_of(st2)
+                out = table[move] = (kind, nums2[tid], nums2[len(nums):], store2, ledger2, *rest)
+            kind, mine, spawned, store2, ledger2, vios, crossed, stuck_reason = out
             result.transitions += 1
             crossed_labels.update(crossed)
             # a schedule is walked back from the node only when reported
@@ -652,22 +708,20 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
                 record_violations(vios, trace(nid, tid))
                 result.schedules_completed += 1
                 continue
+            key2 = (nums[:tid] + (mine,) + nums[tid + 1 :] + spawned, store2, ledger2)
             if memo:
-                if visited.setdefault(st2, len(nodes)) != len(nodes):
+                if visited.setdefault(key2, len(nodes)) != len(nodes):
                     result.dedup_hits += 1
                     continue
             else:
-                if st2 in on_path:
+                if key2 in on_path:
                     result.dedup_hits += 1
                     continue
-            new_counts = counts[:tid] + (counts[tid] + 1,) + counts[tid + 1 :]
-            if len(st2.machine.threads) > len(new_counts):
-                new_counts = new_counts + (0,) * (
-                    len(st2.machine.threads) - len(new_counts)
-                )
+            spawned_counts = (0,) * len(spawned)
+            new_counts = counts[:tid] + (counts[tid] + 1,) + counts[tid + 1 :] + spawned_counts
             nodes.append((nid, tid))
             result.states += 1
-            stack.append((len(nodes) - 1, st2, new_counts, True))
+            stack.append((len(nodes) - 1, key2, new_counts, True))
 
     result.stuck_examples = tuple(
         sorted((reason, sched) for reason, sched in stuck_examples.items())

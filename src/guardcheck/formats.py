@@ -21,6 +21,7 @@ import json
 
 from .explore import (
     PROPERTY_PARAMS,
+    RESOLVER_ARGS,
     ExplorationResult,
     PropertySpec,
     Scenario,
@@ -598,24 +599,27 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
-def _script_entry(doc, path: str) -> ScriptEntry:
-    fields = _read(doc, _SCRIPT_ENTRY, path)
+def _script_entry(doc: dict, path: str, kinds: dict) -> ScriptEntry:
+    """The script entry ``doc`` read by :data:`_SCRIPT_ENTRY`, its args
+    read by the kinds its resolver declares (see :func:`_declared`)."""
+    fields = dict(doc)
     if "args" in fields:
-        fields["args"] = tuple(sorted(fields["args"].items()))
+        declared = RESOLVER_ARGS.get(doc["resolver"])
+        fields["args"] = _declared(declared, doc["args"], _at(path, "args"), kinds, "argument")
     if "when" in fields:
         fields["when_result"] = fields.pop("when")
     return ScriptEntry(**fields)
 
 
+# a script entry's args, like a property's params, are read once the
+# scenario's cells and protocol instances are known (see _script_entry)
 _SCRIPT_ENTRY = {
     "label": (_name, _REQUIRED),
     "resolver": (_name, _REQUIRED),
-    "args": (_object_of(_value), _UNSET),
+    "args": (_object, _UNSET),
     "when": (_term, _UNSET),
     "negate": (_bool, _UNSET),
 }
-# a property's params are read by the kinds its kind declares, once the
-# scenario's cells and protocol instances are known (see _property)
 _PROPERTY = {"name": (_name, _REQUIRED), "kind": (_name, _REQUIRED), "params": (_object, {})}
 _META = {
     "lock_slot": (_object_of(_count), {}),
@@ -633,7 +637,7 @@ _SCENARIO = {
     "protocols": (_list, _REQUIRED),
     "cell_instances": (_object_of(_name), _UNSET),
     "protected_cells": (_object_of(_name), _UNSET),
-    "script": (_list_of(_script_entry), _UNSET),
+    "script": (_list_of(_node(_SCRIPT_ENTRY)), _UNSET),
     "properties": (_list_of(_node(_PROPERTY)), _UNSET),
     "terminal_properties": (_list_of(_node(_PROPERTY)), _UNSET),
     "expectation": (_one_of(("no-stuck", "stuck-reachable")), _UNSET),
@@ -644,12 +648,17 @@ _SCENARIO = {
 
 
 def _param_kinds(cells, instances) -> dict:
-    """The readers of the param kinds that properties declare (see
-    :func:`explore.register_property`) in a scenario with ``cells`` and
+    """The readers of the param kinds that properties and resolvers
+    declare (see :func:`explore.register_property` and
+    :func:`explore.register_resolver`) in a scenario with ``cells`` and
     protocol ``instances``."""
     term = _wrapped("term", _term)
     cell = _one_of(cells, "cell")
+    update = _tuple_of((_name, term), 'an update is [owner, {"term": T}]')
     return {
+        "owner": _name,
+        "updates": _wrapped("list", _list_of(_wrapped("list", update))),
+        "instance-or-@cell": _one_of(["@cell", *instances], "protocol instance"),
         "term": term,
         "terms": _wrapped("list", _list_of(term)),
         "cell": cell,
@@ -660,21 +669,28 @@ def _param_kinds(cells, instances) -> dict:
     }
 
 
-def _property(doc: dict, path: str, kinds: dict) -> PropertySpec:
-    """The property ``doc`` read by :data:`_PROPERTY`, its params read by
-    ``kinds`` (see :func:`_param_kinds`); a kind that no evaluator is
-    registered for takes any encoded values."""
-    declared = PROPERTY_PARAMS.get(doc["kind"])
-    at = _at(path, "params")
+def _declared(declared: dict | None, doc, path: str, kinds: dict, field: str) -> tuple:
+    """The object ``doc`` as sorted (key, value) pairs, each value read by
+    the kind that ``declared`` gives its key (see :func:`_param_kinds`);
+    without ``declared``, the values may be any encoded values."""
     if declared is None:
-        params = _object_of(_value)(doc["params"], at)
+        values = _object_of(_value)(doc, path)
     else:
         node = {
             key: (kinds[kind] if isinstance(kind, str) else _one_of(kind), _UNSET)
             for key, kind in declared.items()
         }
-        params = _read(doc["params"], node, at, "parameter")
-    return PropertySpec(doc["name"], doc["kind"], tuple(sorted(params.items())))
+        values = _read(doc, node, path, field)
+    return tuple(sorted(values.items()))
+
+
+def _property(doc: dict, path: str, kinds: dict) -> PropertySpec:
+    """The property ``doc`` read by :data:`_PROPERTY`, its params read by
+    the kinds its kind declares (see :func:`_declared`)."""
+    params = _declared(
+        PROPERTY_PARAMS.get(doc["kind"]), doc["params"], _at(path, "params"), kinds, "parameter"
+    )
+    return PropertySpec(doc["name"], doc["kind"], params)
 
 
 def _unique(what: str, names) -> None:
@@ -703,7 +719,8 @@ def scenario_from_json(doc: dict) -> Scenario:
         (f"{key}[{i}].name", p.name) for key in lists for i, p in enumerate(fields.get(key, ()))
     ))
     script: dict = {}
-    for entry in fields.pop("script", ()):
+    for i, raw in enumerate(fields.pop("script", ())):
+        entry = _script_entry(raw, f"script[{i}]", kinds)
         script.setdefault(entry.label, []).append(entry)
     scenario = Scenario(
         programs=fields.pop("threads"),

@@ -404,6 +404,27 @@ MALFORMED_SCENARIO = {
                                 "properties[1].params.instance: unknown protocol instance 'x'"),
     "scenario-param-unknown": (["properties", 1, "params", "instanse"], "lock",
                                "properties[1].params.instanse: unknown parameter"),
+    # the args of the generic ghost resolvers, by the kinds they declare
+    "scenario-exchange-updates": (
+        ["script", 0], {"label": "t0.exc_begin", "resolver": "ghost.exchange",
+                        "args": {"instance": "lock", "updates": {"list": [5]}}},
+        "script[0].args.updates.list[0]: must be an object, got int",
+    ),
+    "scenario-exchange-kind": (
+        ["script", 0], {"label": "t0.exc_begin", "resolver": "ghost.exchange",
+                        "args": {"kind": "swap"}},
+        "script[0].args.kind: must be exchange or deposit or withdraw or update, got 'swap'",
+    ),
+    "scenario-guard-instance": (
+        ["script", 0], {"label": "t0.exc_begin", "resolver": "ghost.open-guard",
+                        "args": {"instance": "x"}},
+        "script[0].args.instance: unknown protocol instance 'x'",
+    ),
+    "scenario-transfer-unknown-arg": (
+        ["script", 0], {"label": "t0.exc_begin", "resolver": "ghost.transfer",
+                        "args": {"form": "self"}},
+        "script[0].args.form: unknown argument",
+    ),
     # initial fragments are carrier elements whose joint state is complete
     "scenario-fragment-not-element": (
         ["protocols", 0, "fragments", 0, 1], ["int", 1],

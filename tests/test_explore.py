@@ -296,6 +296,11 @@ def test_prop_memoization_preserves_outcomes(programs):
     assert on.terminal_summaries == off.terminal_summaries
     assert {r for r, _ in on.stuck_examples} == {r for r, _ in off.stuck_examples}
     assert on.violations == off.violations
+    # and each report is the unmemoized reference's (see use_reference)
+    with pytest.MonkeyPatch.context() as m:
+        use_reference(m)
+        want = [report(explore_mod.explore(s, memo=memo)) for memo in (True, False)]
+    assert [report(on), report(off)] == want
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +316,17 @@ from dataclasses import replace
 from functools import reduce
 
 from guardcheck.demos import demo_path
-from guardcheck.explore import RESOLVERS, ExplState, ResolveCtx, transition
+from guardcheck.explore import (
+    RESOLVERS, ExplorationResult, ExplState, ResolveCtx, TransitionMemo, Violation,
+    _summary, _terminal_checks, transition,
+)
 from guardcheck.formats import dumps, result_to_json, scenario_from_json
 from guardcheck.ghost import (
     GhostViolation, GuardWindow, InstanceState, apply_action, close_windows,
 )
 from guardcheck.lang import (
-    MachineConfig, StepOutcome, UsageError, _Stepper, _Stuck, ast_to_json, free, is_value,
-    let, ref, var,
+    MachineConfig, StepOutcome, UsageError, _Stepper, _Stuck, ast_to_json, enabled_threads,
+    free, is_value, label, let, ref, var,
 )
 from guardcheck.monoid import leq
 from guardcheck.protocol import valid_fragment
@@ -409,7 +417,7 @@ def ref_transition(scenario, state, tid, mode, memo=None):
             if fn is None:
                 violations.append(("ghost", lbl, f"unknown resolver {entry.resolver!r}"))
                 continue
-            ctx = ResolveCtx(scenario, ledger, out.config, tid, lbl, result, out.event)
+            ctx = ResolveCtx(scenario, ledger, out.config.heap, tid, lbl, result, out.event)
             try:
                 resolved = fn(ctx, entry)
             except ReplayError as exc:
@@ -440,13 +448,130 @@ def ref_transition(scenario, state, tid, mode, memo=None):
     return "next", ExplState(out.config, ledger), violations, crossed, ""
 
 
+def ref_explore(scenario, mode="rule", memo=True):
+    """explore.explore as it was before it numbered states: a DFS over
+    ExplStates that calls transition on every transition. ``transition``
+    is looked up in the explore module on each call, so that
+    use_reference reaches it."""
+    result = ExplorationResult(scenario.name, mode, memo, scenario.expectation)
+    root = initial_state(scenario)
+    nodes = [(-1, -1)]  # nid -> (parent nid, tid taken to reach it)
+
+    def trace(nid: int, tid: int) -> tuple:
+        path = [tid]
+        while nid > 0:
+            parent, step_tid = nodes[nid]
+            path.append(step_tid)
+            nid = parent
+        return tuple(reversed(path))
+
+    def schedule_to(nid: int) -> tuple:
+        if nid == 0:
+            return ()
+        return trace(*nodes[nid])
+
+    transition_memo = TransitionMemo(scenario, mode)
+    seen_violations: dict = {}
+    stuck_examples: dict = {}
+    terminals: set = set()
+    crossed_labels: set = set()
+    max_depth = scenario.max_steps_per_thread
+
+    def record_violations(vios, sched):
+        for kind, name, detail in vios:
+            key = (kind, name, detail)
+            if key not in seen_violations:
+                seen_violations[key] = Violation(kind, name, detail, sched)
+
+    record_violations(transition_memo.property_violations(root), ())
+
+    visited = {root: 0}
+    on_path: set = set()  # memo-off cycle pruning
+    result.states = 1
+    stack = [(0, root, (0,) * len(scenario.programs), True)]
+    while stack:
+        nid, st, counts, entering = stack.pop()
+        if not memo:
+            if not entering:
+                on_path.discard(st)
+                continue
+            stack.append((nid, st, counts, False))
+            on_path.add(st)
+        enabled = enabled_threads(st.machine)
+        if not enabled:
+            result.schedules_completed += 1
+            record_violations(_terminal_checks(scenario, st), schedule_to(nid))
+            terminals.add(_summary(scenario, st))
+            continue
+        if result.states >= scenario.max_states:
+            result.bound_exceeded = True
+            continue
+        for tid in reversed(enabled):
+            if counts[tid] >= max_depth:
+                result.bound_exceeded = True
+                continue
+            kind, st2, vios, crossed, stuck_reason = explore_mod.transition(
+                scenario, st, tid, mode, transition_memo
+            )
+            result.transitions += 1
+            crossed_labels.update(crossed)
+            # a schedule is walked back from the node only when reported
+            if kind == "stuck":
+                result.stuck_count += 1
+                result.schedules_completed += 1
+                if stuck_reason not in stuck_examples:
+                    stuck_examples[stuck_reason] = trace(nid, tid)
+                continue
+            if vios:
+                record_violations(vios, trace(nid, tid))
+                result.schedules_completed += 1
+                continue
+            if memo:
+                if visited.setdefault(st2, len(nodes)) != len(nodes):
+                    result.dedup_hits += 1
+                    continue
+            else:
+                if st2 in on_path:
+                    result.dedup_hits += 1
+                    continue
+            new_counts = counts[:tid] + (counts[tid] + 1,) + counts[tid + 1 :]
+            if len(st2.machine.threads) > len(new_counts):
+                new_counts = new_counts + (0,) * (
+                    len(st2.machine.threads) - len(new_counts)
+                )
+            nodes.append((nid, tid))
+            result.states += 1
+            stack.append((len(nodes) - 1, st2, new_counts, True))
+
+    result.stuck_examples = tuple(
+        sorted((reason, sched) for reason, sched in stuck_examples.items())
+    )
+    result.violations = tuple(
+        sorted(seen_violations.values(), key=lambda v: (v.kind, v.name, v.detail))
+    )
+    result.terminal_summaries = tuple(
+        sorted(
+            terminals,
+            key=lambda s: repr((s.thread_values, s.cells, s.stored)),
+        )
+    )
+    unused = sorted(set(scenario.script) - crossed_labels)
+    if unused:
+        result.warnings = tuple(
+            f"script label never crossed: {lbl}" for lbl in unused
+        )
+    return result
+
+
 def use_reference(m):
-    """Route every transition, thread step, joint-state fold and the ghost
-    invariant through the unmemoized reference, within the monkeypatch
-    context ``m``."""
+    """Route every exploration, transition, thread step, joint-state fold
+    and the ghost invariant through the unmemoized reference, within the
+    monkeypatch context ``m``. Call the explorer as explore_mod.explore
+    there, as this module's ``explore`` is bound at import."""
     for name in ("ghost", "explore", "studies"):
         m.setattr(importlib.import_module(f"guardcheck.{name}"), "joint_state", ref_joint_state)
     m.setitem(explore_mod.PROPERTY_EVALUATORS, "ghost-invariant", ref_prop_ghost_invariant)
+    m.setattr(explore_mod, "explore", ref_explore)
     m.setattr(explore_mod, "transition", ref_transition)
     m.setattr(explore_mod, "step", ref_step)
     m.setattr(lang_mod, "step", ref_step)
@@ -522,6 +647,29 @@ def alloc_free_doc():
     }
 
 
+def twin_transfer_doc():
+    """Two threads with one program, each of which moves its own half of
+    a fraction to a pool as it crosses "give": at the root both threads
+    have the same state, and only the stepping thread's id tells whose
+    half moves."""
+    program = ast_to_json(seq(label("give", tint(0)), tint(1)))
+    return {
+        "name": "twin-transfer", "cells": [], "threads": [program, program],
+        "protocols": [{
+            "id": "shares", "builtin": "fractional",
+            "params": {"den_bound": 2, "max_value": 1, "nat_limit": 2},
+            "fragments": [["thread:0", ["frac", 1, 2]], ["thread:1", ["frac", 1, 2]]],
+        }],
+        "script": [{
+            "label": "give", "resolver": "ghost.transfer",
+            "args": {"instance": "shares", "from": "self", "to": "pool",
+                     "element": {"term": ["frac", 1, 2]},
+                     "remainder": {"term": ["frac", 0, 1]}},
+        }],
+        "properties": [{"name": "ledger", "kind": "ghost-invariant", "params": {}}],
+    }
+
+
 SCENARIO_DOCS = {
     name: (lambda name=name: shipped_doc(name))
     for name in ("rwlock-exc", "rwlock-shared", "rwlock-multi", "hashtable-collide",
@@ -532,6 +680,7 @@ SCENARIO_DOCS["finished-first"] = finished_first_doc
 SCENARIO_DOCS["cell-bound"] = cell_bound_doc
 SCENARIO_DOCS["guard-at-begin"] = guard_at_begin_doc
 SCENARIO_DOCS["alloc-free"] = alloc_free_doc
+SCENARIO_DOCS["twin-transfer"] = twin_transfer_doc
 
 
 def report(result):
@@ -592,6 +741,10 @@ REPORT_SHA256 = {
         "7f053d83dccd6e30a71d7117e71c350bdc696e23adea64c874ed353e10993a4b",
     ("rwlock-shared", "concrete"):
         "9ab286d62eec4d3b1ddb23e05047ecaa85c22739d1609e77e69e7242872dcd4f",
+    ("twin-transfer", "rule"):
+        "1731ceccc1803507a1a8c71ba2a8175b13bb439785341e7aa309acc4d49e9cc2",
+    ("twin-transfer", "concrete"):
+        "ae1ece85111bec7af4057ea0f0477a736b5841b3c89197367d2a81ca2fd8d17a",
     ("unbound-cell", "rule"):
         "7c6cb8b85591ad8d8e54dab812ff438419b911426dcc39851737b61c12081d93",
     ("unbound-cell", "concrete"):
@@ -605,7 +758,7 @@ def test_ledger_memo_matches_unmemoized_reference(name, monkeypatch):
     modes = ("rule", "concrete")
     with monkeypatch.context() as m:
         use_reference(m)
-        reference = [report(explore(scenario_from_json(doc), mode)) for mode in modes]
+        reference = [report(explore_mod.explore(scenario_from_json(doc), mode)) for mode in modes]
     for mode, text in zip(modes, reference):
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == REPORT_SHA256[name, mode], f"{name} --mode {mode}: report changed"
@@ -620,17 +773,50 @@ def test_ledger_memo_matches_unmemoized_reference(name, monkeypatch):
         assert all(any(v.kind == "replay" for v in r.violations) for r in cold)
 
 
-def test_transition_memo_without_state_dedup(monkeypatch):
-    # the transition memo under the memo-off DFS, which revisits states
+@pytest.mark.parametrize("name", sorted(SCENARIO_DOCS))
+def test_transition_memo_without_state_dedup(name, monkeypatch):
+    # the transition table under the memo-off DFS, which revisits states
     # along other paths; bounded, as rwlock-exc has over 200,000 paths
-    doc = dict(shipped_doc("rwlock-exc"), max_states=10_000)
+    doc = dict(SCENARIO_DOCS[name](), max_states=10_000)
     modes = ("rule", "concrete")
     with monkeypatch.context() as m:
         use_reference(m)
-        reference = [report(explore(scenario_from_json(doc), mode, memo=False)) for mode in modes]
+        reference = [
+            report(explore_mod.explore(scenario_from_json(doc), mode, memo=False)) for mode in modes
+        ]
     sc = scenario_from_json(doc)
     assert [report(explore(sc, mode, memo=False)) for mode in modes] == reference
-    assert all(json.loads(text)["bound_exceeded"] for text in reference)
+    if name == "rwlock-exc":
+        assert all(json.loads(text)["bound_exceeded"] for text in reference)
+
+
+def test_transition_runs_once_per_distinct_input(monkeypatch):
+    # explore calls transition once per distinct (tid, thread tid's state,
+    # heap, cursor, freed log, ledger) that the reference explorer meets,
+    # not once per transition
+    doc = shipped_doc("rwlock-shared")
+    inputs = set()
+
+    def recording(scenario, state, tid, mode, memo=None):
+        m = state.machine
+        inputs.add((tid, m.threads[tid], m.heap, m.cursor, m.freed, state.ledger))
+        return ref_transition(scenario, state, tid, mode, memo)
+
+    with monkeypatch.context() as m:
+        use_reference(m)
+        m.setattr(explore_mod, "transition", recording)
+        want = explore_mod.explore(scenario_from_json(doc), "concrete")
+    calls = []
+    real = explore_mod.transition
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(explore_mod, "transition", counting)
+    got = explore(scenario_from_json(doc), "concrete")
+    assert report(got) == report(want)
+    assert (len(calls), len(inputs), got.transitions) == (989, 989, 33_367)
 
 
 @pytest.mark.parametrize(

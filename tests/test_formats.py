@@ -304,6 +304,25 @@ class TestHandWrittenScenario:
             result_to_json(r)
         )
 
+    def test_transfer_and_guard_elements_default_to_unit(self):
+        # a transfer's element and remainder, and a guard's element, left
+        # out are the unit: the thread's whole fragment moves to the pool,
+        # and the guard on ε always holds
+        doc = json.loads(json.dumps(self.DOC))
+        doc["script"] = [
+            {"label": "take", "resolver": "ghost.transfer",
+             "args": {"instance": "shares", "from": "self", "to": "pool",
+                      "element": {"term": ["frac", 1, 1]}}},
+            {"label": "give", "resolver": "ghost.open-guard", "args": {"instance": "shares"}},
+        ]
+        r = explore(scenario_from_json(doc))
+        assert r.ok and not r.violations and not r.warnings
+        doc["script"][0]["args"]["element"] = {"term": ["frac", 1, 2]}
+        r = explore(scenario_from_json(doc))
+        assert [v.detail for v in r.violations] == [
+            "transfer-mismatch [shares]: 0 · 1/2 is not the sender's fragment (witness 1)"
+        ]
+
     def test_open_guard_literal(self):
         doc = json.loads(json.dumps(self.DOC))
         doc["protocols"][0] = {

@@ -486,8 +486,8 @@ def test_lock_resolver_table(case):
         protocols={"lock": sp}, named={"lock": named}, protected_cells={"lock": "cell"},
         cell_loc=lambda name: name,
     )
-    machine = SimpleNamespace(heap_value={"cell": cell}.get)
-    ctx = ResolveCtx(scenario, ledger, machine, 0, "lbl", result, None)
+    heap = (("cell", cell, ("w",)),)
+    ctx = ResolveCtx(scenario, ledger, heap, 0, "lbl", result, None)
     entry = ScriptEntry("lbl", resolver, tuple(sorted({"instance": "lock", **args}.items())))
     got = RESOLVERS[resolver](ctx, entry)
     if isinstance(expected, str):
