@@ -236,6 +236,8 @@ def main(argv=None) -> int:
         if args.command == "check":
             protocol_doc = _read_json(args.protocol)
             if args.bound is not None:
+                if args.bound < 1:
+                    raise FormatError(f"--bound: must be a positive integer, got {args.bound}")
                 set_den_bound(protocol_doc, args.bound)
             relations_doc = _read_json(args.relations) if args.relations else None
             report = run_check(protocol_doc, relations_doc)

@@ -135,6 +135,7 @@ _list = _typed(lambda doc: isinstance(doc, list), "a list", by_type=True)
 _name = _typed(lambda doc: isinstance(doc, str), "a string", by_type=True)
 _int = _typed(lambda doc: type(doc) is int, "an integer")
 _count = _typed(lambda doc: type(doc) is int and doc >= 0, "a non-negative integer")
+_positive = _typed(lambda doc: type(doc) is int and doc >= 1, "a positive integer")
 _bool = _typed(lambda doc: isinstance(doc, bool), "true or false")
 
 
@@ -255,7 +256,7 @@ def load_monoid(doc: dict, path: str = "") -> MonoidSpec:
     try:
         return builder(**fields)
     except ValueError as exc:
-        raise FormatError(f"bad {kind} monoid: {exc}") from exc
+        raise FormatError(f"{path or 'monoid'}: bad {kind} monoid: {exc}") from exc
 
 
 def _compose_table(rows, listed: tuple[Term, ...], path: str) -> dict:
@@ -286,13 +287,13 @@ _TABLE = {
 # field that the node leaves unset takes the builder's default.
 _MONOIDS = {
     "excl": (build_excl, {"values": (_TERMS, _REQUIRED)}),
-    "agn": (build_agn, {"values": (_TERMS, _REQUIRED), "max_count": (_int, _UNSET)}),
+    "agn": (build_agn, {"values": (_TERMS, _REQUIRED), "max_count": (_count, _UNSET)}),
     "agnvec": (build_agnvec, {
-        "values": (_TERMS, _REQUIRED), "k": (_int, _REQUIRED), "max_count": (_int, _UNSET),
+        "values": (_TERMS, _REQUIRED), "k": (_positive, _REQUIRED), "max_count": (_count, _UNSET),
     }),
-    "nat": (build_nat, {"limit": (_int, _UNSET)}),
+    "nat": (build_nat, {"limit": (_count, _UNSET)}),
     "int": (build_int, {"lo": (_int, _UNSET), "hi": (_int, _UNSET)}),
-    "frac": (build_frac, {"den_bound": (_int, _UNSET), "max_value": (_int, _UNSET)}),
+    "frac": (build_frac, {"den_bound": (_positive, _UNSET), "max_value": (_positive, _UNSET)}),
     "product": (build_product, {
         "name": (_name, "product"),
         "parts": (_list_of(load_monoid), _REQUIRED),
@@ -326,14 +327,23 @@ _BUILTINS = {
     "rwlock-multi": (build_rwlock_multi, ("values",)),
     "hashtable": (_hashtable, ("length", "hash", "values")),
 }
-_RANGE = _tuple_of((_int, _int), "a range is [lo, hi]")
-# builtin param -> its kind
+
+
+def _range(doc, path: str) -> tuple[int, int]:
+    """[lo, hi], two integers with lo <= hi."""
+    lo, hi = _tuple_of((_int, _int), "a range is [lo, hi]")(doc, path)
+    if lo > hi:
+        raise FormatError(f"{path}: a range is [lo, hi] with lo <= hi, got {doc!r}")
+    return lo, hi
+
+
+# builtin param -> its kind. A bound below its kind's least value would
+# leave some carrier with the unit alone.
 _PARAMS = {
     **dict.fromkeys(("keys", "values"), _TERMS),
-    **dict.fromkeys(("r_range", "rc_range"), _RANGE),
-    **dict.fromkeys(
-        ("length", "den_bound", "max_value", "nat_limit", "c_max", "sp_max", "agn_max", "k"), _int
-    ),
+    **dict.fromkeys(("r_range", "rc_range"), _range),
+    **dict.fromkeys(("length", "den_bound", "max_value", "k"), _positive),
+    **dict.fromkeys(("nat_limit", "c_max", "sp_max", "agn_max"), _count),
     "hash": _list_of(_tuple_of((_term, _int), "a hash entry is [key, index]")),
     "drop_carrier_constraint": _bool,
 }
@@ -733,11 +743,14 @@ def scenario_from_json(doc: dict) -> Scenario:
     )
     try:
         initial_state(scenario)
-    except (TypeError, ValueError) as exc:  # the fragments do not compose to a complete state
-        for i, entry in enumerate(entries):  # name a fragment outside its carrier, if one is
+    except Exception as exc:  # the fragments do not compose to a complete state
+        # a fragment outside its carrier may break 𝒞 in any way: name one, if one is
+        for i, entry in enumerate(entries):
             element = _element_of(protocols[entry["id"]].protocol)
             for j, (_, el) in enumerate(entry.get("fragments", ())):
                 element(el, f"protocols[{i}].fragments[{j}][1]")
+        if not isinstance(exc, (TypeError, ValueError)):
+            raise
         raise FormatError(f"protocols: {exc}") from exc
     return scenario
 

@@ -195,6 +195,9 @@ def build_nat(limit: int = 8, name: str = "nat") -> MonoidSpec:
 
 
 def build_int(lo: int = -8, hi: int = 8, name: str = "int") -> MonoidSpec:
+    if lo > hi:
+        raise ValueError(f"lo {lo} > hi {hi}")
+
     def compose(a, b):
         return tint(a[1] + b[1])
 

@@ -430,6 +430,12 @@ MALFORMED_SCENARIO = {
         ["protocols", 0, "fragments", 0, 1], ["int", 1],
         "protocols[0].fragments[0][1]: 1 is not in the carrier of rwlock-protocol",
     ),
+    # 𝒞 of the lock reads three arguments of the fields token
+    "scenario-fragment-token-without-args": (
+        ["protocols", 0, "fragments", 0, 1, 1, 0, 2], [],
+        "protocols[0].fragments[0][1]: (ex, ε, ε, 0, ε) is not in the carrier of "
+        "rwlock-protocol",
+    ),
     "scenario-fragments-incomplete": (
         ["protocols", 0, "fragments"], [],
         "protocols: scenario setup: alloc-not-complete [lock]: initial joint state must "
@@ -466,6 +472,29 @@ MALFORMED_SCENARIO = {
         (_trivial_protocol({"table": []}, {"table": []}) | {"protocol": {"kind": "martian"}},
          [], "input error: protocol.kind: unknown monoid kind 'martian'"),
         ({"builtin": "alchemy"}, [], "input error: builtin: unknown builtin protocol 'alchemy'"),
+        # a bound or range that would leave a carrier with the unit alone
+        ({"builtin": "fractional", "params": {"den_bound": 0}}, [],
+         "input error: params.den_bound: must be a positive integer, got 0"),
+        ({"builtin": "fractional", "params": {"den_bound": -3}}, [],
+         "input error: params.den_bound: must be a positive integer, got -3"),
+        ({"builtin": "counting", "params": {"c_max": -2}}, [],
+         "input error: params.c_max: must be a non-negative integer, got -2"),
+        ({"builtin": "counting", "params": {"r_range": [3, -3]}}, [],
+         "input error: params.r_range: a range is [lo, hi] with lo <= hi, got [3, -3]"),
+        (dict(RWLOCK, params=dict(RWLOCK["params"], rc_range=[1, 0])), [],
+         "input error: params.rc_range: a range is [lo, hi] with lo <= hi, got [1, 0]"),
+        ({"builtin": "fractional"}, ["--bound", "0"],
+         "input error: --bound: must be a positive integer, got 0"),
+        (COUNTING, ["--bound", "-1"], "input error: --bound: must be a positive integer, got -1"),
+        (_trivial_protocol({"table": []}, {"table": []})
+         | {"protocol": {"kind": "frac", "max_value": 0}}, [],
+         "input error: protocol.max_value: must be a positive integer, got 0"),
+        (_trivial_protocol({"table": []}, {"table": []})
+         | {"protocol": {"kind": "nat", "limit": -1}}, [],
+         "input error: protocol.limit: must be a non-negative integer, got -1"),
+        (_trivial_protocol({"table": []}, {"table": []})
+         | {"protocol": {"kind": "int", "lo": 3, "hi": -3}}, [],
+         "input error: protocol: bad int monoid: lo 3 > hi -3"),
     ]]
     + [("explore", edited_scenario(path, value), [], f"input error: {message}")
        for path, value, message in MALFORMED_SCENARIO.values()],
@@ -473,7 +502,10 @@ MALFORMED_SCENARIO = {
          "bound-params-not-object", "bound-protocol-not-object",
          "complete-not-a-term", "stored-of-row-not-a-pair", "complete-not-object",
          "stored-value-not-in-storage", "unknown-param", "monoid-unknown-field",
-         "unknown-monoid-kind", "unknown-builtin"]
+         "unknown-monoid-kind", "unknown-builtin", "den-bound-zero", "den-bound-negative",
+         "c-max-negative", "r-range-reversed", "rc-range-reversed", "bound-zero",
+         "bound-negative-non-fractional", "frac-max-value-zero", "nat-limit-negative",
+         "int-range-reversed"]
     + list(MALFORMED_SCENARIO),
 )
 def test_malformed_protocol_exit_2_without_traceback(tmp_path, command, doc, args, message):
@@ -609,4 +641,30 @@ def test_scenario_shape_fuzz_never_raises(data):
         with contextlib.redirect_stderr(io.StringIO()):
             code = main(["explore", str(scenario), "--mode", mode, "--max-states", "300",
                          "--quiet"])
+    assert code in (0, 1, 2, 3)
+
+
+CHECK_DEMOS = sorted(name for name, spec in DEMOS.items() if spec["kind"] == "check")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_check_shape_fuzz_never_raises(data):
+    # one node of a checked-in protocol or relations document replaced, as
+    # in the scenario shape fuzz
+    name = data.draw(st.sampled_from(CHECK_DEMOS))
+    docs = {part: json.loads(demo_path(f"{name}.{part}.json").read_text())
+            for part in ("protocol", "relations")}
+    part = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(node_paths(docs[part])))
+    node = docs[part]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES + [[v] for v in FUZZ_VALUES]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for p, doc in docs.items():
+            (Path(tmp) / f"{p}.json").write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", str(Path(tmp) / "protocol.json"),
+                         str(Path(tmp) / "relations.json"), "--quiet"])
     assert code in (0, 1, 2, 3)

@@ -1,13 +1,18 @@
 """The PCM law suite against its brute-force reference.
 
 ``monoid.check_pcm_laws`` decides the unit, commutativity and
-associativity laws of a product on its parts, and composes each b·c of
-the associativity loop once. ``ref_check_pcm_laws`` below is the suite
-as it was written before, composing every tuple of every case. Both must
-give equal reports, field by field (verdict, exhaustiveness, cases
-checked and first witness), on both monoids of every builtin and demo
-protocol, and on products that hypothesis draws from small builtins and
-table monoids, some of which break a law.
+associativity laws of a product on its parts, and decides associativity
+on numbered products: it composes each v·c and a·w once per distinct
+product v or w, not each triple's two sides. ``ref_check_pcm_laws``
+below is the suite as it was written before, composing every tuple of
+every case. Both must give equal reports, field by field (verdict,
+exhaustiveness, cases checked and first witness), on both monoids of
+every builtin and demo protocol, and on products that hypothesis draws
+from small builtins and table monoids, some of which break a law. A
+table whose first non-associative triple has no index 0 pins how cases
+are counted up to a witness, a numbering that gives unequal terms one
+number is caught, and the compositions of one associativity check are
+counted.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from guardcheck.library import (
     build_table_monoid,
     build_trivial,
 )
+from guardcheck import monoid
 from guardcheck.monoid import (
     DEFAULT_PAIR_LIMIT,
     DEFAULT_TRIPLE_LIMIT,
@@ -230,6 +236,65 @@ def test_each_broken_law_is_reported():
                       ("not-closed", "validity-downward-closed")]:
         report = agree(build_product("p", [INT, TABLES[name]]))
         assert [c.law for c in report.checks if not c.ok] == [law]
+
+
+# (a·c)·b = a·b = b but a·(c·b) = a·a = a, and every triple before it holds
+C = tsym("c")
+LATE_FAILURE = build_table_monoid("late-failure", [UNIT, A, B, C], UNIT, {
+    (UNIT, UNIT): UNIT, (UNIT, A): A, (UNIT, B): B, (UNIT, C): C,
+    (A, A): A, (A, B): B, (A, C): A, (B, B): A, (B, C): A, (C, C): C,
+})
+
+
+def test_associativity_counts_cases_up_to_a_late_witness():
+    # over ε, a, b, c the witness (a, c, b) is triple (h, i, j) = (1, 3, 2),
+    # the (1·4 + 3)·4 + 2 + 1 = 31st in order
+    assert carrier(LATE_FAILURE) == (UNIT, A, B, C)
+    report = agree(LATE_FAILURE)
+    assert [(c.law, c.witness, c.checked) for c in report.checks if not c.ok] == [
+        ("associativity", (A, C, B), 31)
+    ]
+    for limit in (2, 3):
+        agree(LATE_FAILURE, triple_limit=limit)
+    for parts in ([LATE_FAILURE, EXCL], [INT, LATE_FAILURE]):
+        agree(build_product("p", parts))
+
+
+def numbering_by_tag():
+    """A lossy ``monoid._numbering``: terms with one tag get one number."""
+    ids, terms = {}, []
+
+    def number(t):
+        if t[0] not in ids:
+            ids[t[0]] = len(terms)
+            terms.append(t)
+        return ids[t[0]]
+
+    return number, terms
+
+
+def test_a_lossy_numbering_is_caught(monkeypatch):
+    monkeypatch.setattr(monoid, "_numbering", numbering_by_tag)
+    for spec in (TABLES["non-associative"], LATE_FAILURE,
+                 build_product("p", [INT, TABLES["non-associative"]])):
+        assert check_pcm_laws(spec) != ref_check_pcm_laws(spec)
+
+
+def test_associativity_composes_once_per_distinct_product():
+    spec = build_frac(12, 4)
+    elems = carrier(spec)[:DEFAULT_TRIPLE_LIMIT]
+    k = len(elems)
+    products = {spec.compose_fn(a, b) for a in elems for b in elems}
+    compose, calls = spec.compose_fn, 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return compose(a, b)
+
+    spec.compose_fn = counted
+    assert monoid._associativity(spec, elems) == (None, k**3)
+    assert k == DEFAULT_TRIPLE_LIMIT and calls <= 2 * len(products) * k + k * k
 
 
 # ---------------------------------------------------------------------------
