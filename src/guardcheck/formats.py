@@ -404,12 +404,18 @@ def _custom_protocol(fields: dict, path: str) -> StorageProtocolSpec:
     missing = complete_set - set(stored_map)
     if missing:
         raise FormatError(f"stored_of table missing {len(missing)} complete elements")
+    if not protocol.parts:
+        return StorageProtocolSpec(
+            fields["name"], protocol, storage, complete_set.__contains__, stored_map.__getitem__
+        )
+    # on a product, stage j holds of the prefixes of length j + 1 of the
+    # listed tuples, so the last stage is membership
+    stages = tuple(
+        frozenset(p[1][:end] for p in complete_set).__contains__
+        for end in range(1, len(protocol.parts) + 1)
+    )
     return StorageProtocolSpec(
-        fields["name"],
-        protocol,
-        storage,
-        lambda p: p in complete_set,
-        lambda p: stored_map[p],
+        fields["name"], protocol, storage, None, stored_map.__getitem__, stages=stages
     )
 
 

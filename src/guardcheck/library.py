@@ -651,41 +651,60 @@ class RwLockMultiElems:
 
 def _build_rwlock_protocol(name, prefix, values, counters, c_ep, c_sp, c_sh, counts_ok):
     """The lock protocol over the shared layout, with ``counters`` the
-    fields' counter terms. 𝒞 asks ``counts_ok(rc, spc,
-    agn, ep)`` whether each fields counter ``rc`` equals its pending
-    readers ``spc`` plus its acquired readers (``agn``, the agreement's
-    arguments, None without readers), and whatever else the lock's
-    writer token ``ep`` says about them. The rest of 𝒞 is shared: the
-    exc flag is set exactly when one writer token is out, a writer
-    excludes readers, and readers agree with the fields value."""
+    fields' counter terms. 𝒞 is stated as one stage per part (see
+    :class:`StorageProtocolSpec`), each checking what the parts bound so
+    far decide: no part is ⊥, the fields are an ``ex``, the exc flag is
+    set exactly when one writer token is out, a writer excludes readers,
+    readers agree with the fields value, and ``counts_ok(rc, spc, agn,
+    ep)``. That last asks whether each fields counter ``rc`` equals its
+    pending readers ``spc`` plus its acquired readers (``agn``, the
+    agreement's arguments, None without readers), and whatever else the
+    lock's writer token ``ep`` says about them."""
     payloads = [ttuple(tbool(e), c, x) for e in (False, True) for c in counters for x in values]
     c_fields = build_excl(tuple(payloads), name=f"{prefix}-fields")
     c_e = _excl(f"{prefix}-e", [EX])
     product = build_product(f"{name}-protocol", [c_fields, c_ep, c_e, c_sp, c_sh], total=True)
     storage = build_excl(values, name=f"{prefix}-storage")
+    parsed = {ex(t): t[1] for t in payloads}  # ex(payload) -> (exc flag, counter, value)
 
-    def complete(p):
-        if BOT in p[1]:
-            return False
-        c1, ep, e, spc, s = p[1]
-        got = con_args(c1, "ex")
+    def fields(c1):
+        """(exc flag, counter, value) of a fields value, or None if it is
+        not an ``ex``."""
+        got = parsed.get(c1)
         if got is None:
+            args = con_args(c1, "ex")
+            got = None if args is None else args[0][1]
+        return got
+
+    def fields_ex(c):
+        return fields(c[0]) is not None
+
+    def ep_not_bot(c):
+        return c[1] != BOT
+
+    def exc_flag(c):
+        e = c[2]
+        return e != BOT and (c[1] != UNIT) + (e != UNIT) == fields(c[0])[0][1]
+
+    def sp_not_bot(c):
+        return c[3] != BOT
+
+    def readers(c):
+        c1, ep, e, spc, s = c
+        if s == BOT or (e == EX and s != UNIT):
             return False
-        exc_t, rc_t, x = got[0][1]
+        _, rc_t, x = fields(c1)
         agn = con_args(s, "agn")
-        return (
-            counts_ok(rc_t, spc, agn, ep)
-            and (ep != UNIT) + (e != UNIT) == exc_t[1]
-            and (e != EX or s == UNIT)
-            and (agn is None or agn[0] == x)
-        )
+        return (agn is None or agn[0] == x) and counts_ok(rc_t, spc, agn, ep)
 
     def stored_of(p):
         c1, _, e, _, _ = p[1]
-        x = con_args(c1, "ex")[0][1][2]
-        return UNIT if e == EX else ex(x)
+        return UNIT if e == EX else ex(fields(c1)[2])
 
-    return StorageProtocolSpec(name, product, storage, complete, stored_of)
+    return StorageProtocolSpec(
+        name, product, storage, None, stored_of,
+        stages=(fields_ex, ep_not_bot, exc_flag, sp_not_bot, readers),
+    )
 
 
 def build_rwlock(

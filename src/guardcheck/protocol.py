@@ -7,7 +7,11 @@ its deposit, withdraw and update specializations) and guard — quantify
 over frames from P's enumerator and report Holds / FailsWithWitness /
 HoldsUpToBound. They constrain only frames q where 𝒞(p·q) holds, so
 only those frames are visited: grouped by the value of p·q, part by
-part, and found by asking 𝒞 of each value (see :func:`completion_boxes`).
+part (see :func:`completion_boxes`). A protocol on a product P may state
+𝒞 as stages, one constraint per part on the values bound so far; its
+completions are then found by backtracking over the parts, so a value
+tuple that fails on a prefix is never built. Any other 𝒞 is asked of
+each tuple of values.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .monoid import (
     LawCheck,
     LawReport,
     MonoidSpec,
+    _box_walk,
     axes,
-    carrier,
     components,
     check_pcm_laws,
     first_counterexample,
@@ -56,9 +60,20 @@ class StorageDomainError(ValueError):
     """𝒮 applied outside 𝒞."""
 
 
+# Stage j of a staged 𝒞: a test of the values (c_0, ..., c_j) of the first
+# j + 1 parts of a product protocol state.
+Stage = Callable[[tuple[Term, ...]], bool]
+
+
 @dataclass(eq=False)
 class StorageProtocolSpec:
     """(P, S, 𝒞, 𝒮). P must be total (valid ≡ true); S is a PCM.
+
+    𝒞 is given either as ``complete_fn``, or, on a product P, as
+    ``stages``: one per part, where stage j tests the values of parts
+    0..j and may read no later part. 𝒞 is then the conjunction of the
+    stages, and :func:`completion_boxes` checks each stage as soon as its
+    parts are bound. A spec takes one of the two, never both.
 
     ``stored_of`` may assume 𝒞 holds; callers go through :meth:`stored`,
     which raises :class:`StorageDomainError` outside 𝒞.
@@ -67,15 +82,30 @@ class StorageProtocolSpec:
     name: str
     protocol: MonoidSpec
     storage: MonoidSpec
-    complete_fn: Callable[[Term], bool]
+    complete_fn: Callable[[Term], bool] | None
     stored_of_fn: Callable[[Term], Term]
+    stages: tuple[Stage, ...] = ()
     _cache: dict = field(default_factory=dict, repr=False)
+    _complete: Callable[[Term], bool] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if (self.complete_fn is None) == (not self.stages):
+            raise ValueError(f"{self.name}: give 𝒞 as exactly one of complete_fn and stages")
+        if not self.stages:
+            self._complete = self.complete_fn
+        elif len(self.stages) != len(self.protocol.parts):
+            raise ValueError(
+                f"{self.name}: {len(self.stages)} stages for "
+                f"{len(self.protocol.parts)} protocol parts"
+            )
+        else:
+            self._complete = _conjunction(self.stages)
 
     def complete(self, p: Term) -> bool:
-        return self.complete_fn(p)
+        return self._complete(p)
 
     def stored(self, p: Term) -> Term:
-        if not self.complete_fn(p):
+        if not self._complete(p):
             raise StorageDomainError(
                 f"{self.name}: 𝒮 applied outside 𝒞 at {pretty(p)}"
             )
@@ -84,6 +114,20 @@ class StorageProtocolSpec:
     @property
     def bounded(self) -> bool:
         return self.protocol.bounded or self.storage.bounded
+
+
+def _conjunction(stages: tuple[Stage, ...]) -> Callable[[Term], bool]:
+    """𝒞 of a product state: each stage holds of its prefix."""
+    ends = tuple(enumerate(stages, 1))
+
+    def complete(p):
+        c = p[1]
+        for end, stage in ends:
+            if not stage(c[:end]):
+                return False
+        return True
+
+    return complete
 
 
 @dataclass(frozen=True)
@@ -171,10 +215,13 @@ def completion_boxes(sp: StorageProtocolSpec, p: Term) -> tuple[Box, ...]:
 
     P composes part by part (a non-product P is its own one part), so on
     each part j the elements q_j are grouped by the value of p_j·q_j.
-    Each tuple c of such values is asked 𝒞 once, and where it holds, the
-    frames q with p·q = c form the box of those groups. 𝒞 is asked of the
-    values p·q themselves, so a completion outside the enumerated carrier
-    is found too. Kept in the memo.
+    Where a tuple c of such values is complete, the frames q with p·q = c
+    form the box of those groups. With ``sp.stages``, the values are bound
+    part by part and stage j is checked on each prefix (c_0, ..., c_j), so
+    a prefix that fails is not extended; otherwise 𝒞 is asked of each
+    tuple. Either way the boxes come in the order of the tuples, and 𝒞 is
+    asked of the values p·q themselves, so a completion outside the
+    enumerated carrier is found too. Kept in the memo.
     """
     return memo(sp, ("completions", p), lambda: tuple(_completions(sp, p)))
 
@@ -186,12 +233,36 @@ def _completions(sp: StorageProtocolSpec, p: Term) -> Iterator[Box]:
         memo(part, ("by-value", x), _by_value, part, x)
         for part, x in zip(axes(proto), components(proto, p))
     ]
-    value = ttuple if proto.parts else lambda v: v
+    return _complete_boxes(sp, groups)
+
+
+def _complete_boxes(sp: StorageProtocolSpec, groups: list[dict[Term, list[Term]]]) -> Iterator[Box]:
+    """The box of groups of each complete tuple of values, one value per
+    part from ``groups`` (value -> its group), in the order of
+    ``itertools.product`` over the parts."""
+    if sp.stages:
+        return _staged_boxes(sp.stages, groups, 0, ())
+    value = ttuple if sp.protocol.parts else lambda v: v
     return (
         [by_value[v] for by_value, v in zip(groups, c)]
         for c in itertools.product(*groups)
         if sp.complete(value(*c))
     )
+
+
+def _staged_boxes(stages, groups, j: int, prefix: tuple) -> Iterator[Box]:
+    """The boxes of the complete tuples that extend ``prefix``, the values
+    of parts 0..j-1, binding part j to each of its values in turn:
+    chronological backtracking."""
+    stage, last = stages[j], j == len(groups) - 1
+    for v in groups[j]:
+        c = prefix + (v,)
+        if not stage(c):
+            continue
+        if last:
+            yield [by_value[x] for by_value, x in zip(groups, c)]
+        else:
+            yield from _staged_boxes(stages, groups, j + 1, c)
 
 
 def _by_value(part: MonoidSpec, x: Term) -> dict[Term, list[Term]]:
@@ -264,12 +335,15 @@ def check_wellformed(sp: StorageProtocolSpec, **law_limits) -> WellformedReport:
         "protocol-monoid-total", witness is None, not sp.protocol.bounded, total.frames, witness
     ))
 
+    # the complete carrier elements, in carrier order: each part grouped
+    # by its elements themselves, so 𝒞 is asked of the elements
+    proto = sp.protocol
+    singletons = [{q: [q] for q in term_order(part)[0]} for part in axes(proto)]
+    walk, _ = _box_walk(proto, _complete_boxes(sp, singletons))
     witness = None
     err = ""
     n = 0
-    for p in carrier(sp.protocol):
-        if not sp.complete(p):
-            continue
+    for _, p in walk:
         n += 1
         try:
             if not sp.storage.valid_fn(sp.stored(p)):

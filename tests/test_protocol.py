@@ -1,14 +1,18 @@
 """Storage-protocol relations against the worked fractional, counting and
-forever constructions, plus the definitional cross-checks."""
+forever constructions, plus the definitional cross-checks, and the
+𝒞 ⟹ 𝒱∘𝒮 check of ``check_wellformed`` against a loop over the carrier."""
 
 import pytest
 
+from guardcheck.formats import load_protocol
 from guardcheck.library import (
     build_counting,
     build_excl,
     build_forever,
     build_frac,
     build_fractional,
+    build_rwlock,
+    build_rwlock_multi,
     build_trivial,
     ex,
     pcm_as_protocol,
@@ -16,6 +20,7 @@ from guardcheck.library import (
 from guardcheck.monoid import (
     FAILS,
     ElementEnumerator,
+    LawCheck,
     MonoidSpec,
     carrier,
     frame_preserving_update,
@@ -231,3 +236,75 @@ def test_pcm_as_protocol_matches_fpu():
                 exchange_holds(sp, ExchangeQuery.update(a, b, eps)).ok
                 == frame_preserving_update(excl, a, b).ok
             )
+
+
+def test_a_spec_states_complete_once():
+    protocol, storage = build_rwlock()[0].protocol, build_excl((tint(1),))
+    stages = (lambda c: True,) * len(protocol.parts)
+    with pytest.raises(ValueError, match="exactly one"):
+        StorageProtocolSpec("both", protocol, storage, lambda p: True, lambda p: UNIT, stages)
+    with pytest.raises(ValueError, match="exactly one"):
+        StorageProtocolSpec("neither", protocol, storage, None, lambda p: UNIT)
+    with pytest.raises(ValueError, match="4 stages for 5 protocol parts"):
+        StorageProtocolSpec("short", protocol, storage, None, lambda p: UNIT, stages[1:])
+    with pytest.raises(ValueError, match="1 stages for 0 protocol parts"):
+        StorageProtocolSpec("leaf", FRAC.protocol, storage, None, lambda p: UNIT, stages[:1])
+
+
+def ref_complete_implies_valid_storage(sp) -> LawCheck:
+    """The 𝒞 ⟹ 𝒱∘𝒮 check as a loop over the carrier, asking 𝒞 of each
+    element."""
+    witness, err, n = None, "", 0
+    for p in carrier(sp.protocol):
+        if not sp.complete(p):
+            continue
+        n += 1
+        try:
+            if not sp.storage.valid_fn(sp.stored(p)):
+                witness = (p,)
+                break
+        except StorageDomainError as exc:
+            witness, err = (p,), str(exc)
+            break
+    name = "complete-implies-valid-storage" + (" (domain error)" if err else "")
+    return LawCheck(name, witness is None, not sp.protocol.bounded, n, witness)
+
+
+def _no_unit_protocol(stored: list) -> dict:
+    """A custom protocol on excl × a table monoid where ε·a = b, so the
+    unit law fails; 𝒞 lists three tuples, storing ``stored`` in turn, and
+    holds (ε, b) but not (ε, a)."""
+    a, b, ex0 = ["sym", "a"], ["sym", "b"], ["con", "ex", [["int", 0]]]
+    complete = [["tuple", pair] for pair in ([["unit"], b], [ex0, a], [ex0, b])]
+    return {
+        "name": "no-unit",
+        "protocol": {"kind": "product", "total": True, "parts": [
+            {"kind": "excl", "values": [["int", 0]]},
+            {"kind": "table", "unit": ["unit"], "elements": [["unit"], a, b], "compose": [
+                [["unit"], ["unit"], ["unit"]], [["unit"], a, b], [["unit"], b, b],
+                [a, a, a], [a, b, b], [b, b, b],
+            ]},
+        ]},
+        "storage": {"kind": "excl", "values": [["int", 1]]},
+        "complete": {"table": complete},
+        "stored_of": {"table": [[p, t] for p, t in zip(complete, stored)]},
+    }
+
+
+def test_complete_implies_valid_storage_walks_the_complete_elements():
+    ex1 = ["con", "ex", [["int", 1]]]
+    protocols = [
+        FRAC, COUNTING, FOREVER, build_rwlock()[0], build_rwlock_multi()[0],
+        load_protocol(_no_unit_protocol([ex1, ["unit"], ex1]))[0],
+        load_protocol(_no_unit_protocol([ex1, ex1, ["bot"]]))[0],
+        StorageProtocolSpec("bad", build_trivial("one-point"), build_excl((tint(1),)),
+                            lambda p: True, lambda p: BOT),
+    ]
+    for sp in protocols:
+        got = next(c for c in check_wellformed(sp).extra if c.law.startswith("complete-implies"))
+        assert got == ref_complete_implies_valid_storage(sp), sp.name
+    # the failing one reports its witness after the complete elements before it
+    assert (got.ok, got.checked) == (False, 1)
+    failing = load_protocol(_no_unit_protocol([ex1, ex1, ["bot"]]))[0]
+    got = next(c for c in check_wellformed(failing).extra if c.law.startswith("complete-implies"))
+    assert not got.ok and got.checked > 1
