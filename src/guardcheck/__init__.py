@@ -25,85 +25,86 @@ The pieces compose bottom-up:
   the sequential oracle used to judge terminal outcomes.
 * :mod:`guardcheck.formats` / :mod:`guardcheck.cli` — JSON schemas and
   the command-line front end.
+
+Each module is imported on the path that uses it. The names in
+``__all__`` load their module on first use (PEP 562), so importing the
+package loads no layer. ``guardcheck check`` and ``guardcheck demo`` on a
+protocol load terms, monoid, protocol, library, formats, demos and cli;
+``guardcheck explore`` and ``guardcheck demo`` on a scenario also load
+lang, ghost, explore and studies. Importing :mod:`guardcheck.explore`
+imports :mod:`guardcheck.studies`, so the case studies' resolvers and
+properties are registered wherever a scenario is read or run.
 """
 
-from .monoid import (
-    CheckResult,
-    ElementEnumerator,
-    LawReport,
-    MonoidSpec,
-    and_premise,
-    carrier,
-    check_pcm_laws,
-    compose,
-    frame_preserving_update,
-    leq,
-)
-from .protocol import (
-    ExchangeQuery,
-    StorageProtocolSpec,
-    check_wellformed,
-    exchange_holds,
-    guard_holds,
-    valid_fragment,
-)
-from .library import (
-    HashFunctionSpec,
-    build_agn,
-    build_agnvec,
-    build_counting,
-    build_excl,
-    build_forever,
-    build_fractional,
-    build_hashtable_monoid,
-    build_rwlock,
-    build_rwlock_multi,
-)
-from .explore import ExplorationResult, Scenario, explore, replay
-from .studies import (
-    HashTableScenarioParams,
-    RwLockScenarioParams,
-    build_hashtable_scenario,
-    build_race_scenario,
-    build_rwlock_scenario,
-    sequential_oracle,
-)
+import importlib
+import sys
+from types import ModuleType
 
-__all__ = [
-    "CheckResult",
-    "ElementEnumerator",
-    "LawReport",
-    "MonoidSpec",
-    "and_premise",
-    "carrier",
-    "check_pcm_laws",
-    "compose",
-    "frame_preserving_update",
-    "leq",
-    "ExchangeQuery",
-    "StorageProtocolSpec",
-    "check_wellformed",
-    "exchange_holds",
-    "guard_holds",
-    "valid_fragment",
-    "HashFunctionSpec",
-    "build_agn",
-    "build_agnvec",
-    "build_counting",
-    "build_excl",
-    "build_forever",
-    "build_fractional",
-    "build_hashtable_monoid",
-    "build_rwlock",
-    "build_rwlock_multi",
-    "ExplorationResult",
-    "Scenario",
-    "explore",
-    "replay",
-    "HashTableScenarioParams",
-    "RwLockScenarioParams",
-    "build_hashtable_scenario",
-    "build_race_scenario",
-    "build_rwlock_scenario",
-    "sequential_oracle",
-]
+# name in __all__ -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys((
+        "CheckResult",
+        "ElementEnumerator",
+        "LawReport",
+        "MonoidSpec",
+        "and_premise",
+        "carrier",
+        "check_pcm_laws",
+        "compose",
+        "frame_preserving_update",
+        "leq",
+    ), "monoid"),
+    **dict.fromkeys((
+        "ExchangeQuery",
+        "StorageProtocolSpec",
+        "check_wellformed",
+        "exchange_holds",
+        "guard_holds",
+        "valid_fragment",
+    ), "protocol"),
+    **dict.fromkeys((
+        "HashFunctionSpec",
+        "build_agn",
+        "build_agnvec",
+        "build_counting",
+        "build_excl",
+        "build_forever",
+        "build_fractional",
+        "build_hashtable_monoid",
+        "build_rwlock",
+        "build_rwlock_multi",
+    ), "library"),
+    **dict.fromkeys(("ExplorationResult", "Scenario", "explore", "replay"), "explore"),
+    **dict.fromkeys((
+        "HashTableScenarioParams",
+        "RwLockScenarioParams",
+        "build_hashtable_scenario",
+        "build_race_scenario",
+        "build_rwlock_scenario",
+        "sequential_oracle",
+    ), "studies"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # importing guardcheck.explore binds the submodule to the package's
+        # "explore", which names the function
+        if isinstance(value, ModuleType) and name in _EXPORTS:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

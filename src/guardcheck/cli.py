@@ -12,13 +12,11 @@ identical inputs produce byte-identical reports.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import sys
 
 from .demos import DEMOS, load_demo_document
-from .explore import explore
 from .formats import (
     FormatError,
     dumps,
@@ -36,7 +34,6 @@ from .protocol import (
     valid_fragment,
     check_wellformed,
 )
-from .studies import explorer_outcomes, sequential_oracle
 from .terms import pretty, term_from_json, term_to_json
 
 EXIT_OK = 0
@@ -153,6 +150,9 @@ def _render_explore(report: dict) -> str:
 
 
 def run_explore_scenario(scenario, mode: str, max_states=None, max_steps=None) -> dict:
+    from .explore import explore
+    from .studies import explorer_outcomes, sequential_oracle
+
     updates = {}
     if max_states is not None:
         updates["max_states"] = max_states
@@ -196,6 +196,8 @@ def _exit_code(report: dict) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="guardcheck",
         description="Check sharing-protocol laws and explore thread interleavings.",

@@ -12,17 +12,9 @@ hashtable-collide, race-negative (scenario explorations).
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 
 from .formats import scenario_to_json
-from .studies import (
-    HashTableScenarioParams,
-    RwLockScenarioParams,
-    build_hashtable_scenario,
-    build_race_scenario,
-    build_rwlock_scenario,
-)
 from .library import HashFunctionSpec
 from .terms import term_to_json, tfrac, tint
 
@@ -133,6 +125,14 @@ def _rwlock_relations() -> dict:
 
 
 def _scenarios() -> dict:
+    from .studies import (
+        HashTableScenarioParams,
+        RwLockScenarioParams,
+        build_hashtable_scenario,
+        build_race_scenario,
+        build_rwlock_scenario,
+    )
+
     a, b = tint(0), tint(1)
     collide = HashFunctionSpec(3, ((a, 0), (b, 0)))
     ht_params = HashTableScenarioParams(
@@ -193,6 +193,8 @@ def demo_documents() -> dict:
 
 
 def demo_path(filename: str):
+    import importlib.resources
+
     return importlib.resources.files("guardcheck").joinpath("demos", filename)
 
 

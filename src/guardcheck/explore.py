@@ -769,3 +769,8 @@ def replay(scenario: Scenario, schedule, mode: str = "rule"):
         if kind == "stuck":
             break
     return entries
+
+
+# the case studies register their resolvers and properties here, so every
+# reader and runner of scenarios sees the same registry
+from . import studies

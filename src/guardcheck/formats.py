@@ -18,17 +18,8 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
+from typing import TYPE_CHECKING
 
-from .explore import (
-    PROPERTY_PARAMS,
-    RESOLVER_ARGS,
-    ExplorationResult,
-    PropertySpec,
-    Scenario,
-    ScriptEntry,
-    initial_state,
-)
-from .lang import UsageError, ast_from_json, ast_to_json
 from .library import (
     HashFunctionSpec,
     build_agn,
@@ -53,6 +44,9 @@ from .library import (
 from .monoid import MonoidSpec, is_element
 from .protocol import StorageProtocolSpec
 from .terms import EncodingError, Term, is_term, pretty, term_from_json, term_to_json
+
+if TYPE_CHECKING:  # scenarios import the explorer and interpreter when read
+    from .explore import ExplorationResult, PropertySpec, Scenario, ScriptEntry
 
 __all__ = [
     "FormatError",
@@ -159,6 +153,8 @@ def _element_of(monoid: MonoidSpec):
 
 
 def _program(doc, path: str):
+    from .lang import UsageError, ast_from_json
+
     try:
         return ast_from_json(doc, path)
     except UsageError as exc:
@@ -563,6 +559,8 @@ def _load_entries(entries) -> tuple[dict, dict, dict, dict]:
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
+    from .lang import ast_to_json
+
     descriptors = scenario.meta.get("protocol_json")
     if descriptors is None:
         raise FormatError(f"scenario {scenario.name} carries no protocol descriptors")
@@ -618,6 +616,8 @@ def scenario_to_json(scenario: Scenario) -> dict:
 def _script_entry(doc: dict, path: str, kinds: dict) -> ScriptEntry:
     """The script entry ``doc`` read by :data:`_SCRIPT_ENTRY`, its args
     read by the kinds its resolver declares (see :func:`_declared`)."""
+    from .explore import RESOLVER_ARGS, ScriptEntry
+
     fields = dict(doc)
     if "args" in fields:
         declared = RESOLVER_ARGS.get(doc["resolver"])
@@ -703,6 +703,8 @@ def _declared(declared: dict | None, doc, path: str, kinds: dict, field: str) ->
 def _property(doc: dict, path: str, kinds: dict) -> PropertySpec:
     """The property ``doc`` read by :data:`_PROPERTY`, its params read by
     the kinds its kind declares (see :func:`_declared`)."""
+    from .explore import PROPERTY_PARAMS, PropertySpec
+
     params = _declared(
         PROPERTY_PARAMS.get(doc["kind"]), doc["params"], _at(path, "params"), kinds, "parameter"
     )
@@ -719,6 +721,8 @@ def _unique(what: str, names) -> None:
 
 
 def scenario_from_json(doc: dict) -> Scenario:
+    from .explore import Scenario, initial_state
+
     fields = _read(_object(doc, "scenario"), _SCENARIO, "")
     entries = fields.pop("protocols")
     protocols, named, descriptors, fragments = _load_entries(entries)

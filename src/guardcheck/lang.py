@@ -15,7 +15,6 @@ produce stuck states, each tagged with the failed rule.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -602,6 +601,8 @@ def enabled_threads(cfg: MachineConfig) -> list[int]:
 
 def canonical_hash(cfg: MachineConfig) -> str:
     """Process-independent fingerprint of the full configuration."""
+    import hashlib
+
     blob = repr((cfg.heap, cfg.threads, cfg.cursor, cfg.freed)).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -1,0 +1,167 @@
+"""Start-up: each module is imported on the path that uses it.
+
+Every check runs in a fresh interpreter, since what a process has
+imported depends on what ran before in it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import guardcheck
+from guardcheck.demos import DEMOS, load_demo_document
+from guardcheck.formats import FormatError, scenario_from_json
+
+SRC = str(Path(guardcheck.__file__).resolve().parents[1])
+EXPLORER_STACK = ("guardcheck.explore", "guardcheck.lang", "guardcheck.ghost", "guardcheck.studies")
+SCENARIO_DEMOS = sorted(name for name, spec in DEMOS.items() if spec["kind"] == "explore")
+CHECK_DEMOS = sorted(name for name, spec in DEMOS.items() if spec["kind"] == "check")
+
+
+def fresh(code: str):
+    """What ``code`` prints as its last line, as JSON, run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOAD_SCENARIO = (
+    "from guardcheck import demos, formats\n"
+    "formats.scenario_from_json(demos.load_demo_document('rwlock-exc.scenario.json'))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "prelude",
+    ["import guardcheck\n", LOAD_SCENARIO, "import guardcheck.explore\n"],
+    ids=["package-first", "after-scenario-load", "after-submodule-import"],
+)
+def test_package_exports_in_every_import_order(prelude):
+    got = fresh(prelude + """
+import json, sys, types
+import guardcheck
+from guardcheck import explore
+names = {}
+exec("from guardcheck import *", names)
+try:
+    guardcheck.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "explore": isinstance(explore, types.FunctionType),
+    "same": explore is sys.modules["guardcheck.explore"].explore is guardcheck.explore,
+    "unresolved": [n for n in guardcheck.__all__ if getattr(guardcheck, n, None) is None],
+    "star": sorted(set(guardcheck.__all__) - set(names)),
+    "dir": sorted(set(guardcheck.__all__) - set(dir(guardcheck))),
+    "unknown": unknown,
+}))
+""")
+    assert got == {
+        "explore": True,
+        "same": True,
+        "unresolved": [],
+        "star": [],
+        "dir": [],
+        "unknown": "module 'guardcheck' has no attribute 'no_such_name'",
+    }
+
+
+REGISTRIES = """
+import json, sys
+registry = sys.modules["guardcheck.explore"]
+print(json.dumps({name: sorted(getattr(registry, name)) for name in
+    ("RESOLVERS", "RESOLVER_ARGS", "PROPERTY_EVALUATORS", "PROPERTY_PARAMS")}))
+"""
+
+
+def test_registries_do_not_depend_on_import_order():
+    alone = fresh("import guardcheck.explore\n" + REGISTRIES)
+    everything = fresh(
+        "import guardcheck.cli, guardcheck.demos, guardcheck.studies\n"
+        "from guardcheck import *\n" + REGISTRIES
+    )
+    assert alone == everything
+    assert "rw.exc-begin" in alone["RESOLVERS"]
+    assert "ht-valid" in alone["PROPERTY_PARAMS"]
+
+
+def _mistyped_property(doc: dict) -> None:
+    # rw-mutual-exclusion is registered by guardcheck.studies
+    prop = next(p for p in doc["properties"] if p["kind"] == "rw-mutual-exclusion")
+    prop["params"]["instance"] = 7
+
+
+def _mistyped_resolver_arg(doc: dict) -> None:
+    entry = {"label": "t0.exc_begin", "resolver": "ghost.transfer", "args": {"from": 7}}
+    doc["script"].append(entry)
+
+
+@pytest.mark.parametrize("mistype", [_mistyped_property, _mistyped_resolver_arg])
+def test_declared_kinds_are_checked_with_only_formats_imported(mistype):
+    doc = load_demo_document("rwlock-exc.scenario.json")
+    mistype(doc)
+    with pytest.raises(FormatError) as full:
+        scenario_from_json(doc)
+    alone = fresh(f"""
+import json
+from guardcheck.formats import FormatError, scenario_from_json
+try:
+    scenario_from_json(json.loads({json.dumps(json.dumps(doc))}))
+    print(json.dumps(None))
+except FormatError as exc:
+    print(json.dumps(str(exc)))
+""")
+    assert alone == str(full.value)
+
+
+def test_no_import_inside_the_verdict_window():
+    got = fresh(f"""
+import json, sys
+from guardcheck import cli, formats
+from guardcheck.demos import load_demo_document
+checks = [(load_demo_document(n + ".protocol.json"), load_demo_document(n + ".relations.json"))
+          for n in {CHECK_DEMOS!r}]
+scenarios = [formats.scenario_from_json(load_demo_document(n + ".scenario.json"))
+             for n in {SCENARIO_DEMOS!r}]
+before = set(sys.modules)
+for protocol, relations in checks:
+    formats.dumps(cli.run_check(protocol, relations))
+for scenario in scenarios:
+    for mode in ("rule", "concrete"):
+        formats.dumps(cli.run_explore_scenario(scenario, mode))
+print(json.dumps(sorted(set(sys.modules) - before)))
+""")
+    assert got == []
+
+
+@pytest.mark.parametrize(
+    "argv, loads_explorer",
+    [
+        (["check", "{demos}/protocol-rwlock.protocol.json",
+          "{demos}/protocol-rwlock.relations.json"], False),
+        (["demo", "protocol-count"], False),
+        (["demo", "rwlock-exc"], True),
+    ],
+    ids=["check", "demo-protocol-count", "demo-rwlock-exc"],
+)
+def test_a_command_loads_only_what_it_runs(argv, loads_explorer):
+    demos = str(Path(SRC) / "guardcheck" / "demos")
+    argv = [a.format(demos=demos) for a in argv]
+    code, loaded = fresh(f"""
+import contextlib, io, json, sys
+from guardcheck.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("guardcheck."))]))
+""")
+    assert code == 0
+    for module in EXPLORER_STACK:
+        assert (module in loaded) == loads_explorer, (module, loaded)
