@@ -8,12 +8,13 @@ over scheduler choices with state memoization; each transition carries
 the machine step, the ghost actions it fires, and property evaluation,
 so every schedule sees the same combined semantics as a replay.
 
-The DFS walks numbered states: each distinct thread state and store
-(heap, cursor, freed log) is numbered when first met, and a state is
-(thread numbers, store number, ledger), equal exactly when the
+The DFS walks numbered states: each distinct thread state, store
+(heap, cursor) and ledger is numbered when first met, and a state is
+(thread numbers, store number, ledger number), equal exactly when the
 :class:`ExplState`s are. One table computes each transition once per
-(tid, thread tid's number, store number, ledger), with all thread
-numbers in place of thread tid's when a safety property reads threads.
+(tid, thread tid's number, store number, ledger number), with all
+thread numbers in place of thread tid's when a safety property reads
+threads.
 """
 
 from __future__ import annotations
@@ -216,13 +217,12 @@ def register_resolver(*names: str, args: dict | None = None):
     resolver ``names``. It reads ``entry`` and the :class:`ResolveCtx`
     (tid, post-step heap, ledger, the step's label, result and event),
     not the thread pool: so a transition reads (tid, thread tid's state,
-    heap, cursor, freed log, ledger), plus all threads when a safety
-    property reads them. ``args`` maps each arg ``fn`` reads to a param
-    kind of :func:`register_property`, or "owner" (a string), "updates"
-    ({"list": [{"list": [owner, {"term": T}]}, ...]}) or
-    "instance-or-@cell" (an instance, or "@cell" for the instance of the
-    cell the step touches); without ``args`` they may be any encoded
-    values.
+    heap, cursor, ledger), plus all threads when a safety property reads
+    them. ``args`` maps each arg ``fn`` reads to a param kind of
+    :func:`register_property`, or "owner" (a string), "updates" ({"list":
+    [{"list": [owner, {"term": T}]}, ...]}) or "instance-or-@cell" (an
+    instance, or "@cell" for the instance of the cell the step touches);
+    without ``args`` they may be any encoded values.
     """
 
     def wrap(fn):
@@ -248,10 +248,10 @@ def register_property(kind: str, reads_threads: bool = True, params: dict | None
 
     ``reads_threads=False`` declares that ``fn`` reads nothing of
     ``state`` but ``state.ledger`` and ``state.machine.heap``: not the
-    threads, the cursor or the freed log. When every safety property of a
-    scenario is so declared, :func:`transition` computes their verdicts
-    once per distinct (ledger, heap). Otherwise every safety property runs
-    on every transition.
+    threads or the cursor. When every safety property of a scenario is so
+    declared, :func:`transition` computes their verdicts once per
+    distinct (ledger, heap). Otherwise every safety property runs on
+    every transition.
     """
 
     def wrap(fn):
@@ -459,7 +459,7 @@ class TransitionMemo:
     def __init__(self, scenario: Scenario, mode: str):
         self.scenario = scenario
         self.mode = mode
-        self.steps: dict = {}  # (expr, heap, cursor, freed) -> lang.ThreadStep
+        self.steps: dict = {}  # (expr, heap, cursor) -> lang.ThreadStep
         self.admissions: dict = {}  # (ledger, action) -> ApplyOutcome
         self.closed: dict = {}  # ledger -> ApplyOutcome
         # (ledger, heap) -> safety verdicts; None if a safety property
@@ -520,7 +520,7 @@ def transition(
     ``memo`` (fresh when None) is a :class:`TransitionMemo` for
     ``scenario`` and ``mode``. It holds the parts of a transition that are
     pure functions of part of the state, each keyed on what it reads:
-    - the thread step on (expression, heap, cursor, freed log), see
+    - the thread step on (expression, heap, cursor), see
       :func:`lang.step`;
     - each ghost admission on (ledger, action), and the closing of guard
       windows on the ledger;
@@ -529,8 +529,8 @@ def transition(
       (see :func:`register_property`). If one does, every safety property
       runs on every call.
     Resolvers read the post-step heap, not the thread pool, so a
-    transition reads (tid, thread tid's state, heap, cursor, freed log,
-    ledger), and all threads only when a safety property reads them.
+    transition reads (tid, thread tid's state, heap, cursor, ledger), and
+    all threads only when a safety property reads them.
     A resolver that raises KeyError or ValueError (ReplayError is one),
     finding the scenario or the state without what it reads, gives a
     replay violation.
@@ -605,46 +605,41 @@ def _summary(scenario: Scenario, state: ExplState) -> TerminalSummary:
 
 def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> ExplorationResult:
     """DFS over scheduler choices; see the module docstring."""
-    result = ExplorationResult(scenario.name, mode, memo, scenario.expectation)
     root = initial_state(scenario)
     nodes = [(-1, -1)]  # nid -> (parent nid, tid taken to reach it)
 
-    def trace(nid: int, tid: int) -> tuple:
-        path = [tid]
-        while nid > 0:
-            parent, step_tid = nodes[nid]
-            path.append(step_tid)
-            nid = parent
-        return tuple(reversed(path))
-
     def schedule_to(nid: int) -> tuple:
-        if nid == 0:
-            return ()
-        return trace(*nodes[nid])
+        path = []
+        while nid > 0:
+            nid, tid = nodes[nid]
+            path.append(tid)
+        return tuple(reversed(path))
 
     transition_memo = TransitionMemo(scenario, mode)
     thread_local = transition_memo.verdicts is not None  # no safety property reads threads
-    ids: dict = {}  # each distinct thread state and store -> its number
-    items: list = []  # number -> thread state, or store (heap, cursor, freed)
+    ids: dict = {}  # each distinct thread state, store and ledger -> its number
+    items: list = []  # number -> thread state, store (heap, cursor) or ledger
+    running: list = []  # number -> whether it is the state of a running thread
 
     def number(item) -> int:
         n = ids.setdefault(item, len(items))
         if n == len(items):
             items.append(item)
+            running.append(type(item) is tuple and item[0] == "run")
         return n
 
     def key_of(st: ExplState) -> tuple:
         m = st.machine
-        return tuple(map(number, m.threads)), number((m.heap, m.cursor, m.freed)), st.ledger
+        return tuple(map(number, m.threads)), number((m.heap, m.cursor)), number(st.ledger)
 
     def state_of(key: tuple) -> ExplState:
         nums, store, ledger = key
-        heap, cursor, freed = items[store]
-        return ExplState(MachineConfig(heap, tuple(items[n] for n in nums), cursor, freed), ledger)
+        heap, cursor = items[store]
+        return ExplState(MachineConfig(heap, tuple(items[n] for n in nums), cursor), items[ledger])
 
-    # (tid, thread tid's number or all thread numbers, store number, ledger)
-    # -> (kind, tid's new number, spawned numbers, store number, ledger,
-    #     violations, crossed labels, stuck reason)
+    # (tid, thread tid's number or all thread numbers, store number, ledger
+    # number) -> (kind, tid's new number, spawned numbers, store number,
+    # ledger number, violations, crossed labels, stuck reason)
     table: dict = {}
     seen_violations: dict = {}
     stuck_examples: dict = {}
@@ -663,7 +658,9 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
     root_key = key_of(root)
     visited = {root_key: 0}
     on_path: set = set()  # memo-off cycle pruning
-    result.states = 1
+    states = 1  # the number of nodes, and the next node's nid
+    transitions = dedup_hits = schedules_completed = stuck_count = 0
+    bound_exceeded = False
     stack = [(0, root_key, (0,) * len(scenario.programs), True)]
     while stack:
         nid, key, counts, entering = stack.pop()
@@ -674,73 +671,72 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             stack.append((nid, key, counts, False))
             on_path.add(key)
         nums, store, ledger = key
-        enabled = [tid for tid, n in enumerate(nums) if items[n][0] == "run"]
+        enabled = [tid for tid, n in enumerate(nums) if running[n]]
         if not enabled:
             st = state_of(key)
-            result.schedules_completed += 1
+            schedules_completed += 1
             record_violations(_terminal_checks(scenario, st), schedule_to(nid))
             terminals.add(_summary(scenario, st))
             continue
-        if result.states >= scenario.max_states:
-            result.bound_exceeded = True
+        if states >= scenario.max_states:
+            bound_exceeded = True
             continue
         for tid in reversed(enabled):
             if counts[tid] >= max_depth:
-                result.bound_exceeded = True
+                bound_exceeded = True
                 continue
             move = (tid, nums[tid] if thread_local else nums, store, ledger)
             out = table.get(move)
             if out is None:
                 kind, st2, *rest = transition(scenario, state_of(key), tid, mode, transition_memo)
+                crossed_labels.update(rest[1])  # a hit crosses the labels of its miss
                 nums2, store2, ledger2 = key_of(st2)
                 out = table[move] = (kind, nums2[tid], nums2[len(nums):], store2, ledger2, *rest)
-            kind, mine, spawned, store2, ledger2, vios, crossed, stuck_reason = out
-            result.transitions += 1
-            crossed_labels.update(crossed)
+            kind, mine, spawned, store2, ledger2, vios, _, stuck_reason = out
+            transitions += 1
             # a schedule is walked back from the node only when reported
             if kind == "stuck":
-                result.stuck_count += 1
-                result.schedules_completed += 1
+                stuck_count += 1
+                schedules_completed += 1
                 if stuck_reason not in stuck_examples:
-                    stuck_examples[stuck_reason] = trace(nid, tid)
+                    stuck_examples[stuck_reason] = schedule_to(nid) + (tid,)
                 continue
             if vios:
-                record_violations(vios, trace(nid, tid))
-                result.schedules_completed += 1
+                record_violations(vios, schedule_to(nid) + (tid,))
+                schedules_completed += 1
                 continue
-            key2 = (nums[:tid] + (mine,) + nums[tid + 1 :] + spawned, store2, ledger2)
+            nums2 = nums[:tid] + (mine,) + nums[tid + 1 :]
+            if spawned:
+                nums2 += spawned
+            key2 = (nums2, store2, ledger2)
             if memo:
-                if visited.setdefault(key2, len(nodes)) != len(nodes):
-                    result.dedup_hits += 1
+                if visited.setdefault(key2, states) != states:
+                    dedup_hits += 1
                     continue
-            else:
-                if key2 in on_path:
-                    result.dedup_hits += 1
-                    continue
-            spawned_counts = (0,) * len(spawned)
-            new_counts = counts[:tid] + (counts[tid] + 1,) + counts[tid + 1 :] + spawned_counts
+            elif key2 in on_path:
+                dedup_hits += 1
+                continue
+            new_counts = counts[:tid] + (counts[tid] + 1,) + counts[tid + 1 :]
+            if spawned:
+                new_counts += (0,) * len(spawned)
             nodes.append((nid, tid))
-            result.states += 1
-            stack.append((len(nodes) - 1, key2, new_counts, True))
+            stack.append((states, key2, new_counts, True))
+            states += 1
 
-    result.stuck_examples = tuple(
-        sorted((reason, sched) for reason, sched in stuck_examples.items())
-    )
-    result.violations = tuple(
-        sorted(seen_violations.values(), key=lambda v: (v.kind, v.name, v.detail))
-    )
-    result.terminal_summaries = tuple(
-        sorted(
-            terminals,
-            key=lambda s: repr((s.thread_values, s.cells, s.stored)),
-        )
-    )
     unused = sorted(set(scenario.script) - crossed_labels)
-    if unused:
-        result.warnings = tuple(
-            f"script label never crossed: {lbl}" for lbl in unused
-        )
-    return result
+    return ExplorationResult(
+        scenario.name, mode, memo, scenario.expectation, states=states, transitions=transitions,
+        dedup_hits=dedup_hits, schedules_completed=schedules_completed, stuck_count=stuck_count,
+        stuck_examples=tuple(sorted(stuck_examples.items())),
+        violations=tuple(
+            sorted(seen_violations.values(), key=lambda v: (v.kind, v.name, v.detail))
+        ),
+        terminal_summaries=tuple(
+            sorted(terminals, key=lambda s: repr((s.thread_values, s.cells, s.stored)))
+        ),
+        bound_exceeded=bound_exceeded,
+        warnings=tuple(f"script label never crossed: {lbl}" for lbl in unused),
+    )
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ class GhostLedger:
     instances: tuple  # sorted (iid, InstanceState)
 
     def __hash__(self):
-        # the explorer hashes each ledger several times per transition
+        # each computed transition hashes its ledgers several times
         try:
             return self._hash
         except AttributeError:

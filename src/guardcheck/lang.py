@@ -290,7 +290,8 @@ def subst(e, x: str, v):
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """Heap, thread pool, allocation cursor, and the freed-location log.
+    """Heap, thread pool and allocation cursor: every location below the
+    cursor was allocated, so those absent from the heap were freed.
 
     The heap maps locations to (value, rw) where rw is ("r", n) or ("w",).
     Threads are ("run", expr), ("done", value) or ("stuck", reason).
@@ -299,7 +300,6 @@ class MachineConfig:
     heap: tuple
     threads: tuple
     cursor: int
-    freed: tuple
 
     def heap_dict(self) -> dict:
         return {l: (v, rw) for l, v, rw in self.heap}
@@ -333,8 +333,8 @@ class StepOutcome:
 class ThreadStep(NamedTuple):
     """One step of a thread's expression: what :func:`thread_step` gives.
 
-    It reads only the expression, the heap, the cursor and the freed log,
-    never the other threads or the thread's index. ``thread`` is the
+    It reads only the expression, the heap and the cursor, never the
+    other threads or the thread's index. ``thread`` is the
     thread's state after the step and ``spawned`` the states of the
     threads it forks.
     """
@@ -344,7 +344,6 @@ class ThreadStep(NamedTuple):
     spawned: tuple
     heap: tuple
     cursor: int
-    freed: tuple
     fired: tuple = ()
     event: StepEvent | None = None
 
@@ -357,15 +356,14 @@ def initial_config(cells: Iterable[Term], programs: Iterable) -> MachineConfig:
     """Allocate the named cells in order at locations 0.. and start one
     thread per program."""
     heap = tuple((i, v, ("r", 0)) for i, v in enumerate(cells))
-    return MachineConfig(heap, tuple(_thread(p) for p in programs), len(heap), ())
+    return MachineConfig(heap, tuple(_thread(p) for p in programs), len(heap))
 
 
 class _Stepper:
-    def __init__(self, heap: tuple, cursor: int, freed: tuple):
+    def __init__(self, heap: tuple, cursor: int):
         self.heap = {l: (v, rw) for l, v, rw in heap}
         self.cursor = cursor
-        self.freed = set(freed)
-        self.wrote = False  # whether the heap, cursor or freed log changed
+        self.wrote = False  # whether the heap or cursor changed
         self.forks: list = []
         self.fired: list = []
         self.event: StepEvent | None = None
@@ -373,8 +371,8 @@ class _Stepper:
     # -- heap helpers
 
     def _cell(self, l: int):
-        if l not in self.heap:
-            raise _Stuck("use-after-free" if l in self.freed else "load-absent")
+        if l not in self.heap:  # freed if below the cursor; no negative l was allocated
+            raise _Stuck("use-after-free" if 0 <= l < self.cursor else "load-absent")
         return self.heap[l]
 
     def _put(self, l: int, v: Term, rw: tuple):
@@ -447,11 +445,10 @@ class _Stepper:
         if tag == "free":
             l = loc_index(e[1])
             if l not in self.heap:
-                raise _Stuck("use-after-free" if l in self.freed else "free-absent")
+                raise _Stuck("use-after-free" if 0 <= l < self.cursor else "free-absent")
             if self.heap[l][1] != ("r", 0):
                 raise _Stuck("free-race")
             del self.heap[l]
-            self.freed.add(l)
             self.wrote = True
             self._note(op="free", loc=l)
             return UNIT
@@ -541,24 +538,23 @@ class _Stepper:
         return UNIT
 
 
-def thread_step(e, heap: tuple, cursor: int, freed: tuple) -> ThreadStep:
+def thread_step(e, heap: tuple, cursor: int) -> ThreadStep:
     """Apply the unique head reduction of the expression ``e`` against the
-    heap, allocation cursor and freed log. A step that changes none of
-    them returns the input tuples themselves.
+    heap and allocation cursor. A step that changes neither returns the
+    input heap tuple itself.
     """
     if is_value(e):
-        return ThreadStep("done", ("done", e), (), heap, cursor, freed)
-    machine = _Stepper(heap, cursor, freed)
+        return ThreadStep("done", ("done", e), (), heap, cursor)
+    machine = _Stepper(heap, cursor)
     try:
         out = machine.step(e)
     except _Stuck as exc:
-        return ThreadStep("stuck", ("stuck", exc.reason), (), heap, cursor, freed)
+        return ThreadStep("stuck", ("stuck", exc.reason), (), heap, cursor)
     if machine.wrote:
         heap = tuple(sorted((l, v, rw) for l, (v, rw) in machine.heap.items()))
-        cursor, freed = machine.cursor, tuple(sorted(machine.freed))
     return ThreadStep(
         "next", _thread(out), tuple(_thread(f) for f in machine.forks),
-        heap, cursor, freed, tuple(machine.fired), machine.event,
+        heap, machine.cursor, tuple(machine.fired), machine.event,
     )
 
 
@@ -571,22 +567,21 @@ def step(cfg: MachineConfig, tid: int, memo: dict | None = None) -> StepOutcome:
 
     The step itself is :func:`thread_step`; this function places its
     result in the thread pool. Given ``memo``, a dict, :func:`thread_step`
-    runs once per distinct (expression, heap, cursor, freed log) the dict
-    has seen.
+    runs once per distinct (expression, heap, cursor) the dict has seen.
     """
     if not 0 <= tid < len(cfg.threads):
         raise UsageError(f"thread {tid} out of range")
     state = cfg.threads[tid]
     if state[0] != "run":
         raise UsageError(f"thread {tid} is not running ({state[0]})")
-    key = (state[1], cfg.heap, cfg.cursor, cfg.freed)
+    key = (state[1], cfg.heap, cfg.cursor)
     out = None if memo is None else memo.get(key)
     if out is None:
         out = thread_step(*key)
         if memo is not None:
             memo[key] = out
     threads = cfg.threads[:tid] + (out.thread,) + cfg.threads[tid + 1 :] + out.spawned
-    config = MachineConfig(out.heap, threads, out.cursor, out.freed)
+    config = MachineConfig(out.heap, threads, out.cursor)
     if out.kind == "next":
         return StepOutcome("next", config, fired=out.fired, event=out.event)
     if out.kind == "stuck":
@@ -603,7 +598,7 @@ def canonical_hash(cfg: MachineConfig) -> str:
     """Process-independent fingerprint of the full configuration."""
     import hashlib
 
-    blob = repr((cfg.heap, cfg.threads, cfg.cursor, cfg.freed)).encode()
+    blob = repr((cfg.heap, cfg.threads, cfg.cursor)).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

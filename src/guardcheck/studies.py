@@ -127,7 +127,10 @@ def _prop(name, kind, **params):
 # rwm.X name: the lock's Elems read and update counters by index, and the
 # single lock ignores the index. Only the writer's check differs:
 # rw.exc-acquire withdraws at once, rwm.exc-progress records counter j and
-# withdraws after the last one.
+# withdraws after the last one. The args the lock and table resolvers read
+# (_counter range-checks "counter"):
+_INSTANCE = {"instance": "instance-or-@cell"}
+_COUNTED = {**_INSTANCE, "counter": "count"}
 
 
 def _lock_elems(scenario: Scenario, iid):
@@ -170,8 +173,8 @@ def _withdraw(ctx, iid, region, mine, x, note):
     return _update(ctx, iid, region, acquired, note, "withdraw", withdrawn=ex(x))
 
 
-def _lock_step(*names):
-    """Register a lock step under ``names``. It is called as
+def _lock_step(*names, args=_INSTANCE):
+    """Register a lock step under ``names`` with ``args``. It is called as
     ``step(ctx, entry, iid, sp, named, region, mine, got)``, where ``got``
     is the (exc flag, counters, content) fields of the lock's region
     fragment; a region without them is a missing-fields violation."""
@@ -184,7 +187,7 @@ def _lock_step(*names):
                 return GhostViolation("missing-fields", iid)
             return step(ctx, entry, iid, sp, named, region, mine, got)
 
-        return register_resolver(*names)(resolve)
+        return register_resolver(*names, args=args)(resolve)
 
     return wrap
 
@@ -204,7 +207,7 @@ def _rw_exc_acquire(ctx, entry, iid, sp, named, region, mine, got):
     return [_withdraw(ctx, iid, region, mine, got[2], note)]
 
 
-@_lock_step("rwm.exc-progress")
+@_lock_step("rwm.exc-progress", args=_COUNTED)
 def _rwm_exc_progress(ctx, entry, iid, sp, named, region, mine, got):
     j = named.exc_pending_index(mine)
     if j is None:
@@ -222,7 +225,9 @@ def _rwm_exc_progress(ctx, entry, iid, sp, named, region, mine, got):
     return actions
 
 
-@_lock_step("rw.exc-release", "rwm.exc-release")
+@_lock_step("rw.exc-release", "rwm.exc-release", args={
+    **_INSTANCE, "cell": "cell", "raw_cell": "bool",
+})
 def _rw_exc_release(ctx, entry, iid, sp, named, region, mine, got):
     cell = entry.arg("cell") or ctx.scenario.protected_cells.get(iid)
     raw = ctx.cell_value(cell)
@@ -244,7 +249,7 @@ def _rw_exc_release(ctx, entry, iid, sp, named, region, mine, got):
     ]
 
 
-@_lock_step("rw.shared-begin", "rwm.shared-begin")
+@_lock_step("rw.shared-begin", "rwm.shared-begin", args=_COUNTED)
 def _rw_shared_begin(ctx, entry, iid, sp, named, region, mine, got):
     exc_b, rc, x = got
     j = _counter(entry, named)
@@ -255,7 +260,7 @@ def _rw_shared_begin(ctx, entry, iid, sp, named, region, mine, got):
     return [_update(ctx, iid, fields, named.add_pending(mine, j, 1), note)]
 
 
-@_lock_step("rw.shared-acquire", "rwm.shared-acquire")
+@_lock_step("rw.shared-acquire", "rwm.shared-acquire", args=_COUNTED)
 def _rw_shared_acquire(ctx, entry, iid, sp, named, region, mine, got):
     j = _counter(entry, named)
     if named.pending(mine, j) < 1:
@@ -264,7 +269,7 @@ def _rw_shared_acquire(ctx, entry, iid, sp, named, region, mine, got):
     return [_update(ctx, iid, region, reader, "shared lock acquired")]
 
 
-@_lock_step("rw.shared-retry", "rwm.shared-retry")
+@_lock_step("rw.shared-retry", "rwm.shared-retry", args=_COUNTED)
 def _rw_shared_retry(ctx, entry, iid, sp, named, region, mine, got):
     exc_b, rc, x = got
     j = _counter(entry, named)
@@ -274,7 +279,7 @@ def _rw_shared_retry(ctx, entry, iid, sp, named, region, mine, got):
     return [_update(ctx, iid, fields, named.add_pending(mine, j, -1), "reader backed out")]
 
 
-@_lock_step("rw.shared-release", "rwm.shared-release")
+@_lock_step("rw.shared-release", "rwm.shared-release", args=_COUNTED)
 def _rw_shared_release(ctx, entry, iid, sp, named, region, mine, got):
     exc_b, rc, x = got
     j = _counter(entry, named)
@@ -285,11 +290,12 @@ def _rw_shared_release(ctx, entry, iid, sp, named, region, mine, got):
     return [_update(ctx, iid, fields, set_part(mine, 4, released), "shared lock released")]
 
 
-@register_resolver("rw.shared-read", "rwm.shared-read")
+@register_resolver("rw.shared-read", "rwm.shared-read", args={**_COUNTED, "raw_cell": "bool"})
 def _rw_shared_read(ctx, entry):
     """Open a one-step guard window for the reader's agreed value and
     check the physically read value against it."""
     iid, sp, named, region, mine = _rw_parts(ctx, entry)
+    _counter(entry, named)  # range-checked only: the agreed value has no counter
     x = named.sh_value(mine)
     if x is None:
         return GhostViolation("missing-token", iid, detail="read outside a shared lock")
@@ -628,7 +634,7 @@ def _ht_total(scenario, ledger, iid):
     return joint_state(scenario.protocols[iid], ledger.instance(iid).fragments)
 
 
-@register_resolver("ht.take-slot")
+@register_resolver("ht.take-slot", args=_INSTANCE)
 def _ht_take_slot(ctx, entry):
     """Exclusive acquisition also hands the slot fragment to the thread."""
     _, slot = _ht_slot_for_event(ctx, entry)
@@ -642,7 +648,7 @@ def _ht_take_slot(ctx, entry):
     return [TransferAction(iid, store_owner, ctx.self_owner, frag, sp.protocol.unit)]
 
 
-@register_resolver("ht.give-slot")
+@register_resolver("ht.give-slot", args=_INSTANCE)
 def _ht_give_slot(ctx, entry):
     """Release returns the (possibly updated) slot fragment to its region."""
     _, slot = _ht_slot_for_event(ctx, entry)
@@ -660,7 +666,7 @@ def _ht_give_slot(ctx, entry):
     ]
 
 
-@register_resolver("ht.update")
+@register_resolver("ht.update", args=_INSTANCE)
 def _ht_update(ctx, entry):
     """Slot write: move the logical map and the slot fragment together."""
     _, slot = _ht_slot_for_event(ctx, entry)
@@ -692,7 +698,7 @@ def _ht_update(ctx, entry):
     ]
 
 
-@register_resolver("ht.query-check")
+@register_resolver("ht.query-check", args={**_INSTANCE, "key": "term"})
 def _ht_query_check(ctx, entry):
     """Pure observations at a probed slot: the physical read agrees with
     the ghost slot, and the overlap-composition premises hold."""

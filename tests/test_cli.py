@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import guardcheck
 from guardcheck.cli import main
 from guardcheck.demos import DEMOS, demo_documents, demo_path
+from guardcheck.formats import FormatError, scenario_from_json
 
 
 def run(capsys, *argv):
@@ -298,7 +300,9 @@ MALFORMED_SCENARIO = {
                                "protocols[0].fragments[0][1]: unknown term tag 'nope'"),
     "scenario-when-term": (["script", 0, "when"], ["nope"],
                            "script[0].when: unknown term tag 'nope'"),
-    "scenario-arg-term": (["script", 0, "args", "x"], {"list": [{"term": ["nope"]}]},
+    # a resolver that declares no args reads them as any encoded values
+    "scenario-arg-term": (["script", 0], {"label": "t0.exc_begin", "resolver": "custom.step",
+                                          "args": {"x": {"list": [{"term": ["nope"]}]}}},
                           "script[0].args.x.list[0].term: unknown term tag 'nope'"),
     "scenario-param-term": (["terminal_properties", 1, "params", "value"], {"term": "x"},
                             "terminal_properties[1].params.value.term: bad term document: 'x'"),
@@ -307,7 +311,8 @@ MALFORMED_SCENARIO = {
     "scenario-unknown-param": (["protocols", 0, "params", "sp_mx"], 3,
                                "protocols[0].params.sp_mx: unknown parameter"),
     "scenario-raw-list-arg": (
-        ["script", 0, "args", "x"], ["int", 1],
+        ["script", 0], {"label": "t0.exc_begin", "resolver": "custom.step",
+                        "args": {"x": ["int", 1]}},
         'script[0].args.x: write a list as {"list": [...]} and a term as {"term": T}',
     ),
     "scenario-unknown-field": (["expectaton"], "stuck-reachable", "expectaton: unknown field"),
@@ -554,6 +559,33 @@ def lock_properties_on_table(doc):
             prop["params"]["instance"] = "ht"
 
 
+def lock_instance_not_declared(doc):
+    doc["script"][0]["args"]["instance"] = 7
+
+
+def query_key_not_a_term(doc):
+    entry = next(e for e in doc["script"] if e["resolver"] == "ht.query-check")
+    entry["args"]["key"] = 5
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("rwlock-exc", lock_instance_not_declared,
+     "script[0].args.instance: unknown protocol instance 7"),
+    ("rwlock-multi", counter_out_of_range(-1),
+     "script[4].args.counter: must be a non-negative integer, got -1"),
+    ("rwlock-exc", cell_arg_names_no_cell, "script[2].args.cell: unknown cell 'x'"),
+    ("hashtable-collide", query_key_not_a_term, "script[13].args.key: must be an object, got int"),
+])
+def test_case_study_resolver_args_are_read_by_kind(tmp_path, name, edit, message):
+    # the lock and hash-table resolvers declare their args, so an arg of
+    # the wrong kind is an input error, as for the generic ghost.* ones
+    doc = shipped_scenario(name)
+    edit(doc)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        scenario_from_json(doc)
+    assert_input_error(tmp_path, doc, [], f"input error: {message}", "explore")
+
+
 def test_resolver_replay_error_is_a_violation(tmp_path):
     # each ReplayError a resolver raises is recorded, and so is each fault
     # that a resolver or a property meets at run time; the explorer does
@@ -580,13 +612,8 @@ def test_resolver_replay_error_is_a_violation(tmp_path):
             "detail": f"counter {counter} out of range [0, 2)",
             "schedule": [0] * 23 + [1, 1],
         })
-        for counter in (5, -1)
+        for counter in (5, 2)
     ] + [
-        ("rwlock-exc", cell_arg_names_no_cell, {
-            "kind": "replay", "name": "t0.exc_release",
-            "detail": "label t0.exc_release: unknown cell 'x'",
-            "schedule": [0] * 20,
-        }),
         ("rwlock-shared", tid_names_no_thread, {
             "kind": "terminal", "name": "reader-0-sane", "detail": "no thread 7",
             "schedule": [0] * 17 + [1] * 16 + [2] * 16,

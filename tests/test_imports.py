@@ -104,7 +104,14 @@ def _mistyped_resolver_arg(doc: dict) -> None:
     doc["script"].append(entry)
 
 
-@pytest.mark.parametrize("mistype", [_mistyped_property, _mistyped_resolver_arg])
+def _mistyped_lock_arg(doc: dict) -> None:
+    # rw.exc-begin is registered by guardcheck.studies
+    doc["script"][0]["args"]["instance"] = 7
+
+
+@pytest.mark.parametrize(
+    "mistype", [_mistyped_property, _mistyped_resolver_arg, _mistyped_lock_arg]
+)
 def test_declared_kinds_are_checked_with_only_formats_imported(mistype):
     doc = load_demo_document("rwlock-exc.scenario.json")
     mistype(doc)

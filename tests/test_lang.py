@@ -238,7 +238,7 @@ class TestThreading:
             step(cfg, 0)  # thread is done, not running
 
     def test_done_outcome_for_value_thread(self):
-        cfg = MachineConfig((), (("run", tint(3)),), 0, ())
+        cfg = MachineConfig((), (("run", tint(3)),), 0)
         out = step(cfg, 0)
         assert out.kind == "done" and out.value == tint(3)
 

@@ -26,8 +26,9 @@ place of the least position) must be caught.
 The locks and the custom tables on a product state 𝒞 as stages, and the
 search binds one part at a time. The lock's stages must agree with a
 frozen copy of its 𝒞 as one predicate, and the search must yield the
-boxes of the tuple loop in its order. Guard weakening and strengthening
-are a second oracle that does not go through the per-frame bodies.
+boxes of the tuple loop in its order. Guard weakening and strengthening,
+and the framing of exchange, are a second oracle that does not go
+through the per-frame bodies.
 Mutants of the stages (reading a part not yet bound, rejecting one more
 value) and of the search (boxes out of order) must be caught.
 """
@@ -941,6 +942,41 @@ def test_guard_weakening_and_strengthening(case):
     assert_guard_weakens(sp, p, s, s_other)
     assert_guard_strengthens(sp, p, r, s)
     assert_guard_covers_a_complete_state(sp, p, s)
+
+
+def assert_exchange_frames(sp, q, r):
+    """(p, s) ⇝⇝ (p′, s′) ⟹ (p·r, s) ⇝⇝ (p′·r, s′). The framed body at a
+    frame q is the body at r·q, so, as for strengthening, on a bounded P
+    it may fail only where r·q is not enumerated, and such a frame is
+    shown."""
+    if not exchange_holds(sp, q).ok:
+        return
+    compose = sp.protocol.compose_fn
+    framed = ExchangeQuery(compose(q.p, r), q.s, compose(q.p_after, r), q.s_after, q.kind)
+    got = exchange_holds(sp, framed)
+    if not got.ok:
+        assert recheck_exchange_witness(sp, framed, got.witness)
+        rq = compose(r, got.witness)
+        assert sp.protocol.bounded and not is_element(sp.protocol, rq), (
+            sp.name, pretty(q.p), pretty(q.p_after), pretty(r), pretty(got.witness)
+        )
+
+
+@st.composite
+def exchange_law_cases(draw):
+    """An exchange on a LAW_CASES protocol, at times one that keeps its
+    fragment, and a frame piece r."""
+    sp, fragments, pieces = LAW_CASES[draw(st.sampled_from(sorted(LAW_CASES)))]
+    stored = st.sampled_from(carrier(sp.storage))
+    p = draw(fragments)
+    p_after = draw(st.one_of(st.just(p), fragments))
+    return sp, ExchangeQuery(p, draw(stored), p_after, draw(stored)), draw(pieces)
+
+
+@given(exchange_law_cases())
+@settings(max_examples=40, deadline=None)
+def test_exchange_framing(case):
+    assert_exchange_frames(*case)
 
 
 def assert_guard_laws_on_lock_pieces():
