@@ -688,11 +688,13 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             move = (tid, nums[tid] if thread_local else nums, store, ledger)
             out = table.get(move)
             if out is None:
-                kind, st2, *rest = transition(scenario, state_of(key), tid, mode, transition_memo)
-                crossed_labels.update(rest[1])  # a hit crosses the labels of its miss
+                kind, st2, vios, crossed, stuck_reason = transition(
+                    scenario, state_of(key), tid, mode, transition_memo)
+                crossed_labels.update(crossed)  # a hit crosses the labels of its miss
                 nums2, store2, ledger2 = key_of(st2)
-                out = table[move] = (kind, nums2[tid], nums2[len(nums):], store2, ledger2, *rest)
-            kind, mine, spawned, store2, ledger2, vios, _, stuck_reason = out
+                out = table[move] = (kind, nums2[tid], nums2[len(nums):], store2, ledger2,
+                                     vios, stuck_reason)
+            kind, mine, spawned, store2, ledger2, vios, stuck_reason = out
             transitions += 1
             # a schedule is walked back from the node only when reported
             if kind == "stuck":

@@ -549,6 +549,20 @@ def cell_arg_names_no_cell(doc):
     entry["args"]["cell"] = "x"
 
 
+def protected_cell_names_no_cell(doc):
+    # the release's cell comes from protected_cells, which is read as any
+    # name, so an unknown one is met only at run time
+    for entry in doc["script"]:
+        if entry["resolver"] == "rw.exc-release":
+            del entry["args"]["cell"]
+    doc["protected_cells"] = {"lock": "x"}
+
+
+def shared_read_counter_out_of_range(doc):
+    entry = next(e for e in doc["script"] if e["resolver"] == "rwm.shared-read")
+    entry["args"]["counter"] = 2
+
+
 def tid_names_no_thread(doc):
     doc["terminal_properties"][1]["params"]["tid"] = 7
 
@@ -614,6 +628,16 @@ def test_resolver_replay_error_is_a_violation(tmp_path):
         })
         for counter in (5, 2)
     ] + [
+        ("rwlock-multi", shared_read_counter_out_of_range, {
+            "kind": "replay", "name": "t1.sh_read",
+            "detail": "counter 2 out of range [0, 2)",
+            "schedule": [0] * 23 + [1] * 13,
+        }),
+        ("rwlock-exc", protected_cell_names_no_cell, {
+            "kind": "replay", "name": "t0.exc_release",
+            "detail": "label t0.exc_release: unknown cell 'x'",
+            "schedule": [0] * 20,
+        }),
         ("rwlock-shared", tid_names_no_thread, {
             "kind": "terminal", "name": "reader-0-sane", "detail": "no thread 7",
             "schedule": [0] * 17 + [1] * 16 + [2] * 16,

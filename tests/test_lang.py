@@ -134,6 +134,16 @@ class TestHeapOps:
     def test_free_absent(self):
         assert first_stuck(free(loc(3)), cells=[tint(0)]) == "free-absent"
 
+    def test_double_free(self):
+        assert first_stuck(seq(free(loc(0)), free(loc(0))), cells=[tint(0)]) == "use-after-free"
+
+    def test_never_allocated_is_absent_not_freed(self):
+        # a location is freed only if it lies in [0, cursor) and is not in
+        # the heap; a negative one or one at or above the cursor never was
+        for l in (-1, 1, 2):
+            assert first_stuck(load("sc", loc(l)), cells=[tint(0)]) == "load-absent"
+            assert first_stuck(free(loc(l)), cells=[tint(0)]) == "free-absent"
+
     def test_boolean_cell(self):
         v, _ = run_single(load("sc", loc(0)), cells=[tbool(True)])
         assert v == tbool(True)
