@@ -459,7 +459,9 @@ class TransitionMemo:
     def __init__(self, scenario: Scenario, mode: str):
         self.scenario = scenario
         self.mode = mode
-        self.steps: dict = {}  # (expr, heap, cursor) -> lang.ThreadStep
+        # expr -> its lang.ThreadStep if that reads neither heap nor
+        # cursor, else (heap, cursor) -> lang.ThreadStep; see lang.step
+        self.steps: dict = {}
         self.admissions: dict = {}  # (ledger, action) -> ApplyOutcome
         self.closed: dict = {}  # ledger -> ApplyOutcome
         # (ledger, heap) -> safety verdicts; None if a safety property
@@ -520,8 +522,8 @@ def transition(
     ``memo`` (fresh when None) is a :class:`TransitionMemo` for
     ``scenario`` and ``mode``. It holds the parts of a transition that are
     pure functions of part of the state, each keyed on what it reads:
-    - the thread step on (expression, heap, cursor), see
-      :func:`lang.step`;
+    - the thread step on the expression alone if it reads neither heap
+      nor cursor, else on (expression, heap, cursor), see :func:`lang.step`;
     - each ghost admission on (ledger, action), and the closing of guard
       windows on the ledger;
     - the safety-property verdicts on (ledger, heap) after the step's
@@ -628,10 +630,6 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             running.append(type(item) is tuple and item[0] == "run")
         return n
 
-    def key_of(st: ExplState) -> tuple:
-        m = st.machine
-        return tuple(map(number, m.threads)), number((m.heap, m.cursor)), number(st.ledger)
-
     def state_of(key: tuple) -> ExplState:
         nums, store, ledger = key
         heap, cursor = items[store]
@@ -655,7 +653,8 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
 
     record_violations(transition_memo.property_violations(root), ())
 
-    root_key = key_of(root)
+    m = root.machine
+    root_key = tuple(map(number, m.threads)), number((m.heap, m.cursor)), number(root.ledger)
     visited = {root_key: 0}
     on_path: set = set()  # memo-off cycle pruning
     states = 1  # the number of nodes, and the next node's nid
@@ -691,9 +690,11 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
                 kind, st2, vios, crossed, stuck_reason = transition(
                     scenario, state_of(key), tid, mode, transition_memo)
                 crossed_labels.update(crossed)  # a hit crosses the labels of its miss
-                nums2, store2, ledger2 = key_of(st2)
-                out = table[move] = (kind, nums2[tid], nums2[len(nums):], store2, ledger2,
-                                     vios, stuck_reason)
+                # the other threads kept their states, and so their numbers
+                m = st2.machine
+                out = table[move] = (
+                    kind, number(m.threads[tid]), tuple(map(number, m.threads[len(nums):])),
+                    number((m.heap, m.cursor)), number(st2.ledger), vios, stuck_reason)
             kind, mine, spawned, store2, ledger2, vios, stuck_reason = out
             transitions += 1
             # a schedule is walked back from the node only when reported

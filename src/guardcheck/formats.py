@@ -729,6 +729,12 @@ def scenario_from_json(doc: dict) -> Scenario:
     cells = fields["cells"]
     _unique("cell", ((f"cells[{i}][0]", n) for i, (n, _) in enumerate(cells)))
     kinds = _param_kinds([n for n, _ in cells], list(protocols))
+    for key, of_key, of_value in (
+        ("cell_instances", "cell", "instance"), ("protected_cells", "instance", "cell"),
+    ):
+        for k, v in fields.get(key, {}).items():
+            kinds[of_key](k, _at(key, k))
+            kinds[of_value](v, _at(key, k))
     lists = ("properties", "terminal_properties")
     for key in lists:
         if key in fields:

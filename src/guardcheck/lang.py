@@ -334,9 +334,9 @@ class ThreadStep(NamedTuple):
     """One step of a thread's expression: what :func:`thread_step` gives.
 
     It reads only the expression, the heap and the cursor, never the
-    other threads or the thread's index. ``thread`` is the
-    thread's state after the step and ``spawned`` the states of the
-    threads it forks.
+    other threads or the thread's index, and the heap and cursor only if
+    ``read``. ``thread`` is the thread's state after the step and
+    ``spawned`` the states of the threads it forks.
     """
 
     kind: str  # next | stuck | done
@@ -346,6 +346,7 @@ class ThreadStep(NamedTuple):
     cursor: int
     fired: tuple = ()
     event: StepEvent | None = None
+    read: bool = False
 
 
 def _thread(e) -> tuple:
@@ -363,6 +364,7 @@ class _Stepper:
     def __init__(self, heap: tuple, cursor: int):
         self.heap = {l: (v, rw) for l, v, rw in heap}
         self.cursor = cursor
+        self.read = False  # whether the step read the heap or cursor
         self.wrote = False  # whether the heap or cursor changed
         self.forks: list = []
         self.fired: list = []
@@ -371,6 +373,7 @@ class _Stepper:
     # -- heap helpers
 
     def _cell(self, l: int):
+        self.read = True
         if l not in self.heap:  # freed if below the cursor; no negative l was allocated
             raise _Stuck("use-after-free" if 0 <= l < self.cursor else "load-absent")
         return self.heap[l]
@@ -437,6 +440,7 @@ class _Stepper:
         if tag == "eq":
             return tbool(e[1] == e[2])
         if tag == "ref":
+            self.read = True
             l = self.cursor
             self.cursor += 1
             self._put(l, e[1], ("r", 0))
@@ -444,6 +448,7 @@ class _Stepper:
             return loc(l)
         if tag == "free":
             l = loc_index(e[1])
+            self.read = True
             if l not in self.heap:
                 raise _Stuck("use-after-free" if 0 <= l < self.cursor else "free-absent")
             if self.heap[l][1] != ("r", 0):
@@ -549,12 +554,12 @@ def thread_step(e, heap: tuple, cursor: int) -> ThreadStep:
     try:
         out = machine.step(e)
     except _Stuck as exc:
-        return ThreadStep("stuck", ("stuck", exc.reason), (), heap, cursor)
+        return ThreadStep("stuck", ("stuck", exc.reason), (), heap, cursor, read=machine.read)
     if machine.wrote:
         heap = tuple(sorted((l, v, rw) for l, (v, rw) in machine.heap.items()))
     return ThreadStep(
         "next", _thread(out), tuple(_thread(f) for f in machine.forks),
-        heap, machine.cursor, tuple(machine.fired), machine.event,
+        heap, machine.cursor, tuple(machine.fired), machine.event, machine.read,
     )
 
 
@@ -567,21 +572,28 @@ def step(cfg: MachineConfig, tid: int, memo: dict | None = None) -> StepOutcome:
 
     The step itself is :func:`thread_step`; this function places its
     result in the thread pool. Given ``memo``, a dict, :func:`thread_step`
-    runs once per distinct (expression, heap, cursor) the dict has seen.
+    runs once per distinct expression whose step reads neither heap nor
+    cursor, and otherwise once per distinct (expression, heap, cursor).
     """
     if not 0 <= tid < len(cfg.threads):
         raise UsageError(f"thread {tid} out of range")
     state = cfg.threads[tid]
     if state[0] != "run":
         raise UsageError(f"thread {tid} is not running ({state[0]})")
-    key = (state[1], cfg.heap, cfg.cursor)
-    out = None if memo is None else memo.get(key)
+    e, store = state[1], (cfg.heap, cfg.cursor)
+    out = None if memo is None else memo.get(e)
+    if type(out) is dict:
+        out = out.get(store)
     if out is None:
-        out = thread_step(*key)
+        out = thread_step(e, *store)
         if memo is not None:
-            memo[key] = out
+            if out.read:
+                memo.setdefault(e, {})[store] = out
+            else:
+                memo[e] = out
+    heap, cursor = (out.heap, out.cursor) if out.read else store
     threads = cfg.threads[:tid] + (out.thread,) + cfg.threads[tid + 1 :] + out.spawned
-    config = MachineConfig(out.heap, threads, out.cursor)
+    config = MachineConfig(heap, threads, cursor)
     if out.kind == "next":
         return StepOutcome("next", config, fired=out.fired, event=out.event)
     if out.kind == "stuck":

@@ -274,6 +274,7 @@ def build_finmap(keys: tuple[Term, ...], value: MonoidSpec, name: str = "finmap"
     vunit = value.unit
     vcomp = value.compose_fn
     vvalid = value.valid_fn
+    rank = {k: i for i, k in enumerate(sort_terms(keys))}  # tmap's order on the keys
 
     def compose(a, b):
         merged = dict(map_entries(a))
@@ -282,7 +283,11 @@ def build_finmap(keys: tuple[Term, ...], value: MonoidSpec, name: str = "finmap"
                 merged[k] = vcomp(merged[k], v)
             else:
                 merged[k] = v
-        return tmap((k, v) for k, v in merged.items() if v != vunit)
+        entries = [(k, v) for k, v in merged.items() if v != vunit]
+        try:
+            return ("map", tuple(sorted(entries, key=lambda kv: rank[kv[0]])))
+        except KeyError:  # a key that is not declared
+            return tmap(entries)
 
     def valid_fn(t):
         return all(vvalid(v) for _, v in map_entries(t))

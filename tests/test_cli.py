@@ -1,6 +1,7 @@
 """CLI: exit codes, output determinism, and the demo registry."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import guardcheck
 from guardcheck.cli import main
 from guardcheck.demos import DEMOS, demo_documents, demo_path
+from guardcheck.explore import Violation, explore
 from guardcheck.formats import FormatError, scenario_from_json
 
 
@@ -550,8 +552,8 @@ def cell_arg_names_no_cell(doc):
 
 
 def protected_cell_names_no_cell(doc):
-    # the release's cell comes from protected_cells, which is read as any
-    # name, so an unknown one is met only at run time
+    # the release's cell comes from protected_cells, whose values are read
+    # as cells
     for entry in doc["script"]:
         if entry["resolver"] == "rw.exc-release":
             del entry["args"]["cell"]
@@ -588,6 +590,7 @@ def query_key_not_a_term(doc):
     ("rwlock-multi", counter_out_of_range(-1),
      "script[4].args.counter: must be a non-negative integer, got -1"),
     ("rwlock-exc", cell_arg_names_no_cell, "script[2].args.cell: unknown cell 'x'"),
+    ("rwlock-exc", protected_cell_names_no_cell, "protected_cells.lock: unknown cell 'x'"),
     ("hashtable-collide", query_key_not_a_term, "script[13].args.key: must be an object, got int"),
 ])
 def test_case_study_resolver_args_are_read_by_kind(tmp_path, name, edit, message):
@@ -633,11 +636,6 @@ def test_resolver_replay_error_is_a_violation(tmp_path):
             "detail": "counter 2 out of range [0, 2)",
             "schedule": [0] * 23 + [1] * 13,
         }),
-        ("rwlock-exc", protected_cell_names_no_cell, {
-            "kind": "replay", "name": "t0.exc_release",
-            "detail": "label t0.exc_release: unknown cell 'x'",
-            "schedule": [0] * 20,
-        }),
         ("rwlock-shared", tid_names_no_thread, {
             "kind": "terminal", "name": "reader-0-sane", "detail": "no thread 7",
             "schedule": [0] * 17 + [1] * 16 + [2] * 16,
@@ -657,6 +655,18 @@ def test_resolver_replay_error_is_a_violation(tmp_path):
         assert proc.returncode == 1, (edit.__name__, proc.stderr)
         assert "Traceback" not in proc.stderr, edit.__name__
         assert violation in json.loads(proc.stdout)["violations"], edit.__name__
+
+
+def test_unknown_protected_cell_met_at_run_time_is_a_violation():
+    # a scenario built in Python is not read by formats, so an unknown
+    # protected cell is met only when the release reads it
+    doc = shipped_scenario("rwlock-exc")
+    protected_cell_names_no_cell(doc)
+    doc["protected_cells"] = {"lock": "cell"}
+    scenario = dataclasses.replace(scenario_from_json(doc), protected_cells={"lock": "x"})
+    want = Violation("replay", "t0.exc_release", "label t0.exc_release: unknown cell 'x'",
+                     (0,) * 20)
+    assert want in explore(scenario).violations
 
 
 # the shape fuzz: each example replaces one node of a checked-in scenario,

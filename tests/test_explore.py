@@ -818,6 +818,25 @@ def test_transition_runs_once_per_distinct_input(monkeypatch):
     assert (len(calls), len(inputs), got.transitions) == (989, 989, 33_367)
 
 
+@pytest.mark.parametrize("name, mode, calls", [
+    ("hashtable-collide", "rule", 238), ("rwlock-shared", "concrete", 207),
+])
+def test_thread_step_runs_once_per_heap_free_expression(name, mode, calls, monkeypatch):
+    # a step that reads neither heap nor cursor runs once per expression,
+    # not once per (expression, heap, cursor): 665 and 626 calls when
+    # every step was keyed on all three
+    got = []
+    real = lang_mod.thread_step
+
+    def counting(*args):
+        got.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lang_mod, "thread_step", counting)
+    explore(scenario_from_json(shipped_doc(name)), mode)
+    assert len(got) == calls
+
+
 def test_table_hits_hash_no_ledger(monkeypatch):
     # explore numbers each ledger when a transition first makes it, so a
     # transition-table hit or a visited-state lookup hashes ints only; on

@@ -1,6 +1,8 @@
 """Small-step semantics: head reductions, the two-step non-atomic
 operations, race-to-stuck behavior, and determinism."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +43,8 @@ from guardcheck.lang import (
 )
 from guardcheck.lang import _FORMS
 from guardcheck.terms import UNIT, tbool, tcon, tfrac, tint, tsym
+
+lang_mod = importlib.import_module("guardcheck.lang")
 
 
 def run_to_end(cfg, tid=0, limit=500):
@@ -403,3 +407,85 @@ def test_malformed_node_names_its_path(doc, message):
     with pytest.raises(UsageError) as exc:
         ast_from_json(doc, "t")
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The step memo: a step that reads the heap or cursor is memoised on
+# (expression, heap, cursor), one that reads neither on the expression
+
+R0, R1, W = ("r", 0), ("r", 1), ("w",)
+
+
+def cells(*entries):
+    return tuple((l, tint(v), rw) for l, v, rw in entries)
+
+
+# heap-reading expressions, each with two stores (heap, cursor) under
+# which it steps differently; a fault is named for the first store's
+FIRST, SECOND = (cells((0, 1, R0)), 1), (cells((0, 2, R0), (1, 7, R0)), 2)
+HEAP_READS = {
+    "load-sc": (load("sc", loc(0)), FIRST, SECOND),
+    "load-na": (load("na", loc(0)), FIRST, (cells((0, 1, R1)), 1)),
+    "load-na2": (("load", "na2", loc(0)), (cells((0, 1, R1)), 1), (cells((0, 2, ("r", 2))), 1)),
+    "store-sc": (store("sc", loc(0), tint(5)), FIRST, SECOND),
+    "store-na": (store("na", loc(0), tint(5)), FIRST, SECOND),
+    "store-na2": (("store", "na2", loc(0), tint(5)), (cells((0, 1, W)), 1),
+                  (cells((0, 1, W), (1, 7, R0)), 2)),
+    "cas": (cas(loc(0), tint(1), tint(5)), FIRST, SECOND),
+    "faa": (fetch_add(loc(0), tint(1)), FIRST, SECOND),
+    "ref": (ref(tint(5)), FIRST, SECOND),
+    "free": (free(loc(0)), FIRST, SECOND),
+    "use-after-free": (load("sc", loc(1)), (cells((0, 1, R0)), 2), SECOND),
+    "load-absent": (load("sc", loc(1)), FIRST, SECOND),
+    "free-absent": (free(loc(1)), FIRST, SECOND),
+    "free-race": (free(loc(0)), (cells((0, 1, R1)), 1), FIRST),
+    "race-sc-write": (store("sc", loc(0), tint(5)), (cells((0, 1, R1)), 1), FIRST),
+}
+
+# heap-free redexes, and stuck steps that the expression alone decides
+HEAP_FREE = {
+    "app": app(rec("f", "x", var("x")), tint(1)),
+    "let": let("x", tint(1), var("x")),
+    "match": match(inl(tint(1)), "l", var("l"), "r", tint(0)),
+    "if": if_(tbool(True), tint(1), tint(2)),
+    "proj": proj(1, pair(tint(1), tint(2))),
+    "add": add(tint(1), tint(2)),
+    "eq": eq(tint(1), tint(2)),
+    "fork": fork(add(tint(1), tint(2))),
+    "label": label("l", add(tint(1), tint(2))),
+    "type-if": if_(tint(1), tint(1), tint(2)),
+    "overflow": add(tint(1 << 62), tint(1 << 62)),
+    "abort": abort(),
+}
+
+
+def at(store_, e):
+    heap, cursor = store_
+    return MachineConfig(heap, (("run", e),), cursor)
+
+
+@pytest.mark.parametrize("name", sorted(HEAP_READS))
+def test_heap_reading_step_is_memoised_per_store(name):
+    e, *stores = HEAP_READS[name]
+    memo: dict = {}
+    got = [step(at(s, e), 0, memo) for s in stores]
+    want = [step(at(s, e), 0) for s in stores]
+    assert got == want and want[0] != want[1]
+    if want[0].kind == "stuck":
+        assert want[0].reason == name
+
+
+@pytest.mark.parametrize("name", sorted(HEAP_FREE))
+def test_heap_free_step_is_memoised_on_the_expression(name, monkeypatch):
+    e = HEAP_FREE[name]
+    want = step(at(SECOND, e), 0)
+    memo: dict = {}
+    step(at(FIRST, e), 0, memo)
+
+    def recompute(*args):
+        raise AssertionError("heap-free step run again for another heap")
+
+    monkeypatch.setattr(lang_mod, "thread_step", recompute)
+    got = step(at(SECOND, e), 0, memo)
+    assert got == want
+    assert (got.config.heap, got.config.cursor) == SECOND

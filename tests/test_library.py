@@ -467,3 +467,22 @@ def test_hashtable_protocol_wrapper():
     sp, _ = build_hashtable_protocol(HASH, (V0, V1))
     assert sp.complete(sp.protocol.unit)
     assert check_wellformed(sp).ok
+
+
+def test_finmap_compose_sorts_as_tmap():
+    # compose sorts the merged entries by each declared key's rank in
+    # tmap's order, and by tmap for a key that is not declared
+    def pointwise(a, b):
+        """a · b for maps into an exclusive monoid, whose entries are
+        never ε: a key of both holds the conflict ⊥."""
+        merged = dict(a[1])
+        for k, v in b[1]:
+            merged[k] = BOT if k in merged else v
+        return tmap(merged.items())
+
+    stray = tmap([(tint(7), ex(some(V0)))])  # 7 is neither a key nor a slot
+    for part in HT.parts:  # the key map and the slot map
+        elems = list(carrier(part))[:40]
+        for a in elems + [stray]:
+            for b in elems:
+                assert part.compose_fn(a, b) == pointwise(a, b)
