@@ -20,7 +20,7 @@ window guards must stay below the stored composition until it closes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import reduce
 
 from .monoid import leq, memo
 from .protocol import (
@@ -28,9 +28,7 @@ from .protocol import (
     StorageProtocolSpec,
     exchange_body_at,
     exchange_holds,
-    guard_body_at,
     guard_holds,
-    quantify_frames,
     valid_fragment,
 )
 from .terms import Term, pretty, term_to_json
@@ -333,15 +331,8 @@ def apply_action(registry, ledger: GhostLedger, action, mode: str = "rule") -> A
                     ),
                 )
         else:
-            # guard_holds(sp, total, element), sharing its memo but not its
-            # entry point, so that timing the relation layer by wrapping
-            # guard_holds counts rule-mode checks only
             total = joint_state(sp, state.fragments)
-            covered = quantify_frames(
-                sp, ("guard", total, action.element), total,
-                partial(guard_body_at, sp, total, action.element),
-            )
-            if not covered.ok:
+            if not guard_holds(sp, total, action.element).ok:
                 return ApplyOutcome(
                     ledger,
                     GhostViolation(

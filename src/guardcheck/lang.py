@@ -33,7 +33,6 @@ __all__ = [
     "step",
     "thread_step",
     "enabled_threads",
-    "canonical_hash",
     "initial_config",
     "ast_to_json",
     "ast_from_json",
@@ -604,14 +603,6 @@ def step(cfg: MachineConfig, tid: int, memo: dict | None = None) -> StepOutcome:
 def enabled_threads(cfg: MachineConfig) -> list[int]:
     """Indices of running threads; stuckness is only discovered by stepping."""
     return [i for i, t in enumerate(cfg.threads) if t[0] == "run"]
-
-
-def canonical_hash(cfg: MachineConfig) -> str:
-    """Process-independent fingerprint of the full configuration."""
-    import hashlib
-
-    blob = repr((cfg.heap, cfg.threads, cfg.cursor)).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 # ---------------------------------------------------------------------------

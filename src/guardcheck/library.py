@@ -113,8 +113,11 @@ def agn(x: Term, n: int) -> Term:
     return tcon("agn", x, tint(n))
 
 
-def build_agn(values: tuple[Term, ...], max_count: int = 4, name: str = "agn") -> MonoidSpec:
-    """Agreement monoid: agn(x, n) sums counts on agreement, ⊥ otherwise."""
+def _agreement(name: str, values: tuple[Term, ...], counts: MonoidSpec, note: str) -> MonoidSpec:
+    """Agreement monoid: agn(x, n) for a value x and a count n of
+    ``counts`` other than its unit; counts compose on agreement, and
+    disagreement is ⊥."""
+    add = counts.compose_fn
 
     def compose(a, b):
         if a == UNIT:
@@ -127,16 +130,16 @@ def build_agn(values: tuple[Term, ...], max_count: int = 4, name: str = "agn") -
         bx, bn = b[2]
         if ax != bx:
             return BOT
-        return tcon("agn", ax, tint(an[1] + bn[1]))
+        return tcon("agn", ax, add(an, bn))
 
-    elems = [UNIT, BOT] + [agn(v, n) for v in values for n in range(1, max_count + 1)]
-    return MonoidSpec(
-        name,
-        UNIT,
-        compose,
-        lambda t: t != BOT,
-        _enum(elems, UNIT, "bounded", f"counts <= {max_count}"),
-    )
+    ns = carrier(counts)[1:]  # the unit comes first
+    elems = [UNIT, BOT] + [tcon("agn", v, n) for v in values for n in ns]
+    return MonoidSpec(name, UNIT, compose, lambda t: t != BOT, _enum(elems, UNIT, "bounded", note))
+
+
+def build_agn(values: tuple[Term, ...], max_count: int = 4, name: str = "agn") -> MonoidSpec:
+    """Agreement monoid: agn(x, n) sums counts on agreement, ⊥ otherwise."""
+    return _agreement(name, values, build_nat(max_count), f"counts <= {max_count}")
 
 
 def agnvec(x: Term, counts: tuple[int, ...]) -> Term:
@@ -151,47 +154,12 @@ def build_agnvec(
     """Vector-count agreement monoid (elementwise count addition)."""
     if k < 1:
         raise ValueError("need at least one counter")
-
-    def compose(a, b):
-        if a == UNIT:
-            return b
-        if b == UNIT:
-            return a
-        if a == BOT or b == BOT:
-            return BOT
-        ax, an = a[2]
-        bx, bn = b[2]
-        if ax != bx:
-            return BOT
-        summed = tuple(tint(u[1] + v[1]) for u, v in zip(an[1], bn[1]))
-        return tcon("agn", ax, ttuple(*summed))
-
-    vecs = [
-        vec
-        for vec in itertools.product(range(max_count + 1), repeat=k)
-        if any(vec)
-    ]
-    elems = [UNIT, BOT] + [agnvec(v, vec) for v in values for vec in vecs]
-    return MonoidSpec(
-        name,
-        UNIT,
-        compose,
-        lambda t: t != BOT,
-        _enum(elems, UNIT, "bounded", f"K={k}, counts <= {max_count}"),
-    )
+    counts = build_product(f"{name}-counts", [build_nat(max_count)] * k)
+    return _agreement(name, values, counts, f"K={k}, counts <= {max_count}")
 
 
 def build_nat(limit: int = 8, name: str = "nat") -> MonoidSpec:
-    def compose(a, b):
-        return tint(a[1] + b[1])
-
-    return MonoidSpec(
-        name,
-        tint(0),
-        compose,
-        lambda t: True,
-        _enum([tint(n) for n in range(limit + 1)], tint(0), "bounded", f"0..{limit}"),
-    )
+    return build_int(0, limit, name)
 
 
 def build_int(lo: int = -8, hi: int = 8, name: str = "int") -> MonoidSpec:
@@ -744,21 +712,10 @@ def build_rwlock_multi(
 ) -> tuple[StorageProtocolSpec, RwLockMultiElems]:
     """Multi-counter variant: one reference counter per reader class, the
     writer checks them in order and records how many it has seen at zero."""
-    sp_vecs = [
-        ttuple(*(tint(c) for c in vec))
-        for vec in itertools.product(range(sp_max + 1), repeat=k)
-    ]
-
-    def sp_compose(a, b):
-        return ttuple(*(tint(u[1] + v[1]) for u, v in zip(a[1], b[1])))
-
-    zero_vec = ttuple(*(tint(0) for _ in range(k)))
-    c_sp = MonoidSpec(
-        "rwm-sp", zero_vec, sp_compose, lambda t: True, _enum(sp_vecs, zero_vec, "bounded")
-    )
+    c_sp = build_product("rwm-sp", [build_nat(sp_max)] * k)
 
     def counts_ok(rcs, spc, agn, ep):
-        readers = agn[1][1] if agn else zero_vec[1]
+        readers = agn[1][1] if agn else c_sp.unit[1]
         for i in range(k):
             if rcs[1][i][1] != spc[1][i][1] + readers[i][1]:
                 return False
@@ -845,10 +802,15 @@ def build_hashtable_monoid(
     physical slot map — with validity 𝒱(z) = "z extends to a consistent
     table" in place of the componentwise one.
 
-    Consistency of a full state: entries are all exclusive, slot keys are
-    distinct, map and slots agree, and every occupied slot sits in a
-    contiguous run starting at its key's hash index. Validity is
-    precomputed as the downward closure of the consistent states.
+    A full state owns every key and every slot, exclusively. It is
+    consistent when the keys in its slots are distinct, every occupied
+    slot sits in a contiguous run starting at its key's hash index, and
+    the key map holds some(v) exactly at the keys stored as (k, v) and
+    none elsewhere. So the slots decide the key map, and every partial
+    state that is consistent extends to a full one by adding its absent
+    slots and keys as none. Validity is precomputed as the downward
+    closure of the consistent full states, one per slot assignment that
+    passes the two slot checks.
     """
     keys = hash_spec.keys
     length = hash_spec.length
@@ -857,41 +819,23 @@ def build_hashtable_monoid(
     slot_opts = [NONE] + [some(ttuple(k, v)) for k in keys for v in values]
     map_opts = [NONE] + [some(v) for v in values]
 
-    def consistent(keymap: dict, slotmap: dict) -> bool:
-        filled = {i: con_args(s, "some")[0][1] for i, s in slotmap.items() if s != NONE}
-        entries = set(filled.values())
-        # distinct keys across slots
-        if len({k for k, _ in entries}) != len(filled):
-            return False
-        # map entries point at a matching slot
-        if any(m != NONE and (k, con_args(m, "some")[0]) not in entries
-               for k, m in keymap.items()):
-            return False
-        # slot entries are registered in the map with a non-none value
-        if any(keymap.get(k, NONE) == NONE for k, _ in entries):
-            return False
-        # contiguous probe runs from the hash index
-        return all(
-            hash_spec.hash_of(k) <= i
-            and all(slotmap.get(j, NONE) != NONE for j in range(hash_spec.hash_of(k), i))
-            for i, (k, _) in filled.items()
-        )
-
     def sub_maps(entries):
         """The maps of some of ``entries``, each value owned exclusively."""
         owned = [(k, ex(v)) for k, v in entries]
         return [tmap(c) for r in range(len(owned) + 1) for c in itertools.combinations(owned, r)]
 
-    # the downward closure of the consistent states
     valid_set: set[Term] = set()
-    for slot_combo in itertools.product([None] + slot_opts, repeat=length):
-        slotmap = {i: s for i, s in enumerate(slot_combo) if s is not None}
-        for map_combo in itertools.product([None] + map_opts, repeat=len(keys)):
-            keymap = {k: m for k, m in zip(keys, map_combo) if m is not None}
-            if consistent(keymap, slotmap):
-                key_maps = sub_maps(keymap.items())
-                slot_maps = sub_maps((tint(i), s) for i, s in slotmap.items())
-                valid_set.update(ttuple(km, sm) for km in key_maps for sm in slot_maps)
+    for slots in itertools.product(slot_opts, repeat=length):
+        filled = [(i, con_args(s, "some")[0][1]) for i, s in enumerate(slots) if s != NONE]
+        stored = dict(kv for _, kv in filled)  # smaller if a key is in two slots
+        if len(stored) < len(filled) or any(
+            hash_spec.hash_of(k) > i or NONE in slots[hash_spec.hash_of(k):i]
+            for i, (k, _) in filled
+        ):
+            continue
+        key_maps = sub_maps((k, some(stored[k]) if k in stored else NONE) for k in keys)
+        slot_maps = sub_maps((tint(i), s) for i, s in enumerate(slots))
+        valid_set.update(ttuple(km, sm) for km in key_maps for sm in slot_maps)
 
     slot_indices = tuple(tint(i) for i in range(length))
     spec = build_product("hashtable", [

@@ -7,16 +7,15 @@ its deposit, withdraw and update specializations) and guard — quantify
 over frames from P's enumerator and report Holds / FailsWithWitness /
 HoldsUpToBound. They constrain only frames q where 𝒞(p·q) holds, so
 only those frames are visited: grouped by the value of p·q, part by
-part (see :func:`completion_boxes`). A protocol on a product P may state
-𝒞 as stages, one constraint per part on the values bound so far; its
-completions are then found by backtracking over the parts, so a value
-tuple that fails on a prefix is never built. Any other 𝒞 is asked of
-each tuple of values.
+part (see :func:`completion_boxes`). 𝒞 is searched as stages, one
+constraint per part on the values bound so far, by backtracking over the
+parts, so a value tuple that fails on a prefix is never built. A
+protocol on a product P may state its own stages; any other 𝒞 is one
+stage that tests the whole tuple of values.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator
@@ -73,7 +72,9 @@ class StorageProtocolSpec:
     ``stages``: one per part, where stage j tests the values of parts
     0..j and may read no later part. 𝒞 is then the conjunction of the
     stages, and :func:`completion_boxes` checks each stage as soon as its
-    parts are bound. A spec takes one of the two, never both.
+    parts are bound. A spec takes one of the two, never both. The search
+    reads a ``complete_fn`` as one stage on the whole tuple of values,
+    after a trivially true stage for each earlier part.
 
     ``stored_of`` may assume 𝒞 holds; callers go through :meth:`stored`,
     which raises :class:`StorageDomainError` outside 𝒞.
@@ -87,12 +88,14 @@ class StorageProtocolSpec:
     stages: tuple[Stage, ...] = ()
     _cache: dict = field(default_factory=dict, repr=False)
     _complete: Callable[[Term], bool] = field(init=False, repr=False)
+    _search: tuple[Stage, ...] = field(init=False, repr=False)  # what the search checks
 
     def __post_init__(self):
         if (self.complete_fn is None) == (not self.stages):
             raise ValueError(f"{self.name}: give 𝒞 as exactly one of complete_fn and stages")
         if not self.stages:
             self._complete = self.complete_fn
+            self._search = _whole_tuple(self.complete_fn, len(self.protocol.parts))
         elif len(self.stages) != len(self.protocol.parts):
             raise ValueError(
                 f"{self.name}: {len(self.stages)} stages for "
@@ -100,6 +103,7 @@ class StorageProtocolSpec:
             )
         else:
             self._complete = _conjunction(self.stages)
+            self._search = self.stages
 
     def complete(self, p: Term) -> bool:
         return self._complete(p)
@@ -128,6 +132,14 @@ def _conjunction(stages: tuple[Stage, ...]) -> Callable[[Term], bool]:
         return True
 
     return complete
+
+
+def _whole_tuple(complete: Callable[[Term], bool], n: int) -> tuple[Stage, ...]:
+    """𝒞 as stages on a P of ``n`` parts (one part if not a product):
+    trivially true until the last part is bound, then 𝒞 of the state."""
+    if not n:
+        return (lambda c: complete(c[0]),)
+    return (lambda c: True,) * (n - 1) + (lambda c: complete(ttuple(*c)),)
 
 
 @dataclass(frozen=True)
@@ -216,12 +228,12 @@ def completion_boxes(sp: StorageProtocolSpec, p: Term) -> tuple[Box, ...]:
     P composes part by part (a non-product P is its own one part), so on
     each part j the elements q_j are grouped by the value of p_j·q_j.
     Where a tuple c of such values is complete, the frames q with p·q = c
-    form the box of those groups. With ``sp.stages``, the values are bound
-    part by part and stage j is checked on each prefix (c_0, ..., c_j), so
-    a prefix that fails is not extended; otherwise 𝒞 is asked of each
-    tuple. Either way the boxes come in the order of the tuples, and 𝒞 is
-    asked of the values p·q themselves, so a completion outside the
-    enumerated carrier is found too. Kept in the memo.
+    form the box of those groups. The values are bound part by part and
+    stage j of 𝒞 (see :class:`StorageProtocolSpec`) is checked on each
+    prefix (c_0, ..., c_j), so a prefix that fails is not extended. The
+    boxes come in the order of the tuples, and 𝒞 is asked of the values
+    p·q themselves, so a completion outside the enumerated carrier is
+    found too. Kept in the memo.
     """
     return memo(sp, ("completions", p), lambda: tuple(_completions(sp, p)))
 
@@ -233,27 +245,14 @@ def _completions(sp: StorageProtocolSpec, p: Term) -> Iterator[Box]:
         memo(part, ("by-value", x), _by_value, part, x)
         for part, x in zip(axes(proto), components(proto, p))
     ]
-    return _complete_boxes(sp, groups)
-
-
-def _complete_boxes(sp: StorageProtocolSpec, groups: list[dict[Term, list[Term]]]) -> Iterator[Box]:
-    """The box of groups of each complete tuple of values, one value per
-    part from ``groups`` (value -> its group), in the order of
-    ``itertools.product`` over the parts."""
-    if sp.stages:
-        return _staged_boxes(sp.stages, groups, 0, ())
-    value = ttuple if sp.protocol.parts else lambda v: v
-    return (
-        [by_value[v] for by_value, v in zip(groups, c)]
-        for c in itertools.product(*groups)
-        if sp.complete(value(*c))
-    )
+    return _staged_boxes(sp._search, groups, 0, ())
 
 
 def _staged_boxes(stages, groups, j: int, prefix: tuple) -> Iterator[Box]:
-    """The boxes of the complete tuples that extend ``prefix``, the values
-    of parts 0..j-1, binding part j to each of its values in turn:
-    chronological backtracking."""
+    """The boxes of groups (value -> its group, one dict per part) of the
+    complete tuples that extend ``prefix``, the values of parts 0..j-1,
+    binding part j to each of its values in turn: chronological
+    backtracking, in the order of ``itertools.product`` over the parts."""
     stage, last = stages[j], j == len(groups) - 1
     for v in groups[j]:
         c = prefix + (v,)
@@ -339,7 +338,7 @@ def check_wellformed(sp: StorageProtocolSpec, **law_limits) -> WellformedReport:
     # by its elements themselves, so 𝒞 is asked of the elements
     proto = sp.protocol
     singletons = [{q: [q] for q in term_order(part)[0]} for part in axes(proto)]
-    walk, _ = _box_walk(proto, _complete_boxes(sp, singletons))
+    walk, _ = _box_walk(proto, _staged_boxes(sp._search, singletons, 0, ()))
     witness = None
     err = ""
     n = 0

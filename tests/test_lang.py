@@ -14,7 +14,6 @@ from guardcheck.lang import (
     app,
     ast_from_json,
     ast_to_json,
-    canonical_hash,
     cas,
     do_until,
     enabled_threads,
@@ -265,17 +264,11 @@ class TestDeterminism:
         b = step(cfg, 0)
         assert a == b
 
-    def test_canonical_hash_distinguishes_heaps(self):
-        c1 = initial_config([tint(0)], [tint(1)])
-        c2 = initial_config([tint(1)], [tint(1)])
-        assert canonical_hash(c1) == canonical_hash(c1)
-        assert canonical_hash(c1) != canonical_hash(c2)
-
     def test_config_changes_after_step(self):
         prog = store("sc", loc(0), tint(5))
         cfg = initial_config([tint(0)], [prog])
         out = step(cfg, 0)
-        assert canonical_hash(cfg) != canonical_hash(out.config)
+        assert out.config != cfg
 
 
 class TestLabels:

@@ -7,6 +7,7 @@ from guardcheck.library import (
     NONE,
     HashFunctionSpec,
     agn,
+    agnvec,
     build_agn,
     build_agnvec,
     build_excl,
@@ -15,6 +16,7 @@ from guardcheck.library import (
     build_fractional_memory,
     build_hashtable_monoid,
     build_hashtable_protocol,
+    build_nat,
     build_rwlock,
     build_rwlock_multi,
     ex,
@@ -34,7 +36,7 @@ from guardcheck.protocol import (
     guard_holds,
     valid_fragment,
 )
-from guardcheck.terms import BOT, UNIT, tfrac, tint, tmap, tsym, ttuple
+from guardcheck.terms import BOT, UNIT, tcon, tfrac, tint, tmap, tsym, ttuple
 
 X0, X1 = tsym("x0"), tsym("x1")
 
@@ -486,3 +488,126 @@ def test_finmap_compose_sorts_as_tmap():
         for a in elems + [stray]:
             for b in elems:
                 assert part.compose_fn(a, b) == pointwise(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The count and agreement algebras, built from the combinators, against the
+# carriers and compositions they had as hand-written monoids
+
+
+def _sum_counts(a, b):
+    """Counts add: an int, or a tuple of ints elementwise."""
+    if a[0] == "int":
+        return tint(a[1] + b[1])
+    return ttuple(*(tint(u[1] + v[1]) for u, v in zip(a[1], b[1])))
+
+
+def _agreement_compose(a, b):
+    if a == UNIT:
+        return b
+    if b == UNIT:
+        return a
+    if a == BOT or b == BOT or a[2][0] != b[2][0]:
+        return BOT
+    return tcon("agn", a[2][0], _sum_counts(a[2][1], b[2][1]))
+
+
+def _vec(*counts):
+    return ttuple(*map(tint, counts))
+
+
+@pytest.mark.parametrize("spec, name, mode, note, elems, comp", [
+    (build_nat(2), "nat", "bounded", "0..2", [tint(0), tint(1), tint(2)], _sum_counts),
+    (build_nat(0, name="rw-sp"), "rw-sp", "bounded", "0..0", [tint(0)], _sum_counts),
+    (build_agn((X0, X1), 2, "rw-sh"), "rw-sh", "bounded", "counts <= 2",
+     [UNIT, agn(X0, 1), agn(X0, 2), agn(X1, 1), agn(X1, 2), BOT], _agreement_compose),
+    (build_agnvec((X0,), 2, 1, "rwm-sh"), "rwm-sh", "bounded", "K=2, counts <= 1",
+     [UNIT, agnvec(X0, (0, 1)), agnvec(X0, (1, 0)), agnvec(X0, (1, 1)), BOT],
+     _agreement_compose),
+    (build_agnvec((X1,), 1, 2), "agnvec", "bounded", "K=1, counts <= 2",
+     [UNIT, agnvec(X1, (1,)), agnvec(X1, (2,)), BOT], _agreement_compose),
+    (build_rwlock_multi((X0, X1), 2, sp_max=1)[0].protocol.parts[3], "rwm-sp", "bounded", "",
+     [_vec(0, 0), _vec(0, 1), _vec(1, 0), _vec(1, 1)], _sum_counts),
+    (build_rwlock_multi((X0,), 3, rc_range=(0, 1), sp_max=0)[0].protocol.parts[3],
+     "rwm-sp", "bounded", "", [_vec(0, 0, 0)], _sum_counts),
+])
+def test_count_algebras_keep_their_carriers(spec, name, mode, note, elems, comp):
+    assert carrier(spec) == tuple(elems)
+    assert (spec.name, spec.enumerator.mode, spec.enumerator.note) == (name, mode, note)
+    for a in elems:
+        assert spec.valid_fn(a) == (a != BOT)
+        for b in elems:
+            assert spec.compose_fn(a, b) == comp(a, b), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# Hash-table validity from full slot assignments, against the closure of
+# every consistent partial state
+
+
+def ref_hashtable_valid_set(hash_spec, values):
+    """The downward closure of the consistent partial states: each key and
+    each slot absent (None) or present, consistency asked of every pair of
+    a slot map and a key map."""
+    from itertools import combinations, product
+
+    from guardcheck.terms import con_args
+
+    keys = hash_spec.keys
+    slot_opts = [NONE] + [some(ttuple(k, v)) for k in keys for v in values]
+    map_opts = [NONE] + [some(v) for v in values]
+
+    def consistent(keymap, slotmap):
+        filled = {i: con_args(s, "some")[0][1] for i, s in slotmap.items() if s != NONE}
+        entries = set(filled.values())
+        if len({k for k, _ in entries}) != len(filled):
+            return False
+        if any(m != NONE and (k, con_args(m, "some")[0]) not in entries
+               for k, m in keymap.items()):
+            return False
+        if any(keymap.get(k, NONE) == NONE for k, _ in entries):
+            return False
+        return all(
+            hash_spec.hash_of(k) <= i
+            and all(slotmap.get(j, NONE) != NONE for j in range(hash_spec.hash_of(k), i))
+            for i, (k, _) in filled.items()
+        )
+
+    def sub_maps(entries):
+        owned = [(k, ex(v)) for k, v in entries]
+        return [tmap(c) for r in range(len(owned) + 1) for c in combinations(owned, r)]
+
+    valid = set()
+    for slot_combo in product([None] + slot_opts, repeat=hash_spec.length):
+        slotmap = {i: s for i, s in enumerate(slot_combo) if s is not None}
+        for map_combo in product([None] + map_opts, repeat=len(keys)):
+            keymap = {k: m for k, m in zip(keys, map_combo) if m is not None}
+            if consistent(keymap, slotmap):
+                valid.update(
+                    ttuple(km, sm)
+                    for km in sub_maps(keymap.items())
+                    for sm in sub_maps((tint(i), s) for i, s in slotmap.items())
+                )
+    return valid
+
+
+KA, KB, KC = tsym("a"), tsym("b"), tsym("c")
+HASH_SPECS = [
+    (HASH, (V0, V1)),  # hashtable-collide's table
+    (HashFunctionSpec(1, ((KA, 0),)), (V0, V1)),
+    (HashFunctionSpec(1, ((KA, 0), (KB, 0))), (V0,)),
+    (HashFunctionSpec(2, ((KA, 0), (KB, 1), (KC, 1))), (V0, V1)),
+    (HashFunctionSpec(3, ((KA, 2), (KB, 1))), (V0,)),
+    (HashFunctionSpec(3, ((KA, 1), (KB, 0), (KC, 1))), (V0,)),
+]
+
+
+@pytest.mark.parametrize("hash_spec, values", HASH_SPECS)
+def test_hashtable_validity_is_the_closure_of_partial_states(hash_spec, values):
+    spec, _ = build_hashtable_monoid(hash_spec, values)
+    want = ref_hashtable_valid_set(hash_spec, values)
+    elems = carrier(spec)
+    assert want <= set(elems)
+    assert {z for z in elems if spec.valid_fn(z)} == want
+    if hash_spec == HASH:
+        assert len(want) == 280

@@ -14,27 +14,29 @@ of tuples above both operands.
 
 Exchange, guard and valid-fragment walk only the frames q that make p·q
 complete: ``protocol.completion_boxes`` groups each part's elements by
-the value of p_j·q_j and asks 𝒞 of each tuple of values, and the walk
-visits the frames of the complete tuples in carrier order. The same
-references check that walk on the lock protocols, on a custom table
-whose 𝒞 holds an element with a ⊥ part, and on a completion outside the
-enumerated carrier: it must report the same witness and the same carrier
+the value of p_j·q_j and finds the complete tuples of values, and the
+walk visits their frames in carrier order. The same references check
+that walk on the lock protocols, on a custom table whose 𝒞 holds an
+element with a ⊥ part, and on a completion outside the enumerated
+carrier: it must report the same witness and the same carrier
 positions as a walk over every frame. Mutants of the walk (a frame
 dropped, 𝒞 read off the carrier, the first failing value tuple taken in
 place of the least position) must be caught.
 
 The locks and the custom tables on a product state 𝒞 as stages, and the
-search binds one part at a time. The lock's stages must agree with a
-frozen copy of its 𝒞 as one predicate, and the search must yield the
-boxes of the tuple loop in its order. Guard weakening and strengthening,
-and the framing of exchange, are a second oracle that does not go
-through the per-frame bodies.
+search binds one part at a time; any other 𝒞 is searched as one stage on
+the whole tuple. The lock's stages must agree with a frozen copy of its
+𝒞 as one predicate, and the search must yield the boxes of a loop that
+asks 𝒞 of every tuple, in its order, for both kinds of 𝒞. Guard
+weakening and strengthening, and the framing of exchange, are a second
+oracle that does not go through the per-frame bodies.
 Mutants of the stages (reading a part not yet bound, rejecting one more
 value) and of the search (boxes out of order) must be caught.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from functools import reduce
 
@@ -819,9 +821,23 @@ def ref_completion_boxes(sp, p):
     ]
 
 
+# a custom protocol on a P that is not a product: its 𝒞 table is asked of
+# the whole state
+INT_TABLE_DOC = {
+    "name": "int-table",
+    "protocol": {"kind": "int", "lo": -2, "hi": 3},
+    "storage": {"kind": "nat", "limit": 2},
+    "complete": {"table": [["int", 0], ["int", 2], ["int", 3]]},
+    "stored_of": {"table": [[["int", 0], ["int", 0]], [["int", 2], ["int", 1]],
+                            [["int", 3], ["int", 2]]]},
+}
+
+
 def assert_staged_boxes_in_product_order():
     """On cold memos: the staged search yields the tuple loop's boxes in
-    its order, and valid-fragment takes the first of them."""
+    its order, and valid-fragment takes the first of them. The locks and
+    the custom tables on a product state stages; the others give 𝒞 as one
+    function, the hash table's view on a product."""
     rw, rw_elems = build_rwlock((X0, X1))
     rwm, rwm_elems = build_rwlock_multi((X0, X1))
     compose = rw.protocol.compose_fn
@@ -832,9 +848,13 @@ def assert_staged_boxes_in_product_order():
                *outside_fragments(rwm_elems, lambda *ps: reduce(rwm.protocol.compose_fn, ps))]),
         (load_protocol(INT_EXCL_DOC)[0], None),
         (load_protocol(BOT_IN_C)[0], None),
+        (build_fractional(4, 2), None),
+        (build_counting()[0], None),
+        (build_hashtable_protocol(HASH, (tint(10),))[0], None),
+        (load_protocol(INT_TABLE_DOC)[0], None),
     ]
     for sp, fragments in cases:
-        assert sp.stages
+        assert bool(sp.stages) == (sp.name in ("rwlock", "rwlock-multi", "int-excl", "bot-in-c"))
         for p in fragments or carrier(sp.protocol):
             want = ref_completion_boxes(sp, p)
             assert next(protocol_module._completions(sp, p), None) == (want[0] if want else None)
@@ -844,6 +864,16 @@ def assert_staged_boxes_in_product_order():
 
 def test_staged_boxes_come_in_product_order():
     assert_staged_boxes_in_product_order()
+
+
+def test_a_replaced_complete_fn_spec_searches_the_same():
+    # the stages the search reads off complete_fn are not a field that
+    # dataclasses.replace passes on
+    sp = build_hashtable_protocol(HASH, (tint(10),))[0]
+    copy = dataclasses.replace(sp, name="copy", _cache={})
+    assert copy.complete_fn is sp.complete_fn and not copy.stages
+    for p in carrier(sp.protocol)[:60]:
+        assert list(completion_boxes(copy, p)) == ref_completion_boxes(sp, p)
 
 
 def test_a_search_out_of_product_order_is_caught(monkeypatch):
