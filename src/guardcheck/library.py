@@ -22,6 +22,7 @@ from .terms import (
     con_args,
     map_entries,
     map_get,
+    pretty,
     sort_terms,
     tbool,
     tcon,
@@ -54,8 +55,6 @@ __all__ = [
     "build_rwlock",
     "RwLockElems",
     "build_rwlock_multi",
-    "RwLockMultiElems",
-    "set_part",
     "HashFunctionSpec",
     "build_hashtable_monoid",
     "build_hashtable_protocol",
@@ -369,6 +368,24 @@ def build_fractional_memory(
     return StorageProtocolSpec("fractional-memory", protocol, storage, complete, stored_of)
 
 
+def _ctor(n: int, build):
+    """A named constructor: ``build(args)`` for exactly ``n`` argument terms."""
+
+    def ctor(args):
+        if len(args) != n:
+            raise ValueError(f"takes {n} argument(s), got {len(args)}")
+        return build(args)
+
+    return ctor
+
+
+def _payload(t: Term, tag: str):
+    """The payload of a named constructor's argument ``t``, a ``tag`` term."""
+    if t[0] != tag:
+        raise ValueError(f"expected a {tag}, got {pretty(t)}")
+    return t[1]
+
+
 @dataclass(frozen=True)
 class CountingElems:
     """Named elements of the counting protocol."""
@@ -389,8 +406,8 @@ class CountingElems:
     @property
     def constructors(self):
         return {
-            "ref": lambda args: self.ref(),
-            "counter": lambda args: self.counter(args[0][1]),
+            "ref": _ctor(0, lambda args: self.ref()),
+            "counter": _ctor(1, lambda args: self.counter(_payload(args[0], "int"))),
         }
 
 
@@ -451,159 +468,120 @@ def build_forever() -> StorageProtocolSpec:
 #
 # Both locks share one element layout, a 5-tuple
 #   (fields, exc-pending token, exc token, pending readers, reader agreement)
-# where fields is ex((exc flag, counter, value)) and reader agreement is
-# agn(value, readers). The single lock keeps one int counter, int pending
-# readers and the payload-free exc-pending token EX, and ignores every
-# counter index. The multi-counter lock keeps a tuple of k counters, one
-# pending count and one reader count per counter, and ex(j) for a writer
-# that has seen counters 0..j-1 at zero.
+# where fields is ex((exc flag, counters, value)) and reader agreement is
+# agn(value, readers). One class, RwLockElems, reads and writes it for
+# both locks, and the resolvers in studies.py go through its methods.
+# Those methods take counters as tuples of k counts. Its codec (_vec,
+# _counts and _token, and exc_pending_index, which reads a token back)
+# writes them as terms, and is the one place where the locks differ: the
+# single lock writes a count vector as one int and the pending-writer
+# token as EX; the multi-counter lock (vector=True, any k) writes a vector
+# as a k-tuple and the token as ex(j), for a writer that has seen
+# counters 0..j-1 at zero. A lock's builder uses the same codec for the
+# counters and tokens in its carrier.
 
 
-def set_part(p: Term, i: int, v: Term) -> Term:
+def _set_part(p: Term, i: int, v: Term) -> Term:
     """The tuple ``p`` with its i-th part replaced by ``v``."""
     return ttuple(*p[1][:i], v, *p[1][i + 1 :])
 
 
 @dataclass(frozen=True)
 class RwLockElems:
-    """Named elements of the single-counter reader-writer lock."""
+    """Named elements of a lock with ``k`` counters; an index j defaults to 0."""
 
     values: tuple[Term, ...]
-    k = 1  # counters
+    k: int = 1
+    vector: bool = False
 
-    def fields(self, exc: bool, rc: int, x: Term) -> Term:
-        return ttuple(ex(ttuple(tbool(exc), tint(rc), x)), UNIT, UNIT, tint(0), UNIT)
+    def _vec(self, counts: tuple[int, ...]) -> Term:
+        return ttuple(*(tint(c) for c in counts)) if self.vector else tint(counts[0])
 
-    def exc_pending(self, j: int = 0) -> Term:
-        return ttuple(UNIT, EX, UNIT, tint(0), UNIT)
+    def _counts(self, t: Term) -> tuple[int, ...]:
+        return tuple(c[1] for c in t[1]) if self.vector else (t[1],)
 
-    def exc(self) -> Term:
-        return ttuple(UNIT, UNIT, EX, tint(0), UNIT)
+    def _token(self, j: int) -> Term:
+        return ex(tint(j)) if self.vector else EX
 
-    def sh_pending(self) -> Term:
-        return ttuple(UNIT, UNIT, UNIT, tint(1), UNIT)
+    def _unit_vec(self, j: int) -> tuple[int, ...]:
+        if not 0 <= j < self.k:
+            raise ValueError(f"counter index {j} out of range [0, {self.k})")
+        return tuple(int(i == j) for i in range(self.k))
 
-    def sh(self, x: Term) -> Term:
-        return ttuple(UNIT, UNIT, UNIT, tint(0), tcon("agn", x, tint(1)))
+    def _no_readers(self) -> Term:
+        return self._vec((0,) * self.k)
 
-    # -- the index-based interface of the lock resolvers and properties
-
-    def fields_of(self, p: Term) -> tuple[bool, int, Term] | None:
-        got = con_args(p[1][0], "ex")
-        if got is None:
-            return None
-        exc_t, rc_t, x = got[0][1]
-        return exc_t[1], rc_t[1], x
-
-    def exc_pending_index(self, p: Term) -> int | None:
-        return 0 if p[1][1] != UNIT else None
-
-    def has_exc(self, p: Term) -> bool:
-        return p[1][2] != UNIT
-
-    def add_count(self, rc: int, j: int, delta: int) -> int:
-        return rc + delta
-
-    def pending(self, p: Term, j: int) -> int:
-        return p[1][3][1]
-
-    def add_pending(self, p: Term, j: int, delta: int) -> Term:
-        return set_part(p, 3, tint(p[1][3][1] + delta))
-
-    def reader(self, j: int, x: Term) -> Term:
-        return self.sh(x)
-
-    def release_reader(self, p: Term, j: int) -> Term | None:
-        got = con_args(p[1][4], "agn")
-        if got is None:
-            return None
-        y, n = got[0], got[1][1]
-        return UNIT if n == 1 else tcon("agn", y, tint(n - 1))
-
-    def sh_value(self, p: Term) -> Term | None:
-        got = con_args(p[1][4], "agn")
-        return got[0] if got else None
-
-    @property
-    def constructors(self):
-        return {
-            "fields": lambda args: self.fields(args[0][1], args[1][1], args[2]),
-            "excPending": lambda args: self.exc_pending(),
-            "exc": lambda args: self.exc(),
-            "shPending": lambda args: self.sh_pending(),
-            "sh": lambda args: self.sh(args[0]),
-        }
-
-
-@dataclass(frozen=True)
-class RwLockMultiElems:
-    """Named elements of the multi-counter reader-writer lock."""
-
-    values: tuple[Term, ...]
-    k: int
-
-    def _vec(self, counts) -> Term:
-        return ttuple(*(tint(c) for c in counts))
-
-    def _unit_vec(self, j: int) -> Term:
-        return self._vec(int(i == j) for i in range(self.k))
-
-    def fields(self, exc: bool, rcs: tuple[int, ...], x: Term) -> Term:
+    def fields(self, exc: bool, rc, x: Term) -> Term:
+        """The fields with counters ``rc``: an int or a k-tuple."""
+        rcs = (rc,) if isinstance(rc, int) else tuple(rc)
         if len(rcs) != self.k:
             raise ValueError(f"need {self.k} counters")
         return ttuple(
-            ex(ttuple(tbool(exc), self._vec(rcs), x)), UNIT, UNIT, self._vec([0] * self.k), UNIT
+            ex(ttuple(tbool(exc), self._vec(rcs), x)), UNIT, UNIT, self._no_readers(), UNIT
         )
 
     def exc_pending(self, j: int = 0) -> Term:
         if not 0 <= j <= self.k:
             raise ValueError("checked-counter index out of range")
-        return ttuple(UNIT, ex(tint(j)), UNIT, self._vec([0] * self.k), UNIT)
+        return ttuple(UNIT, self._token(j), UNIT, self._no_readers(), UNIT)
 
     def exc(self) -> Term:
-        return ttuple(UNIT, UNIT, EX, self._vec([0] * self.k), UNIT)
+        return ttuple(UNIT, UNIT, EX, self._no_readers(), UNIT)
 
-    def sh_pending(self, k: int) -> Term:
-        return ttuple(UNIT, UNIT, UNIT, self._unit_vec(k), UNIT)
+    def sh_pending(self, j: int = 0) -> Term:
+        return ttuple(UNIT, UNIT, UNIT, self._vec(self._unit_vec(j)), UNIT)
 
-    def sh(self, k: int, x: Term) -> Term:
-        return ttuple(
-            UNIT, UNIT, UNIT, self._vec([0] * self.k), tcon("agn", x, self._unit_vec(k))
-        )
+    def sh(self, *args) -> Term:
+        """A reader token, sh(x) or sh(j, x): agreement on x, on counter j."""
+        j, x = args if len(args) == 2 else (0, *args)
+        agn = tcon("agn", x, self._vec(self._unit_vec(j)))
+        return ttuple(UNIT, UNIT, UNIT, self._no_readers(), agn)
+
+    # -- the interface of the lock resolvers and properties
 
     def fields_of(self, p: Term) -> tuple[bool, tuple[int, ...], Term] | None:
         got = con_args(p[1][0], "ex")
         if got is None:
             return None
-        exc_t, rcs_t, x = got[0][1]
-        return exc_t[1], tuple(c[1] for c in rcs_t[1]), x
+        exc_t, rc_t, x = got[0][1]
+        return exc_t[1], self._counts(rc_t), x
 
     def exc_pending_index(self, p: Term) -> int | None:
+        if not self.vector:
+            return None if p[1][1] == UNIT else 0
         got = con_args(p[1][1], "ex")
         return got[0][1] if got else None
 
     def has_exc(self, p: Term) -> bool:
         return p[1][2] != UNIT
 
+    def take_exc(self, p: Term) -> Term:
+        """``p`` with its pending-writer token traded for the exc token."""
+        return _set_part(_set_part(p, 1, UNIT), 2, EX)
+
+    def drop_exc(self, p: Term) -> Term:
+        return _set_part(p, 2, UNIT)
+
+    def seen_zero(self, p: Term, j: int) -> Term:
+        """``p`` with its writer token recording counters 0..j at zero."""
+        return _set_part(p, 1, self._token(j + 1))
+
     def add_count(self, rcs: tuple[int, ...], j: int, delta: int) -> tuple[int, ...]:
         return rcs[:j] + (rcs[j] + delta,) + rcs[j + 1 :]
 
     def pending(self, p: Term, j: int) -> int:
-        return p[1][3][1][j][1]
+        return self._counts(p[1][3])[j]
 
     def add_pending(self, p: Term, j: int, delta: int) -> Term:
-        counts = tuple(c[1] for c in p[1][3][1])
-        return set_part(p, 3, self._vec(self.add_count(counts, j, delta)))
-
-    def reader(self, j: int, x: Term) -> Term:
-        return self.sh(j, x)
+        return _set_part(p, 3, self._vec(self.add_count(self._counts(p[1][3]), j, delta)))
 
     def release_reader(self, p: Term, j: int) -> Term | None:
+        """``p`` less one reader on counter j, or None without one."""
         got = con_args(p[1][4], "agn")
-        if got is None or got[1][1][j][1] < 1:
+        if got is None or self._counts(got[1])[j] < 1:
             return None
-        counts = self.add_count(tuple(c[1] for c in got[1][1]), j, -1)
-        return tcon("agn", got[0], self._vec(counts)) if any(counts) else UNIT
+        counts = self.add_count(self._counts(got[1]), j, -1)
+        return _set_part(p, 4, tcon("agn", got[0], self._vec(counts)) if any(counts) else UNIT)
 
     def sh_value(self, p: Term) -> Term | None:
         got = con_args(p[1][4], "agn")
@@ -611,30 +589,43 @@ class RwLockMultiElems:
 
     @property
     def constructors(self):
+        n = int(self.vector)  # the multi lock's pending and reader tokens name their counter
+
+        def index(args):
+            return _payload(args[0], "int") if self.vector else 0
+
+        def fields(args):
+            rcs = self._counts(args[1])
+            if self._vec(rcs) != args[1]:  # written as this lock writes counters
+                raise ValueError(f"{pretty(args[1])} is not a counter term of this lock")
+            return self.fields(_payload(args[0], "bool"), rcs, args[2])
+
         return {
-            "fields": lambda args: self.fields(
-                args[0][1], tuple(c[1] for c in args[1][1]), args[2]
-            ),
-            "excPending": lambda args: self.exc_pending(args[0][1]),
-            "exc": lambda args: self.exc(),
-            "shPending": lambda args: self.sh_pending(args[0][1]),
-            "sh": lambda args: self.sh(args[0][1], args[1]),
+            "fields": _ctor(3, fields),
+            "excPending": _ctor(n, lambda args: self.exc_pending(index(args))),
+            "exc": _ctor(0, lambda args: self.exc()),
+            "shPending": _ctor(n, lambda args: self.sh_pending(index(args))),
+            "sh": _ctor(n + 1, lambda args: self.sh(index(args), args[-1])),
         }
 
 
-def _build_rwlock_protocol(name, prefix, values, counters, c_ep, c_sp, c_sh, counts_ok):
-    """The lock protocol over the shared layout, with ``counters`` the
-    fields' counter terms. 𝒞 is stated as one stage per part (see
-    :class:`StorageProtocolSpec`), each checking what the parts bound so
-    far decide: no part is ⊥, the fields are an ``ex``, the exc flag is
-    set exactly when one writer token is out, a writer excludes readers,
-    readers agree with the fields value, and ``counts_ok(rc, spc, agn,
-    ep)``. That last asks whether each fields counter ``rc`` equals its
-    pending readers ``spc`` plus its acquired readers (``agn``, the
+def _build_rwlock_protocol(name, prefix, elems, rc_range, c_sp, c_sh, counts_ok):
+    """The lock protocol over the shared layout, its counters in
+    ``rc_range`` and written by ``elems``. 𝒞 is stated as one stage per
+    part (see :class:`StorageProtocolSpec`), each checking what the parts
+    bound so far decide: no part is ⊥, the fields are an ``ex``, the exc
+    flag is set exactly when one writer token is out, a writer excludes
+    readers, readers agree with the fields value, and ``counts_ok(rc, spc,
+    agn, ep)``. That last asks whether each fields counter ``rc`` equals
+    its pending readers ``spc`` plus its acquired readers (``agn``, the
     agreement's arguments, None without readers), and whatever else the
     lock's writer token ``ep`` says about them."""
+    ranges = [range(rc_range[0], rc_range[1] + 1)] * elems.k
+    counters = [elems._vec(rcs) for rcs in itertools.product(*ranges)]
+    values = elems.values
     payloads = [ttuple(tbool(e), c, x) for e in (False, True) for c in counters for x in values]
     c_fields = build_excl(tuple(payloads), name=f"{prefix}-fields")
+    c_ep = _excl(f"{prefix}-ep", {elems._token(j) for j in range(elems.k + 1)})
     c_e = _excl(f"{prefix}-e", [EX])
     product = build_product(f"{name}-protocol", [c_fields, c_ep, c_e, c_sp, c_sh], total=True)
     storage = build_excl(values, name=f"{prefix}-storage")
@@ -695,12 +686,11 @@ def build_rwlock(
     def counts_ok(rc, spc, agn, ep):
         return rc[1] == spc[1] + (agn[1][1] if agn else 0)
 
-    c_ep = _excl("rw-ep", [EX])
+    elems = RwLockElems(tuple(values))
     c_sp = build_nat(sp_max, name="rw-sp")
     c_sh = build_agn(values, agn_max, name="rw-sh")
-    counters = [tint(rc) for rc in range(rc_range[0], rc_range[1] + 1)]
-    sp = _build_rwlock_protocol("rwlock", "rw", values, counters, c_ep, c_sp, c_sh, counts_ok)
-    return sp, RwLockElems(tuple(values))
+    sp = _build_rwlock_protocol("rwlock", "rw", elems, rc_range, c_sp, c_sh, counts_ok)
+    return sp, elems
 
 
 def build_rwlock_multi(
@@ -709,7 +699,7 @@ def build_rwlock_multi(
     rc_range: tuple[int, int] = (-1, 2),
     sp_max: int = 1,
     agn_max: int = 1,
-) -> tuple[StorageProtocolSpec, RwLockMultiElems]:
+) -> tuple[StorageProtocolSpec, RwLockElems]:
     """Multi-counter variant: one reference counter per reader class, the
     writer checks them in order and records how many it has seen at zero."""
     c_sp = build_product("rwm-sp", [build_nat(sp_max)] * k)
@@ -722,16 +712,10 @@ def build_rwlock_multi(
         checked = con_args(ep, "ex")  # counters the writer has seen at zero
         return checked is None or not any(n[1] for n in readers[: checked[0][1]])
 
-    counters = [
-        ttuple(*(tint(c) for c in vec))
-        for vec in itertools.product(range(rc_range[0], rc_range[1] + 1), repeat=k)
-    ]
-    c_ep = build_excl(tuple(tint(j) for j in range(k + 1)), name="rwm-ep")
+    elems = RwLockElems(tuple(values), k, vector=True)
     c_sh = build_agnvec(values, k, agn_max, name="rwm-sh")
-    sp = _build_rwlock_protocol(
-        "rwlock-multi", "rwm", values, counters, c_ep, c_sp, c_sh, counts_ok
-    )
-    return sp, RwLockMultiElems(tuple(values), k)
+    sp = _build_rwlock_protocol("rwlock-multi", "rwm", elems, rc_range, c_sp, c_sh, counts_ok)
+    return sp, elems
 
 
 # ---------------------------------------------------------------------------

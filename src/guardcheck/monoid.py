@@ -93,7 +93,7 @@ class MonoidSpec:
     valid_fn: Callable[[Term], bool]
     enumerator: ElementEnumerator
     parts: tuple["MonoidSpec", ...] = ()
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def bounded(self) -> bool:

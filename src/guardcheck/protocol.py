@@ -86,7 +86,7 @@ class StorageProtocolSpec:
     complete_fn: Callable[[Term], bool] | None
     stored_of_fn: Callable[[Term], Term]
     stages: tuple[Stage, ...] = ()
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
     _complete: Callable[[Term], bool] = field(init=False, repr=False)
     _search: tuple[Stage, ...] = field(init=False, repr=False)  # what the search checks
 

@@ -48,17 +48,7 @@ from .lang import (
     store,
     var,
 )
-from .library import (
-    EX,
-    NONE,
-    HashFunctionSpec,
-    HashTableElems,
-    RwLockElems,
-    RwLockMultiElems,
-    ex,
-    set_part,
-    some,
-)
+from .library import NONE, HashFunctionSpec, HashTableElems, RwLockElems, ex, some
 from .terms import (
     UNIT,
     Term,
@@ -124,8 +114,10 @@ def _prop(name, kind, **params):
 # Reader-writer lock resolvers
 #
 # One resolver per lock step serves both locks, under its rw.X and its
-# rwm.X name: the lock's Elems read and update counters by index, and the
-# single lock ignores the index. Only the writer's check differs:
+# rwm.X name. The resolvers read and change the lock's fragments only
+# through RwLockElems, by counter index (the single lock has one counter),
+# and never see how a lock writes its elements. Only the writer's check
+# differs:
 # rw.exc-acquire withdraws at once, rwm.exc-progress records counter j and
 # withdraws after the last one. The args the lock and table resolvers read
 # (_counter range-checks "counter"):
@@ -137,7 +129,7 @@ def _lock_elems(scenario: Scenario, iid):
     """The named elements of instance ``iid``, a reader-writer lock. On
     another instance, the ValueError fails the step or the property."""
     named = scenario.named.get(iid)
-    if not isinstance(named, (RwLockElems, RwLockMultiElems)):
+    if not isinstance(named, RwLockElems):
         raise ValueError(f"instance {iid!r} is not a reader-writer lock")
     return named
 
@@ -167,10 +159,9 @@ def _update(ctx, iid, region, mine, note, kind="update", **moved):
     return ExchangeAction(iid, updates, kind=kind, note=note, **moved)
 
 
-def _withdraw(ctx, iid, region, mine, x, note):
+def _withdraw(ctx, iid, named, region, mine, x, note):
     """The writer trades its pending token for the exc token and takes x."""
-    acquired = set_part(set_part(mine, 1, UNIT), 2, EX)
-    return _update(ctx, iid, region, acquired, note, "withdraw", withdrawn=ex(x))
+    return _update(ctx, iid, region, named.take_exc(mine), note, "withdraw", withdrawn=ex(x))
 
 
 def _lock_step(*names, args=_INSTANCE):
@@ -204,7 +195,7 @@ def _rw_exc_acquire(ctx, entry, iid, sp, named, region, mine, got):
     if named.exc_pending_index(mine) is None:
         return GhostViolation("missing-token", iid, detail="no pending-exclusive token")
     note = "exclusive lock acquired, content withdrawn"
-    return [_withdraw(ctx, iid, region, mine, got[2], note)]
+    return [_withdraw(ctx, iid, named, region, mine, got[2], note)]
 
 
 @_lock_step("rwm.exc-progress", args=_COUNTED)
@@ -217,11 +208,11 @@ def _rwm_exc_progress(ctx, entry, iid, sp, named, region, mine, got):
         return GhostViolation(
             "wrong-counter", iid, detail=f"checked counter {counter}, expected {j}"
         )
-    seen = set_part(mine, 1, named.exc_pending(j + 1)[1][1])  # counters 0..j seen at zero
+    seen = named.seen_zero(mine, j)
     actions = [_update(ctx, iid, region, seen, f"counter {j} observed zero")]
     if j + 1 == named.k:
         note = "all counters checked, content withdrawn"
-        actions.append(_withdraw(ctx, iid, region, mine, got[2], note))
+        actions.append(_withdraw(ctx, iid, named, region, mine, got[2], note))
     return actions
 
 
@@ -241,7 +232,7 @@ def _rw_exc_release(ctx, entry, iid, sp, named, region, mine, got):
             ctx,
             iid,
             named.fields(False, got[1], x_new),
-            set_part(mine, 2, UNIT),
+            named.drop_exc(mine),
             "exclusive lock released, content deposited",
             "deposit",
             deposited=ex(x_new),
@@ -265,7 +256,7 @@ def _rw_shared_acquire(ctx, entry, iid, sp, named, region, mine, got):
     j = _counter(entry, named)
     if named.pending(mine, j) < 1:
         return GhostViolation("missing-token", iid, detail="no pending-reader token")
-    reader = sp.protocol.compose_fn(named.add_pending(mine, j, -1), named.reader(j, got[2]))
+    reader = sp.protocol.compose_fn(named.add_pending(mine, j, -1), named.sh(j, got[2]))
     return [_update(ctx, iid, region, reader, "shared lock acquired")]
 
 
@@ -287,7 +278,7 @@ def _rw_shared_release(ctx, entry, iid, sp, named, region, mine, got):
     if released is None:
         return GhostViolation("missing-token", iid, detail="no reader token held")
     fields = named.fields(exc_b, named.add_count(rc, j, -1), x)
-    return [_update(ctx, iid, fields, set_part(mine, 4, released), "shared lock released")]
+    return [_update(ctx, iid, fields, released, "shared lock released")]
 
 
 @register_resolver("rw.shared-read", "rwm.shared-read", args={**_COUNTED, "raw_cell": "bool"})
@@ -316,21 +307,18 @@ def _rw_shared_read(ctx, entry):
 @register_property("rw-mutual-exclusion", reads_threads=False, params={"instance": "instance"})
 def _prop_rw_mutex(scenario, state, prop):
     iid = prop.param("instance")
-    _lock_elems(scenario, iid)
+    named = _lock_elems(scenario, iid)
     fragments = state.ledger.instance(iid).fragments
-    holders = [o for o, el in fragments if el[1][2] != UNIT]
+    holders = [o for o, el in fragments if named.has_exc(el)]
     return len(holders) <= 1, f"{iid}: exclusive holders {holders}"
 
 
 @register_property("rw-reader-agreement", reads_threads=False, params={"instance": "instance"})
 def _prop_rw_agree(scenario, state, prop):
     iid = prop.param("instance")
-    _lock_elems(scenario, iid)
-    values = set()
-    for _, el in state.ledger.instance(iid).fragments:
-        got = con_args(el[1][4], "agn")
-        if got is not None:
-            values.add(got[0])
+    named = _lock_elems(scenario, iid)
+    values = {named.sh_value(el) for _, el in state.ledger.instance(iid).fragments}
+    values.discard(None)
     return len(values) <= 1, f"{iid}: readers disagree: {[pretty(v) for v in values]}"
 
 
@@ -346,12 +334,11 @@ def _prop_rw_fields(scenario, state, prop):
     got = named.fields_of(region)
     if got is None:
         return False, f"{iid}: region fragment lost"
-    exc_b, rc, _ = got
+    exc_b, rcs, _ = got
     heap_exc = state.machine.heap_value(scenario.cell_loc(prop.param("exc_cell")))
     if heap_exc != tbool(exc_b):
         return False, f"{iid}: exc flag ghost {exc_b} vs heap {pretty(heap_exc)}"
     rc_cells = prop.param("rc_cells")
-    rcs = rc if isinstance(rc, tuple) else (rc,)
     if len(rc_cells) != len(rcs):
         return False, f"{iid}: {len(rc_cells)} counter cells for {len(rcs)} counters"
     for k, cell in enumerate(rc_cells):
@@ -446,8 +433,7 @@ def _lock_instance(iid, named, x0, exc_cell, rc_cells, cell, sfx="", **stored):
     """Lock instance ``iid``'s region fragment (flag clear, counters zero,
     content ``x0``) and its four rw-* properties, named with ``sfx``;
     ``stored`` holds more arguments of its stored-matches-cell property."""
-    rc0 = (0,) * len(rc_cells) if len(rc_cells) > 1 else 0
-    fragments = ((_region(iid), named.fields(False, rc0, x0)),)
+    fragments = ((_region(iid), named.fields(False, (0,) * named.k, x0)),)
     return fragments, [
         _prop(f"mutual-exclusion{sfx}", "rw-mutual-exclusion", instance=iid),
         _prop(f"reader-agreement{sfx}", "rw-reader-agreement", instance=iid),

@@ -203,6 +203,21 @@ NOT_IN_CARRIER = {
     "guard-p": {"kind": "guard", "p": ["int", 1], "s": ["unit"]},
     "short-tuple": {"kind": "valid-fragment", "p": ["tuple", [["unit"]]]},
 }
+# named constructors given the wrong number or kind of args: each extra
+# arg was once dropped, the single lock's sh would take the multi lock's
+# form, and an arg's payload was read whatever its tag
+BAD_NAMED_ARGS = {
+    "exc-arity": (RWLOCK, ["named", "exc", [["int", 5]]]),
+    "excPending-arity": (RWLOCK, ["named", "excPending", [["int", 0]]]),
+    "shPending-arity": (RWLOCK, ["named", "shPending", [["int", 0]]]),
+    "sh-arity": (RWLOCK, ["named", "sh", [["int", 0], ["sym", "x0"]]]),
+    "ref-arity": (COUNTING, ["named", "ref", [["int", 0]]]),
+    "fields-int-flag": (RWLOCK, ["named", "fields", [["int", 0], ["int", 0], ["sym", "x0"]]]),
+    "fields-frac-counter": (
+        RWLOCK, ["named", "fields", [["bool", False], ["frac", 1, 2], ["sym", "x0"]]]
+    ),
+    "counter-frac": (COUNTING, ["named", "counter", [["frac", 1, 2]]]),
+}
 
 
 @pytest.mark.parametrize(
@@ -220,6 +235,10 @@ NOT_IN_CARRIER = {
         for query in NOT_IN_CARRIER.values()
     ]
     + [
+        (doc, {"queries": [{"kind": "valid-fragment", "p": p}]})
+        for doc, p in BAD_NAMED_ARGS.values()
+    ]
+    + [
         ({"builtin": "fractional"},
          {"queries": [{"kind": "guard", "p": ["map", [[["int", 1]]]], "s": ["int", 1]}]}),
         ({"builtin": "fractional"},
@@ -228,6 +247,7 @@ NOT_IN_CARRIER = {
     ],
     ids=["query-not-object", "queries-not-list", "bad-term", "missing-field", "bare-named"]
     + [f"{name}-{case}" for name in ("counting", "rwlock") for case in NOT_IN_CARRIER]
+    + [f"named-{name}" for name in BAD_NAMED_ARGS]
     + ["map-entry-not-a-pair", "field-not-read"],
 )
 def test_malformed_relations_exit_2_without_traceback(tmp_path, protocol_doc, relations):

@@ -36,7 +36,7 @@ from guardcheck.protocol import (
     guard_holds,
     valid_fragment,
 )
-from guardcheck.terms import BOT, UNIT, tcon, tfrac, tint, tmap, tsym, ttuple
+from guardcheck.terms import BOT, UNIT, tbool, tcon, tfrac, tint, tmap, tsym, ttuple
 
 X0, X1 = tsym("x0"), tsym("x1")
 
@@ -291,6 +291,121 @@ class TestRwLockMulti:
 
     def test_shared_guard(self):
         assert guard_holds(RWM, RWME.sh(1, X0), ex(X0)).ok
+
+
+# spelt-out lock terms
+F, T, U, I, EX = tbool(False), tbool(True), UNIT, tint, tcon("ex")
+
+
+class TestRwLockEncodings:
+    """One element class writes both locks. The terms are spelt out here,
+    so a change to how a lock writes its counters or tokens fails: the
+    single lock writes counters as an int and the pending-writer token as
+    EX, the multi-counter lock (also with one counter) a tuple and ex(j)."""
+
+    @staticmethod
+    def named(elems, name, *args):
+        return elems.constructors[name](list(args))
+
+    def test_single_lock(self):
+        _, e = build_rwlock((X0, X1))
+        fields = ttuple(ex(ttuple(F, I(1), X0)), U, U, I(0), U)
+        assert e.fields(False, 1, X0) == e.fields(False, (1,), X0) == fields
+        assert self.named(e, "fields", F, I(1), X0) == fields
+        pending_w = ttuple(U, EX, U, I(0), U)
+        assert e.exc_pending() == self.named(e, "excPending") == pending_w
+        exc = ttuple(U, U, EX, I(0), U)
+        assert e.exc() == self.named(e, "exc") == exc
+        pending_r = ttuple(U, U, U, I(1), U)
+        assert e.sh_pending() == self.named(e, "shPending") == pending_r
+        reader = ttuple(U, U, U, I(0), tcon("agn", X0, I(1)))
+        assert e.sh(X0) == e.sh(0, X0) == self.named(e, "sh", X0) == reader
+
+        assert e.fields_of(ttuple(ex(ttuple(T, I(2), X1)), U, U, I(0), U)) == (True, (2,), X1)
+        assert e.fields_of(exc) is None
+        assert e.exc_pending_index(pending_w) == 0 and e.exc_pending_index(exc) is None
+        assert e.has_exc(exc) and not e.has_exc(pending_w)
+        assert e.take_exc(pending_w) == exc
+        assert e.drop_exc(exc) == ttuple(U, U, U, I(0), U)
+        assert e.seen_zero(pending_w, 0) == pending_w
+        assert e.pending(pending_r, 0) == 1 and e.pending(exc, 0) == 0
+        assert e.add_pending(pending_r, 0, 1) == ttuple(U, U, U, I(2), U)
+        two = ttuple(U, U, U, I(0), tcon("agn", X0, I(2)))
+        assert e.release_reader(two, 0) == reader
+        assert e.release_reader(reader, 0) == ttuple(U, U, U, I(0), U)
+        assert e.release_reader(exc, 0) is None
+        assert e.sh_value(two) == X0 and e.sh_value(exc) is None
+
+    def test_multi_lock(self):
+        _, e = build_rwlock_multi((X0, X1), 2)
+        none = ttuple(I(0), I(0))
+        fields = ttuple(ex(ttuple(F, ttuple(I(0), I(1)), X0)), U, U, none, U)
+        assert e.fields(False, (0, 1), X0) == fields
+        assert self.named(e, "fields", F, ttuple(I(0), I(1)), X0) == fields
+        pending_w = ttuple(U, ex(I(1)), U, none, U)
+        assert e.exc_pending(1) == self.named(e, "excPending", I(1)) == pending_w
+        exc = ttuple(U, U, EX, none, U)
+        assert e.exc() == self.named(e, "exc") == exc
+        pending_r = ttuple(U, U, U, ttuple(I(0), I(1)), U)
+        assert e.sh_pending(1) == self.named(e, "shPending", I(1)) == pending_r
+        reader = ttuple(U, U, U, none, tcon("agn", X0, ttuple(I(0), I(1))))
+        assert e.sh(1, X0) == self.named(e, "sh", I(1), X0) == reader
+
+        got = e.fields_of(ttuple(ex(ttuple(T, ttuple(I(2), I(-1)), X1)), U, U, none, U))
+        assert got == (True, (2, -1), X1)
+        assert e.exc_pending_index(pending_w) == 1 and e.exc_pending_index(exc) is None
+        assert e.has_exc(exc) and not e.has_exc(pending_w)
+        assert e.take_exc(pending_w) == exc
+        assert e.drop_exc(exc) == ttuple(U, U, U, none, U)
+        assert e.seen_zero(pending_w, 1) == ttuple(U, ex(I(2)), U, none, U)
+        assert e.pending(pending_r, 1) == 1 and e.pending(pending_r, 0) == 0
+        assert e.add_pending(pending_r, 0, 1) == ttuple(U, U, U, ttuple(I(1), I(1)), U)
+        both = ttuple(U, U, U, none, tcon("agn", X0, ttuple(I(1), I(1))))
+        assert e.release_reader(both, 0) == reader
+        assert e.release_reader(reader, 1) == ttuple(U, U, U, none, U)
+        assert e.release_reader(reader, 0) is None
+        assert e.sh_value(both) == X0 and e.sh_value(exc) is None
+
+    def test_multi_lock_with_one_counter_keeps_tuples(self):
+        _, e = build_rwlock_multi((X0, X1), 1)
+        none = ttuple(I(0))
+        fields = ttuple(ex(ttuple(F, ttuple(I(1)), X0)), U, U, none, U)
+        assert e.fields(False, (1,), X0) == e.fields(False, 1, X0) == fields
+        assert self.named(e, "fields", F, ttuple(I(1)), X0) == fields
+        pending_w = ttuple(U, ex(I(0)), U, none, U)
+        assert e.exc_pending(0) == self.named(e, "excPending", I(0)) == pending_w
+        exc = ttuple(U, U, EX, none, U)
+        assert e.exc() == self.named(e, "exc") == exc
+        pending_r = ttuple(U, U, U, ttuple(I(1)), U)
+        assert e.sh_pending(0) == self.named(e, "shPending", I(0)) == pending_r
+        reader = ttuple(U, U, U, none, tcon("agn", X0, ttuple(I(1))))
+        assert e.sh(0, X0) == self.named(e, "sh", I(0), X0) == reader
+
+        assert e.fields_of(ttuple(ex(ttuple(T, ttuple(I(2)), X1)), U, U, none, U)) == (
+            True, (2,), X1,
+        )
+        assert e.exc_pending_index(pending_w) == 0 and e.exc_pending_index(exc) is None
+        assert e.take_exc(pending_w) == exc
+        assert e.drop_exc(exc) == ttuple(U, U, U, none, U)
+        assert e.seen_zero(pending_w, 0) == ttuple(U, ex(I(1)), U, none, U)
+        assert e.pending(pending_r, 0) == 1
+        assert e.add_pending(pending_r, 0, 1) == ttuple(U, U, U, ttuple(I(2)), U)
+        two = ttuple(U, U, U, none, tcon("agn", X0, ttuple(I(2))))
+        assert e.release_reader(two, 0) == reader
+        assert e.release_reader(reader, 0) == ttuple(U, U, U, none, U)
+        assert e.release_reader(exc, 0) is None
+        assert e.sh_value(two) == X0 and e.sh_value(exc) is None
+
+    def test_named_constructors_take_their_own_forms(self):
+        single, multi = build_rwlock((X0,))[1], build_rwlock_multi((X0,), 1)[1]
+        with pytest.raises(ValueError):
+            self.named(single, "sh", I(0), X0)
+        with pytest.raises(ValueError):
+            self.named(multi, "sh", X0)
+        with pytest.raises(ValueError):
+            self.named(single, "fields", F, ttuple(I(0)), X0)
+        with pytest.raises((TypeError, ValueError)):
+            self.named(multi, "fields", F, I(0), X0)
 
 
 HASH = HashFunctionSpec(3, ((tint(0), 0), (tint(1), 0)))

@@ -95,7 +95,7 @@ from guardcheck.protocol import (
     valid_fragment,
 )
 from guardcheck.terms import (
-    BOT, UNIT, con_args, pretty, term_from_json as term, tint, tsym, ttuple,
+    BOT, UNIT, con_args, pretty, term_from_json as term, tfrac, tint, tsym, ttuple,
 )
 from test_acceptance import _paired_monoid
 
@@ -870,10 +870,22 @@ def test_a_replaced_complete_fn_spec_searches_the_same():
     # the stages the search reads off complete_fn are not a field that
     # dataclasses.replace passes on
     sp = build_hashtable_protocol(HASH, (tint(10),))[0]
-    copy = dataclasses.replace(sp, name="copy", _cache={})
+    copy = dataclasses.replace(sp, name="copy")
     assert copy.complete_fn is sp.complete_fn and not copy.stages
     for p in carrier(sp.protocol)[:60]:
         assert list(completion_boxes(copy, p)) == ref_completion_boxes(sp, p)
+
+
+def test_a_replaced_spec_does_not_share_its_cache():
+    # a copy with another 𝒞 must not serve the original's memoised verdicts
+    sp = build_fractional(4, 2)
+    half = tfrac(1, 2)
+    assert valid_fragment(sp, half)
+    never = dataclasses.replace(sp, complete_fn=lambda p: False)
+    assert not valid_fragment(never, half)
+    assert completion_boxes(never, half) == ()
+    total = dataclasses.replace(sp.protocol, name="copy")
+    assert total._cache == {} and sp.protocol._cache
 
 
 def test_a_search_out_of_product_order_is_caught(monkeypatch):

@@ -9,7 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 from guardcheck.demos import load_demo_document
-from guardcheck.explore import RESOLVERS, ResolveCtx, ScriptEntry, explore, replay
+from guardcheck.explore import (
+    RESOLVERS, ResolveCtx, ScriptEntry, check_property, explore, initial_state, replay,
+)
 from guardcheck.formats import dumps, result_to_json, scenario_from_json, scenario_to_json
 from guardcheck.ghost import (
     ExchangeAction,
@@ -134,6 +136,19 @@ class TestRwLockScenario:
     def test_unlocked_variant_races(self):
         r = explore(build_race_scenario(readers=2, writers=1))
         assert r.ok and r.stuck_count >= 1
+
+    @pytest.mark.parametrize("counters, rc_cells, detail", [
+        (1, ("rc0", "cell"), "lock: 2 counter cells for 1 counters"),
+        (2, ("rc0",), "lock: 1 counter cells for 2 counters"),
+    ])
+    def test_fields_match_heap_counts_the_counter_cells(self, counters, rc_cells, detail):
+        s = build_rwlock_scenario(RwLockScenarioParams(counters=counters, writers=(("incr", 1),)))
+        prop = next(p for p in s.properties if p.kind == "rw-fields-match-heap")
+        assert check_property(s, initial_state(s), prop) == (True, "")
+        wrong = dataclasses.replace(prop, params=tuple(
+            (k, rc_cells if k == "rc_cells" else v) for k, v in prop.params
+        ))
+        assert check_property(s, initial_state(s), wrong) == (False, detail)
 
     def test_multi_counter_smoke(self):
         s = build_rwlock_scenario(
