@@ -87,9 +87,9 @@ def _verdict_json(q: dict, verdict: str, witness, reason: str) -> dict:
     }
 
 
-def run_check(protocol_doc: dict, relations_doc: dict | None, law_limits=None) -> dict:
+def run_check(protocol_doc: dict, relations_doc: dict | None) -> dict:
     sp, named = load_protocol(protocol_doc)
-    wf = check_wellformed(sp, **(law_limits or {}))
+    wf = check_wellformed(sp)
     queries = []
     if relations_doc is not None:
         for q in load_queries(relations_doc, named, sp):

@@ -31,7 +31,7 @@ from .library import (
     build_frac,
     build_fractional,
     build_fractional_memory,
-    build_hashtable_monoid,
+    build_hashtable_protocol,
     build_int,
     build_nat,
     build_product,
@@ -39,7 +39,6 @@ from .library import (
     build_rwlock_multi,
     build_table_monoid,
     build_trivial,
-    pcm_as_protocol,
 )
 from .monoid import MonoidSpec, is_element
 from .protocol import StorageProtocolSpec
@@ -307,9 +306,8 @@ _MONOIDS = {
 
 
 def _hashtable(length, hash, values):
-    """The hash-table builtin; its helper is (raw monoid, elements)."""
-    monoid, elems = build_hashtable_monoid(HashFunctionSpec(length, hash), values)
-    return pcm_as_protocol(monoid), (monoid, elems)
+    """The hash-table builtin, from its JSON params."""
+    return build_hashtable_protocol(HashFunctionSpec(length, hash), values)
 
 
 # builtin name -> (builder, the params it requires). The builder's
@@ -372,8 +370,8 @@ def load_protocol(doc: dict):
 
 def _load_protocol(doc: dict, path: str = ""):
     """(StorageProtocolSpec, helper). The helper is the builder's
-    named-element object, (raw monoid, elements) for the hash table, or
-    None. ``path`` locates ``doc`` in its file, for error messages."""
+    named-element object, or None. ``path`` locates ``doc`` in its file,
+    for error messages."""
     if "builtin" not in _object(doc, path or "protocol"):
         return _custom_protocol(_read(doc, _CUSTOM, path), path), None
     fields = _read(doc, _BUILTIN, path)
@@ -735,6 +733,9 @@ def scenario_from_json(doc: dict) -> Scenario:
         for k, v in fields.get(key, {}).items():
             kinds[of_key](k, _at(key, k))
             kinds[of_value](v, _at(key, k))
+    for key, of_key in (("slot_cells", "cell"), ("lock_slot", "instance")):
+        for k in fields["meta"].get(key, {}):
+            kinds[of_key](k, _at(f"meta.{key}", k))
     lists = ("properties", "terminal_properties")
     for key in lists:
         if key in fields:

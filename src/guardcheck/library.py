@@ -22,6 +22,8 @@ from .terms import (
     con_args,
     map_entries,
     map_get,
+    map_remove,
+    map_set,
     pretty,
     sort_terms,
     tbool,
@@ -720,6 +722,14 @@ def build_rwlock_multi(
 
 # ---------------------------------------------------------------------------
 # Linear-probing hash-table monoid
+#
+# A table fragment is a pair (key map, slot map) of finite maps with
+# exclusive values: the key map sends a key to ex(none) or ex(some(v)),
+# its logical value, and the slot map sends tint(i) to ex(none) or
+# ex(some((k, v))), what slot i stores. One class, HashTableElems, builds
+# and takes these pairs apart, and the table resolvers and properties in
+# studies.py go through its methods. It also carries the table monoid, so
+# it is the hash-table builtin's one helper.
 
 
 @dataclass(frozen=True)
@@ -749,11 +759,18 @@ class HashFunctionSpec:
 
 @dataclass(frozen=True)
 class HashTableElems:
-    """Fragments of the hash-table monoid: logical map entries and slots."""
+    """Fragments of the hash-table monoid ``monoid`` (the table itself,
+    not its total protocol view): logical map entries and slots."""
 
     keys: tuple[Term, ...]
     values: tuple[Term, ...]
     length: int
+    monoid: MonoidSpec
+
+    @staticmethod
+    def slot_states(keys: tuple[Term, ...], values: tuple[Term, ...]) -> tuple[Term, ...]:
+        """What a slot may hold: none, or an entry per key and value."""
+        return (NONE,) + tuple(HashTableElems.entry(k, v) for k in keys for v in values)
 
     def m(self, k: Term, v: Term) -> Term:
         """v is some(value) or none."""
@@ -763,7 +780,8 @@ class HashTableElems:
         """s is some((key, value)) or none."""
         return ttuple(tmap(()), tmap([(tint(i), ex(s))]))
 
-    def entry(self, k: Term, v: Term) -> Term:
+    @staticmethod
+    def entry(k: Term, v: Term) -> Term:
         return some(ttuple(k, v))
 
     def map_value(self, z: Term, k: Term) -> Term | None:
@@ -771,6 +789,15 @@ class HashTableElems:
 
     def slot_value(self, z: Term, i: int) -> Term | None:
         return _owned(z[1][1], tint(i))
+
+    def without_slot(self, z: Term, i: int) -> Term:
+        return ttuple(z[1][0], map_remove(z[1][1], tint(i)))
+
+    def write(self, z: Term, i: int, k: Term, v: Term) -> Term:
+        """``z`` after writing (k, v) into slot i: key k maps to some(v)
+        and slot i holds the entry (k, v)."""
+        keymap = map_set(z[1][0], k, ex(some(v)))
+        return ttuple(keymap, map_set(z[1][1], tint(i), ex(self.entry(k, v))))
 
 
 def _owned(m: Term, k: Term) -> Term | None:
@@ -798,9 +825,7 @@ def build_hashtable_monoid(
     """
     keys = hash_spec.keys
     length = hash_spec.length
-    elems_api = HashTableElems(keys, tuple(values), length)
-
-    slot_opts = [NONE] + [some(ttuple(k, v)) for k in keys for v in values]
+    slot_opts = HashTableElems.slot_states(keys, values)
     map_opts = [NONE] + [some(v) for v in values]
 
     def sub_maps(entries):
@@ -824,10 +849,10 @@ def build_hashtable_monoid(
     slot_indices = tuple(tint(i) for i in range(length))
     spec = build_product("hashtable", [
         build_finmap(keys, build_excl(tuple(map_opts), "ht-value"), "ht-keys"),
-        build_finmap(slot_indices, build_excl(tuple(slot_opts), "ht-slot"), "ht-slots"),
+        build_finmap(slot_indices, build_excl(slot_opts, "ht-slot"), "ht-slots"),
     ])
     spec.valid_fn = valid_set.__contains__
-    return spec, elems_api
+    return spec, HashTableElems(keys, tuple(values), length, spec)
 
 
 def build_hashtable_protocol(

@@ -320,10 +320,10 @@ class WellformedReport:
         return "\n".join(lines)
 
 
-def check_wellformed(sp: StorageProtocolSpec, **law_limits) -> WellformedReport:
+def check_wellformed(sp: StorageProtocolSpec) -> WellformedReport:
     """PCM laws on both monoids, P totality, and 𝒞 ⟹ 𝒱∘𝒮 over the carrier."""
-    proto_laws = check_pcm_laws(sp.protocol, **law_limits)
-    storage_laws = check_pcm_laws(sp.storage, **law_limits)
+    proto_laws = check_pcm_laws(sp.protocol)
+    storage_laws = check_pcm_laws(sp.storage)
     extra = []
 
     total = first_counterexample(

@@ -53,15 +53,11 @@ from .terms import (
     UNIT,
     Term,
     con_args,
-    map_get,
-    map_remove,
-    map_set,
     pretty,
     tbool,
     tcon,
     term_to_json,
     tint,
-    tmap,
     ttuple,
 )
 
@@ -581,27 +577,13 @@ def build_race_scenario(readers: int = 1, writers: int = 1) -> Scenario:
 # Hash-table resolvers and properties
 
 
-def _ht_slot_for_event(ctx: ResolveCtx, entry: ScriptEntry) -> tuple[str, int]:
-    cell = ctx.event_cell()
-    lock_iid = ctx.scenario.cell_instances.get(cell)
-    slot = ctx.scenario.meta["lock_slot"].get(lock_iid)
-    if slot is None:
-        raise ReplayError(f"no slot lock for cell {cell!r}")
-    return lock_iid, slot
-
-
-def _is_table(named) -> bool:
-    return isinstance(named, tuple) and isinstance(named[1], HashTableElems)
-
-
 def _table(scenario: Scenario, iid):
-    """(iid, protocol, monoid, named elements) of instance ``iid``, a hash
-    table. On another instance, the ValueError fails the step or the
-    property."""
-    named = scenario.named.get(iid)
-    if not _is_table(named):
+    """(iid, protocol, named elements) of instance ``iid``, a hash table.
+    On another instance, the ValueError fails the step or the property."""
+    elems = scenario.named.get(iid)
+    if not isinstance(elems, HashTableElems):
         raise ValueError(f"instance {iid!r} is not a hash table")
-    return (iid, scenario.protocols[iid], *named)
+    return iid, scenario.protocols[iid], elems
 
 
 def _prop_table(scenario: Scenario, prop: PropertySpec):
@@ -609,7 +591,7 @@ def _prop_table(scenario: Scenario, prop: PropertySpec):
     ``instance`` param, by default the scenario's one hash table."""
     iid = prop.param("instance", None)
     if iid is None:
-        tables = [i for i, named in scenario.named.items() if _is_table(named)]
+        tables = [i for i, el in scenario.named.items() if isinstance(el, HashTableElems)]
         if len(tables) != 1:
             raise ValueError(f"{len(tables)} hash-table instances: set param instance")
         iid = tables[0]
@@ -620,14 +602,25 @@ def _ht_total(scenario, ledger, iid):
     return joint_state(scenario.protocols[iid], ledger.instance(iid).fragments)
 
 
+def _ht_parts(ctx: ResolveCtx, entry: ScriptEntry):
+    """(slot, iid, protocol, named elements, the thread's fragment) of a
+    table step, at the slot whose lock guards the event's cell."""
+    cell = ctx.event_cell()
+    slot = ctx.scenario.meta["lock_slot"].get(ctx.scenario.cell_instances.get(cell))
+    if slot is None:
+        raise ReplayError(f"no slot lock for cell {cell!r}")
+    iid, sp, elems = _table(ctx.scenario, ctx.instance_for(entry))
+    mine = ctx.ledger.instance(iid).fragment_of(ctx.self_owner, sp.protocol.unit)
+    return slot, iid, sp, elems, mine
+
+
 @register_resolver("ht.take-slot", args=_INSTANCE)
 def _ht_take_slot(ctx, entry):
     """Exclusive acquisition also hands the slot fragment to the thread."""
-    _, slot = _ht_slot_for_event(ctx, entry)
-    iid, sp, _, _ = _table(ctx.scenario, ctx.instance_for(entry))
+    slot, iid, sp, elems, _ = _ht_parts(ctx, entry)
     store_owner = f"store:slot{slot}"
     frag = ctx.ledger.instance(iid).fragment_of(store_owner, sp.protocol.unit)
-    if map_get(frag[1][1], tint(slot)) is None:
+    if elems.slot_value(frag, slot) is None:
         return GhostViolation(
             "missing-slot-fragment", iid, detail=f"slot {slot} not in its store region"
         )
@@ -637,51 +630,37 @@ def _ht_take_slot(ctx, entry):
 @register_resolver("ht.give-slot", args=_INSTANCE)
 def _ht_give_slot(ctx, entry):
     """Release returns the (possibly updated) slot fragment to its region."""
-    _, slot = _ht_slot_for_event(ctx, entry)
-    iid, sp, _, _ = _table(ctx.scenario, ctx.instance_for(entry))
-    mine = ctx.ledger.instance(iid).fragment_of(ctx.self_owner, sp.protocol.unit)
-    got = map_get(mine[1][1], tint(slot))
-    if got is None:
+    slot, iid, _, elems, mine = _ht_parts(ctx, entry)
+    x = elems.slot_value(mine, slot)
+    if x is None:
         return GhostViolation(
             "missing-slot-fragment", iid, detail=f"thread does not hold slot {slot}"
         )
-    element = ttuple(tmap(()), tmap([(tint(slot), got)]))
-    remainder = ttuple(mine[1][0], map_remove(mine[1][1], tint(slot)))
-    return [
-        TransferAction(iid, ctx.self_owner, f"store:slot{slot}", element, remainder)
-    ]
+    element, rest = elems.slot(slot, x), elems.without_slot(mine, slot)
+    return [TransferAction(iid, ctx.self_owner, f"store:slot{slot}", element, rest)]
 
 
 @register_resolver("ht.update", args=_INSTANCE)
 def _ht_update(ctx, entry):
     """Slot write: move the logical map and the slot fragment together."""
-    _, slot = _ht_slot_for_event(ctx, entry)
-    iid, sp, _, _ = _table(ctx.scenario, ctx.instance_for(entry))
-    written = opt_to_ghost(ctx.event.written)
-    kv = con_args(written, "some")
+    slot, iid, _, elems, mine = _ht_parts(ctx, entry)
+    kv = con_args(opt_to_ghost(ctx.event.written), "some")
     if kv is None:
         return GhostViolation("ht-update-clears-slot", iid)
     k, v = kv[0][1]
-    mine = ctx.ledger.instance(iid).fragment_of(ctx.self_owner, sp.protocol.unit)
-    if map_get(mine[1][0], k) is None:
+    if elems.map_value(mine, k) is None:
         return GhostViolation(
             "missing-map-fragment", iid,
             detail=f"thread updates {pretty(k)} without owning its map entry",
         )
-    if map_get(mine[1][1], tint(slot)) is None:
+    if elems.slot_value(mine, slot) is None:
         return GhostViolation(
             "missing-slot-fragment", iid, detail=f"thread does not hold slot {slot}"
         )
-    new_keymap = map_set(mine[1][0], k, ex(some(v)))
-    new_slotmap = map_set(mine[1][1], tint(slot), ex(written))
-    return [
-        ExchangeAction(
-            iid,
-            ((ctx.self_owner, ttuple(new_keymap, new_slotmap)),),
-            kind="update",
-            note=f"table write at slot {slot}",
-        )
-    ]
+    written = elems.write(mine, slot, k, v)
+    return [ExchangeAction(
+        iid, ((ctx.self_owner, written),), kind="update", note=f"table write at slot {slot}"
+    )]
 
 
 @register_resolver("ht.query-check", args={**_INSTANCE, "key": "term"})
@@ -690,8 +669,7 @@ def _ht_query_check(ctx, entry):
     the ghost slot, and the overlap-composition premises hold."""
     from .monoid import and_premise, memo
 
-    _, slot = _ht_slot_for_event(ctx, entry)
-    iid, _, monoid, elems = _table(ctx.scenario, ctx.instance_for(entry))
+    slot, iid, _, elems, _ = _ht_parts(ctx, entry)
     total = _ht_total(ctx.scenario, ctx.ledger, iid)
     ghost_slot = elems.slot_value(total, slot)
     if ghost_slot is None:
@@ -705,8 +683,7 @@ def _ht_query_check(ctx, entry):
     key = entry.arg("key")
     vm = elems.map_value(total, key)
     if vm is not None:
-        x = ttuple(tmap([(key, ex(vm))]), tmap(()))
-        y = elems.slot(slot, ghost_slot)
+        monoid, x, y = elems.monoid, elems.m(key, vm), elems.slot(slot, ghost_slot)
         verdict = memo(
             monoid, ("addendum", key, vm, slot, ghost_slot),
             and_premise, monoid, x, y, monoid.compose_fn(x, y),
@@ -721,20 +698,23 @@ def _ht_query_check(ctx, entry):
 
 @register_property("ht-valid", reads_threads=False, params={"instance": "instance"})
 def _prop_ht_valid(scenario, state, prop):
-    iid, sp, _, _ = _prop_table(scenario, prop)
+    iid, sp, _ = _prop_table(scenario, prop)
     total = _ht_total(scenario, state.ledger, iid)
     return sp.complete(total), f"{iid}: joint table state violates the table invariants"
 
 
 @register_property("ht-slots-match-heap", reads_threads=False, params={"instance": "instance"})
 def _prop_ht_slots(scenario, state, prop):
-    iid, _, _, elems = _prop_table(scenario, prop)
+    iid, _, elems = _prop_table(scenario, prop)
     total = _ht_total(scenario, state.ledger, iid)
+    cells = {i: cell for cell, i in scenario.meta.get("slot_cells", {}).items()}
     for i in range(elems.length):
+        if i not in cells:
+            return False, f"{iid}: slot {i} has no cell in meta.slot_cells"
         ghost_slot = elems.slot_value(total, i)
         if ghost_slot is None:
             return False, f"{iid}: slot {i} unowned"
-        raw = state.machine.heap_value(scenario.cell_loc(f"slot{i}"))
+        raw = state.machine.heap_value(scenario.cell_loc(cells[i]))
         if raw is None:
             return False, f"{iid}: slot {i} cell freed"
         if opt_to_ghost(raw) != ghost_slot:
@@ -833,13 +813,10 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
     # the exc, rc and slot locations of the probed slot _I
     probed = tuple(index_chain(_I, locs, abort()) for locs in (exc_locs, rc_locs, slot_locs))
 
-    slot_states = (NONE,) + tuple(
-        some(ttuple(k, v)) for k in keys for v in params.values
-    )
     slot_lock = {
         "builtin": "rwlock",
         "params": {
-            "values": [term_to_json(v) for v in slot_states],
+            "values": [term_to_json(v) for v in HashTableElems.slot_states(keys, params.values)],
             "rc_range": list(params.rc_range),
             "sp_max": params.sp_max,
             "agn_max": params.agn_max,
@@ -856,18 +833,11 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
     protocols, named_map, descriptors = load_protocols(
         [{"id": "ht", **table}] + [{"id": f"lock{i}", **slot_lock} for i in range(length)]
     )
-    _, ht_elems = named_map["ht"]
+    ht_elems = named_map["ht"]
+    key_owners = [(k, params.updater_of(k)) for k in keys]
     initial_fragments = {
         "ht": tuple(
-            [
-                (
-                    f"thread:{params.updater_of(k)}"
-                    if params.updater_of(k) is not None
-                    else "client",
-                    ht_elems.m(k, NONE),
-                )
-                for k in keys
-            ]
+            [("client" if t is None else f"thread:{t}", ht_elems.m(k, NONE)) for k, t in key_owners]
             + [(f"store:slot{i}", ht_elems.slot(i, NONE)) for i in range(length)]
         )
     }
@@ -990,8 +960,8 @@ def decode_results(v: Term) -> tuple:
     while v != UNIT:
         if v[0] != "tuple" or len(v[1]) != 2:
             raise ValueError(f"not a result list: {pretty(v)}")
-        out.append(opt_to_ghost(v[1][0]))
-        v = v[1][1]
+        head, v = v[1]
+        out.append(opt_to_ghost(head))
     return tuple(out)
 
 

@@ -420,6 +420,11 @@ MALFORMED_SCENARIO = {
                            "meta.lock_slot.lock: must be a non-negative integer, got 'zzz'"),
     "scenario-slot-cells": (["meta", "slot_cells"], {"cell": -1},
                             "meta.slot_cells.cell: must be a non-negative integer, got -1"),
+    # meta's keys name declared cells and instances
+    "scenario-slot-cells-cell": (["meta", "slot_cells"], {"nope": 0},
+                                 "meta.slot_cells.nope: unknown cell 'nope'"),
+    "scenario-lock-slot-instance": (["meta", "lock_slot"], {"lockX": 0},
+                                    "meta.lock_slot.lockX: unknown protocol instance 'lockX'"),
     # property params, by the kinds their property kind declares
     "scenario-param-value": (["terminal_properties", 1, "params", "value"], True,
                              "terminal_properties[1].params.value: must be an object, got bool"),

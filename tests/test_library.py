@@ -6,6 +6,7 @@ import pytest
 from guardcheck.library import (
     NONE,
     HashFunctionSpec,
+    HashTableElems,
     agn,
     agnvec,
     build_agn,
@@ -22,6 +23,7 @@ from guardcheck.library import (
     ex,
     some,
 )
+from guardcheck.formats import load_protocols
 from guardcheck.monoid import (
     FAILS,
     and_premise,
@@ -505,6 +507,68 @@ class TestHashTableMonoid:
                 for c in elems
             )
             assert small.valid_fn(z) == brute, z
+
+
+class TestHashTableEncodings:
+    """The table's fragments are spelt out here, so a change to how the
+    table writes them fails: a pair (key map, slot map) of maps with
+    exclusive values, the key map keyed by key and holding none or
+    some(v), the slot map keyed by slot index and holding none or
+    some((k, v))."""
+
+    @staticmethod
+    def own(t):
+        return tcon("ex", t)
+
+    def test_elements(self):
+        empty, own, no = tmap(()), self.own, tcon("none")
+        e00, e11 = tcon("some", ttuple(K0, V0)), tcon("some", ttuple(K1, V1))
+        assert HTE.entry(K0, V0) == e00
+        assert HashTableElems.slot_states((K0, K1), (V0,)) == (
+            no, e00, tcon("some", ttuple(K1, V0)),
+        )
+        assert HTE.m(K0, some(V0)) == ttuple(tmap([(K0, own(tcon("some", V0)))]), empty)
+        assert HTE.m(K1, NONE) == ttuple(tmap([(K1, own(no))]), empty)
+        assert HTE.slot(2, e11) == ttuple(empty, tmap([(tint(2), own(e11))]))
+        assert HTE.slot(0, NONE) == ttuple(empty, tmap([(tint(0), own(no))]))
+
+    def test_readers_and_transitions(self):
+        empty, own, no = tmap(()), self.own, tcon("none")
+        e00, e11 = tcon("some", ttuple(K0, V0)), tcon("some", ttuple(K1, V1))
+        # key 0 and slot 0 are both tint(0): a reader of the wrong map finds a value
+        keys = tmap([(K0, own(tcon("some", V0))), (K1, own(no))])
+        z = ttuple(keys, tmap([(tint(0), own(e00)), (tint(2), own(no))]))
+        assert HTE.map_value(z, K0) == tcon("some", V0) and HTE.map_value(z, K1) == no
+        assert HTE.slot_value(z, 0) == e00 and HTE.slot_value(z, 2) == no
+        assert HTE.slot_value(z, 1) is None
+        assert HTE.map_value(HTE.slot(0, NONE), K0) is None
+        assert HTE.slot_value(HTE.m(K0, NONE), 0) is None
+        assert HTE.without_slot(z, 0) == ttuple(keys, tmap([(tint(2), own(no))]))
+        assert HTE.without_slot(z, 1) == z
+        assert HTE.write(z, 2, K1, V1) == ttuple(
+            tmap([(K0, own(tcon("some", V0))), (K1, own(tcon("some", V1)))]),
+            tmap([(tint(0), own(e00)), (tint(2), own(e11))]),
+        )
+        assert HTE.write(ttuple(empty, empty), 1, K0, V0) == ttuple(
+            tmap([(K0, own(tcon("some", V0)))]), tmap([(tint(1), own(e00))])
+        )
+
+    def test_hashtable_builtin_helper_is_the_elements(self):
+        doc = {"builtin": "hashtable", "params": {
+            "length": 3, "hash": [[["int", 0], 0], [["int", 1], 0]],
+            "values": [["int", 10], ["int", 11]],
+        }}
+        protocols, named, _ = load_protocols([{"id": "ht", **doc}])
+        elems, view = named["ht"], protocols["ht"].protocol
+        assert isinstance(elems, HashTableElems)
+        assert (elems.keys, elems.values, elems.length) == ((K0, K1), (V0, V1), 3)
+        # the table itself, with the table's validity, not the total view
+        clash = compose(HT, HTE.slot(0, HTE.entry(K0, V0)), HTE.slot(1, HTE.entry(K0, V1)))
+        assert elems.monoid is not view and view.valid_fn(clash)
+        assert not elems.monoid.valid_fn(clash)
+        assert protocols["ht"].complete_fn is elems.monoid.valid_fn
+        assert build_hashtable_protocol(HASH, (V0, V1))[1].monoid.name == "hashtable"
+        assert HTE.monoid is HT
 
 
 def _ht_consistent_state(hash_spec, z) -> bool:

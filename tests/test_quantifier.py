@@ -488,8 +488,7 @@ def test_hashtable_exploration_builds_no_product_carrier():
     # and_premise on the table walks one box of tuples
     scenario = scenario_from_json(load_demo_document("hashtable-collide.scenario.json"))
     assert explore(scenario, mode="rule").states > 1
-    monoid, _ = scenario.named["ht"]
-    assert "carrier" not in monoid._cache
+    assert "carrier" not in scenario.named["ht"].monoid._cache
     assert "carrier" not in scenario.protocols["ht"].protocol._cache
 
 

@@ -4,6 +4,7 @@ and negative controls on the scripts themselves."""
 import dataclasses
 import hashlib
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -228,6 +229,30 @@ class TestHashTableScenario:
         assert [(v.kind, v.detail) for v in r.violations] == [
             ("property", "evaluator error: instance 'lock0' is not a hash table")
         ] * 2
+
+    def test_slot_cells_may_have_any_name(self):
+        # the shipped scenario with its slot cells slot{i} renamed s{i}:
+        # ht-slots-match-heap finds slot i's cell through meta.slot_cells,
+        # so counts, verdicts and outcomes stay the same
+        doc = load_demo_document("hashtable-collide.scenario.json")
+        renamed = json.loads(re.sub(r'"slot(\d)"', r'"s\1"', json.dumps(doc)))
+        assert renamed["meta"]["slot_cells"] == {"s0": 0, "s1": 1, "s2": 2}
+
+        def report(document, mode):
+            scenario = scenario_from_json(document)
+            result = explore(scenario, mode=mode)
+            got = json.loads(re.sub(r'"s(\d)"', r'"slot\1"', dumps(result_to_json(result))))
+            return got, explorer_outcomes(scenario, result)
+
+        for mode in ("rule", "concrete"):
+            want, outcomes = report(doc, mode)
+            assert want["ok"] and want["states"] > 1 and len(outcomes) == 2
+            assert report(renamed, mode) == (want, outcomes), mode
+        del renamed["meta"]["slot_cells"]["s1"]
+        r = explore(scenario_from_json(renamed), mode="rule")
+        assert [(v.kind, v.detail) for v in r.violations] == [
+            ("property", "ht: slot 1 has no cell in meta.slot_cells")
+        ]
 
     def test_update_requires_map_ownership(self):
         # two threads updating the same key is not a valid scenario
