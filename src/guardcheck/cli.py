@@ -2,8 +2,8 @@
 
 Subcommands: ``check`` (protocol well-formedness plus relation queries
 with expected verdicts), ``explore`` (run a scenario file through the
-explorer), ``demo`` (run a named built-in input), ``report`` (render a
-JSON report as text).
+explorer), ``demo`` (``check`` or ``explore`` on a named built-in input's
+packaged files), ``report`` (render a JSON report as text).
 
 Exit codes: 0 success, 1 verdict mismatch or violation, 2 input error,
 3 bound exceeded. JSON output is key-sorted and carries no timing, so
@@ -203,85 +203,61 @@ def main(argv=None) -> int:
         description="Check sharing-protocol laws and explore thread interleavings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--quiet", action="store_true", help="exit code only")
-
     p_check = sub.add_parser("check", help="check a protocol and relation queries")
     p_check.add_argument("protocol")
     p_check.add_argument("relations", nargs="?")
     p_check.add_argument("--bound", type=int, default=None,
                          help="fraction denominator bound for the fractional builtin")
-    common(p_check)
-
     p_explore = sub.add_parser("explore", help="explore a scenario file")
     p_explore.add_argument("scenario")
-    p_explore.add_argument("--mode", choices=("rule", "concrete"), default="rule")
-    p_explore.add_argument("--max-states", type=int, default=None)
-    p_explore.add_argument("--max-steps", type=int, default=None)
-    common(p_explore)
-
     p_demo = sub.add_parser("demo", help="run a built-in demo")
     p_demo.add_argument("name")
-    p_demo.add_argument("--mode", choices=("rule", "concrete"), default="rule")
-    p_demo.add_argument("--max-states", type=int, default=None)
-    p_demo.add_argument("--max-steps", type=int, default=None)
-    common(p_demo)
-
     p_report = sub.add_parser("report", help="render a JSON report as text")
     p_report.add_argument("file")
-    common(p_report)
+    for p in (p_explore, p_demo):
+        p.add_argument("--mode", choices=("rule", "concrete"), default="rule")
+        p.add_argument("--max-states", type=int, default=None)
+        p.add_argument("--max-steps", type=int, default=None)
+    for p in (p_check, p_explore, p_demo, p_report):
+        p.add_argument("--format", choices=("json", "text"), default="text")
+        p.add_argument("--quiet", action="store_true", help="exit code only")
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            protocol_doc = _read_json(args.protocol)
-            if args.bound is not None:
-                if args.bound < 1:
-                    raise FormatError(f"--bound: must be a positive integer, got {args.bound}")
-                set_den_bound(protocol_doc, args.bound)
-            relations_doc = _read_json(args.relations) if args.relations else None
-            report = run_check(protocol_doc, relations_doc)
-            _emit(args, report, _render_check)
-            return EXIT_OK if report["ok"] else EXIT_MISMATCH
-
-        if args.command == "explore":
-            scenario = scenario_from_json(_read_json(args.scenario))
-            report = run_explore_scenario(scenario, args.mode, args.max_states, args.max_steps)
-            _emit(args, report, _render_explore)
-            return _exit_code(report)
-
-        if args.command == "demo":
-            spec = DEMOS.get(args.name)
-            if spec is None:
-                print(
-                    f"unknown demo {args.name!r}; available: {', '.join(sorted(DEMOS))}",
-                    file=sys.stderr,
-                )
-                return EXIT_INPUT
-            if spec["kind"] == "check":
-                report = run_check(
-                    load_demo_document(f"{args.name}.protocol.json"),
-                    load_demo_document(f"{args.name}.relations.json"),
-                )
-                _emit(args, report, _render_check)
-                return EXIT_OK if report["ok"] else EXIT_MISMATCH
-            scenario = scenario_from_json(load_demo_document(f"{args.name}.scenario.json"))
-            report = run_explore_scenario(scenario, args.mode, args.max_states, args.max_steps)
-            _emit(args, report, _render_explore)
-            return _exit_code(report)
-
         if args.command == "report":
             report = _read_json(args.file)
             renderer = _render_check if "queries" in report else _render_explore
             if not args.quiet:
                 print(renderer(report))
             return EXIT_OK
+        read = _read_json
+        if args.command == "demo":  # `check` or `explore` on its packaged files
+            spec = DEMOS.get(args.name)
+            if spec is None:
+                raise FormatError(
+                    f"unknown demo {args.name!r}; available: {', '.join(sorted(DEMOS))}"
+                )
+            read, args.command, args.bound = load_demo_document, spec["kind"], None
+            parts = ("protocol", "relations") if spec["kind"] == "check" else ("scenario",)
+            for part in parts:
+                setattr(args, part, f"{args.name}.{part}.json")
+        if args.command == "check":
+            protocol_doc = read(args.protocol)
+            if args.bound is not None:
+                if args.bound < 1:
+                    raise FormatError(f"--bound: must be a positive integer, got {args.bound}")
+                set_den_bound(protocol_doc, args.bound)
+            relations_doc = read(args.relations) if args.relations else None
+            report, renderer = run_check(protocol_doc, relations_doc), _render_check
+        else:
+            scenario = scenario_from_json(read(args.scenario))
+            report = run_explore_scenario(scenario, args.mode, args.max_states, args.max_steps)
+            renderer = _render_explore
+        _emit(args, report, renderer)
+        return _exit_code(report)
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .formats import scenario_to_json
+from .formats import dumps, scenario_to_json
 from .library import HashFunctionSpec
 from .terms import term_to_json, tfrac, tint
 
@@ -209,8 +209,7 @@ def write_demo_files() -> None:
     out_dir.mkdir(exist_ok=True)
     for files in demo_documents().values():
         for fname, doc in files.items():
-            path = out_dir / fname
-            path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            (out_dir / fname).write_text(dumps(doc))
 
 
 if __name__ == "__main__":

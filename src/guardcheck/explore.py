@@ -35,7 +35,7 @@ from .ghost import (
 )
 from .lang import MachineConfig, enabled_threads, initial_config, step
 from .monoid import leq, memo
-from .protocol import valid_fragment
+from .protocol import ExchangeQuery, valid_fragment
 from .terms import Term, pretty, term_to_json
 
 __all__ = [
@@ -336,15 +336,19 @@ def _resolve_exchange(ctx: ResolveCtx, entry: ScriptEntry):
     updates = tuple(
         (_owner(ctx, o), el) for o, el in (entry.arg("updates") or ())
     )
-    return [
-        ExchangeAction(
-            ctx.instance_for(entry),
-            updates,
-            deposited=entry.arg("deposited"),
-            withdrawn=entry.arg("withdrawn"),
-            kind=entry.arg("kind", "exchange"),
-        )
-    ]
+    action = ExchangeAction(
+        ctx.instance_for(entry),
+        updates,
+        deposited=entry.arg("deposited"),
+        withdrawn=entry.arg("withdrawn"),
+        kind=entry.arg("kind", "exchange"),
+    )
+    # a bad shape is a replay violation here, in both modes; rule-mode admission would raise
+    sp = ctx.scenario.protocols[action.instance]
+    eps, unit = sp.storage.unit, sp.protocol.unit
+    sides = [eps if s is None else s for s in (action.deposited, action.withdrawn)]
+    ExchangeQuery(unit, sides[0], unit, sides[1], action.kind).check_shape(sp)
+    return [action]
 
 
 @register_resolver("ghost.open-guard", args={

@@ -15,6 +15,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import json
@@ -22,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from .library import (
     HashFunctionSpec,
+    HashTableElems,
     build_agn,
     build_agnvec,
     build_counting,
@@ -139,18 +141,6 @@ def _term(doc, path: str) -> Term:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _element_of(monoid: MonoidSpec):
-    """A term in the carrier of ``monoid``."""
-
-    def read(doc, path: str) -> Term:
-        el = _term(doc, path)
-        if not is_element(monoid, el):
-            raise FormatError(f"{path}: {pretty(el)} is not in the carrier of {monoid.name}")
-        return el
-
-    return read
-
-
 def _program(doc, path: str):
     from .lang import UsageError, ast_from_json
 
@@ -232,6 +222,41 @@ def _wrapped(key: str, kind):
 
 
 _TERMS = _list_of(_term)
+
+
+def _element(monoid: MonoidSpec | None = None, named: dict | None = None):
+    """An element: a term, in the carrier of ``monoid`` if given. Given
+    ``named``, a protocol's named-element constructors (maybe none), the
+    forms of a query too: ["named", ctor, [term args...]] resolved through
+    ``named`` and, given ``monoid``, ["compose", [elements...]] composed in
+    it. Each part of a composite is in the carrier; the composite itself
+    may lie outside a bound."""
+
+    def read(doc, path: str) -> Term:
+        tag = doc[0] if named is not None and isinstance(doc, list) and doc else None
+        if tag == "compose" and monoid is not None:
+            parts = composite(doc, path)[1]
+            if not parts:
+                raise FormatError(f"{path}: compose needs at least one element")
+            return functools.reduce(monoid.compose_fn, parts)
+        if tag == "named":
+            _, ctor, args = named_form(doc, path)
+            try:
+                el = named[ctor](args)
+            except (IndexError, TypeError, ValueError) as exc:
+                raise FormatError(f"{path}: bad named element {doc!r}: {exc}") from exc
+        else:
+            el = _term(doc, path)
+        if monoid is not None and not is_element(monoid, el):
+            raise FormatError(f"{path}: {pretty(el)} is not in the carrier of {monoid.name}")
+        return el
+
+    composite = _tuple_of((_any, _list_of(read)), 'a composite is ["compose", [elements...]]')
+    named_form = _tuple_of(
+        (_any, _one_of(named or (), "named element"), _TERMS),
+        'a named element is ["named", ctor, [args...]]',
+    )
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +415,7 @@ def _load_protocol(doc: dict, path: str = ""):
 
 def _custom_protocol(fields: dict, path: str) -> StorageProtocolSpec:
     protocol, storage = fields["protocol"], fields["storage"]
-    in_protocol, in_storage = _element_of(protocol), _element_of(storage)
+    in_protocol, in_storage = _element(protocol), _element(storage)
     complete = _wrapped("table", _list_of(in_protocol))
     complete_set = frozenset(complete(fields["complete"], _at(path, "complete")))
     stored_of = _wrapped("table", _list_of(_tuple_of((in_protocol, in_storage), "a row is [p, s]")))
@@ -414,42 +439,8 @@ def _custom_protocol(fields: dict, path: str) -> StorageProtocolSpec:
 
 
 def element_from_json(doc, named, monoid: MonoidSpec | None = None) -> Term:
-    """A term, ["named", ctor, [term args...]] resolved via ``named``, or
-    ["compose", [elements...]] composed in ``monoid``. Given ``monoid``,
-    an element that is not a composite, and each part of one, must be in
-    its carrier; a composite itself may lie outside a bound."""
-    if isinstance(doc, list) and doc and doc[0] == "compose":
-        if monoid is None:
-            raise FormatError("no composition available for compose elements")
-        if len(doc) != 2 or not isinstance(doc[1], list):
-            raise FormatError(f"a composite is [\"compose\", [elements...]], got {doc!r}")
-        parts = [element_from_json(d, named, monoid) for d in doc[1]]
-        if not parts:
-            raise FormatError("compose needs at least one element")
-        out = parts[0]
-        for p in parts[1:]:
-            out = monoid.compose_fn(out, p)
-        return out
-    el = _named_or_term(doc, named)
-    if monoid is not None and not is_element(monoid, el):
-        raise FormatError(f"{pretty(el)} is not in the carrier of {monoid.name}")
-    return el
-
-
-def _named_or_term(doc, named) -> Term:
-    if isinstance(doc, list) and doc and doc[0] == "named":
-        if named is None:
-            raise FormatError("protocol has no named elements")
-        if len(doc) != 3 or not isinstance(doc[1], str) or not isinstance(doc[2], list):
-            raise FormatError(f"a named element is [\"named\", ctor, [args...]], got {doc!r}")
-        ctor = named.get(doc[1])
-        if ctor is None:
-            raise FormatError(f"unknown named element {doc[1]!r}")
-        try:
-            return ctor([term_from_json(a) for a in doc[2]])
-        except (IndexError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad named element {doc!r}: {exc}") from exc
-    return term_from_json(doc)
+    """A query's element (see :func:`_element`)."""
+    return _element(monoid, named or {})(doc, "element")
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +461,11 @@ _QUERIES = {
 def load_queries(doc: dict, named, sp: StorageProtocolSpec | None = None) -> list[dict]:
     """The queries of a relations document. Given the protocol ``sp``,
     ``p`` and ``p_after`` are elements of its protocol monoid and ``s``
-    and ``s_after`` of its storage monoid (see :func:`element_from_json`).
-    An element field that the query's kind does not read is an error."""
-
-    def element(monoid):
-        def read(el, path: str) -> Term:
-            try:
-                return element_from_json(el, named, monoid)
-            except (EncodingError, FormatError) as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-
-        return read
-
+    and ``s_after`` of its storage monoid (see :func:`_element`). An
+    element field that the query's kind does not read is an error."""
     # an element field's first letter names its monoid
-    elements = {"p": element(sp and sp.protocol), "s": element(sp and sp.storage)}
+    elements = {"p": _element(sp and sp.protocol, named or {}),
+                "s": _element(sp and sp.storage, named or {})}
 
     def query(q, path: str) -> dict:
         kind = _one_of(_QUERIES, "query kind")(_object(q, path).get("kind"), f"{path}.kind")
@@ -526,19 +508,14 @@ _PROTOCOL_ENTRY = {
 }
 
 
-def load_protocols(entries) -> tuple[dict, dict, dict]:
+def load_protocols(entries) -> tuple[dict, dict, dict, dict]:
     """A scenario's protocol list: each entry is an ``id``, the instance's
     initial ``fragments``, and a descriptor, the protocol document that
     the rest of the entry forms.
-    Returns (id -> StorageProtocolSpec, id -> helper, id -> descriptor),
-    where a helper is as in :func:`_load_protocol`. Instances with
-    identical descriptors denote one protocol: it is built once, and they
-    share its spec and helper."""
-    return _load_entries(entries)[:3]
-
-
-def _load_entries(entries) -> tuple[dict, dict, dict, dict]:
-    """:func:`load_protocols`, and id -> the instance's initial fragments."""
+    Returns (id -> StorageProtocolSpec, id -> helper, id -> descriptor,
+    id -> initial fragments), where a helper is as in
+    :func:`_load_protocol`. Instances with identical descriptors denote
+    one protocol: it is built once, and they share its spec and helper."""
     built = {}
     protocols, named, descriptors, fragments = {}, {}, {}, {}
     for i, entry in enumerate(entries):
@@ -723,7 +700,7 @@ def scenario_from_json(doc: dict) -> Scenario:
 
     fields = _read(_object(doc, "scenario"), _SCENARIO, "")
     entries = fields.pop("protocols")
-    protocols, named, descriptors, fragments = _load_entries(entries)
+    protocols, named, descriptors, fragments = load_protocols(entries)
     cells = fields["cells"]
     _unique("cell", ((f"cells[{i}][0]", n) for i, (n, _) in enumerate(cells)))
     kinds = _param_kinds([n for n, _ in cells], list(protocols))
@@ -733,9 +710,19 @@ def scenario_from_json(doc: dict) -> Scenario:
         for k, v in fields.get(key, {}).items():
             kinds[of_key](k, _at(key, k))
             kinds[of_value](v, _at(key, k))
+    # meta names the slots of the scenario's one hash table, each slot once
+    tables = [h.length for h in named.values() if isinstance(h, HashTableElems)]
+    length = tables[0] if len(tables) == 1 else 0
     for key, of_key in (("slot_cells", "cell"), ("lock_slot", "instance")):
-        for k in fields["meta"].get(key, {}):
-            kinds[of_key](k, _at(f"meta.{key}", k))
+        seen = {}
+        for k, i in fields["meta"][key].items():
+            path = _at(f"meta.{key}", k)
+            kinds[of_key](k, path)
+            if i >= length:
+                raise FormatError(f"{path}: slot {i} out of range [0, {length})")
+            if i in seen:
+                raise FormatError(f"{path}: slot {i} is also named by {seen[i]!r}")
+            seen[i] = k
     lists = ("properties", "terminal_properties")
     for key in lists:
         if key in fields:
@@ -763,7 +750,7 @@ def scenario_from_json(doc: dict) -> Scenario:
     except Exception as exc:  # the fragments do not compose to a complete state
         # a fragment outside its carrier may break 𝒞 in any way: name one, if one is
         for i, entry in enumerate(entries):
-            element = _element_of(protocols[entry["id"]].protocol)
+            element = _element(protocols[entry["id"]].protocol)
             for j, (_, el) in enumerate(entry.get("fragments", ())):
                 element(el, f"protocols[{i}].fragments[{j}][1]")
         if not isinstance(exc, (TypeError, ValueError)):

@@ -524,7 +524,7 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
                        "agn_max": 4}
     lock_params["values"] = [term_to_json(v) for v in values]
     entries = [{"id": "lock", "builtin": builtin, "params": lock_params}] if params.locked else []
-    protocols, named_map, descriptors = load_protocols(entries)
+    protocols, named_map, descriptors, _ = load_protocols(entries)
     initial_fragments, cell_instances, protected = {}, {}, {}
     properties, terminal = (), ()
     if params.locked:
@@ -830,7 +830,7 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
             "values": [term_to_json(v) for v in params.values],
         },
     }
-    protocols, named_map, descriptors = load_protocols(
+    protocols, named_map, descriptors, _ = load_protocols(
         [{"id": "ht", **table}] + [{"id": f"lock{i}", **slot_lock} for i in range(length)]
     )
     ht_elems = named_map["ht"]

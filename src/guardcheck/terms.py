@@ -23,8 +23,6 @@ __all__ = [
     "EncodingError",
     "UNIT",
     "BOT",
-    "unit",
-    "bot",
     "tbool",
     "tint",
     "tfrac",
@@ -64,14 +62,6 @@ _TAG_RANK = {
     "con": 7,
     "bot": 8,
 }
-
-
-def unit() -> Term:
-    return UNIT
-
-
-def bot() -> Term:
-    return BOT
 
 
 def tbool(b: bool) -> Term:

@@ -146,6 +146,22 @@ def test_demo_json_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_is_check_or_explore_on_its_packaged_files(capsys, name, fmt):
+    # a demo prints the bytes and exits with the code of `check` or
+    # `explore` on its packaged files, in each admission mode
+    if DEMOS[name]["kind"] == "check":
+        command, parts, modes = "check", ("protocol", "relations"), [[]]
+    else:
+        command, parts = "explore", ("scenario",)
+        modes = [["--mode", mode] for mode in ("rule", "concrete")]
+    files = [str(demo_path(f"{name}.{part}.json")) for part in parts]
+    for mode in modes:
+        demo = run(capsys, "demo", name, "--format", fmt, *mode)
+        assert demo == run(capsys, command, *files, "--format", fmt, *mode)
+
+
 # sha256 of each check demo's JSON report, pinned so that a refactor
 # which changes a verdict, witness or frame count fails here
 CHECK_DEMO_SHA256 = {
@@ -194,14 +210,14 @@ RWLOCK = {
     "builtin": "rwlock",
     "params": {"values": [["sym", "x0"]], "rc_range": [0, 1], "sp_max": 1, "agn_max": 1},
 }
-# elements outside the carrier they belong to: a compose part, p, and a
-# tuple of the wrong length
+# elements outside the carrier they belong to, each with the JSON path
+# that the error names: a compose part, p, and a tuple of the wrong length
 NOT_IN_CARRIER = {
-    "compose-part": {
+    "compose-part": ({
         "kind": "update", "p": ["compose", [["int", 1], ["unit"]]], "p_after": ["unit"]
-    },
-    "guard-p": {"kind": "guard", "p": ["int", 1], "s": ["unit"]},
-    "short-tuple": {"kind": "valid-fragment", "p": ["tuple", [["unit"]]]},
+    }, "queries[0].p[1][0]"),
+    "guard-p": ({"kind": "guard", "p": ["int", 1], "s": ["unit"]}, "queries[0].p"),
+    "short-tuple": ({"kind": "valid-fragment", "p": ["tuple", [["unit"]]]}, "queries[0].p"),
 }
 # named constructors given the wrong number or kind of args: each extra
 # arg was once dropped, the single lock's sh would take the multi lock's
@@ -221,39 +237,48 @@ BAD_NAMED_ARGS = {
 
 
 @pytest.mark.parametrize(
-    "protocol_doc, relations",
+    "protocol_doc, relations, at",
     [
-        (COUNTING, {"queries": ["guard"]}),
-        (COUNTING, {"queries": {"kind": "guard"}}),
-        (COUNTING, {"queries": [{"kind": "guard", "p": ["no-such-tag"], "s": ["unit"]}]}),
-        (COUNTING, {"queries": [{"kind": "update", "p": ["unit"]}]}),
-        (COUNTING, {"queries": [{"kind": "guard", "p": ["named"], "s": ["int", 1]}]}),
+        (COUNTING, {"queries": ["guard"]}, "queries[0]"),
+        (COUNTING, {"queries": {"kind": "guard"}}, "queries"),
+        (COUNTING, {"queries": [{"kind": "guard", "p": ["no-such-tag"], "s": ["unit"]}]},
+         "queries[0].p"),
+        (COUNTING, {"queries": [{"kind": "update", "p": ["named", "ref", []]}]},
+         "queries[0].p_after"),
+        (COUNTING, {"queries": [{"kind": "guard", "p": ["named"], "s": ["int", 1]}]},
+         "queries[0].p"),
     ]
     + [
-        (doc, {"queries": [query]})
+        (doc, {"queries": [query]}, at)
         for doc in (COUNTING, RWLOCK)
-        for query in NOT_IN_CARRIER.values()
+        for query, at in NOT_IN_CARRIER.values()
     ]
     + [
-        (doc, {"queries": [{"kind": "valid-fragment", "p": p}]})
+        (doc, {"queries": [{"kind": "valid-fragment", "p": p}]}, "queries[0].p")
         for doc, p in BAD_NAMED_ARGS.values()
     ]
     + [
         ({"builtin": "fractional"},
-         {"queries": [{"kind": "guard", "p": ["map", [[["int", 1]]]], "s": ["int", 1]}]}),
+         {"queries": [{"kind": "guard", "p": ["map", [[["int", 1]]]], "s": ["int", 1]}]},
+         "queries[0].p"),
         ({"builtin": "fractional"},
          {"queries": [{"kind": "deposit", "p": ["frac", 0, 1], "s": ["int", 1],
-                       "p_after": ["frac", 1, 1], "s_after": ["int", 1]}]}),
+                       "p_after": ["frac", 1, 1], "s_after": ["int", 1]}]},
+         "queries[0].s_after"),
+        ({"builtin": "fractional"},
+         {"queries": [{"kind": "guard", "p": ["named", "x", []], "s": ["int", 1]}]},
+         "queries[0].p[1]"),
     ],
     ids=["query-not-object", "queries-not-list", "bad-term", "missing-field", "bare-named"]
     + [f"{name}-{case}" for name in ("counting", "rwlock") for case in NOT_IN_CARRIER]
     + [f"named-{name}" for name in BAD_NAMED_ARGS]
-    + ["map-entry-not-a-pair", "field-not-read"],
+    + ["map-entry-not-a-pair", "field-not-read", "named-without-constructors"],
 )
-def test_malformed_relations_exit_2_without_traceback(tmp_path, protocol_doc, relations):
+def test_malformed_relations_exit_2_without_traceback(tmp_path, protocol_doc, relations, at):
+    # the error names the JSON path of the failing node
     path = tmp_path / "relations.json"
     path.write_text(json.dumps(relations))
-    assert_input_error(tmp_path, protocol_doc, [str(path)], "input error: queries")
+    assert_input_error(tmp_path, protocol_doc, [str(path)], f"input error: {at}: ")
 
 
 def run_process(*argv):
@@ -304,10 +329,10 @@ def shipped_scenario(name):
     return json.loads(demo_path(f"{name}.scenario.json").read_text())
 
 
-def edited_scenario(path, value):
-    """rwlock-exc.scenario.json with ``value`` set at ``path``, a list of
-    keys and indices."""
-    doc = shipped_scenario("rwlock-exc")
+def edited_scenario(path, value, name="rwlock-exc"):
+    """The shipped scenario ``name`` with ``value`` set at ``path``, a
+    list of keys and indices."""
+    doc = shipped_scenario(name)
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -315,7 +340,8 @@ def edited_scenario(path, value):
     return doc
 
 
-# malformed scenario fields: (path, value, message after "input error: ")
+# malformed scenario fields: (path, value, message after "input error: "),
+# and the shipped scenario to edit if not rwlock-exc
 MALFORMED_SCENARIO = {
     "scenario-cell-term": (["cells", 0, 1], ["nope"], "cells[0][1]: unknown term tag 'nope'"),
     "scenario-fragment-term": (["protocols", 0, "fragments", 0, 1], ["nope"],
@@ -425,6 +451,21 @@ MALFORMED_SCENARIO = {
                                  "meta.slot_cells.nope: unknown cell 'nope'"),
     "scenario-lock-slot-instance": (["meta", "lock_slot"], {"lockX": 0},
                                     "meta.lock_slot.lockX: unknown protocol instance 'lockX'"),
+    # meta's values are slots of the scenario's one hash table, each named once
+    "scenario-lock-slot-range": (["meta", "lock_slot", "lock2"], 7,
+                                 "meta.lock_slot.lock2: slot 7 out of range [0, 3)",
+                                 "hashtable-collide"),
+    "scenario-lock-slot-twice": (["meta", "lock_slot", "lock1"], 0,
+                                 "meta.lock_slot.lock1: slot 0 is also named by 'lock0'",
+                                 "hashtable-collide"),
+    "scenario-slot-cells-twice": (["meta", "slot_cells", "slot1"], 0,
+                                  "meta.slot_cells.slot1: slot 0 is also named by 'slot0'",
+                                  "hashtable-collide"),
+    "scenario-slot-cells-range": (["meta", "slot_cells", "slot2"], 3,
+                                  "meta.slot_cells.slot2: slot 3 out of range [0, 3)",
+                                  "hashtable-collide"),
+    "scenario-lock-slot-no-table": (["meta", "lock_slot"], {"lock": 0},
+                                    "meta.lock_slot.lock: slot 0 out of range [0, 0)"),
     # property params, by the kinds their property kind declares
     "scenario-param-value": (["terminal_properties", 1, "params", "value"], True,
                              "terminal_properties[1].params.value: must be an object, got bool"),
@@ -497,6 +538,8 @@ MALFORMED_SCENARIO = {
          "input error: complete: must be an object, got int"),
         (_trivial_protocol({"table": [U]}, {"table": [[U, ["int", 3]]]}), [],
          "input error: stored_of.table[0][1]: 3 is not in the carrier of trivial"),
+        (_trivial_protocol({"table": [["int", 3]]}, {"table": []}), [],
+         "input error: complete.table[0]: 3 is not in the carrier of trivial"),
         (dict(RWLOCK, params=dict(RWLOCK["params"], sp_mx=3)), [],
          "input error: params.sp_mx: unknown parameter"),
         (_trivial_protocol({"table": []}, {"table": []}) | {"protocol": {"kind": "nat", "limt": 2}},
@@ -528,12 +571,12 @@ MALFORMED_SCENARIO = {
          | {"protocol": {"kind": "int", "lo": 3, "hi": -3}}, [],
          "input error: protocol: bad int monoid: lo 3 > hi -3"),
     ]]
-    + [("explore", edited_scenario(path, value), [], f"input error: {message}")
-       for path, value, message in MALFORMED_SCENARIO.values()],
+    + [("explore", edited_scenario(path, value, *name), [], f"input error: {message}")
+       for path, value, message, *name in MALFORMED_SCENARIO.values()],
     ids=["table-missing-row", "table-unlisted-result", "params-not-object",
          "bound-params-not-object", "bound-protocol-not-object",
          "complete-not-a-term", "stored-of-row-not-a-pair", "complete-not-object",
-         "stored-value-not-in-storage", "unknown-param", "monoid-unknown-field",
+         "stored-value-not-in-storage", "complete-row-not-in-protocol", "unknown-param", "monoid-unknown-field",
          "unknown-monoid-kind", "unknown-builtin", "den-bound-zero", "den-bound-negative",
          "c-max-negative", "r-range-reversed", "rc-range-reversed", "bound-zero",
          "bound-negative-non-fractional", "frac-max-value-zero", "nat-limit-negative",

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from guardcheck.cli import main
 from guardcheck.explore import explore
 from guardcheck.formats import (
     FormatError,
@@ -279,6 +280,27 @@ class TestHandWrittenScenario:
         r = explore(s)
         assert not r.ok
         assert any("rejected" in v.detail for v in r.violations)
+
+    @pytest.mark.parametrize("mode", ["rule", "concrete"])
+    @pytest.mark.parametrize("entry, kind, detail", [
+        (0, "update", "update fixes both storage sides to ε"),
+        (1, "withdraw", "withdraw fixes s = ε"),
+    ], ids=["take-as-update", "give-as-withdraw"])
+    def test_kind_fixing_a_side_the_entry_sets_is_a_replay_violation(
+        self, tmp_path, capsys, mode, entry, kind, detail
+    ):
+        # the take step withdraws and the give step deposits, so these
+        # kinds contradict them; both modes name the step's label
+        doc = json.loads(json.dumps(self.DOC))
+        doc["script"][entry]["args"]["kind"] = kind
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["explore", str(path), "--mode", mode, "--format", "json"]) == 1
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        label = doc["script"][entry]["label"]
+        assert [(v["kind"], v["name"], v["detail"]) for v in violations] == [
+            ("replay", label, detail)
+        ]
 
     def test_custom_protocol_instance(self):
         # a protocol entry's descriptor is the entry without its id and
