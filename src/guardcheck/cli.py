@@ -16,12 +16,12 @@ import dataclasses
 import json
 import sys
 
-from .demos import DEMOS, load_demo_document
 from .formats import (
     FormatError,
     dumps,
     load_protocol,
     load_queries,
+    read_report,
     result_to_json,
     scenario_from_json,
     set_den_bound,
@@ -226,12 +226,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             report = _read_json(args.file)
-            renderer = _render_check if "queries" in report else _render_explore
+            renderer = _render_check if read_report(report) == "check" else _render_explore
             if not args.quiet:
                 print(renderer(report))
             return EXIT_OK
         read = _read_json
         if args.command == "demo":  # `check` or `explore` on its packaged files
+            from .demos import DEMOS, load_demo_document
+
             spec = DEMOS.get(args.name)
             if spec is None:
                 raise FormatError(

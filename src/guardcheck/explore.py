@@ -8,13 +8,16 @@ over scheduler choices with state memoization; each transition carries
 the machine step, the ghost actions it fires, and property evaluation,
 so every schedule sees the same combined semantics as a replay.
 
-The DFS walks numbered states: each distinct thread state, store
-(heap, cursor) and ledger is numbered when first met, and a state is
-(thread numbers, store number, ledger number), equal exactly when the
-:class:`ExplState`s are. One table computes each transition once per
-(tid, thread tid's number, store number, ledger number), with all
-thread numbers in place of thread tid's when a safety property reads
-threads.
+The DFS walks numbered states. A :class:`TransitionMemo` numbers each
+distinct thread state, heap, ledger and env (heap number, allocation
+cursor, ledger number) when first met, and a state is (thread numbers,
+env number), equal exactly when the ExplStates are. Its table
+computes each transition once per (tid, thread tid's number, env number),
+with all thread numbers in place of thread tid's when a safety property
+reads threads. The step, admission, window and verdict memos of a
+transition are keyed on numbers too, so a miss whose parts all hit
+hashes no expression and no heap, and objects are built only for the
+thread steps, resolvers and properties that run.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .ghost import (
     empty_ledger,
     joint_state,
 )
-from .lang import MachineConfig, enabled_threads, initial_config, step
+from .lang import MachineConfig, UsageError, enabled_threads, initial_config, thread_step
 from .monoid import leq, memo
 from .protocol import ExchangeQuery, valid_fragment
 from .terms import Term, pretty, term_to_json
@@ -454,53 +457,160 @@ def _prop_thread_result_in(scenario, state, prop):
 
 
 class TransitionMemo:
-    """The pure parts of :func:`transition` for one scenario and admission
-    mode, each computed once per distinct input. :func:`explore` and
-    :func:`replay` make one per call. See :func:`transition` for the keys;
-    :func:`explore` calls it only on a miss in its table of whole
-    transitions, keyed on all thread numbers when ``verdicts`` is None."""
+    """The numbered transitions of one scenario in one admission mode (see
+    the module docstring); :func:`explore` and :func:`replay` make one per
+    call. ``table`` maps (tid, thread tid's number or all thread numbers,
+    env number) to what :meth:`compute` gives for it. Within a transition
+    each part is memoised on the numbers it reads:
+    - the thread step on the thread's number alone if it reads neither
+      heap nor cursor, else on (thread number, heap number, cursor);
+    - each ghost admission on (ledger number, action), and the closing of
+      guard windows on the ledger number;
+    - the safety-property verdicts on (ledger number, heap number) after
+      the step's ghost actions, but only if no safety property reads
+      thread state (see :func:`register_property`). If one does, every
+      safety property runs on every miss.
+    """
 
     def __init__(self, scenario: Scenario, mode: str):
         self.scenario = scenario
         self.mode = mode
-        # expr -> its lang.ThreadStep if that reads neither heap nor
-        # cursor, else (heap, cursor) -> lang.ThreadStep; see lang.step
+        self.ids: dict = {}  # each distinct item -> its number
+        self.items: list = []  # number -> thread state, heap, ledger or env
+        self.running: list = []  # number -> whether it is the state of a running thread
+        self.table: dict = {}
+        # thread number -> its step if that reads neither heap nor cursor,
+        # else (heap number, cursor) -> its step; a step is (kind, thread
+        # number, spawned numbers, (heap number, cursor) or None if
+        # unchanged, fired labels, heap event)
         self.steps: dict = {}
-        self.admissions: dict = {}  # (ledger, action) -> ApplyOutcome
-        self.closed: dict = {}  # ledger -> ApplyOutcome
-        # (ledger, heap) -> safety verdicts; None if a safety property
-        # reads threads
+        self.admissions: dict = {}  # (ledger number, action) -> ledger number or GhostViolation
+        self.closed: dict = {}  # ledger number -> ledger number or GhostViolation
+        # (ledger number, heap number) -> safety verdicts; None if a safety
+        # property reads threads
         reads_threads = any(p.kind not in THREAD_FREE_PROPERTIES for p in scenario.properties)
         self.verdicts: dict | None = None if reads_threads else {}
 
-    def admit(self, ledger: GhostLedger, action):
+    def number(self, item) -> int:
+        n = self.ids.setdefault(item, len(self.items))
+        if n == len(self.items):
+            self.items.append(item)
+            self.running.append(type(item) is tuple and item[:1] == ("run",))
+        return n
+
+    def key(self, state: ExplState) -> tuple:
+        """``state`` numbered: (thread numbers, env number)."""
+        m, number = state.machine, self.number
+        env = (number(m.heap), m.cursor, number(state.ledger))
+        return tuple(map(number, m.threads)), number(env)
+
+    def state(self, nums: tuple, heap: int, cursor: int, ledger: int) -> ExplState:
+        items = self.items
+        threads = tuple(items[n] for n in nums)
+        return ExplState(MachineConfig(items[heap], threads, cursor), items[ledger])
+
+    def step(self, n: int, heap: int, cursor: int) -> tuple:
+        """Thread number ``n``'s step at (heap number, cursor)."""
+        got = self.steps.get(n)
+        if type(got) is dict:
+            got = got.get((heap, cursor))
+        if got is None:
+            items, number = self.items, self.number
+            out = thread_step(items[n][1], items[heap], cursor)
+            store = None if out.heap is items[heap] else (number(out.heap), out.cursor)
+            got = (out.kind, number(out.thread), tuple(map(number, out.spawned)), store,
+                   out.fired, out.event)
+            if out.read:
+                self.steps.setdefault(n, {})[heap, cursor] = got
+            else:
+                self.steps[n] = got
+        return got
+
+    def admit(self, ledger: int, action):
         key = (ledger, action)
         got = self.admissions.get(key)
         if got is None:
-            got = apply_action(self.scenario.protocols, ledger, action, self.mode)
-            self.admissions[key] = got
+            out = apply_action(self.scenario.protocols, self.items[ledger], action, self.mode)
+            got = self.admissions[key] = self.number(out.ledger) if out.ok else out.violation
         return got
 
-    def close(self, ledger: GhostLedger):
+    def close(self, ledger: int):
         got = self.closed.get(ledger)
         if got is None:
-            got = self.closed[ledger] = close_windows(self.scenario.protocols, ledger)
+            out = close_windows(self.scenario.protocols, self.items[ledger])
+            got = self.closed[ledger] = self.number(out.ledger) if out.ok else out.violation
         return got
 
-    def property_violations(self, state: ExplState) -> list:
-        """A violation for each safety property that fails at ``state``."""
+    def property_violations(self, nums: tuple, heap: int, cursor: int, ledger: int) -> list:
+        """A violation for each safety property that fails at the state
+        numbered (``nums``, heap, cursor, ledger)."""
         props = self.scenario.properties
-        if self.verdicts is None:
-            verdicts = [check_property(self.scenario, state, p) for p in props]
-        else:
-            key = (state.ledger, state.machine.heap)
-            verdicts = self.verdicts.get(key)
-            if verdicts is None:
-                verdicts = [check_property(self.scenario, state, p) for p in props]
-                self.verdicts[key] = verdicts
+        verdicts_of = {} if self.verdicts is None else self.verdicts
+        verdicts = verdicts_of.get((ledger, heap))
+        if verdicts is None:
+            st = self.state(nums, heap, cursor, ledger)
+            verdicts = [check_property(self.scenario, st, p) for p in props]
+            verdicts_of[ledger, heap] = verdicts
         return [
             ("property", p.name, reason) for p, (ok, reason) in zip(props, verdicts) if not ok
         ]
+
+    def compute(self, tid: int, nums: tuple, env: int) -> tuple:
+        """Thread ``tid``'s transition from the state (``nums``, ``env``):
+        (kind, thread tid's new number, spawned thread numbers, env number
+        after, violations, crossed labels, stuck reason).
+
+        Resolvers read the post-step heap, not the thread pool, so this
+        reads (tid, thread tid's state, heap, cursor, ledger), and all
+        threads only when a safety property reads them. A resolver that
+        raises KeyError or ValueError (ReplayError is one), finding the
+        scenario or the state without what it reads, gives a replay
+        violation.
+        """
+        items, scenario = self.items, self.scenario
+        heap, cursor, ledger = items[env]
+        kind, mine, spawned, store, fired, event = self.step(nums[tid], heap, cursor)
+        if kind != "next":  # stuck, or done: thread tid's expression was a value
+            reason = items[mine][1] if kind == "stuck" else ""
+            return "next" if kind == "done" else kind, mine, (), env, (), (), reason
+        if store is not None:
+            heap, cursor = store
+        violations: list[tuple[str, str, str]] = []
+        for lbl, result in fired:
+            for entry in scenario.script.get(lbl, ()):
+                if not entry.matches(result):
+                    continue
+                fn = RESOLVERS.get(entry.resolver)
+                if fn is None:
+                    violations.append(("ghost", lbl, f"unknown resolver {entry.resolver!r}"))
+                    continue
+                ctx = ResolveCtx(scenario, items[ledger], items[heap], tid, lbl, result, event)
+                try:
+                    resolved = fn(ctx, entry)
+                except (KeyError, ValueError) as exc:  # ReplayError among them
+                    violations.append(("replay", lbl, str(exc)))
+                    continue
+                if isinstance(resolved, GhostViolation):
+                    violations.append(("ghost", lbl, resolved.describe()))
+                    continue
+                for action in resolved:
+                    got = self.admit(ledger, action)
+                    if type(got) is not int:
+                        violations.append(("ghost", lbl, got.describe()))
+                        break
+                    ledger = got
+
+        nums = nums[:tid] + (mine,) + nums[tid + 1 :] + spawned
+        violations += self.property_violations(nums, heap, cursor, ledger)
+
+        closed = self.close(ledger)
+        if type(closed) is not int:
+            violations.append(("ghost", "close-window", closed.describe()))
+        else:
+            ledger = closed
+        crossed = tuple(lbl for lbl, _ in fired)
+        env = self.number((heap, cursor, ledger))
+        return "next", mine, spawned, env, tuple(violations), crossed, ""
 
 
 def initial_state(scenario: Scenario) -> ExplState:
@@ -524,67 +634,22 @@ def transition(
     """Returns (kind, new_state, violations, fired_labels, stuck_reason).
 
     ``memo`` (fresh when None) is a :class:`TransitionMemo` for
-    ``scenario`` and ``mode``. It holds the parts of a transition that are
-    pure functions of part of the state, each keyed on what it reads:
-    - the thread step on the expression alone if it reads neither heap
-      nor cursor, else on (expression, heap, cursor), see :func:`lang.step`;
-    - each ghost admission on (ledger, action), and the closing of guard
-      windows on the ledger;
-    - the safety-property verdicts on (ledger, heap) after the step's
-      ghost actions, but only if no safety property reads thread state
-      (see :func:`register_property`). If one does, every safety property
-      runs on every call.
-    Resolvers read the post-step heap, not the thread pool, so a
-    transition reads (tid, thread tid's state, heap, cursor, ledger), and
-    all threads only when a safety property reads them.
-    A resolver that raises KeyError or ValueError (ReplayError is one),
-    finding the scenario or the state without what it reads, gives a
-    replay violation.
+    ``scenario`` and ``mode``: this numbers ``state`` in it and runs
+    :meth:`TransitionMemo.compute` through its table, as :func:`explore`
+    does, then builds the new state from the numbers.
     """
     if memo is None:
         memo = TransitionMemo(scenario, mode)
-    out = step(state.machine, tid, memo.steps)
-    if out.kind == "done":
-        return "next", ExplState(out.config, state.ledger), [], (), ""
-    if out.kind == "stuck":
-        return "stuck", ExplState(out.config, state.ledger), [], (), out.reason
-
-    ledger = state.ledger
-    violations: list[tuple[str, str, str]] = []
-    crossed = tuple(lbl for lbl, _ in out.fired)
-    for lbl, result in out.fired:
-        for entry in scenario.script.get(lbl, ()):
-            if not entry.matches(result):
-                continue
-            fn = RESOLVERS.get(entry.resolver)
-            if fn is None:
-                violations.append(("ghost", lbl, f"unknown resolver {entry.resolver!r}"))
-                continue
-            ctx = ResolveCtx(scenario, ledger, out.config.heap, tid, lbl, result, out.event)
-            try:
-                resolved = fn(ctx, entry)
-            except (KeyError, ValueError) as exc:  # ReplayError among them
-                violations.append(("replay", lbl, str(exc)))
-                continue
-            if isinstance(resolved, GhostViolation):
-                violations.append(("ghost", lbl, resolved.describe()))
-                continue
-            for action in resolved:
-                applied = memo.admit(ledger, action)
-                if not applied.ok:
-                    violations.append(("ghost", lbl, applied.violation.describe()))
-                    break
-                ledger = applied.ledger
-
-    violations += memo.property_violations(ExplState(out.config, ledger))
-
-    closed = memo.close(ledger)
-    if not closed.ok:
-        violations.append(("ghost", "close-window", closed.violation.describe()))
-    else:
-        ledger = closed.ledger
-
-    return "next", ExplState(out.config, ledger), violations, crossed, ""
+    nums, env = memo.key(state)
+    if not (0 <= tid < len(nums) and memo.running[nums[tid]]):
+        raise UsageError(f"thread {tid} is not running")
+    move = (tid, nums if memo.verdicts is None else nums[tid], env)
+    out = memo.table.get(move)
+    if out is None:
+        out = memo.table[move] = memo.compute(tid, nums, env)
+    kind, mine, spawned, env2, violations, crossed, stuck_reason = out
+    nums2 = nums[:tid] + (mine,) + nums[tid + 1 :] + spawned
+    return kind, memo.state(nums2, *memo.items[env2]), list(violations), crossed, stuck_reason
 
 
 def _terminal_checks(scenario: Scenario, state: ExplState):
@@ -621,28 +686,9 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             path.append(tid)
         return tuple(reversed(path))
 
-    transition_memo = TransitionMemo(scenario, mode)
-    thread_local = transition_memo.verdicts is not None  # no safety property reads threads
-    ids: dict = {}  # each distinct thread state, store and ledger -> its number
-    items: list = []  # number -> thread state, store (heap, cursor) or ledger
-    running: list = []  # number -> whether it is the state of a running thread
-
-    def number(item) -> int:
-        n = ids.setdefault(item, len(items))
-        if n == len(items):
-            items.append(item)
-            running.append(type(item) is tuple and item[0] == "run")
-        return n
-
-    def state_of(key: tuple) -> ExplState:
-        nums, store, ledger = key
-        heap, cursor = items[store]
-        return ExplState(MachineConfig(heap, tuple(items[n] for n in nums), cursor), items[ledger])
-
-    # (tid, thread tid's number or all thread numbers, store number, ledger
-    # number) -> (kind, tid's new number, spawned numbers, store number,
-    # ledger number, violations, crossed labels, stuck reason)
-    table: dict = {}
+    numbered = TransitionMemo(scenario, mode)
+    items, running, table = numbered.items, numbered.running, numbered.table
+    thread_local = numbered.verdicts is not None  # no safety property reads threads
     seen_violations: dict = {}
     stuck_examples: dict = {}
     terminals: set = set()
@@ -655,15 +701,14 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             if key not in seen_violations:
                 seen_violations[key] = Violation(kind, name, detail, sched)
 
-    record_violations(transition_memo.property_violations(root), ())
-
-    m = root.machine
-    root_key = tuple(map(number, m.threads)), number((m.heap, m.cursor)), number(root.ledger)
+    root_key = numbered.key(root)
+    record_violations(numbered.property_violations(root_key[0], *items[root_key[1]]), ())
     visited = {root_key: 0}
     on_path: set = set()  # memo-off cycle pruning
     states = 1  # the number of nodes, and the next node's nid
     transitions = dedup_hits = schedules_completed = stuck_count = 0
     bound_exceeded = False
+    # (nid, state, steps taken per thread, entering)
     stack = [(0, root_key, (0,) * len(scenario.programs), True)]
     while stack:
         nid, key, counts, entering = stack.pop()
@@ -673,10 +718,10 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
                 continue
             stack.append((nid, key, counts, False))
             on_path.add(key)
-        nums, store, ledger = key
+        nums, env = key
         enabled = [tid for tid, n in enumerate(nums) if running[n]]
         if not enabled:
-            st = state_of(key)
+            st = numbered.state(nums, *items[env])
             schedules_completed += 1
             record_violations(_terminal_checks(scenario, st), schedule_to(nid))
             terminals.add(_summary(scenario, st))
@@ -688,18 +733,12 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
             if counts[tid] >= max_depth:
                 bound_exceeded = True
                 continue
-            move = (tid, nums[tid] if thread_local else nums, store, ledger)
+            move = (tid, nums[tid] if thread_local else nums, env)
             out = table.get(move)
-            if out is None:
-                kind, st2, vios, crossed, stuck_reason = transition(
-                    scenario, state_of(key), tid, mode, transition_memo)
-                crossed_labels.update(crossed)  # a hit crosses the labels of its miss
-                # the other threads kept their states, and so their numbers
-                m = st2.machine
-                out = table[move] = (
-                    kind, number(m.threads[tid]), tuple(map(number, m.threads[len(nums):])),
-                    number((m.heap, m.cursor)), number(st2.ledger), vios, stuck_reason)
-            kind, mine, spawned, store2, ledger2, vios, stuck_reason = out
+            if out is None:  # transition()'s table lookup, inlined
+                out = table[move] = numbered.compute(tid, nums, env)
+                crossed_labels.update(out[5])  # a hit crosses the labels of its miss
+            kind, mine, spawned, env2, vios, _, stuck_reason = out
             transitions += 1
             # a schedule is walked back from the node only when reported
             if kind == "stuck":
@@ -712,10 +751,11 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
                 record_violations(vios, schedule_to(nid) + (tid,))
                 schedules_completed += 1
                 continue
+            # the other threads kept their states, and so their numbers
             nums2 = nums[:tid] + (mine,) + nums[tid + 1 :]
             if spawned:
                 nums2 += spawned
-            key2 = (nums2, store2, ledger2)
+            key2 = (nums2, env2)
             if memo:
                 if visited.setdefault(key2, states) != states:
                     dedup_hits += 1

@@ -60,6 +60,7 @@ __all__ = [
     "scenario_to_json",
     "scenario_from_json",
     "result_to_json",
+    "read_report",
     "dumps",
 ]
 
@@ -792,3 +793,46 @@ def result_to_json(result: ExplorationResult) -> dict:
         "warnings": list(result.warnings),
         "ok": result.ok,
     }
+
+
+# The fields of each report that `guardcheck report` renders, each with
+# its kind: a dict is an object with those fields (others are not read)
+# and a one-item list a list of such items.
+_REPORTS = {
+    "check": {
+        "protocol": _name, "wellformed": {"ok": _bool}, "ok": _bool, "queries": [{
+            "kind": _name, "note": _name, "expect": _name, "verdict": _name, "matched": _bool,
+            "witness": lambda doc, path: doc is None or _term(doc, path),
+        }],
+    },
+    "explore": {
+        "scenario": _name, "mode": _name, "expectation": _name, "states": _count,
+        "transitions": _count, "dedup_hits": _count, "schedules_completed": _count,
+        "stuck_count": _count, "stuck": [{"reason": _name, "schedule": _list}],
+        "violations": [{"kind": _name, "name": _name, "detail": _name, "schedule": _list}],
+        "terminal_summaries": _list, "warnings": _list, "bound_exceeded": _bool, "ok": _bool,
+    },
+}
+
+
+def read_report(doc) -> str:
+    """Which report ``doc`` is, "check" or "explore", once every field
+    that `guardcheck report` renders is found with its kind; FormatError
+    names the path of the first that is not."""
+    kind = "check" if isinstance(doc, dict) and "queries" in doc else "explore"
+    _shape(doc, _REPORTS[kind], "")
+    return kind
+
+
+def _shape(doc, shape, path: str) -> None:
+    if isinstance(shape, list):
+        for i, x in enumerate(_list(doc, path or "report")):
+            _shape(x, shape[0], f"{path}[{i}]")
+    elif isinstance(shape, dict):
+        _object(doc, path or "report")
+        for key, kind in shape.items():
+            if key not in doc:
+                raise FormatError(f"{_at(path, key)}: missing")
+            _shape(doc[key], kind, _at(path, key))
+    else:
+        shape(doc, path)

@@ -562,7 +562,7 @@ def thread_step(e, heap: tuple, cursor: int) -> ThreadStep:
     )
 
 
-def step(cfg: MachineConfig, tid: int, memo: dict | None = None) -> StepOutcome:
+def step(cfg: MachineConfig, tid: int) -> StepOutcome:
     """Apply the unique head reduction of thread ``tid``.
 
     Outcomes: next (one step applied, forks spawned, labels fired), stuck
@@ -570,29 +570,16 @@ def step(cfg: MachineConfig, tid: int, memo: dict | None = None) -> StepOutcome:
     config), or done (the thread's expression is already a value).
 
     The step itself is :func:`thread_step`; this function places its
-    result in the thread pool. Given ``memo``, a dict, :func:`thread_step`
-    runs once per distinct expression whose step reads neither heap nor
-    cursor, and otherwise once per distinct (expression, heap, cursor).
+    result in the thread pool.
     """
     if not 0 <= tid < len(cfg.threads):
         raise UsageError(f"thread {tid} out of range")
     state = cfg.threads[tid]
     if state[0] != "run":
         raise UsageError(f"thread {tid} is not running ({state[0]})")
-    e, store = state[1], (cfg.heap, cfg.cursor)
-    out = None if memo is None else memo.get(e)
-    if type(out) is dict:
-        out = out.get(store)
-    if out is None:
-        out = thread_step(e, *store)
-        if memo is not None:
-            if out.read:
-                memo.setdefault(e, {})[store] = out
-            else:
-                memo[e] = out
-    heap, cursor = (out.heap, out.cursor) if out.read else store
+    out = thread_step(state[1], cfg.heap, cfg.cursor)
     threads = cfg.threads[:tid] + (out.thread,) + cfg.threads[tid + 1 :] + out.spawned
-    config = MachineConfig(heap, threads, cursor)
+    config = MachineConfig(out.heap, threads, out.cursor)
     if out.kind == "next":
         return StepOutcome("next", config, fired=out.fired, event=out.event)
     if out.kind == "stuck":

@@ -10,7 +10,7 @@ closure-based validity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .monoid import ElementEnumerator, MonoidSpec, carrier, term_order
@@ -80,7 +80,7 @@ def ex(t: Term) -> Term:
 
 def _enum(elements, unit, mode, note=""):
     elems = tuple([unit] + sort_terms(set(elements) - {unit}))
-    return ElementEnumerator(mode, lambda: iter(elems), note)
+    return ElementEnumerator(mode, lambda: iter(elems), note, in_term_order=True)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,8 @@ def build_product(name: str, parts: list[MonoidSpec], total: bool = False) -> Mo
         return iter([units] + elems)
 
     return MonoidSpec(
-        name, units, compose, valid_fn, ElementEnumerator(mode, generate), tuple(parts)
+        name, units, compose, valid_fn, ElementEnumerator(mode, generate, in_term_order=True),
+        tuple(parts),
     )
 
 
@@ -269,7 +270,8 @@ def build_finmap(keys: tuple[Term, ...], value: MonoidSpec, name: str = "finmap"
         return iter([tmap(())] + out)
 
     mode = "bounded" if value.bounded else "exhaustive"
-    return MonoidSpec(name, tmap(()), compose, valid_fn, ElementEnumerator(mode, generate))
+    enumerator = ElementEnumerator(mode, generate, in_term_order=True)
+    return MonoidSpec(name, tmap(()), compose, valid_fn, enumerator)
 
 
 def build_table_monoid(
@@ -309,7 +311,7 @@ def as_total(spec: MonoidSpec, name: str | None = None) -> MonoidSpec:
         spec.unit,
         spec.compose_fn,
         lambda t: True,
-        ElementEnumerator(spec.enumerator.mode, lambda: carrier(spec), spec.enumerator.note),
+        replace(spec.enumerator, generate=lambda: carrier(spec)),
         spec.parts,
     )
 

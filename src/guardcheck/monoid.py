@@ -14,11 +14,12 @@ has the walk visit only those boxes, in carrier order.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import prod
 from typing import Callable, Iterable, Sequence
 
-from .terms import Term, pretty, sort_terms, ttuple
+from .terms import Term, pretty, sort_terms, term_key, ttuple
 
 __all__ = [
     "ElementEnumerator",
@@ -62,12 +63,15 @@ class ElementEnumerator:
     """Deterministic, duplicate-free stream of carrier elements.
 
     ``exhaustive`` mode promises to yield the whole carrier; ``bounded``
-    mode yields a fixed, reproducible prefix (unit first).
+    mode yields a fixed, reproducible prefix (unit first). ``in_term_order``
+    promises that the elements after the unit come in term order, so
+    :func:`term_order` need only place the unit among them.
     """
 
     mode: str  # "exhaustive" | "bounded"
     generate: Callable[[], Iterable[Term]]
     note: str = ""
+    in_term_order: bool = False
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "bounded"):
@@ -133,7 +137,12 @@ def term_order(spec: MonoidSpec) -> tuple[tuple[Term, ...], dict[Term, int]]:
 
 
 def _term_order(spec: MonoidSpec):
-    ordered = tuple(sort_terms(carrier(spec)))
+    elems = carrier(spec)
+    if spec.enumerator.in_term_order:
+        i = bisect_left(elems, term_key(spec.unit), 1, key=term_key)
+        ordered = elems[1:i] + elems[:1] + elems[i:]
+    else:
+        ordered = tuple(sort_terms(elems))
     return ordered, {t: i for i, t in enumerate(ordered)}
 
 

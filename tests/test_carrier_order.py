@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
+
+from guardcheck.formats import load_monoid, load_protocol
 
 from guardcheck.library import (
     NONE,
@@ -29,7 +32,7 @@ from guardcheck.library import (
     pcm_as_protocol,
     some,
 )
-from guardcheck.monoid import carrier
+from guardcheck.monoid import ElementEnumerator, MonoidSpec, carrier, term_order
 from guardcheck.terms import BOT, sort_terms, tint, tmap, tsym, ttuple
 
 X0, X1 = tsym("x0"), tsym("x1")
@@ -103,3 +106,58 @@ SMALL = [
 def test_products_of_small_builtins_match_the_sorted_reference(picks):
     parts = [SMALL[i] for i in picks]
     assert carrier(build_product("p", parts)) == ref_product_carrier(parts)
+
+
+# term_order places the unit among an enumeration that is otherwise in
+# term order; the sorted carrier is its reference, for every builtin
+# protocol's monoids and parts and for each kind of monoid a document
+# can load
+TERMS = [["int", 1], ["int", 0]]
+BUILTINS = {
+    "fractional": {}, "fractional-memory": {"keys": TERMS}, "counting": {}, "forever": {},
+    "rwlock": {"values": TERMS}, "rwlock-multi": {"values": TERMS, "k": 2},
+    "hashtable": {"length": 3, "hash": [[["int", 1], 0], [["int", 0], 0]], "values": TERMS},
+}
+MONOIDS = [
+    {"kind": "excl", "values": TERMS},
+    {"kind": "agn", "values": TERMS, "max_count": 2},
+    {"kind": "agnvec", "values": TERMS, "k": 2, "max_count": 1},
+    {"kind": "nat", "limit": 3},
+    {"kind": "int", "lo": -2, "hi": 2},
+    {"kind": "frac", "den_bound": 3, "max_value": 2},
+    {"kind": "product", "parts": [{"kind": "int", "lo": -1, "hi": 1}, {"kind": "nat", "limit": 1}]},
+    {"kind": "finmap", "keys": TERMS, "value": {"kind": "int", "lo": -1, "hi": 1}},
+    # a table whose unit is neither its least nor its first-listed element
+    {"kind": "table", "unit": ["int", 5], "elements": [["int", 7], ["int", 3]], "compose": [
+        [["int", 5], ["int", 5], ["int", 5]], [["int", 5], ["int", 3], ["int", 3]],
+        [["int", 5], ["int", 7], ["int", 7]], [["int", 3], ["int", 3], ["int", 3]],
+        [["int", 3], ["int", 7], ["int", 7]], [["int", 7], ["int", 7], ["int", 7]],
+    ]},
+    {"kind": "trivial"},
+]
+
+
+def with_parts(spec):
+    yield spec
+    for part in spec.parts:
+        yield from with_parts(part)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_term_order_is_the_sorted_carrier(name):
+    sp, _ = load_protocol({"builtin": name, "params": BUILTINS[name]})
+    for spec in (*with_parts(sp.protocol), *with_parts(sp.storage)):
+        assert term_order(spec)[0] == tuple(sort_terms(carrier(spec))), spec.name
+
+
+@pytest.mark.parametrize("doc", MONOIDS, ids=[doc["kind"] for doc in MONOIDS])
+def test_loaded_term_order_is_the_sorted_carrier(doc):
+    for spec in with_parts(load_monoid(doc)):
+        assert term_order(spec)[0] == tuple(sort_terms(carrier(spec))), spec.name
+
+
+def test_an_enumeration_out_of_term_order_is_sorted():
+    excl = build_excl((tint(0), tint(1)))
+    shuffled = MonoidSpec("shuffled", excl.unit, excl.compose_fn, excl.valid_fn, ElementEnumerator(
+        "exhaustive", lambda: iter([excl.unit, *reversed(carrier(excl)[1:])])))
+    assert term_order(shuffled)[0] == tuple(sort_terms(carrier(excl)))

@@ -179,6 +179,62 @@ def test_check_demo_report_bytes_pinned(capsys, name):
     assert digest == CHECK_DEMO_SHA256[name], f"demo {name}: report changed"
 
 
+# sha256 of each scenario demo's report, in each admission mode and
+# output format, pinned so that a change to the explorer which moves a
+# count, schedule or report byte fails here
+SCENARIO_DEMO_SHA256 = {
+    ("hashtable-collide", "concrete", "json"):
+        "34695cb93ebf32726b82014dbcc45ddc768ca5521ba41b9be0d0b062b26dadc3",
+    ("hashtable-collide", "concrete", "text"):
+        "eded816dec2798424834df342d5db35f496acb1003e3ba193e49688d368ff4a1",
+    ("hashtable-collide", "rule", "json"):
+        "a3da2cece42cdc9e9544ae851feb60d3c85144cf32f66f7571cce51914559b58",
+    ("hashtable-collide", "rule", "text"):
+        "cbdeca01708431323cb0be54a948058d47eca20ab582831fe87494074b5adec4",
+    ("race-negative", "concrete", "json"):
+        "7d50d4e592d094ef0540b1538097f1aa329059dd7d232ee894fcf2a3b047e171",
+    ("race-negative", "concrete", "text"):
+        "79e226caa2ffc1ce0ac580f366b7217d25fbc245c007293a50b2580b762b9036",
+    ("race-negative", "rule", "json"):
+        "0a7e34bd17d78969441aaa85647861de76d8f45f45a05a6bfa37d2ded6959dbd",
+    ("race-negative", "rule", "text"):
+        "cc59d7d7d0e0adf422f2fd943e2e80bcd93ec22dac1a483b7c1c5b080308cd7b",
+    ("rwlock-exc", "concrete", "json"):
+        "ca340b84d0d68f3e53b6337b49db656b851905bd864653ddf0f330c894feef9b",
+    ("rwlock-exc", "concrete", "text"):
+        "ff48811702701f610e41194e1a208e4c70d2cef9716c9b18f90214a94827e494",
+    ("rwlock-exc", "rule", "json"):
+        "85aa7ebbd30648803bbddb36b13bc3d331b21ae0f5a55bf6835751b6e3f193af",
+    ("rwlock-exc", "rule", "text"):
+        "f97d18e9dca125944e74486ee437fa9bc9dd2c89c61218de56d915544c0d3072",
+    ("rwlock-multi", "concrete", "json"):
+        "7e04274e7dd08d7dcc7e118b437704151c8bc655f60631b1efea0a09039ab2c5",
+    ("rwlock-multi", "concrete", "text"):
+        "4043c17e4c669b938bdbcc323531b538745c295d29d0544aae43e246c8798cd9",
+    ("rwlock-multi", "rule", "json"):
+        "4b0a5b9ed8a3930372b9c649f76ad62f57fdbbbd86b19669c40c26e91b2112f1",
+    ("rwlock-multi", "rule", "text"):
+        "09a6a0988808dafd68ce465a61184c5d20328ba10ac1886014cc53e457a66cbc",
+    ("rwlock-shared", "concrete", "json"):
+        "9ab286d62eec4d3b1ddb23e05047ecaa85c22739d1609e77e69e7242872dcd4f",
+    ("rwlock-shared", "concrete", "text"):
+        "70e60f0d2b302831fbf59db8d43dec0a2db21439d05cdc4fb32ddcdca1673a00",
+    ("rwlock-shared", "rule", "json"):
+        "7f053d83dccd6e30a71d7117e71c350bdc696e23adea64c874ed353e10993a4b",
+    ("rwlock-shared", "rule", "text"):
+        "bb9a8dc473446e2ec9deefef5fd5288366b8301394ca41e0f991427a25f75bec",
+}
+
+
+@pytest.mark.parametrize("name, mode, fmt", sorted(SCENARIO_DEMO_SHA256))
+def test_scenario_demo_report_bytes_pinned(capsys, name, mode, fmt):
+    code, out, _ = run(capsys, "demo", name, "--mode", mode, "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    want = SCENARIO_DEMO_SHA256[name, mode, fmt]
+    assert digest == want, f"demo {name} --mode {mode} --format {fmt}: report changed"
+
+
 def test_quiet_suppresses_output(capsys):
     code, out, _ = run(capsys, "demo", "protocol-frac", "--quiet")
     assert code == 0 and out == ""
@@ -190,6 +246,14 @@ def test_report_rendering(tmp_path, capsys):
     path.write_text(out)
     code, text, _ = run(capsys, "report", str(path))
     assert code == 0 and "PASS" in text
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "input error: report: must be an object, got list"),
+    ({"scenario": "x"}, "input error: mode: missing"),
+])
+def test_report_of_a_file_that_is_no_report_exits_2(tmp_path, doc, message):
+    assert_input_error(tmp_path, doc, [], message, command="report")
 
 
 def test_unknown_flag_rejected():

@@ -326,7 +326,7 @@ from guardcheck.ghost import (
 )
 from guardcheck.lang import (
     MachineConfig, StepOutcome, UsageError, _Stepper, _Stuck, ast_to_json, enabled_threads,
-    free, is_value, label, let, ref, var,
+    free, is_value, label, let, ref, thread_step, var,
 )
 from guardcheck.monoid import leq
 from guardcheck.protocol import valid_fragment
@@ -482,7 +482,10 @@ def ref_explore(scenario, mode="rule", memo=True):
             if key not in seen_violations:
                 seen_violations[key] = Violation(kind, name, detail, sched)
 
-    record_violations(transition_memo.property_violations(root), ())
+    record_violations([
+        ("property", p.name, reason) for p in scenario.properties
+        for ok, reason in [check_property(scenario, root, p)] if not ok
+    ], ())
 
     visited = {root: 0}
     on_path: set = set()  # memo-off cycle pruning
@@ -572,7 +575,6 @@ def use_reference(m):
     m.setitem(explore_mod.PROPERTY_EVALUATORS, "ghost-invariant", ref_prop_ghost_invariant)
     m.setattr(explore_mod, "explore", ref_explore)
     m.setattr(explore_mod, "transition", ref_transition)
-    m.setattr(explore_mod, "step", ref_step)
     m.setattr(lang_mod, "step", ref_step)
 
 
@@ -789,33 +791,53 @@ def test_transition_memo_without_state_dedup(name, monkeypatch):
         assert all(json.loads(text)["bound_exceeded"] for text in reference)
 
 
-def test_transition_runs_once_per_distinct_input(monkeypatch):
-    # explore calls transition once per distinct (tid, thread tid's state,
-    # heap, cursor, ledger) that the reference explorer meets,
-    # not once per transition
-    doc = shipped_doc("rwlock-shared")
+def assert_computed_once_per_distinct_input(doc, mode, memo, calls, monkeypatch):
+    """explore computes a transition once per distinct (tid, thread tid's
+    state, or all threads when a safety property reads them, heap,
+    cursor, ledger) that the reference explorer meets, not once per
+    transition, and reports what the reference reports."""
     inputs = set()
 
     def recording(scenario, state, tid, mode, memo=None):
         m = state.machine
-        inputs.add((tid, m.threads[tid], m.heap, m.cursor, state.ledger))
+        threads = m.threads if memo.verdicts is None else m.threads[tid]
+        inputs.add((tid, threads, m.heap, m.cursor, state.ledger))
         return ref_transition(scenario, state, tid, mode, memo)
 
     with monkeypatch.context() as m:
         use_reference(m)
         m.setattr(explore_mod, "transition", recording)
-        want = explore_mod.explore(scenario_from_json(doc), "concrete")
-    calls = []
-    real = explore_mod.transition
+        want = explore_mod.explore(scenario_from_json(doc), mode, memo=memo)
+    computed = []
+    real = TransitionMemo.compute
 
-    def counting(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counting(self, tid, nums, env):
+        computed.append(tid)
+        return real(self, tid, nums, env)
 
-    monkeypatch.setattr(explore_mod, "transition", counting)
-    got = explore(scenario_from_json(doc), "concrete")
+    with monkeypatch.context() as m:
+        m.setattr(TransitionMemo, "compute", counting)
+        got = explore(scenario_from_json(doc), mode, memo=memo)
     assert report(got) == report(want)
-    assert (len(calls), len(inputs), got.transitions) == (989, 989, 33_367)
+    assert len(computed) == len(inputs) == calls
+
+
+def test_transition_runs_once_per_distinct_input(monkeypatch):
+    doc = shipped_doc("rwlock-shared")
+    assert_computed_once_per_distinct_input(doc, "concrete", True, 989, monkeypatch)
+
+
+@pytest.mark.parametrize("name, mode, memo, max_states, calls", [
+    ("finished-first", "rule", True, None, 435),  # a safety property reads threads
+    ("rwlock-exc", "concrete", False, 2_000, 59),  # no state dedup
+])
+def test_transition_runs_once_per_distinct_input_on_every_path(
+    name, mode, memo, max_states, calls, monkeypatch
+):
+    doc = SCENARIO_DOCS[name]()
+    if max_states is not None:
+        doc["max_states"] = max_states
+    assert_computed_once_per_distinct_input(doc, mode, memo, calls, monkeypatch)
 
 
 @pytest.mark.parametrize("name, mode, calls", [
@@ -826,15 +848,50 @@ def test_thread_step_runs_once_per_heap_free_expression(name, mode, calls, monke
     # not once per (expression, heap, cursor): 665 and 626 calls when
     # every step was keyed on all three
     got = []
-    real = lang_mod.thread_step
+    real = explore_mod.thread_step
 
     def counting(*args):
         got.append(args)
         return real(*args)
 
-    monkeypatch.setattr(lang_mod, "thread_step", counting)
+    monkeypatch.setattr(explore_mod, "thread_step", counting)
     explore(scenario_from_json(shipped_doc(name)), mode)
     assert len(got) == calls
+
+
+def test_objects_are_built_only_for_what_runs(monkeypatch):
+    # a transition-table miss whose step, admissions, verdicts and window
+    # closing all hit builds no machine config: explore builds one for
+    # the root, for each property-memo miss and for each terminal state
+    counts = dict.fromkeys(["config", "thread_step", "resolver", "terminal", "compute"], 0)
+    memos = []
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class Recorded(TransitionMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    sc = scenario_from_json(shipped_doc("hashtable-collide"))
+    monkeypatch.setattr(MachineConfig, "__init__", counted("config", MachineConfig.__init__))
+    monkeypatch.setattr(explore_mod, "thread_step", counted("thread_step", thread_step))
+    monkeypatch.setattr(explore_mod, "_terminal_checks", counted("terminal", _terminal_checks))
+    monkeypatch.setattr(TransitionMemo, "compute", counted("compute", TransitionMemo.compute))
+    monkeypatch.setattr(explore_mod, "TransitionMemo", Recorded)
+    for name, fn in list(RESOLVERS.items()):
+        monkeypatch.setitem(RESOLVERS, name, counted("resolver", fn))
+    got = explore(sc, "rule")
+    (memo,) = memos
+    property_misses = len(memo.verdicts)
+    assert (got.transitions, counts["compute"], counts["thread_step"]) == (7_071, 795, 238)
+    assert counts["config"] <= (
+        counts["thread_step"] + property_misses + counts["resolver"] + counts["terminal"])
+    assert counts["config"] == 1 + property_misses + counts["terminal"]
 
 
 def test_table_hits_hash_no_ledger(monkeypatch):

@@ -154,10 +154,11 @@ print(json.dumps(sorted(set(sys.modules) - before)))
     [
         (["check", "{demos}/protocol-rwlock.protocol.json",
           "{demos}/protocol-rwlock.relations.json"], False),
+        (["explore", "{demos}/rwlock-exc.scenario.json"], True),
         (["demo", "protocol-count"], False),
         (["demo", "rwlock-exc"], True),
     ],
-    ids=["check", "demo-protocol-count", "demo-rwlock-exc"],
+    ids=["check", "explore", "demo-protocol-count", "demo-rwlock-exc"],
 )
 def test_a_command_loads_only_what_it_runs(argv, loads_explorer):
     demos = str(Path(SRC) / "guardcheck" / "demos")
@@ -172,3 +173,5 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("guardchec
     assert code == 0
     for module in EXPLORER_STACK:
         assert (module in loaded) == loads_explorer, (module, loaded)
+    # the demo registry is read by `demo` alone
+    assert ("guardcheck.demos" in loaded) == (argv[0] == "demo"), loaded

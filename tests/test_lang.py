@@ -40,10 +40,11 @@ from guardcheck.lang import (
     subst,
     var,
 )
-from guardcheck.lang import _FORMS
+from guardcheck.explore import Scenario, TransitionMemo
+from guardcheck.lang import _FORMS, StepOutcome
 from guardcheck.terms import UNIT, tbool, tcon, tfrac, tint, tsym
 
-lang_mod = importlib.import_module("guardcheck.lang")
+explore_mod = importlib.import_module("guardcheck.explore")
 
 
 def run_to_end(cfg, tid=0, limit=500):
@@ -403,8 +404,9 @@ def test_malformed_node_names_its_path(doc, message):
 
 
 # ---------------------------------------------------------------------------
-# The step memo: a step that reads the heap or cursor is memoised on
-# (expression, heap, cursor), one that reads neither on the expression
+# The explorer's step memo: a step that reads the heap or cursor is
+# memoised on the numbers of (expression, heap, cursor), one that reads
+# neither on the expression's number
 
 R0, R1, W = ("r", 0), ("r", 1), ("w",)
 
@@ -457,13 +459,33 @@ def at(store_, e):
     return MachineConfig(heap, (("run", e),), cursor)
 
 
+def memo_for_steps():
+    return TransitionMemo(Scenario("steps", (), (), {}, {}), "rule")
+
+
+def numbered_step(memo, store_, e):
+    """The step of ``e`` at ``store_`` through ``memo``'s step memo, put
+    back together as the StepOutcome that lang.step gives."""
+    items = memo.items
+    heap, cursor = store_
+    kind, mine, spawned, after, fired, event = memo.step(
+        memo.number(("run", e)), memo.number(heap), cursor)
+    if after is not None:
+        heap, cursor = items[after[0]], after[1]
+    config = MachineConfig(heap, tuple(items[n] for n in (mine, *spawned)), cursor)
+    if kind == "stuck":
+        return StepOutcome("stuck", config, reason=items[mine][1])
+    return StepOutcome(kind, config, fired=fired, event=event)
+
+
 @pytest.mark.parametrize("name", sorted(HEAP_READS))
 def test_heap_reading_step_is_memoised_per_store(name):
     e, *stores = HEAP_READS[name]
-    memo: dict = {}
-    got = [step(at(s, e), 0, memo) for s in stores]
+    memo = memo_for_steps()
+    got = [numbered_step(memo, s, e) for s in stores]
     want = [step(at(s, e), 0) for s in stores]
     assert got == want and want[0] != want[1]
+    assert [numbered_step(memo, s, e) for s in stores] == want  # now from the memo
     if want[0].kind == "stuck":
         assert want[0].reason == name
 
@@ -472,13 +494,13 @@ def test_heap_reading_step_is_memoised_per_store(name):
 def test_heap_free_step_is_memoised_on_the_expression(name, monkeypatch):
     e = HEAP_FREE[name]
     want = step(at(SECOND, e), 0)
-    memo: dict = {}
-    step(at(FIRST, e), 0, memo)
+    memo = memo_for_steps()
+    numbered_step(memo, FIRST, e)
 
     def recompute(*args):
         raise AssertionError("heap-free step run again for another heap")
 
-    monkeypatch.setattr(lang_mod, "thread_step", recompute)
-    got = step(at(SECOND, e), 0, memo)
+    monkeypatch.setattr(explore_mod, "thread_step", recompute)
+    got = numbered_step(memo, SECOND, e)
     assert got == want
     assert (got.config.heap, got.config.cursor) == SECOND
