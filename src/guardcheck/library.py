@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 from .monoid import ElementEnumerator, MonoidSpec, carrier, term_order
 from .protocol import StorageProtocolSpec
@@ -240,34 +241,74 @@ def build_product(name: str, parts: list[MonoidSpec], total: bool = False) -> Mo
 
 
 def build_finmap(keys: tuple[Term, ...], value: MonoidSpec, name: str = "finmap") -> MonoidSpec:
-    """Finite maps into a monoid, composed pointwise; unit entries dropped."""
+    """Finite maps into a monoid, composed pointwise; unit entries dropped.
+
+    A map's entries are in the keys' term order, so maps are built and
+    composed in that order, with nothing to sort: the carrier is generated
+    in term order (see ``generate``) and two maps compose by a merge of
+    their entries on key rank."""
+    for i, k in enumerate(keys):
+        if k in keys[:i]:
+            raise ValueError(f"duplicate key {pretty(k)}")
     vunit = value.unit
     vcomp = value.compose_fn
     vvalid = value.valid_fn
-    rank = {k: i for i, k in enumerate(sort_terms(keys))}  # tmap's order on the keys
+    ordered = sort_terms(keys)
+    rank = {k: i for i, k in enumerate(ordered)}  # tmap's order on the keys
 
     def compose(a, b):
-        merged = dict(map_entries(a))
-        for k, v in map_entries(b):
-            if k in merged:
-                merged[k] = vcomp(merged[k], v)
-            else:
-                merged[k] = v
-        entries = [(k, v) for k, v in merged.items() if v != vunit]
+        ea, eb = map_entries(a), map_entries(b)
+        if not ea:
+            return b
+        if not eb:
+            return a
+        out = []
+        i = j = 0
         try:
-            return ("map", tuple(sorted(entries, key=lambda kv: rank[kv[0]])))
+            while i < len(ea) and j < len(eb):
+                ka, kb = ea[i][0], eb[j][0]
+                ra, rb = rank[ka], rank[kb]
+                if ra < rb:
+                    out.append(ea[i])
+                    i += 1
+                elif rb < ra:
+                    out.append(eb[j])
+                    j += 1
+                else:
+                    v = vcomp(ea[i][1], eb[j][1])
+                    if v != vunit:
+                        out.append((ka, v))
+                    i += 1
+                    j += 1
         except KeyError:  # a key that is not declared
-            return tmap(entries)
+            merged = dict(ea)
+            for k, v in eb:
+                merged[k] = vcomp(merged[k], v) if k in merged else v
+            return tmap((k, v) for k, v in merged.items() if v != vunit)
+        return ("map", (*out, *ea[i:], *eb[j:]))
 
     def valid_fn(t):
         return all(vvalid(v) for _, v in map_entries(t))
 
     def generate():
-        per_key = [[(k, v) for v in carrier(value) if v != vunit] + [None] for k in keys]
-        elems = [tmap(kv for kv in combo if kv is not None) for combo in itertools.product(*per_key)]
-        out = sort_terms(set(elems))
-        out.remove(tmap(()))
-        return iter([tmap(())] + out)
+        # maps compare by size, then entry by entry, key before value:
+        # so for each size, the maps whose first key is least come first,
+        # by value, each followed by its rest in the same order
+        values = [v for v in term_order(value)[0] if v != vunit]
+
+        @cache
+        def rests(lo, size):
+            """The entry tuples of ``size`` keys ranked from ``lo``, in order."""
+            if not size:
+                return [()]
+            return [
+                ((ordered[r], v), *rest)
+                for r in range(lo, len(ordered) - size + 1)
+                for v in values
+                for rest in rests(r + 1, size - 1)
+            ]
+
+        return (("map", e) for size in range(len(ordered) + 1) for e in rests(0, size))
 
     mode = "bounded" if value.bounded else "exhaustive"
     enumerator = ElementEnumerator(mode, generate, in_term_order=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .terms import Term, pretty, sort_terms, term_key, ttuple
@@ -243,32 +243,37 @@ def first_counterexample(
 def _box_walk(spec: MonoidSpec, boxes: Iterable[Box]):
     """(every (carrier position, frame) of ``boxes`` in position order, the
     carrier size). Boxes must not overlap."""
-    position, size = memo(spec, "position", _position, spec)
+    ranks, unit_rank, size = memo(spec, "ranks", _ranks, spec)
+    ranked = []
+    for box in boxes:
+        columns = [list(map(rank.__getitem__, axis)) for rank, axis in zip(ranks, box)]
+        ranked += zip(map(sum, itertools.product(*columns)), itertools.product(*box))
+    ranked.sort(key=itemgetter(0))
+    # positions follow ranks, but for the unit's frame, which goes first
+    i = bisect_left(ranked, unit_rank, key=itemgetter(0))
+    if i < len(ranked) and ranked[i][0] == unit_rank:
+        ranked.insert(0, ranked.pop(i))
     frame = ttuple if spec.parts else lambda c: c
-    ranked = sorted(
-        (position(c), c) for box in boxes for c in itertools.product(*box)
-    )
-    return ((i, frame(*c)) for i, c in ranked), size
+    return ((0 if r == unit_rank else r + (r < unit_rank), frame(*c)) for r, c in ranked), size
 
 
-def _position(spec: MonoidSpec):
-    """(components -> carrier position, carrier size). A product's carrier
-    is its parts' term orders multiplied out, with the unit moved to the
-    front, so a tuple's position is its mixed-radix rank there, shifted
-    by one if it ranks below the unit. Any other carrier is indexed."""
+def _ranks(spec: MonoidSpec):
+    """(per axis, each element's rank times the axis's stride; the unit's
+    rank; the carrier size). A frame's rank is the sum over its axes. A
+    product's carrier is its parts' term orders multiplied out, with the
+    unit moved to the front, so a tuple's rank is its mixed-radix rank
+    there, and its position is that rank shifted by one if it ranks below
+    the unit. Any other carrier is indexed, unit first: rank is position."""
     if not spec.parts:
         index = {t: i for i, t in enumerate(carrier(spec))}
-        return (lambda c: index[c[0]]), len(index)
-    indices = [term_order(part)[1] for part in spec.parts]
-    sizes = [len(index) for index in indices]
-    strides = [prod(sizes[j + 1:]) for j in range(len(sizes))]
-    unit_rank = sum(s * index[u] for s, index, u in zip(strides, indices, spec.unit[1]))
-
-    def position(c):
-        rank = sum(s * index[x] for s, index, x in zip(strides, indices, c))
-        return 0 if rank == unit_rank else rank + (rank < unit_rank)
-
-    return position, prod(sizes)
+        return [index], 0, len(index)
+    ranks, stride = [], 1
+    for part in reversed(spec.parts):
+        index = term_order(part)[1]
+        ranks.insert(0, {t: stride * i for t, i in index.items()})
+        stride *= len(index)
+    unit_rank = sum(rank[u] for rank, u in zip(ranks, spec.unit[1]))
+    return ranks, unit_rank, stride
 
 
 def _image(spec: MonoidSpec, a: Term) -> Callable[[Term], bool]:

@@ -1,9 +1,10 @@
-"""Product carriers are generated in term order, without a sort.
+"""Product and finite-map carriers are generated in term order, without
+a sort.
 
-The reference below is the sort-based ``generate`` that ``build_product``
-and ``build_hashtable_monoid`` used before: every tuple, sorted by
-``term_key``, with the unit moved to the front. The carriers built now
-must equal it tuple for tuple.
+The references below are the sort-based ``generate`` functions that
+``build_product``, ``build_hashtable_monoid`` and ``build_finmap`` used
+before: every tuple or map, sorted by ``term_key``, with the unit moved
+to the front. The carriers built now must equal them element for element.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from guardcheck import terms
 from guardcheck.formats import load_monoid, load_protocol
 
 from guardcheck.library import (
@@ -20,6 +22,7 @@ from guardcheck.library import (
     HashFunctionSpec,
     build_agn,
     build_excl,
+    build_finmap,
     build_frac,
     build_hashtable_monoid,
     build_int,
@@ -33,7 +36,7 @@ from guardcheck.library import (
     some,
 )
 from guardcheck.monoid import ElementEnumerator, MonoidSpec, carrier, term_order
-from guardcheck.terms import BOT, sort_terms, tint, tmap, tsym, ttuple
+from guardcheck.terms import BOT, UNIT, sort_terms, tbool, tint, tmap, tsym, ttuple
 
 X0, X1 = tsym("x0"), tsym("x1")
 
@@ -106,6 +109,46 @@ SMALL = [
 def test_products_of_small_builtins_match_the_sorted_reference(picks):
     parts = [SMALL[i] for i in picks]
     assert carrier(build_product("p", parts)) == ref_product_carrier(parts)
+
+
+def ref_finmap_carrier(keys, value):
+    per_key = [[None] + [(k, v) for v in carrier(value) if v != value.unit] for k in keys]
+    elems = sort_terms({tmap(e for e in c if e) for c in itertools.product(*per_key)})
+    elems.remove(tmap(()))
+    return tuple([tmap(())] + elems)
+
+
+# keys of mixed tags, drawn in any order, so rarely in term order
+KEYS = [tsym("k"), tint(3), tint(-1), tbool(True), UNIT, ttuple(tint(0))]
+
+
+@given(
+    st.lists(st.sampled_from(KEYS), max_size=3, unique=True),
+    st.sampled_from(range(len(SMALL))),
+)
+@settings(max_examples=40, deadline=None)
+def test_finmap_carriers_match_the_sorted_reference(keys, pick):
+    value = SMALL[pick]
+    assert carrier(build_finmap(tuple(keys), value)) == ref_finmap_carrier(keys, value)
+
+
+def test_a_finmap_carrier_takes_no_term_key_per_element(monkeypatch):
+    # the maps come out in order by construction: only sorting the keys
+    # reads term_key, once per key, and no map is ever keyed
+    value = build_excl((tint(0), tint(1), tint(2)))
+    term_order(value)
+    calls = []
+    term_key = terms.term_key
+
+    def counted(t):
+        calls.append(t)
+        return term_key(t)
+
+    monkeypatch.setattr(terms, "term_key", counted)
+    keys = (tint(2), tint(0), tint(1))
+    elems = carrier(build_finmap(keys, value))
+    assert len(elems) == 5 ** len(keys)
+    assert len(calls) <= len(keys) and not any(t[0] == "map" for t in calls)
 
 
 # term_order places the unit among an enumeration that is otherwise in

@@ -162,21 +162,31 @@ def test_demo_is_check_or_explore_on_its_packaged_files(capsys, name, fmt):
         assert demo == run(capsys, command, *files, "--format", fmt, *mode)
 
 
-# sha256 of each check demo's JSON report, pinned so that a refactor
-# which changes a verdict, witness or frame count fails here
+# sha256 of each check demo's report, in each output format, pinned so
+# that a refactor which changes a verdict, witness or frame count fails here
 CHECK_DEMO_SHA256 = {
-    "protocol-count": "3e2a5a64aae874d342c8f3d2bb749fbb8c0a0c758f02cc0c4b20863032f06383",
-    "protocol-frac": "0cf7ef7d3fb297d8df368e1212f856ef3478134e074d3b18aae0da9ecd685434",
-    "protocol-rwlock": "0235895d6b2e9045b0f4add3b5de11a0a7e8319d50f52b851da58e883a04aff3",
+    "protocol-count": {
+        "json": "3e2a5a64aae874d342c8f3d2bb749fbb8c0a0c758f02cc0c4b20863032f06383",
+        "text": "fcdf6ef33a611c4e1fc825cf0ea0d57f7d33c3ea3152b096c7dfc46aa79747b1",
+    },
+    "protocol-frac": {
+        "json": "0cf7ef7d3fb297d8df368e1212f856ef3478134e074d3b18aae0da9ecd685434",
+        "text": "354f845e37fafe6fa1b98992655644fd12553525cc3b9f4b58c7a415022cfb56",
+    },
+    "protocol-rwlock": {
+        "json": "0235895d6b2e9045b0f4add3b5de11a0a7e8319d50f52b851da58e883a04aff3",
+        "text": "20cd015f842a1a20a2a871e84580ab7408f5a48944bf2455213a9a4a27a7e3b2",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_DEMO_SHA256))
 def test_check_demo_report_bytes_pinned(capsys, name):
-    code, out, _ = run(capsys, "demo", name, "--format", "json")
-    assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == CHECK_DEMO_SHA256[name], f"demo {name}: report changed"
+    for fmt, pinned in CHECK_DEMO_SHA256[name].items():
+        code, out, _ = run(capsys, "demo", name, "--format", fmt)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == pinned, f"demo {name} --format {fmt}: report changed"
 
 
 # sha256 of each scenario demo's report, in each admission mode and

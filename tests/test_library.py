@@ -669,6 +669,36 @@ def test_finmap_compose_sorts_as_tmap():
                 assert part.compose_fn(a, b) == pointwise(a, b)
 
 
+def ref_finmap_compose(value, a, b):
+    """a · b pointwise through a dict, sorted by tmap: the composition
+    finmaps had before they merged their entries on key rank."""
+    merged = dict(a[1])
+    for k, v in b[1]:
+        merged[k] = value.compose_fn(merged[k], v) if k in merged else v
+    return tmap((k, v) for k, v in merged.items() if v != value.unit)
+
+
+def test_finmap_compose_is_the_dict_reference():
+    # 1 · -1 is the value unit 0, so entries drop out; the keys mix tags
+    # and are declared out of term order; each stray key is undeclared and
+    # sorts before, among or after the declared ones
+    from guardcheck.library import build_int
+
+    value = build_int(-1, 1)
+    keys = (tsym("b"), tint(2), tbool(True), tint(-1))
+    spec = build_finmap(keys, value)
+    elems = list(carrier(spec))
+    strays = [
+        tmap([*m[1], (k, tint(1))])
+        for m in elems[::7]
+        for k in (tbool(False), tint(0), tsym("z"))
+    ]
+    assert strays and len(elems) == 3 ** len(keys)
+    for a in elems + strays:
+        for b in elems + strays:
+            assert spec.compose_fn(a, b) == ref_finmap_compose(value, a, b), (a, b)
+
+
 # ---------------------------------------------------------------------------
 # The count and agreement algebras, built from the combinators, against the
 # carriers and compositions they had as hand-written monoids

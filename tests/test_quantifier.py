@@ -62,6 +62,7 @@ from guardcheck.library import (
     build_fractional,
     build_hashtable_monoid,
     build_hashtable_protocol,
+    build_int,
     build_nat,
     build_product,
     build_rwlock,
@@ -602,6 +603,19 @@ def test_pruned_walk_around_a_unit_that_is_not_least(p, p_after, s, s_after):
     agree_valid_fragment(INT_EXCL, p)
 
 
+def test_a_box_walk_visits_its_frames_in_carrier_order():
+    # the two boxes interleave in carrier order, and the second holds the
+    # unit (0, ε), which int's term order puts among the other frames
+    spec = build_product("int-excl", [build_int(-2, 2), build_excl((tint(0),))])
+    ints, excl = (term_order(part)[0] for part in spec.parts)
+    boxes = [[ints[1::2], excl], [ints[::2], excl[:2]]]
+    frames = {f for box in boxes for f in box_frames(spec, box)}
+    walk, size = monoid_module._box_walk(spec, boxes)
+    elems = carrier(spec)
+    assert list(walk) == [(i, f) for i, f in enumerate(elems) if f in frames]
+    assert size == len(elems) and spec.unit in frames
+
+
 # ---------------------------------------------------------------------------
 # Negative controls
 
@@ -685,12 +699,14 @@ def test_reading_c_off_the_carrier_is_caught(monkeypatch):
 
 
 def test_taking_the_first_failing_value_tuple_is_caught(monkeypatch):
-    position_of = monoid_module._position
+    box_walk = monoid_module._box_walk
 
     def in_box_order(spec, boxes):
-        position, size = position_of(spec)
-        return ((position(c), frame) for box in boxes
-                for c, frame in zip(itertools.product(*box), box_frames(spec, box))), size
+        boxes = list(boxes)
+        walk, size = box_walk(spec, boxes)
+        position = {frame: i for i, frame in walk}
+        return ((position[frame], frame) for box in boxes
+                for frame in box_frames(spec, box)), size
 
     monkeypatch.setattr(monoid_module, "_box_walk", in_box_order)
     # on int × excl the unit frame fails some guards that frames ranking
