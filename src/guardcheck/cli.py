@@ -18,6 +18,7 @@ import sys
 
 from .formats import (
     FormatError,
+    _count,
     dumps,
     load_protocol,
     load_queries,
@@ -153,11 +154,11 @@ def run_explore_scenario(scenario, mode: str, max_states=None, max_steps=None) -
     from .explore import explore
     from .studies import explorer_outcomes, sequential_oracle
 
-    updates = {}
+    updates = {}  # each bound read as a scenario document reads it
     if max_states is not None:
-        updates["max_states"] = max_states
+        updates["max_states"] = _count(max_states, "--max-states")
     if max_steps is not None:
-        updates["max_steps_per_thread"] = max_steps
+        updates["max_steps_per_thread"] = _count(max_steps, "--max-steps")
     if updates:
         scenario = dataclasses.replace(scenario, **updates)
     result = explore(scenario, mode=mode)

@@ -1,9 +1,10 @@
 """Built-in demo inputs.
 
-Each demo is a checked-in JSON document under ``guardcheck/demos/``;
-this module also knows how to regenerate those documents from the
-library builders (``python -m guardcheck.demos`` rewrites them), and the
-test suite pins the checked-in files to the builder output.
+Each demo is a checked-in JSON document under ``guardcheck/demos/``. A
+check demo is its packaged protocol and relations files. A scenario
+demo's file is the document its case-study builder writes; ``python -m
+guardcheck.demos`` rewrites those files, and the test suite pins them to
+the builders' output.
 
 Registry: protocol-frac, protocol-count, protocol-rwlock (protocol +
 relation-query checks) and rwlock-exc, rwlock-shared, rwlock-multi,
@@ -16,112 +17,9 @@ import json
 
 from .formats import dumps, scenario_to_json
 from .library import HashFunctionSpec
-from .terms import term_to_json, tfrac, tint
+from .terms import tint
 
 __all__ = ["DEMOS", "demo_documents", "demo_path", "load_demo_document"]
-
-
-def _frac_relations() -> dict:
-    t = term_to_json
-    one, zero = t(tfrac(1)), t(tfrac(0))
-    n1, n0 = t(tint(1)), t(tint(0))
-    return {
-        "queries": [
-            {"kind": "withdraw", "p": one, "p_after": zero, "s_after": n1, "expect": "holds",
-             "note": "whole share converts to one stored item"},
-            {"kind": "deposit", "p": zero, "s": n1, "p_after": one, "expect": "holds",
-             "note": "one stored item converts to the whole share"},
-            {"kind": "exchange", "p": one, "s": n0, "p_after": zero, "s_after": n1,
-             "expect": "holds"},
-            {"kind": "exchange", "p": zero, "s": n1, "p_after": one, "s_after": n0,
-             "expect": "holds"},
-            {"kind": "guard", "p": t(tfrac(1, 2)), "s": n1, "expect": "holds"},
-            {"kind": "guard", "p": t(tfrac(1, 3)), "s": n1, "expect": "holds"},
-            {"kind": "guard", "p": t(tfrac(1, 12)), "s": n1, "expect": "holds"},
-            {"kind": "guard", "p": zero, "s": n1, "expect": "fails",
-             "note": "the empty share guards nothing"},
-            {"kind": "withdraw", "p": t(tfrac(1, 2)), "p_after": zero, "s_after": n1,
-             "expect": "fails", "note": "half a share cannot withdraw the item"},
-        ]
-    }
-
-
-def _count_relations() -> dict:
-    t = term_to_json
-
-    def pair(r, c):
-        return ["tuple", [["int", r], ["int", c]]]
-
-    n0, n1 = t(tint(0)), t(tint(1))
-    return {
-        "queries": [
-            {"kind": "exchange", "p": pair(0, 0), "s": n1, "p_after": pair(0, 1),
-             "s_after": n0, "expect": "holds", "note": "deposit into a fresh counter"},
-            {"kind": "exchange", "p": pair(0, 1), "s": n0, "p_after": pair(0, 0),
-             "s_after": n1, "expect": "holds", "note": "withdraw from a counter at zero refs"},
-            {"kind": "guard", "p": ["named", "ref", []], "s": n1, "expect": "holds",
-             "note": "a reference witnesses one stored item"},
-            {"kind": "guard", "p": pair(0, 0), "s": n1, "expect": "fails"},
-            {"kind": "update", "p": ["named", "counter", [["int", 0]]],
-             "p_after": ["named", "counter", [["int", 1]]], "expect": "fails",
-             "note": "counts cannot be conjured"},
-        ]
-    }
-
-
-def _rwlock_relations() -> dict:
-
-    def f(exc, rc, x):
-        return ["named", "fields", [["bool", exc], ["int", rc], ["sym", x]]]
-
-    def sh(x):
-        return ["named", "sh", [["sym", x]]]
-
-    def ex(x):
-        return ["con", "ex", [["sym", x]]]
-
-    ep = ["named", "excPending", []]
-    e = ["named", "exc", []]
-    shp = ["named", "shPending", []]
-    queries = []
-    for rc in (0, 1):
-        queries.append(
-            {"kind": "update", "p": f(False, rc, "x0"),
-             "p_after": ["compose", [f(True, rc, "x0"), ep]], "expect": "holds",
-             "note": "exclusive acquisition begins"}
-        )
-    queries += [
-        {"kind": "update", "p": f(False, 0, "x0"),
-         "p_after": ["compose", [f(False, 1, "x0"), shp]], "expect": "holds",
-         "note": "reader registers"},
-        {"kind": "update", "p": ["compose", [f(False, 1, "x0"), shp]],
-         "p_after": ["compose", [f(False, 1, "x0"), sh("x0")]], "expect": "holds",
-         "note": "reader acquires"},
-        {"kind": "update", "p": ["compose", [f(False, 1, "x0"), sh("x0")]],
-         "p_after": f(False, 0, "x0"), "expect": "holds", "note": "reader releases"},
-        {"kind": "update", "p": ["compose", [f(True, 1, "x0"), shp]],
-         "p_after": f(True, 0, "x0"), "expect": "holds", "note": "reader backs out"},
-        {"kind": "withdraw", "p": ["compose", [f(True, 0, "x0"), ep]],
-         "p_after": ["compose", [f(True, 0, "x0"), e]], "s_after": ex("x0"),
-         "expect": "holds", "note": "content withdrawn once counters read zero"},
-        {"kind": "deposit", "p": ["compose", [f(True, 0, "x1"), e]],
-         "s": ex("x0"), "p_after": f(False, 0, "x0"), "expect": "holds",
-         "note": "content deposited on release"},
-        {"kind": "guard", "p": sh("x0"), "s": ex("x0"), "expect": "holds",
-         "note": "a reader token guards the stored content"},
-        # negative controls
-        {"kind": "update", "p": f(False, 0, "x0"),
-         "p_after": ["compose", [f(True, 1, "x0"), ep]], "expect": "fails",
-         "note": "reference count off by one"},
-        {"kind": "withdraw", "p": ["compose", [f(True, 1, "x0"), ep]],
-         "p_after": ["compose", [f(True, 1, "x0"), e]], "s_after": ex("x0"),
-         "expect": "fails", "note": "withdraw with a reader still registered"},
-        {"kind": "guard", "p": shp, "s": ex("x0"), "expect": "fails",
-         "note": "a pending reader guards nothing"},
-        {"kind": "valid-fragment", "p": ["compose", [e, e]], "expect": "fails",
-         "note": "two exclusive tokens cannot coexist"},
-    ]
-    return {"queries": queries}
 
 
 def _scenarios() -> dict:
@@ -156,15 +54,9 @@ def _scenarios() -> dict:
 
 
 DEMOS = {
-    "protocol-frac": {"kind": "check", "protocol": {"builtin": "fractional"}},
-    "protocol-count": {"kind": "check", "protocol": {"builtin": "counting"}},
-    "protocol-rwlock": {
-        "kind": "check",
-        "protocol": {
-            "builtin": "rwlock",
-            "params": {"values": [["sym", "x0"], ["sym", "x1"]]},
-        },
-    },
+    "protocol-frac": {"kind": "check"},
+    "protocol-count": {"kind": "check"},
+    "protocol-rwlock": {"kind": "check"},
     "rwlock-exc": {"kind": "explore"},
     "rwlock-shared": {"kind": "explore"},
     "rwlock-multi": {"kind": "explore"},
@@ -174,22 +66,12 @@ DEMOS = {
 
 
 def demo_documents() -> dict:
-    """name -> {filename: document}; the canonical demo inputs."""
-    docs = {}
-    relations = {
-        "protocol-frac": _frac_relations(),
-        "protocol-count": _count_relations(),
-        "protocol-rwlock": _rwlock_relations(),
+    """name -> {filename: document} for the scenario demos, as their
+    builders write them."""
+    return {
+        name: {f"{name}.scenario.json": scenario_to_json(scenario)}
+        for name, scenario in _scenarios().items()
     }
-    for name, spec in DEMOS.items():
-        if spec["kind"] == "check":
-            docs[name] = {
-                f"{name}.protocol.json": spec["protocol"],
-                f"{name}.relations.json": relations[name],
-            }
-    for name, scenario in _scenarios().items():
-        docs[name] = {f"{name}.scenario.json": scenario_to_json(scenario)}
-    return docs
 
 
 def demo_path(filename: str):

@@ -123,6 +123,8 @@ class Scenario:
     cell_instances: dict = field(default_factory=dict)  # cell name -> iid
     protected_cells: dict = field(default_factory=dict)  # iid -> cell name
     meta: dict = field(default_factory=dict)
+    # the JSON document it was read from (see formats.scenario_from_json)
+    document: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         names = [n for n, _ in self.cells]

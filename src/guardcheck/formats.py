@@ -15,6 +15,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import copy
 import functools
 import inspect
 import itertools
@@ -44,7 +45,7 @@ from .library import (
 )
 from .monoid import MonoidSpec, is_element
 from .protocol import StorageProtocolSpec
-from .terms import EncodingError, Term, is_term, pretty, term_from_json, term_to_json
+from .terms import EncodingError, Term, pretty, term_from_json
 
 if TYPE_CHECKING:  # scenarios import the explorer and interpreter when read
     from .explore import ExplorationResult, PropertySpec, Scenario, ScriptEntry
@@ -410,7 +411,9 @@ def _load_protocol(doc: dict, path: str = ""):
     try:
         built = builder(**params)
     except ValueError as exc:
-        raise FormatError(f"bad builtin protocol {fields['builtin']}: {exc}") from exc
+        raise FormatError(
+            f"{path or 'protocol'}: bad builtin protocol {fields['builtin']}: {exc}"
+        ) from exc
     return (built, None) if isinstance(built, StorageProtocolSpec) else built
 
 
@@ -423,7 +426,9 @@ def _custom_protocol(fields: dict, path: str) -> StorageProtocolSpec:
     stored_map = dict(stored_of(fields["stored_of"], _at(path, "stored_of")))
     missing = complete_set - set(stored_map)
     if missing:
-        raise FormatError(f"stored_of table missing {len(missing)} complete elements")
+        raise FormatError(
+            f"{_at(path, 'stored_of')}: table missing {len(missing)} complete elements"
+        )
     if not protocol.parts:
         return StorageProtocolSpec(
             fields["name"], protocol, storage, complete_set.__contains__, stored_map.__getitem__
@@ -486,20 +491,6 @@ def load_queries(doc: dict, named, sp: StorageProtocolSpec | None = None) -> lis
 # Scenario files
 
 
-def _encode_value(v):
-    if isinstance(v, bool) or isinstance(v, (int, str)):
-        return v
-    if isinstance(v, tuple) and v and isinstance(v[0], str) and is_term(v):
-        return {"term": term_to_json(v)}
-    if isinstance(v, tuple):
-        return {"list": [_encode_value(x) for x in v]}
-    raise FormatError(f"cannot encode value {v!r}")
-
-
-def _encode_kv(pairs):
-    return {k: _encode_value(v) for k, v in pairs}
-
-
 # a scenario's protocol entry: an id, the instance's initial fragments,
 # and the fields of the protocol document that the rest of the entry forms
 _PROTOCOL_ENTRY = {
@@ -509,16 +500,16 @@ _PROTOCOL_ENTRY = {
 }
 
 
-def load_protocols(entries) -> tuple[dict, dict, dict, dict]:
+def load_protocols(entries) -> tuple[dict, dict, dict]:
     """A scenario's protocol list: each entry is an ``id``, the instance's
     initial ``fragments``, and a descriptor, the protocol document that
     the rest of the entry forms.
-    Returns (id -> StorageProtocolSpec, id -> helper, id -> descriptor,
-    id -> initial fragments), where a helper is as in
-    :func:`_load_protocol`. Instances with identical descriptors denote
-    one protocol: it is built once, and they share its spec and helper."""
+    Returns (id -> StorageProtocolSpec, id -> helper, id -> initial
+    fragments), where a helper is as in :func:`_load_protocol`. Instances
+    with identical descriptors denote one protocol: it is built once, and
+    they share its spec and helper."""
     built = {}
-    protocols, named, descriptors, fragments = {}, {}, {}, {}
+    protocols, named, fragments = {}, {}, {}
     for i, entry in enumerate(entries):
         path = f"protocols[{i}]"
         descriptor = _read(entry, _PROTOCOL_ENTRY, path)
@@ -530,63 +521,15 @@ def load_protocols(entries) -> tuple[dict, dict, dict, dict]:
         protocols[iid], helper = built[key]
         if helper is not None:
             named[iid] = helper
-        descriptors[iid] = descriptor
-    return protocols, named, descriptors, fragments
+    return protocols, named, fragments
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
-    from .lang import ast_to_json
-
-    descriptors = scenario.meta.get("protocol_json")
-    if descriptors is None:
-        raise FormatError(f"scenario {scenario.name} carries no protocol descriptors")
-    entries = []
-    for lbl in sorted(scenario.script):
-        for e in scenario.script[lbl]:
-            entry = {"label": e.label, "resolver": e.resolver, "args": _encode_kv(e.args)}
-            if e.when_result is not None:
-                entry["when"] = term_to_json(e.when_result)
-                if e.negate:
-                    entry["negate"] = True
-            entries.append(entry)
-    return {
-        "name": scenario.name,
-        "cells": [[n, term_to_json(v)] for n, v in scenario.cells],
-        "threads": [ast_to_json(p) for p in scenario.programs],
-        "protocols": [
-            {
-                "id": iid,
-                **descriptors[iid],
-                "fragments": [
-                    [o, term_to_json(el)]
-                    for o, el in scenario.initial_fragments.get(iid, ())
-                ],
-            }
-            for iid in sorted(scenario.protocols)
-        ],
-        "cell_instances": dict(sorted(scenario.cell_instances.items())),
-        "protected_cells": dict(sorted(scenario.protected_cells.items())),
-        "script": entries,
-        "properties": [
-            {"name": p.name, "kind": p.kind, "params": _encode_kv(p.params)}
-            for p in scenario.properties
-        ],
-        "terminal_properties": [
-            {"name": p.name, "kind": p.kind, "params": _encode_kv(p.params)}
-            for p in scenario.terminal_properties
-        ],
-        "expectation": scenario.expectation,
-        "max_states": scenario.max_states,
-        "max_steps_per_thread": scenario.max_steps_per_thread,
-        "meta": {
-            "lock_slot": scenario.meta.get("lock_slot", {}),
-            "slot_cells": scenario.meta.get("slot_cells", {}),
-            "thread_ops": [
-                [[op[0], *map(term_to_json, op[1:])] for op in ops]
-                for ops in scenario.meta.get("thread_ops", ())
-            ],
-        },
-    }
+    """A copy of the document ``scenario`` was read from (see
+    :func:`scenario_from_json`); a scenario made another way has none."""
+    if scenario.document is None:
+        raise FormatError(f"scenario {scenario.name} was not read from a document")
+    return copy.deepcopy(scenario.document)
 
 
 def _script_entry(doc: dict, path: str, kinds: dict) -> ScriptEntry:
@@ -697,11 +640,13 @@ def _unique(what: str, names) -> None:
 
 
 def scenario_from_json(doc: dict) -> Scenario:
+    """The scenario ``doc`` states. It keeps ``doc``, not a copy, as its
+    ``document``."""
     from .explore import Scenario, initial_state
 
     fields = _read(_object(doc, "scenario"), _SCENARIO, "")
     entries = fields.pop("protocols")
-    protocols, named, descriptors, fragments = load_protocols(entries)
+    protocols, named, fragments = load_protocols(entries)
     cells = fields["cells"]
     _unique("cell", ((f"cells[{i}][0]", n) for i, (n, _) in enumerate(cells)))
     kinds = _param_kinds([n for n, _ in cells], list(protocols))
@@ -743,9 +688,9 @@ def scenario_from_json(doc: dict) -> Scenario:
         initial_fragments=fragments,
         script=script,
         named=named,
-        meta={"protocol_json": descriptors, **fields.pop("meta")},
         **fields,
     )
+    scenario.document = doc
     try:
         initial_state(scenario)
     except Exception as exc:  # the fragments do not compose to a complete state

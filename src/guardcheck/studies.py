@@ -5,7 +5,8 @@ the core language), the ghost script that mirrors the locking discipline
 (begin/acquire/retry/release transitions, withdraws and deposits of the
 protected content, guard windows around reader accesses), the safety
 properties asserted in every reached state, and the independent
-sequential oracle used to judge terminal outcomes.
+sequential oracle used to judge terminal outcomes. A builder writes its
+scenario's JSON document and reads it, as a scenario file is read.
 
 Thread results are nested pairs of the thread's query results, so
 explorer outcomes can be compared against the oracle's outcome set.
@@ -13,7 +14,7 @@ explorer outcomes can be compared against the oracle's outcome set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .explore import (
     PropertySpec,
@@ -24,12 +25,13 @@ from .explore import (
     register_property,
     register_resolver,
 )
-from .formats import load_protocols
+from .formats import load_protocols, scenario_from_json
 from .ghost import ExchangeAction, GhostViolation, OpenGuardAction, TransferAction, joint_state
 from .lang import (
     abort,
     add,
     app,
+    ast_to_json,
     cas,
     do_until,
     eq,
@@ -53,6 +55,7 @@ from .terms import (
     UNIT,
     Term,
     con_args,
+    is_term,
     pretty,
     tbool,
     tcon,
@@ -102,8 +105,23 @@ def _region(iid: str) -> str:
     return f"region:{iid}"
 
 
+def _encode_value(v):
+    """``v`` as an encoded value (see :func:`formats._value`)."""
+    if isinstance(v, (int, str)):  # a bool is an int
+        return v
+    if isinstance(v, tuple) and v and isinstance(v[0], str) and is_term(v):
+        return {"term": term_to_json(v)}
+    if isinstance(v, tuple):
+        return {"list": [_encode_value(x) for x in v]}
+    raise ValueError(f"cannot encode value {v!r}")
+
+
+def _encode_kv(values: dict) -> dict:
+    return {k: _encode_value(v) for k, v in values.items()}
+
+
 def _prop(name, kind, **params):
-    return PropertySpec(name, kind, tuple(sorted(params.items())))
+    return {"name": name, "kind": kind, "params": _encode_kv(params)}
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +391,12 @@ def _prop_rw_stored(scenario, state, prop):
 # multi-counter lock's run rwm.X, and a reader names its counter.
 
 
-def _bind(script: dict, lbl: str, resolver: str, when=None, **args) -> str:
+def _bind(script: list, lbl: str, resolver: str, when=None, **args) -> str:
     """Append an entry for ``lbl`` to ``script``; returns ``lbl``."""
-    entry = ScriptEntry(lbl, resolver, tuple(sorted(args.items())), when_result=when)
-    script.setdefault(lbl, []).append(entry)
+    entry = {"label": lbl, "resolver": resolver, "args": _encode_kv(args)}
+    if when is not None:
+        entry["when"] = term_to_json(when)
+    script.append(entry)
     return lbl
 
 
@@ -440,6 +460,24 @@ def _lock_instance(iid, named, x0, exc_cell, rc_cells, cell, sfx="", **stored):
     ]
 
 
+def _scenario(cells, programs, protocols, script, **fields) -> Scenario:
+    """Read the scenario document of ``fields`` and of these, which it
+    encodes: ``cells`` and each protocol entry's ``fragments`` are (name,
+    term) pairs and ``programs`` expressions. It lists the protocol and
+    script entries by id and by label."""
+    return scenario_from_json({
+        "cells": [[n, term_to_json(v)] for n, v in cells],
+        "threads": [ast_to_json(p) for p in programs],
+        "protocols": [
+            {**entry, "fragments": [[o, term_to_json(el)] for o, el in entry["fragments"]]}
+            for entry in sorted(protocols, key=lambda entry: entry["id"])
+        ],
+        "script": sorted(script, key=lambda entry: entry["label"]),
+        "max_states": 200_000,
+        **fields,
+    })
+
+
 # ---------------------------------------------------------------------------
 # Reader-writer lock scenarios
 
@@ -491,7 +529,7 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
     cell_loc = loc(1 + k)
 
     programs = []
-    script: dict = {}
+    script = []
     for tid, (kind, n) in enumerate(params.writers):
         t = f"t{tid}"
         if kind == "incr":
@@ -524,16 +562,15 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
                        "agn_max": 4}
     lock_params["values"] = [term_to_json(v) for v in values]
     entries = [{"id": "lock", "builtin": builtin, "params": lock_params}] if params.locked else []
-    protocols, named_map, descriptors, _ = load_protocols(entries)
-    initial_fragments, cell_instances, protected = {}, {}, {}
-    properties, terminal = (), ()
+    _, named, _ = load_protocols(entries)
+    cell_instances, protected, properties, terminal = {}, {}, [], []
     if params.locked:
-        initial_fragments["lock"], lock_properties = _lock_instance(
-            "lock", named_map["lock"], tint(params.initial), "exc", rc_cells, "cell"
+        entries[0]["fragments"], lock_properties = _lock_instance(
+            "lock", named["lock"], tint(params.initial), "exc", rc_cells, "cell"
         )
         cell_instances = {name: "lock" for name, _ in cells}
         protected["lock"] = "cell"
-        properties = (_prop("ghost-invariant", "ghost-invariant"), *lock_properties)
+        properties = [_prop("ghost-invariant", "ghost-invariant"), *lock_properties]
         terminal = [_prop("all-finished", "all-finished")]
         if all(kind == "incr" for kind, _ in params.writers):
             total = params.initial + sum(n for _, n in params.writers)
@@ -546,21 +583,16 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
         ]
 
     name = ("rwlock-multi" if multi else "rwlock") + ("" if params.locked else "-unlocked")
-    return Scenario(
+    return _scenario(
+        cells, programs, entries, script,
         name=name,
-        cells=tuple(cells),
-        programs=tuple(programs),
-        protocols=protocols,
-        initial_fragments=initial_fragments,
-        script=script,
-        properties=properties,
-        terminal_properties=tuple(terminal),
-        expectation="no-stuck" if params.locked else "stuck-reachable",
-        max_steps_per_thread=params.max_steps_per_thread,
-        named=named_map,
         cell_instances=cell_instances,
         protected_cells=protected,
-        meta={"protocol_json": descriptors},
+        properties=properties,
+        terminal_properties=terminal,
+        expectation="no-stuck" if params.locked else "stuck-reachable",
+        max_steps_per_thread=params.max_steps_per_thread,
+        meta={"lock_slot": {}, "slot_cells": {}, "thread_ops": []},
     )
 
 
@@ -813,16 +845,8 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
     # the exc, rc and slot locations of the probed slot _I
     probed = tuple(index_chain(_I, locs, abort()) for locs in (exc_locs, rc_locs, slot_locs))
 
-    slot_lock = {
-        "builtin": "rwlock",
-        "params": {
-            "values": [term_to_json(v) for v in HashTableElems.slot_states(keys, params.values)],
-            "rc_range": list(params.rc_range),
-            "sp_max": params.sp_max,
-            "agn_max": params.agn_max,
-        },
-    }
     table = {
+        "id": "ht",
         "builtin": "hashtable",
         "params": {
             "length": length,
@@ -830,20 +854,25 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
             "values": [term_to_json(v) for v in params.values],
         },
     }
-    protocols, named_map, descriptors, _ = load_protocols(
-        [{"id": "ht", **table}] + [{"id": f"lock{i}", **slot_lock} for i in range(length)]
-    )
-    ht_elems = named_map["ht"]
+    # one document per slot lock, so that an edit to one leaves the others
+    slot_states = HashTableElems.slot_states(keys, params.values)
+    entries = [table] + [{
+        "id": f"lock{i}",
+        "builtin": "rwlock",
+        "params": {
+            "values": [term_to_json(v) for v in slot_states],
+            "rc_range": list(params.rc_range),
+            "sp_max": params.sp_max,
+            "agn_max": params.agn_max,
+        },
+    } for i in range(length)]
+    _, named, _ = load_protocols(entries)
+    ht_elems = named["ht"]
     key_owners = [(k, params.updater_of(k)) for k in keys]
-    initial_fragments = {
-        "ht": tuple(
-            [("client" if t is None else f"thread:{t}", ht_elems.m(k, NONE)) for k, t in key_owners]
-            + [(f"store:slot{i}", ht_elems.slot(i, NONE)) for i in range(length)]
-        )
-    }
-    cell_instances = {}
-    protected = {}
-    lock_slot = {}
+    entries[0]["fragments"] = [
+        ("client" if t is None else f"thread:{t}", ht_elems.m(k, NONE)) for k, t in key_owners
+    ] + [(f"store:slot{i}", ht_elems.slot(i, NONE)) for i in range(length)]
+    cell_instances, protected, lock_slot = {}, {}, {}
     properties = [
         _prop("ghost-invariant", "ghost-invariant"),
         _prop("table-invariants", "ht-valid"),
@@ -851,8 +880,8 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
     ]
     for i in range(length):
         iid = f"lock{i}"
-        initial_fragments[iid], lock_properties = _lock_instance(
-            iid, named_map[iid], NONE, f"exc{i}", (f"rc{i}",), f"slot{i}", f"-{i}",
+        entries[1 + i]["fragments"], lock_properties = _lock_instance(
+            iid, named[iid], NONE, f"exc{i}", (f"rc{i}",), f"slot{i}", f"-{i}",
             raw_cell=False,
         )
         properties += lock_properties
@@ -861,7 +890,7 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
         protected[iid] = f"slot{i}"
         lock_slot[iid] = i
 
-    script: dict = {}
+    script = []
     programs = []
     for t, ops in enumerate(params.thread_ops):
         # a thread's value is the list of its query results, as nested pairs
@@ -877,25 +906,21 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
                 out = let(f"qr{idx}", expr, out)
         programs.append(out)
 
-    return Scenario(
+    return _scenario(
+        cells, programs, entries, script,
         name="hashtable",
-        cells=tuple(cells),
-        programs=tuple(programs),
-        protocols=protocols,
-        initial_fragments=initial_fragments,
-        script=script,
-        properties=tuple(properties),
-        terminal_properties=(_prop("all-finished", "all-finished"),),
-        expectation="no-stuck",
-        max_steps_per_thread=params.max_steps_per_thread,
-        named=named_map,
         cell_instances=cell_instances,
         protected_cells=protected,
+        properties=properties,
+        terminal_properties=[_prop("all-finished", "all-finished")],
+        expectation="no-stuck",
+        max_steps_per_thread=params.max_steps_per_thread,
         meta={
-            "protocol_json": descriptors,
             "lock_slot": lock_slot,
             "slot_cells": {f"slot{i}": i for i in range(length)},
-            "thread_ops": params.thread_ops,
+            "thread_ops": [
+                [[op[0], *map(term_to_json, op[1:])] for op in ops] for ops in params.thread_ops
+            ],
         },
     )
 
@@ -910,12 +935,9 @@ def build_abort_scenario() -> Scenario:
         (tint(10), tint(11)),
         ((("update", k0, tint(10)), ("update", k1, tint(11))),),
     )
-    return replace(
-        build_hashtable_scenario(params),
-        name="hashtable-abort",
-        terminal_properties=(),
-        expectation="stuck-reachable",
-    )
+    doc = build_hashtable_scenario(params).document
+    edits = {"name": "hashtable-abort", "terminal_properties": [], "expectation": "stuck-reachable"}
+    return scenario_from_json({**doc, **edits})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import guardcheck
 from guardcheck.cli import main
 from guardcheck.demos import DEMOS, demo_documents, demo_path
 from guardcheck.explore import Violation, explore
-from guardcheck.formats import FormatError, scenario_from_json
+from guardcheck.formats import FormatError, dumps, scenario_from_json
 
 
 def run(capsys, *argv):
@@ -108,6 +108,14 @@ def test_explore_bound_exceeded_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("option, value", [("--max-steps", "-1"), ("--max-states", "-5")])
+def test_negative_bound_option_exits_2(capsys, option, value):
+    # read as a scenario document reads its max_steps_per_thread and max_states
+    code, out, err = run(capsys, "demo", "rwlock-exc", option, value)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {option}: must be a non-negative integer, got {value}\n"
+
+
 def test_demo_unknown_exits_2(capsys):
     code, _, err = run(capsys, "demo", "unknown-name")
     assert code == 2 and "available" in err
@@ -127,10 +135,12 @@ def test_demo_registry_complete():
 
 
 def test_checked_in_demo_files_match_builders():
+    # byte for byte, so that on a clean tree python -m guardcheck.demos
+    # rewrites nothing
     for name, files in demo_documents().items():
         for fname, doc in files.items():
-            on_disk = json.loads(demo_path(fname).read_text())
-            assert on_disk == doc, f"{fname} is stale; run python -m guardcheck.demos"
+            on_disk = demo_path(fname).read_text()
+            assert on_disk == dumps(doc), f"{fname} is stale; run python -m guardcheck.demos"
 
 
 def test_demo_check_runs(capsys):
@@ -509,6 +519,17 @@ MALFORMED_SCENARIO = {
                                      "protocols[0].id: missing"),
     "scenario-unknown-builtin": (["protocols", 0, "builtin"], "zzz",
                                  "protocols[0].builtin: unknown builtin protocol 'zzz'"),
+    # a protocol that cannot be built names its entry
+    "scenario-builtin-not-built": (
+        ["protocols", 1], {"id": "lock0", "builtin": "fractional-memory",
+                           "params": {"keys": [ONE, ONE]}},
+        "protocols[1]: bad builtin protocol fractional-memory: duplicate key 1",
+        "hashtable-collide",
+    ),
+    "scenario-stored-of-short": (
+        ["protocols", 1], {"id": "lock0", **_trivial_protocol({"table": [U]}, {"table": []})},
+        "protocols[1].stored_of: table missing 1 complete elements", "hashtable-collide",
+    ),
     # fields of the wrong kind
     "scenario-negate": (["script", 0, "negate"], "yes",
                         "script[0].negate: must be true or false, got 'yes'"),
@@ -614,6 +635,10 @@ MALFORMED_SCENARIO = {
          "input error: stored_of.table[0][1]: 3 is not in the carrier of trivial"),
         (_trivial_protocol({"table": [["int", 3]]}, {"table": []}), [],
          "input error: complete.table[0]: 3 is not in the carrier of trivial"),
+        (_trivial_protocol({"table": [U]}, {"table": []}), [],
+         "input error: stored_of: table missing 1 complete elements"),
+        ({"builtin": "fractional-memory", "params": {"keys": [ONE, ONE]}}, [],
+         "input error: protocol: bad builtin protocol fractional-memory: duplicate key 1"),
         (dict(RWLOCK, params=dict(RWLOCK["params"], sp_mx=3)), [],
          "input error: params.sp_mx: unknown parameter"),
         (_trivial_protocol({"table": []}, {"table": []}) | {"protocol": {"kind": "nat", "limt": 2}},
@@ -650,7 +675,8 @@ MALFORMED_SCENARIO = {
     ids=["table-missing-row", "table-unlisted-result", "params-not-object",
          "bound-params-not-object", "bound-protocol-not-object",
          "complete-not-a-term", "stored-of-row-not-a-pair", "complete-not-object",
-         "stored-value-not-in-storage", "complete-row-not-in-protocol", "unknown-param", "monoid-unknown-field",
+         "stored-value-not-in-storage", "complete-row-not-in-protocol", "stored-of-short",
+         "builtin-not-built", "unknown-param", "monoid-unknown-field",
          "unknown-monoid-kind", "unknown-builtin", "den-bound-zero", "den-bound-negative",
          "c-max-negative", "r-range-reversed", "rc-range-reversed", "bound-zero",
          "bound-negative-non-fractional", "frac-max-value-zero", "nat-limit-negative",

@@ -1,12 +1,13 @@
 """JSON schemas: combinator loading, custom protocols, queries, scenario
 round-trips, and report stability."""
 
+import dataclasses
 import json
 
 import pytest
 
 from guardcheck.cli import main
-from guardcheck.explore import explore
+from guardcheck.explore import Scenario, explore
 from guardcheck.formats import (
     FormatError,
     dumps,
@@ -214,6 +215,36 @@ class TestScenarioRoundtrip:
         r1 = dumps(result_to_json(explore(s)))
         r2 = dumps(result_to_json(explore(s2)))
         assert r1 == r2
+
+    @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
+    def test_each_case_study_keeps_the_document_it_was_read_from(self, name):
+        s = CASE_STUDIES[name]()
+        assert s.document is not None
+        assert scenario_to_json(s) == s.document
+
+    def test_a_scenario_not_read_from_a_document_cannot_be_written(self):
+        replaced = dataclasses.replace(CASE_STUDIES["rwlock-exc"](), name="copy")
+        hand_built = Scenario("hand-built", (), (), {}, {})
+        for s in (replaced, hand_built):
+            assert s.document is None
+            with pytest.raises(FormatError, match="was not read from a document"):
+                scenario_to_json(s)
+
+    def test_the_written_document_is_a_copy(self):
+        s = CASE_STUDIES["rwlock-exc"]()
+        doc = scenario_to_json(s)
+        before = dumps(doc)
+        doc["name"] = "changed"
+        doc["cells"][0][1] = ["int", 5]
+        doc["protocols"][0]["params"]["values"].append(["int", 9])
+        doc["meta"]["lock_slot"]["lock"] = 0
+        assert dumps(scenario_to_json(s)) == before
+
+    def test_each_slot_lock_of_a_written_table_is_edited_alone(self):
+        doc = scenario_to_json(_small_hashtable())
+        assert [p["id"] for p in doc["protocols"]] == ["ht", "lock0", "lock1"]
+        doc["protocols"][1]["params"]["sp_max"] = 3
+        assert doc["protocols"][2]["params"]["sp_max"] == 2
 
     def test_dumps_sorted_and_stable(self):
         d1 = dumps({"b": 1, "a": [2, 3]})

@@ -558,7 +558,7 @@ class TestHashTableEncodings:
             "length": 3, "hash": [[["int", 0], 0], [["int", 1], 0]],
             "values": [["int", 10], ["int", 11]],
         }}
-        protocols, named, _, _ = load_protocols([{"id": "ht", **doc}])
+        protocols, named, _ = load_protocols([{"id": "ht", **doc}])
         elems, view = named["ht"], protocols["ht"].protocol
         assert isinstance(elems, HashTableElems)
         assert (elems.keys, elems.values, elems.length) == ((K0, K1), (V0, V1), 3)
