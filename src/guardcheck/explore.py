@@ -39,7 +39,7 @@ from .ghost import (
 from .lang import MachineConfig, UsageError, enabled_threads, initial_config, thread_step
 from .monoid import leq, memo
 from .protocol import ExchangeQuery, valid_fragment
-from .terms import Term, pretty, term_to_json
+from .terms import Record, Term, pretty, term_to_json
 
 __all__ = [
     "Scenario",
@@ -63,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScriptEntry:
+class ScriptEntry(Record):
     """One label binding: when the label fires (optionally filtered on the
     step's observable result), run the named resolver."""
 
@@ -87,8 +86,7 @@ class ScriptEntry:
         return default
 
 
-@dataclass(frozen=True)
-class PropertySpec:
+class PropertySpec(Record):
     name: str
     kind: str
     params: tuple = ()  # sorted (key, value) pairs
@@ -146,14 +144,12 @@ class Scenario:
         return self.cells[l][0] if 0 <= l < len(self.cells) else None
 
 
-@dataclass(frozen=True)
-class ExplState:
+class ExplState(Record):
     machine: MachineConfig
     ledger: GhostLedger
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     kind: str  # ghost | property | terminal | replay
     name: str
     detail: str
@@ -163,8 +159,7 @@ class Violation:
         return f"{self.kind} {self.name}: {self.detail} @ schedule {list(self.schedule)}"
 
 
-@dataclass(frozen=True)
-class TerminalSummary:
+class TerminalSummary(Record):
     thread_values: tuple
     cells: tuple
     stored: tuple
@@ -788,8 +783,7 @@ def explore(scenario: Scenario, mode: str = "rule", memo: bool = True) -> Explor
     )
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(Record):
     tid: int
     kind: str
     fired: tuple

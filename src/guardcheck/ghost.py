@@ -19,7 +19,6 @@ window guards must stay below the stored composition until it closes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import reduce
 
 from .monoid import leq, memo
@@ -31,7 +30,7 @@ from .protocol import (
     guard_holds,
     valid_fragment,
 )
-from .terms import Term, pretty, term_to_json
+from .terms import Record, Term, pretty, term_to_json
 
 __all__ = [
     "GhostLedger",
@@ -52,16 +51,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GuardWindow:
+class GuardWindow(Record):
     instance: str
     owner: str
     element: Term
     licenses: str = ""
 
 
-@dataclass(frozen=True)
-class InstanceState:
+class InstanceState(Record):
     protocol: str  # registry key
     fragments: tuple  # sorted (owner, element), unit fragments dropped
     stored: Term
@@ -74,8 +71,7 @@ class InstanceState:
         return unit
 
 
-@dataclass(frozen=True)
-class GhostLedger:
+class GhostLedger(Record):
     instances: tuple  # sorted (iid, InstanceState)
 
     def __hash__(self):
@@ -105,8 +101,7 @@ def empty_ledger() -> GhostLedger:
     return GhostLedger(())
 
 
-@dataclass(frozen=True)
-class GhostViolation:
+class GhostViolation(Record):
     reason: str
     instance: str = ""
     witness: Term | None = None
@@ -123,8 +118,7 @@ class GhostViolation:
         return out
 
 
-@dataclass(frozen=True)
-class ApplyOutcome:
+class ApplyOutcome(Record):
     ledger: GhostLedger
     violation: GhostViolation | None = None
 
@@ -133,14 +127,12 @@ class ApplyOutcome:
         return self.violation is None
 
 
-@dataclass(frozen=True)
-class AllocAction:
+class AllocAction(Record):
     instance: str
     fragments: tuple  # (owner, element)
 
 
-@dataclass(frozen=True)
-class ExchangeAction:
+class ExchangeAction(Record):
     """Replace the listed owners' fragments wholesale.
 
     ``deposited`` enters the protocol's storage, ``withdrawn`` leaves it;
@@ -155,21 +147,18 @@ class ExchangeAction:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class OpenGuardAction:
+class OpenGuardAction(Record):
     instance: str
     owner: str
     element: Term
     licenses: str = ""
 
 
-@dataclass(frozen=True)
-class CloseGuardAction:
+class CloseGuardAction(Record):
     instance: str
 
 
-@dataclass(frozen=True)
-class TransferAction:
+class TransferAction(Record):
     """Move ``element`` from one owner to another; the sender must be
     decomposable as remainder · element."""
 
@@ -303,9 +292,7 @@ def apply_action(registry, ledger: GhostLedger, action, mode: str = "rule") -> A
                 ledger,
                 GhostViolation("joint-state-uncompletable", action.instance, new_total),
             )
-        new_state = replace(
-            state, fragments=fragments, stored=sp.stored(new_total)
-        )
+        new_state = state.replace(fragments=fragments, stored=sp.stored(new_total))
         bad = _windows_still_guarded(sp, new_state)
         if bad:
             return ApplyOutcome(ledger, bad)
@@ -349,7 +336,7 @@ def apply_action(registry, ledger: GhostLedger, action, mode: str = "rule") -> A
                 ),
             )
         window = GuardWindow(action.instance, action.owner, action.element, action.licenses)
-        new_state = replace(state, windows=state.windows + (window,))
+        new_state = state.replace(windows=state.windows + (window,))
         return ApplyOutcome(ledger.with_instance(action.instance, new_state))
 
     if isinstance(action, CloseGuardAction):
@@ -360,7 +347,7 @@ def apply_action(registry, ledger: GhostLedger, action, mode: str = "rule") -> A
         bad = _windows_still_guarded(sp, state)
         if bad:
             return ApplyOutcome(ledger, bad)
-        new_state = replace(state, windows=state.windows[:-1])
+        new_state = state.replace(windows=state.windows[:-1])
         return ApplyOutcome(ledger.with_instance(action.instance, new_state))
 
     if isinstance(action, TransferAction):
@@ -383,7 +370,7 @@ def apply_action(registry, ledger: GhostLedger, action, mode: str = "rule") -> A
             state.fragment_of(action.to_owner, unit), action.element
         )
         fragments = _fragments_with(fragments, action.to_owner, merged, unit)
-        new_state = replace(state, fragments=fragments)
+        new_state = state.replace(fragments=fragments)
         return ApplyOutcome(ledger.with_instance(action.instance, new_state))
 
     raise TypeError(f"unknown ghost action {action!r}")

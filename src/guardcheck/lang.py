@@ -15,11 +15,10 @@ produce stuck states, each tagged with the failed rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .terms import (
-    UNIT, EncodingError, Term, con_args, tbool, tcon, term_from_json, term_to_json, tint,
+    UNIT, EncodingError, Record, Term, con_args, tbool, tcon, term_from_json, term_to_json, tint,
 )
 
 __all__ = [
@@ -287,8 +286,7 @@ def subst(e, x: str, v):
 # Machine state
 
 
-@dataclass(frozen=True)
-class MachineConfig:
+class MachineConfig(Record):
     """Heap, thread pool and allocation cursor: every location below the
     cursor was allocated, so those absent from the heap were freed.
 
@@ -310,8 +308,7 @@ class MachineConfig:
         return None
 
 
-@dataclass(frozen=True)
-class StepEvent:
+class StepEvent(Record):
     op: str  # ref|free|load|store|cas|faa|fork|pure
     loc: int | None = None
     ordering: str = ""
@@ -319,8 +316,7 @@ class StepEvent:
     written: Term | None = None
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(Record):
     kind: str  # next | stuck | done
     config: MachineConfig
     fired: tuple = ()  # (label, result-value) pairs crossed in this step

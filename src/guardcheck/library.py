@@ -10,15 +10,16 @@ closure-based validity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from .monoid import ElementEnumerator, MonoidSpec, carrier, term_order
 from .protocol import StorageProtocolSpec
 from .terms import (
     BOT,
     UNIT,
+    Record,
     Term,
     con_args,
     map_entries,
@@ -169,7 +170,7 @@ def build_int(lo: int = -8, hi: int = 8, name: str = "int") -> MonoidSpec:
         raise ValueError(f"lo {lo} > hi {hi}")
 
     def compose(a, b):
-        return tint(a[1] + b[1])
+        return ("int", a[1] + b[1])
 
     return MonoidSpec(
         name,
@@ -184,8 +185,9 @@ def build_frac(den_bound: int = 12, max_value: int = 4, name: str = "frac") -> M
     """Nonnegative rationals under addition, enumerated as the reduced
     fractions in [0, max_value] with denominator <= den_bound."""
 
-    def compose(a, b):
-        return tfrac(a[1] * b[2] + b[1] * a[2], a[2] * b[2])
+    def compose(a, b):  # tfrac's reduction, for positive denominators
+        g = gcd(num := a[1] * b[2] + b[1] * a[2], den := a[2] * b[2])
+        return ("frac", num // g, den // g)
 
     seen = {Fraction(0)}
     elems = [tfrac(0)]
@@ -352,7 +354,7 @@ def as_total(spec: MonoidSpec, name: str | None = None) -> MonoidSpec:
         spec.unit,
         spec.compose_fn,
         lambda t: True,
-        replace(spec.enumerator, generate=lambda: carrier(spec)),
+        spec.enumerator.replace(generate=lambda: carrier(spec)),
         spec.parts,
     )
 
@@ -431,8 +433,7 @@ def _payload(t: Term, tag: str):
     return t[1]
 
 
-@dataclass(frozen=True)
-class CountingElems:
+class CountingElems(Record):
     """Named elements of the counting protocol."""
 
     def ref(self) -> Term:
@@ -470,7 +471,7 @@ def build_counting(
     """
 
     def compose(a, b):
-        return ttuple(tint(a[1][0][1] + b[1][0][1]), tint(a[1][1][1] + b[1][1][1]))
+        return ("tuple", (("int", a[1][0][1] + b[1][0][1]), ("int", a[1][1][1] + b[1][1][1])))
 
     lo, hi = r_range
     elems = []
@@ -531,8 +532,7 @@ def _set_part(p: Term, i: int, v: Term) -> Term:
     return ttuple(*p[1][:i], v, *p[1][i + 1 :])
 
 
-@dataclass(frozen=True)
-class RwLockElems:
+class RwLockElems(Record):
     """Named elements of a lock with ``k`` counters; an index j defaults to 0."""
 
     values: tuple[Term, ...]
@@ -775,8 +775,7 @@ def build_rwlock_multi(
 # it is the hash-table builtin's one helper.
 
 
-@dataclass(frozen=True)
-class HashFunctionSpec:
+class HashFunctionSpec(Record):
     """Table length plus a total hash on the declared key set."""
 
     length: int
@@ -800,8 +799,7 @@ class HashFunctionSpec:
         return tuple(k for k, _ in self.table)
 
 
-@dataclass(frozen=True)
-class HashTableElems:
+class HashTableElems(Record):
     """Fragments of the hash-table monoid ``monoid`` (the table itself,
     not its total protocol view): logical map entries and slots."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .terms import Term, pretty, sort_terms, term_key, ttuple
+from .terms import Record, Term, pretty, sort_terms, term_key, ttuple
 
 __all__ = [
     "ElementEnumerator",
@@ -58,8 +58,7 @@ DEFAULT_PAIR_LIMIT = 256
 DEFAULT_TRIPLE_LIMIT = 48
 
 
-@dataclass(frozen=True)
-class ElementEnumerator:
+class ElementEnumerator(Record):
     """Deterministic, duplicate-free stream of carrier elements.
 
     ``exhaustive`` mode promises to yield the whole carrier; ``bounded``
@@ -166,8 +165,7 @@ def valid(spec: MonoidSpec, a: Term) -> bool:
     return spec.valid_fn(a)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one enumerated relation check.
 
     A failing result carries a frame that, substituted back into the
@@ -331,8 +329,7 @@ def and_premise(spec: MonoidSpec, x: Term, y: Term, z: Term) -> CheckResult:
     return first_counterexample(spec, body, boxes=[box])
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(Record):
     law: str
     ok: bool
     exhaustive: bool
@@ -348,8 +345,7 @@ class LawCheck:
         return out
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
     name: str
     mode: str
     carrier_size: int
@@ -477,20 +473,24 @@ def _associativity(spec: MonoidSpec, elems):
     return None, k**3
 
 
-def _numbering():
-    """(number, terms): ``number(t)`` gives each distinct term an int,
-    counting from 0 in the order first met, so two numbers are equal
-    exactly when their terms are ==; ``terms[n]`` is the term numbered n."""
-    ids, terms = {}, []
+class _Numbering(dict):
+    """Each distinct term's number, from 0 in the order first met, and
+    ``terms[n]``, the term numbered n; a term met before is one lookup."""
 
-    def number(t):
-        n = ids.get(t)
-        if n is None:
-            n = ids[t] = len(terms)
-            terms.append(t)
+    def __init__(self):
+        self.terms = []
+
+    def __missing__(self, t):
+        n = self[t] = len(self.terms)
+        self.terms.append(t)
         return n
 
-    return number, terms
+
+def _numbering():
+    """(number, terms): ``number(t)`` gives each distinct term an int, so two
+    numbers are equal exactly when their terms are ==; see :class:`_Numbering`."""
+    numbering = _Numbering()
+    return numbering.__getitem__, numbering.terms
 
 
 def _decide(spec: MonoidSpec, law, elems, holding_count: int):

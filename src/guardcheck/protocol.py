@@ -35,7 +35,7 @@ from .monoid import (
     memo,
     term_order,
 )
-from .terms import Term, pretty, ttuple
+from .terms import Record, Term, pretty, ttuple
 
 __all__ = [
     "StorageProtocolSpec",
@@ -142,8 +142,7 @@ def _whole_tuple(complete: Callable[[Term], bool], n: int) -> tuple[Stage, ...]:
     return (lambda c: True,) * (n - 1) + (lambda c: complete(ttuple(*c)),)
 
 
-@dataclass(frozen=True)
-class ExchangeQuery:
+class ExchangeQuery(Record):
     """One (p, s) ⇝⇝ (p', s') question, with the ε-specializations tagged.
 
     Orientation: ``s`` is deposited into the protocol, ``s_after`` is
@@ -301,8 +300,7 @@ def recheck_guard_witness(sp: StorageProtocolSpec, p: Term, s: Term, frame: Term
     return guard_body_at(sp, p, s, frame) is not None
 
 
-@dataclass(frozen=True)
-class WellformedReport:
+class WellformedReport(Record):
     name: str
     protocol_laws: LawReport
     storage_laws: LawReport

@@ -14,7 +14,6 @@ explorer outcomes can be compared against the oracle's outcome set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .explore import (
     PropertySpec,
@@ -53,6 +52,7 @@ from .lang import (
 from .library import NONE, HashFunctionSpec, HashTableElems, RwLockElems, ex, some
 from .terms import (
     UNIT,
+    Record,
     Term,
     con_args,
     is_term,
@@ -482,8 +482,7 @@ def _scenario(cells, programs, protocols, script, **fields) -> Scenario:
 # Reader-writer lock scenarios
 
 
-@dataclass(frozen=True)
-class RwLockScenarioParams:
+class RwLockScenarioParams(Record):
     """counters=1 gives the single-counter lock; writers are ("incr", n)
     or ("write", value); readers list the counter index each reader uses."""
 
@@ -760,8 +759,7 @@ def _prop_ht_slots(scenario, state, prop):
 # Hash-table scenario
 
 
-@dataclass(frozen=True)
-class HashTableScenarioParams:
+class HashTableScenarioParams(Record):
     """Per-thread operation lists over a fixed table; collisions are
     chosen through the hash table spec."""
 

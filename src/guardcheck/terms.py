@@ -7,7 +7,8 @@ their encodings are identical. Constructors canonicalize on the way in
 is idempotent by construction.
 
 Tags: ``unit``, ``bot``, ``bool``, ``int``, ``frac``, ``sym``, ``tuple``,
-``map``, ``con``.
+``map``, ``con``. :class:`Record` is the base of the value classes that
+hold terms.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ Term = tuple
 __all__ = [
     "Term",
     "EncodingError",
+    "Record",
     "UNIT",
     "BOT",
     "tbool",
@@ -46,6 +48,63 @@ __all__ = [
 
 class EncodingError(ValueError):
     """Raised for terms that do not follow the canonical encoding."""
+
+
+class Record:
+    """An immutable value with the fields its class annotates, in order, and their
+    class-level defaults. It acts as the frozen dataclass with those fields (``==``,
+    ``hash``, repr, ``__post_init__``), but with shared methods: it generates no code."""
+
+    __slots__ = ("_values",)  # the field tuple, for == and hash
+    _fields = ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = fields = cls._fields + tuple(n for n in own if n not in cls._fields)
+        cls._template = {n: getattr(cls, n, None) for n in fields}
+        # with i positional arguments, the keywords allowed and those needed
+        cls._allowed = [frozenset(fields[i:]) for i in range(len(fields) + 1)]
+        cls._needed = [s - {n for n in s if hasattr(cls, n)} for s in cls._allowed]
+        cls._post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        cls, i = self.__class__, len(args)
+        fields = cls._fields
+        if kwargs or i != len(fields):
+            if i > len(fields) or not cls._needed[i] <= kwargs.keys() <= cls._allowed[i]:
+                raise TypeError(f"{cls.__qualname__}{fields}: got {i} positional, {[*kwargs]}")
+            d = cls._template.copy()  # the defaults, in field order
+            d |= kwargs
+            d |= zip(fields, args)
+            args = tuple(d.values())
+        else:
+            d = dict(zip(fields, args))
+        object.__setattr__(self, "__dict__", d)  # reads from a filled-in __dict__ are slower
+        _set_values(self, args)
+        if cls._post_init is not None:
+            cls._post_init(self)
+
+    def __eq__(self, o):
+        return self._values == o._values if o.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        pairs = zip(self._fields, self._values)
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        """A copy with ``changes`` made, as ``dataclasses.replace`` gives."""
+        return self.__class__(**dict(zip(self._fields, self._values), **changes))
+
+
+_set_values = Record._values.__set__
 
 
 UNIT: Term = ("unit",)

@@ -312,7 +312,6 @@ def test_prop_memoization_preserves_outcomes(programs):
 import hashlib
 import importlib
 import json
-from dataclasses import replace
 from functools import reduce
 
 from guardcheck.demos import demo_path
@@ -370,7 +369,7 @@ def ref_step(cfg, tid, memo=None):
     if is_value(e):
         threads = list(cfg.threads)
         threads[tid] = ("done", e)
-        return StepOutcome("done", replace(cfg, threads=tuple(threads)), value=e)
+        return StepOutcome("done", cfg.replace(threads=tuple(threads)), value=e)
 
     machine = _Stepper(cfg.heap, cfg.cursor)
     try:
@@ -379,7 +378,7 @@ def ref_step(cfg, tid, memo=None):
         threads = list(cfg.threads)
         threads[tid] = ("stuck", exc.reason)
         return StepOutcome(
-            "stuck", replace(cfg, threads=tuple(threads)), reason=exc.reason
+            "stuck", cfg.replace(threads=tuple(threads)), reason=exc.reason
         )
 
     threads = list(cfg.threads)

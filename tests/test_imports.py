@@ -175,3 +175,38 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("guardchec
         assert (module in loaded) == loads_explorer, (module, loaded)
     # the demo registry is read by `demo` alone
     assert ("guardcheck.demos" in loaded) == (argv[0] == "demo"), loaded
+
+
+# mutable, compared by identity, or relying on field(default_factory=...,
+# init=False) or on dataclasses.replace; every other value class is a Record
+KEPT_DATACLASSES = [
+    "guardcheck.explore.ExplorationResult",
+    "guardcheck.explore.ResolveCtx",
+    "guardcheck.explore.Scenario",
+    "guardcheck.monoid.MonoidSpec",
+    "guardcheck.protocol.StorageProtocolSpec",
+]
+
+
+def test_loading_generates_no_value_class_code():
+    check = CHECK_DEMOS[0]
+    loaded, dataclasses, generated = fresh(f"""
+import dataclasses, json, sys
+from guardcheck import cli, formats
+from guardcheck.demos import load_demo_document
+for n in {SCENARIO_DEMOS!r}:
+    formats.scenario_from_json(load_demo_document(n + ".scenario.json"))
+cli.run_check(load_demo_document({check + ".protocol.json"!r}),
+              load_demo_document({check + ".relations.json"!r}))
+classes = {{m + "." + c.__qualname__: c for m in list(sys.modules) if m.startswith("guardcheck.")
+           for c in vars(sys.modules[m]).values() if isinstance(c, type) and c.__module__ == m}}
+print(json.dumps([
+    sorted(sys.modules),
+    sorted(n for n, c in classes.items() if dataclasses.is_dataclass(c)),
+    sorted(n for n, c in classes.items() if any(  # methods compiled from generated source
+        getattr(f, "__code__", None) and f.__code__.co_filename == "<string>" for f in vars(c).values())),
+]))
+""")
+    assert set(EXPLORER_STACK) <= set(loaded)
+    assert dataclasses == KEPT_DATACLASSES
+    assert generated == KEPT_DATACLASSES

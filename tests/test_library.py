@@ -12,11 +12,13 @@ from guardcheck.library import (
     build_agn,
     build_agnvec,
     build_excl,
+    build_counting,
     build_finmap,
     build_frac,
     build_fractional_memory,
     build_hashtable_monoid,
     build_hashtable_protocol,
+    build_int,
     build_nat,
     build_rwlock,
     build_rwlock_multi,
@@ -747,6 +749,24 @@ def test_count_algebras_keep_their_carriers(spec, name, mode, note, elems, comp)
         assert spec.valid_fn(a) == (a != BOT)
         for b in elems:
             assert spec.compose_fn(a, b) == comp(a, b), (a, b)
+
+
+def _counting_reference(a, b):
+    return ttuple(tint(a[1][0][1] + b[1][0][1]), tint(a[1][1][1] + b[1][1][1]))
+
+
+@pytest.mark.parametrize("spec, ref", [
+    (build_int(), lambda a, b: tint(a[1] + b[1])),
+    (build_frac(), lambda a, b: tfrac(a[1] * b[2] + b[1] * a[2], a[2] * b[2])),
+    (build_counting()[0].protocol, _counting_reference),
+    (build_counting(drop_carrier_constraint=True)[0].protocol, _counting_reference),
+], ids=["int", "frac", "counting", "counting-unconstrained"])
+def test_builtin_compose_is_the_term_constructor_reference(spec, ref):
+    # int, frac and counting build their terms without the constructors
+    elems = carrier(spec)
+    for a in elems:
+        for b in elems:
+            assert spec.compose_fn(a, b) == ref(a, b), (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ class TestRwLockScenario:
         s = build_rwlock_scenario(RwLockScenarioParams(counters=counters, writers=(("incr", 1),)))
         prop = next(p for p in s.properties if p.kind == "rw-fields-match-heap")
         assert check_property(s, initial_state(s), prop) == (True, "")
-        wrong = dataclasses.replace(prop, params=tuple(
+        wrong = prop.replace(params=tuple(
             (k, rc_cells if k == "rc_cells" else v) for k, v in prop.params
         ))
         assert check_property(s, initial_state(s), wrong) == (False, detail)
