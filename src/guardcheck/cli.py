@@ -12,7 +12,6 @@ identical inputs produce byte-identical reports.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 
@@ -160,7 +159,7 @@ def run_explore_scenario(scenario, mode: str, max_states=None, max_steps=None) -
     if max_steps is not None:
         updates["max_steps_per_thread"] = _count(max_steps, "--max-steps")
     if updates:
-        scenario = dataclasses.replace(scenario, **updates)
+        scenario = scenario.replace(**updates)
     result = explore(scenario, mode=mode)
     report = result_to_json(result)
     ops = scenario.meta.get("thread_ops")

@@ -22,7 +22,7 @@ thread steps, resolvers and properties that run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .ghost import (
     AllocAction,
@@ -102,29 +102,36 @@ class PropertySpec(Record):
         return default
 
 
-@dataclass(eq=False)
-class Scenario:
-    """Declarative test case; immutable after construction."""
+_EMPTY = MappingProxyType({})  # a default shared by every scenario, so read-only
+
+
+class Scenario(Record):
+    """Declarative test case; immutable after construction, and compared by
+    identity. ``document`` is the JSON document it was read from (see
+    formats.scenario_from_json), or None; it is not a field, so a
+    ``replace`` copy has none."""
 
     name: str
     cells: tuple  # (name, initial value) in allocation order
     programs: tuple
     protocols: dict  # iid -> StorageProtocolSpec
     initial_fragments: dict  # iid -> tuple[(owner, element)]
-    script: dict = field(default_factory=dict)  # label -> [ScriptEntry]
+    script: dict = _EMPTY  # label -> [ScriptEntry]
     properties: tuple = ()
     terminal_properties: tuple = ()
     expectation: str = "no-stuck"  # or "stuck-reachable"
     max_states: int = 200_000
     max_steps_per_thread: int = 64
-    named: dict = field(default_factory=dict)  # iid -> named-element helper
-    cell_instances: dict = field(default_factory=dict)  # cell name -> iid
-    protected_cells: dict = field(default_factory=dict)  # iid -> cell name
-    meta: dict = field(default_factory=dict)
-    # the JSON document it was read from (see formats.scenario_from_json)
-    document: dict | None = field(default=None, init=False, repr=False)
+    named: dict = _EMPTY  # iid -> named-element helper
+    cell_instances: dict = _EMPTY  # cell name -> iid
+    protected_cells: dict = _EMPTY  # iid -> cell name
+    meta: dict = _EMPTY
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
+        self.__dict__["document"] = None
         names = [n for n, _ in self.cells]
         if len(set(names)) != len(names):
             raise ValueError("duplicate cell names")
@@ -172,8 +179,7 @@ class TerminalSummary(Record):
         }
 
 
-@dataclass
-class ExplorationResult:
+class ExplorationResult(Record):
     scenario: str
     mode: str
     memo: bool
@@ -266,18 +272,22 @@ def register_property(kind: str, reads_threads: bool = True, params: dict | None
     return wrap
 
 
-@dataclass
 class ResolveCtx:
     """What a script resolver sees: the post-step heap, the ledger as
-    actions apply, and the step's observable result and heap event."""
+    actions apply, and the step's observable result and heap event. One
+    is built per resolver call, so it is a plain class."""
 
-    scenario: Scenario
-    ledger: GhostLedger
-    heap: tuple
-    tid: int
-    label: str
-    result: Term
-    event: object
+    __slots__ = ("scenario", "ledger", "heap", "tid", "label", "result", "event")
+
+    def __init__(self, scenario: Scenario, ledger: GhostLedger, heap: tuple, tid: int,
+                 label: str, result: Term, event):
+        self.scenario = scenario
+        self.ledger = ledger
+        self.heap = heap
+        self.tid = tid
+        self.label = label
+        self.result = result
+        self.event = event
 
     @property
     def self_owner(self) -> str:

@@ -15,9 +15,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
-import copy
 import functools
-import inspect
 import itertools
 import json
 from typing import TYPE_CHECKING
@@ -403,9 +401,10 @@ def _load_protocol(doc: dict, path: str = ""):
         return _custom_protocol(_read(doc, _CUSTOM, path), path), None
     fields = _read(doc, _BUILTIN, path)
     builder, required = _BUILTINS[fields["builtin"]]
+    code = builder.__code__  # the builder's parameters are the builtin's params
     node = {
         key: (_PARAMS[key], _REQUIRED if key in required else _UNSET)
-        for key in inspect.signature(builder).parameters
+        for key in code.co_varnames[: code.co_argcount]
     }
     params = _read(fields["params"], node, _at(path, "params"), "parameter")
     try:
@@ -529,7 +528,7 @@ def scenario_to_json(scenario: Scenario) -> dict:
     :func:`scenario_from_json`); a scenario made another way has none."""
     if scenario.document is None:
         raise FormatError(f"scenario {scenario.name} was not read from a document")
-    return copy.deepcopy(scenario.document)
+    return json.loads(json.dumps(scenario.document))
 
 
 def _script_entry(doc: dict, path: str, kinds: dict) -> ScriptEntry:
@@ -690,7 +689,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         named=named,
         **fields,
     )
-    scenario.document = doc
+    scenario.__dict__["document"] = doc  # not a field (see Scenario)
     try:
         initial_state(scenario)
     except Exception as exc:  # the fragments do not compose to a complete state

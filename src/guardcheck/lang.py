@@ -377,9 +377,6 @@ class _Stepper:
         self.heap[l] = (v, rw)
         self.wrote = True
 
-    def _note(self, **kw):
-        self.event = StepEvent(**kw)
-
     # -- one reduction step; e is not a value
 
     def step(self, e):
@@ -423,7 +420,7 @@ class _Stepper:
             return e[2] if e[1][1] else e[3]
         if tag == "fork":
             self.forks.append(e[1])
-            self._note(op="fork")
+            self.event = StepEvent("fork")
             return UNIT
         if tag == "add":
             if e[1][0] != "int" or e[2][0] != "int":
@@ -439,7 +436,7 @@ class _Stepper:
             l = self.cursor
             self.cursor += 1
             self._put(l, e[1], ("r", 0))
-            self._note(op="ref", loc=l, written=e[1])
+            self.event = StepEvent("ref", l, "", None, e[1])
             return loc(l)
         if tag == "free":
             l = loc_index(e[1])
@@ -450,7 +447,7 @@ class _Stepper:
                 raise _Stuck("free-race")
             del self.heap[l]
             self.wrote = True
-            self._note(op="free", loc=l)
+            self.event = StepEvent("free", l)
             return UNIT
         if tag == "load":
             return self._load(e)
@@ -466,7 +463,7 @@ class _Stepper:
                 out = tbool(True)
             else:
                 out = tbool(False)
-            self._note(op="cas", loc=l, value=out, written=e[3] if out[1] else None)
+            self.event = StepEvent("cas", l, "", out, e[3] if out[1] else None)
             return out
         if tag == "faa":
             l = loc_index(e[1])
@@ -479,7 +476,7 @@ class _Stepper:
             if not -INT_BOUND <= n < INT_BOUND:
                 raise _Stuck("overflow")
             self._put(l, tint(n), ("r", 0))
-            self._note(op="faa", loc=l, value=v, written=tint(n))
+            self.event = StepEvent("faa", l, "", v, tint(n))
             return v
         raise _Stuck(f"bad-expression:{tag}")
 
@@ -503,17 +500,17 @@ class _Stepper:
         if ordering == "sc":
             if rw == ("w",):
                 raise _Stuck("race-sc-read")
-            self._note(op="load", loc=l, ordering="sc", value=v)
+            self.event = StepEvent("load", l, "sc", v)
             return v
         if ordering == "na":
             if rw == ("w",):
                 raise _Stuck("race-na-read")
             self._put(l, v, ("r", rw[1] + 1))
-            self._note(op="load", loc=l, ordering="na")
+            self.event = StepEvent("load", l, "na")
             return ("load", "na2", e[2])
         # na2: the matching end step; the begin guarantees a positive count
         self._put(l, v, ("r", rw[1] - 1))
-        self._note(op="load", loc=l, ordering="na2", value=v)
+        self.event = StepEvent("load", l, "na2", v)
         return v
 
     def _store(self, e):
@@ -524,17 +521,17 @@ class _Stepper:
             if rw != ("r", 0):
                 raise _Stuck("race-sc-write")
             self._put(l, e[3], ("r", 0))
-            self._note(op="store", loc=l, ordering="sc", written=e[3])
+            self.event = StepEvent("store", l, "sc", None, e[3])
             return UNIT
         if ordering == "na":
             if rw != ("r", 0):
                 raise _Stuck("race-na-write")
             self._put(l, v, ("w",))
-            self._note(op="store", loc=l, ordering="na")
+            self.event = StepEvent("store", l, "na")
             return ("store", "na2", e[2], e[3])
         # na2: cell is in the writing state owned by this thread
         self._put(l, e[3], ("r", 0))
-        self._note(op="store", loc=l, ordering="na2", written=e[3])
+        self.event = StepEvent("store", l, "na2", None, e[3])
         return UNIT
 
 

@@ -10,7 +10,6 @@ closure-based validity.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from math import gcd
 
@@ -189,14 +188,10 @@ def build_frac(den_bound: int = 12, max_value: int = 4, name: str = "frac") -> M
         g = gcd(num := a[1] * b[2] + b[1] * a[2], den := a[2] * b[2])
         return ("frac", num // g, den // g)
 
-    seen = {Fraction(0)}
+    # each value once, at its least denominator: where num / den is reduced
     elems = [tfrac(0)]
     for den in range(1, den_bound + 1):
-        for num in range(1, max_value * den + 1):
-            q = Fraction(num, den)
-            if q not in seen:
-                seen.add(q)
-                elems.append(tfrac(num, den))
+        elems += [("frac", num, den) for num in range(1, max_value * den + 1) if gcd(num, den) == 1]
     return MonoidSpec(
         name,
         tfrac(0),
@@ -209,9 +204,9 @@ def build_frac(den_bound: int = 12, max_value: int = 4, name: str = "frac") -> M
 def build_product(name: str, parts: list[MonoidSpec], total: bool = False) -> MonoidSpec:
     """Componentwise product: it composes and enumerates part by part.
     ``total`` forces validity to be constantly true (protocol-monoid
-    convention); otherwise validity is componentwise. A caller may set
-    another ``valid_fn`` on the result before using it, as the hash table
-    does: validity need not be componentwise."""
+    convention); otherwise validity is componentwise. A caller may
+    ``replace`` the result's ``valid_fn``, as the hash table does: validity
+    need not be componentwise."""
     units = ttuple(*(p.unit for p in parts))
     fns = [p.compose_fn for p in parts]
     vals = [p.valid_fn for p in parts]
@@ -891,8 +886,7 @@ def build_hashtable_monoid(
     spec = build_product("hashtable", [
         build_finmap(keys, build_excl(tuple(map_opts), "ht-value"), "ht-keys"),
         build_finmap(slot_indices, build_excl(slot_opts, "ht-slot"), "ht-slots"),
-    ])
-    spec.valid_fn = valid_set.__contains__
+    ]).replace(valid_fn=valid_set.__contains__)
     return spec, HashTableElems(keys, tuple(values), length, spec)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -77,8 +76,7 @@ class ElementEnumerator(Record):
             raise ValueError(f"bad enumerator mode {self.mode!r}")
 
 
-@dataclass(eq=False)
-class MonoidSpec:
+class MonoidSpec(Record):
     """A monoid (M, ·, ε, 𝒱) with an enumerable carrier.
 
     ``compose`` must be total on the carrier encoding and return canonical
@@ -96,7 +94,12 @@ class MonoidSpec:
     valid_fn: Callable[[Term], bool]
     enumerator: ElementEnumerator
     parts: tuple["MonoidSpec", ...] = ()
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __post_init__(self):
+        self.__dict__["_cache"] = {}  # see memo; not a field, so a replace starts afresh
 
     @property
     def bounded(self) -> bool:

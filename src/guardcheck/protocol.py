@@ -16,7 +16,6 @@ stage that tests the whole tuple of values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator
 
@@ -64,8 +63,7 @@ class StorageDomainError(ValueError):
 Stage = Callable[[tuple[Term, ...]], bool]
 
 
-@dataclass(eq=False)
-class StorageProtocolSpec:
+class StorageProtocolSpec(Record):
     """(P, S, 𝒞, 𝒮). P must be total (valid ≡ true); S is a PCM.
 
     𝒞 is given either as ``complete_fn``, or, on a product P, as
@@ -86,24 +84,25 @@ class StorageProtocolSpec:
     complete_fn: Callable[[Term], bool] | None
     stored_of_fn: Callable[[Term], Term]
     stages: tuple[Stage, ...] = ()
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-    _complete: Callable[[Term], bool] = field(init=False, repr=False)
-    _search: tuple[Stage, ...] = field(init=False, repr=False)  # what the search checks
+
+    __eq__ = object.__eq__  # specs compare by identity
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         if (self.complete_fn is None) == (not self.stages):
             raise ValueError(f"{self.name}: give 𝒞 as exactly one of complete_fn and stages")
         if not self.stages:
-            self._complete = self.complete_fn
-            self._search = _whole_tuple(self.complete_fn, len(self.protocol.parts))
+            complete = self.complete_fn
+            search = _whole_tuple(self.complete_fn, len(self.protocol.parts))
         elif len(self.stages) != len(self.protocol.parts):
             raise ValueError(
                 f"{self.name}: {len(self.stages)} stages for "
                 f"{len(self.protocol.parts)} protocol parts"
             )
         else:
-            self._complete = _conjunction(self.stages)
-            self._search = self.stages
+            complete, search = _conjunction(self.stages), self.stages
+        # not fields, so a replace starts afresh; _search is what the search checks
+        self.__dict__.update(_cache={}, _complete=complete, _search=search)
 
     def complete(self, p: Term) -> bool:
         return self._complete(p)

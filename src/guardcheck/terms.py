@@ -13,7 +13,6 @@ hold terms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Any, Iterable
 
@@ -53,7 +52,10 @@ class EncodingError(ValueError):
 class Record:
     """An immutable value with the fields its class annotates, in order, and their
     class-level defaults. It acts as the frozen dataclass with those fields (``==``,
-    ``hash``, repr, ``__post_init__``), but with shared methods: it generates no code."""
+    ``hash``, repr, ``__post_init__``), but with shared methods: it generates no code.
+    A subclass compared by identity sets ``__eq__ = object.__eq__`` and ``__hash__ =
+    object.__hash__``; its ``__post_init__`` may keep state that is not a field in
+    ``self.__dict__``, which ``replace`` does not copy."""
 
     __slots__ = ("_values",)  # the field tuple, for == and hash
     _fields = ()
@@ -65,12 +67,19 @@ class Record:
         # with i positional arguments, the keywords allowed and those needed
         cls._allowed = [frozenset(fields[i:]) for i in range(len(fields) + 1)]
         cls._needed = [s - {n for n in s if hasattr(cls, n)} for s in cls._allowed]
+        # with i positional arguments and no keywords, the defaults that follow them
+        cls._tails = {
+            i: tuple(cls._template[n] for n in fields[i:])
+            for i in range(len(fields) + 1) if not cls._needed[i]
+        }
         cls._post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
-        cls, i = self.__class__, len(args)
+        cls = self.__class__
         fields = cls._fields
-        if kwargs or i != len(fields):
+        tail = None if kwargs else cls._tails.get(len(args))
+        if tail is None:
+            i = len(args)
             if i > len(fields) or not cls._needed[i] <= kwargs.keys() <= cls._allowed[i]:
                 raise TypeError(f"{cls.__qualname__}{fields}: got {i} positional, {[*kwargs]}")
             d = cls._template.copy()  # the defaults, in field order
@@ -78,6 +87,7 @@ class Record:
             d |= zip(fields, args)
             args = tuple(d.values())
         else:
+            args += tail
             d = dict(zip(fields, args))
         object.__setattr__(self, "__dict__", d)  # reads from a filled-in __dict__ are slower
         _set_values(self, args)
@@ -200,6 +210,30 @@ def is_term(t: Any) -> bool:
     return False
 
 
+class _Ratio:
+    """The value ``num / den`` (``den > 0``), compared exactly by cross-multiplying."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        self.num, self.den = num, den
+
+    def __eq__(self, o):
+        return self.num * o.den == o.num * self.den
+
+    def __lt__(self, o):
+        return self.num * o.den < o.num * self.den
+
+    def __le__(self, o):
+        return self.num * o.den <= o.num * self.den
+
+    def __gt__(self, o):
+        return self.num * o.den > o.num * self.den
+
+    def __ge__(self, o):
+        return self.num * o.den >= o.num * self.den
+
+
 def term_key(t: Term):
     """Total-order key. Fractions order by value then denominator."""
     tag = t[0]
@@ -211,7 +245,7 @@ def term_key(t: Term):
     if tag == "int":
         return (rank, t[1])
     if tag == "frac":
-        return (rank, Fraction(t[1], t[2]), t[2])
+        return (rank, _Ratio(t[1], t[2]), t[2])
     if tag == "tuple":
         return (rank, len(t[1]), tuple(term_key(x) for x in t[1]))
     if tag == "map":

@@ -1,7 +1,6 @@
 """CLI: exit codes, output determinism, and the demo registry."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -831,7 +830,7 @@ def test_unknown_protected_cell_met_at_run_time_is_a_violation():
     doc = shipped_scenario("rwlock-exc")
     protected_cell_names_no_cell(doc)
     doc["protected_cells"] = {"lock": "cell"}
-    scenario = dataclasses.replace(scenario_from_json(doc), protected_cells={"lock": "x"})
+    scenario = scenario_from_json(doc).replace(protected_cells={"lock": "x"})
     want = Violation("replay", "t0.exc_release", "label t0.exc_release: unknown cell 'x'",
                      (0,) * 20)
     assert want in explore(scenario).violations

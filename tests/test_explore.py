@@ -451,7 +451,10 @@ def ref_explore(scenario, mode="rule", memo=True):
     ExplStates that calls transition on every transition. ``transition``
     is looked up in the explore module on each call, so that
     use_reference reaches it."""
-    result = ExplorationResult(scenario.name, mode, memo, scenario.expectation)
+    tally = dict.fromkeys(
+        ("states", "transitions", "dedup_hits", "schedules_completed", "stuck_count"), 0
+    )
+    bound_exceeded = False
     root = initial_state(scenario)
     nodes = [(-1, -1)]  # nid -> (parent nid, tid taken to reach it)
 
@@ -488,7 +491,7 @@ def ref_explore(scenario, mode="rule", memo=True):
 
     visited = {root: 0}
     on_path: set = set()  # memo-off cycle pruning
-    result.states = 1
+    tally["states"] = 1
     stack = [(0, root, (0,) * len(scenario.programs), True)]
     while stack:
         nid, st, counts, entering = stack.pop()
@@ -500,40 +503,40 @@ def ref_explore(scenario, mode="rule", memo=True):
             on_path.add(st)
         enabled = enabled_threads(st.machine)
         if not enabled:
-            result.schedules_completed += 1
+            tally["schedules_completed"] += 1
             record_violations(_terminal_checks(scenario, st), schedule_to(nid))
             terminals.add(_summary(scenario, st))
             continue
-        if result.states >= scenario.max_states:
-            result.bound_exceeded = True
+        if tally["states"] >= scenario.max_states:
+            bound_exceeded = True
             continue
         for tid in reversed(enabled):
             if counts[tid] >= max_depth:
-                result.bound_exceeded = True
+                bound_exceeded = True
                 continue
             kind, st2, vios, crossed, stuck_reason = explore_mod.transition(
                 scenario, st, tid, mode, transition_memo
             )
-            result.transitions += 1
+            tally["transitions"] += 1
             crossed_labels.update(crossed)
             # a schedule is walked back from the node only when reported
             if kind == "stuck":
-                result.stuck_count += 1
-                result.schedules_completed += 1
+                tally["stuck_count"] += 1
+                tally["schedules_completed"] += 1
                 if stuck_reason not in stuck_examples:
                     stuck_examples[stuck_reason] = trace(nid, tid)
                 continue
             if vios:
                 record_violations(vios, trace(nid, tid))
-                result.schedules_completed += 1
+                tally["schedules_completed"] += 1
                 continue
             if memo:
                 if visited.setdefault(st2, len(nodes)) != len(nodes):
-                    result.dedup_hits += 1
+                    tally["dedup_hits"] += 1
                     continue
             else:
                 if st2 in on_path:
-                    result.dedup_hits += 1
+                    tally["dedup_hits"] += 1
                     continue
             new_counts = counts[:tid] + (counts[tid] + 1,) + counts[tid + 1 :]
             if len(st2.machine.threads) > len(new_counts):
@@ -541,27 +544,27 @@ def ref_explore(scenario, mode="rule", memo=True):
                     len(st2.machine.threads) - len(new_counts)
                 )
             nodes.append((nid, tid))
-            result.states += 1
+            tally["states"] += 1
             stack.append((len(nodes) - 1, st2, new_counts, True))
 
-    result.stuck_examples = tuple(
-        sorted((reason, sched) for reason, sched in stuck_examples.items())
-    )
-    result.violations = tuple(
-        sorted(seen_violations.values(), key=lambda v: (v.kind, v.name, v.detail))
-    )
-    result.terminal_summaries = tuple(
-        sorted(
-            terminals,
-            key=lambda s: repr((s.thread_values, s.cells, s.stored)),
-        )
-    )
     unused = sorted(set(scenario.script) - crossed_labels)
-    if unused:
-        result.warnings = tuple(
-            f"script label never crossed: {lbl}" for lbl in unused
-        )
-    return result
+    return ExplorationResult(
+        scenario.name, mode, memo, scenario.expectation, **tally,
+        stuck_examples=tuple(
+            sorted((reason, sched) for reason, sched in stuck_examples.items())
+        ),
+        violations=tuple(
+            sorted(seen_violations.values(), key=lambda v: (v.kind, v.name, v.detail))
+        ),
+        terminal_summaries=tuple(
+            sorted(
+                terminals,
+                key=lambda s: repr((s.thread_values, s.cells, s.stored)),
+            )
+        ),
+        bound_exceeded=bound_exceeded,
+        warnings=tuple(f"script label never crossed: {lbl}" for lbl in unused),
+    )
 
 
 def use_reference(m):

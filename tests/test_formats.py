@@ -1,7 +1,6 @@
 """JSON schemas: combinator loading, custom protocols, queries, scenario
 round-trips, and report stability."""
 
-import dataclasses
 import json
 
 import pytest
@@ -223,7 +222,7 @@ class TestScenarioRoundtrip:
         assert scenario_to_json(s) == s.document
 
     def test_a_scenario_not_read_from_a_document_cannot_be_written(self):
-        replaced = dataclasses.replace(CASE_STUDIES["rwlock-exc"](), name="copy")
+        replaced = CASE_STUDIES["rwlock-exc"]().replace(name="copy")
         hand_built = Scenario("hand-built", (), (), {}, {})
         for s in (replaced, hand_built):
             assert s.document is None

@@ -177,15 +177,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("guardchec
     assert ("guardcheck.demos" in loaded) == (argv[0] == "demo"), loaded
 
 
-# mutable, compared by identity, or relying on field(default_factory=...,
-# init=False) or on dataclasses.replace; every other value class is a Record
-KEPT_DATACLASSES = [
-    "guardcheck.explore.ExplorationResult",
-    "guardcheck.explore.ResolveCtx",
-    "guardcheck.explore.Scenario",
-    "guardcheck.monoid.MonoidSpec",
-    "guardcheck.protocol.StorageProtocolSpec",
-]
+# every value class is a Record, and the resolver context a plain class
+KEPT_DATACLASSES = []
 
 
 def test_loading_generates_no_value_class_code():
@@ -210,3 +203,28 @@ print(json.dumps([
     assert set(EXPLORER_STACK) <= set(loaded)
     assert dataclasses == KEPT_DATACLASSES
     assert generated == KEPT_DATACLASSES
+
+
+# the standard library that dataclasses, inspect and fractions bring in
+UNUSED_STDLIB = ["ast", "copy", "dataclasses", "decimal", "dis", "fractions", "inspect",
+                 "numbers", "tokenize"]
+LOADED = f"""
+import json, sys
+print(json.dumps(sorted(set({UNUSED_STDLIB!r}) & set(sys.modules))))
+"""
+
+
+def test_a_run_loads_no_unused_standard_library():
+    bare = fresh(LOADED)  # what site loads, before guardcheck runs
+    got = fresh(f"""
+from guardcheck import cli, formats
+from guardcheck.demos import load_demo_document
+for n in {SCENARIO_DEMOS!r}:
+    scenario = formats.scenario_from_json(load_demo_document(n + ".scenario.json"))
+    for mode in ("rule", "concrete"):
+        formats.dumps(cli.run_explore_scenario(scenario, mode))
+for n in {CHECK_DEMOS!r}:
+    formats.dumps(cli.run_check(load_demo_document(n + ".protocol.json"),
+                                load_demo_document(n + ".relations.json")))
+""" + LOADED)
+    assert sorted(set(got) - set(bare)) == []

@@ -292,7 +292,7 @@ def test_associativity_composes_once_per_distinct_product():
         calls += 1
         return compose(a, b)
 
-    spec.compose_fn = counted
+    spec = spec.replace(compose_fn=counted)
     assert monoid._associativity(spec, elems) == (None, k**3)
     assert k == DEFAULT_TRIPLE_LIMIT and calls <= 2 * len(products) * k + k * k
 

@@ -1,6 +1,8 @@
 """Built-in constructions: composition tables, completeness predicates,
 and the relation families each protocol is designed to satisfy."""
 
+from fractions import Fraction
+
 import pytest
 
 from guardcheck.library import (
@@ -100,6 +102,18 @@ class TestFracMonoid:
     def test_split_is_addition(self):
         spec = build_frac()
         assert compose(spec, tfrac(1, 3), tfrac(1, 6)) == tfrac(1, 2)
+
+    def test_carrier_is_the_fraction_deduplicated_list(self):
+        # the carrier as built with Fraction: each value at its first (num, den)
+        seen, elems = {Fraction(0)}, []
+        for den in range(1, 13):
+            for num in range(1, 4 * den + 1):
+                if Fraction(num, den) not in seen:
+                    seen.add(Fraction(num, den))
+                    elems.append(tfrac(num, den))
+        by_value = sorted(elems, key=lambda t: (Fraction(t[1], t[2]), t[2]))
+        assert carrier(build_frac(12, 4)) == (tfrac(0), *by_value)
+        assert len(by_value) == 4 * 46  # 46 reduced fractions in (0, 1] with den <= 12
 
     def test_counting_split_identity(self):
         # a counter at n equals a counter at n+1 plus one reference

@@ -36,7 +36,6 @@ value) and of the search (boxes out of order) must be caught.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from functools import reduce
 
@@ -883,9 +882,9 @@ def test_staged_boxes_come_in_product_order():
 
 def test_a_replaced_complete_fn_spec_searches_the_same():
     # the stages the search reads off complete_fn are not a field that
-    # dataclasses.replace passes on
+    # replace passes on
     sp = build_hashtable_protocol(HASH, (tint(10),))[0]
-    copy = dataclasses.replace(sp, name="copy")
+    copy = sp.replace(name="copy")
     assert copy.complete_fn is sp.complete_fn and not copy.stages
     for p in carrier(sp.protocol)[:60]:
         assert list(completion_boxes(copy, p)) == ref_completion_boxes(sp, p)
@@ -896,10 +895,10 @@ def test_a_replaced_spec_does_not_share_its_cache():
     sp = build_fractional(4, 2)
     half = tfrac(1, 2)
     assert valid_fragment(sp, half)
-    never = dataclasses.replace(sp, complete_fn=lambda p: False)
+    never = sp.replace(complete_fn=lambda p: False)
     assert not valid_fragment(never, half)
     assert completion_boxes(never, half) == ()
-    total = dataclasses.replace(sp.protocol, name="copy")
+    total = sp.protocol.replace(name="copy")
     assert total._cache == {} and sp.protocol._cache
 
 

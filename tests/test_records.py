@@ -1,9 +1,13 @@
-"""Records against the frozen dataclasses they stand for.
+"""Records against the dataclasses they stand for.
 
-Each :class:`guardcheck.terms.Record` subclass is compared with its twin:
-a frozen dataclass made by ``dataclasses.make_dataclass`` with the same
-fields, defaults, ``__post_init__`` and ``__hash__``. The two must agree on
-equality, hash, repr, binding, frozenness and ``replace``.
+Each value :class:`guardcheck.terms.Record` subclass is compared with its
+twin: a frozen dataclass made by ``dataclasses.make_dataclass`` with the
+same fields, defaults, ``__post_init__`` and ``__hash__``. The two must
+agree on equality, hash, repr, binding, frozenness and ``replace``. The
+records compared by identity (a scenario, a monoid, a storage protocol)
+are compared with a mutable ``eq=False`` dataclass twin: they must bind
+and reject the same arguments, and keep their per-instance state out of
+``replace``.
 """
 
 import dataclasses
@@ -12,8 +16,12 @@ import pytest
 
 import guardcheck.explore  # noqa: F401  (loads ghost, lang, monoid, protocol, studies)
 import guardcheck.library  # noqa: F401
+from guardcheck.explore import PropertySpec, ResolveCtx, Scenario
 from guardcheck.ghost import GuardWindow, OpenGuardAction
-from guardcheck.terms import Record, tint
+from guardcheck.library import build_fractional, build_rwlock
+from guardcheck.monoid import MonoidSpec, carrier
+from guardcheck.protocol import StorageProtocolSpec, valid_fragment
+from guardcheck.terms import UNIT, Record, tfrac, tint
 
 
 def _subclasses(cls):
@@ -22,10 +30,12 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-RECORDS = sorted(
+SUBCLASSES = sorted(
     (c for c in _subclasses(Record) if c.__module__.startswith("guardcheck.")),
     key=lambda c: c.__qualname__,
 )
+RECORDS = [c for c in SUBCLASSES if c.__eq__ is Record.__eq__]  # the value records
+BY_IDENTITY = [c for c in SUBCLASSES if c.__eq__ is object.__eq__]
 
 # field values that each record with a __post_init__ accepts, and one it rejects
 ACCEPTED = {
@@ -79,7 +89,9 @@ def pair(request):
 
 
 def test_every_value_class_is_a_record():
-    assert len(RECORDS) == 31
+    assert len(RECORDS) == 32
+    assert BY_IDENTITY == [MonoidSpec, Scenario, StorageProtocolSpec]
+    assert set(SUBCLASSES) == set(RECORDS) | set(BY_IDENTITY)
 
 
 def test_equality_hash_and_repr_agree(pair):
@@ -184,3 +196,132 @@ def test_records_with_the_same_fields_are_unequal():
     assert field_names(GuardWindow) == field_names(OpenGuardAction)
     assert GuardWindow(*v) != OpenGuardAction(*v)
     assert len({GuardWindow(*v), OpenGuardAction(*v)}) == 2
+
+
+# ---------------------------------------------------------------------------
+# Records compared by identity
+
+
+def by_identity_twin(cls):
+    """The ``eq=False`` dataclass with ``cls``'s fields, defaults and ``__post_init__``."""
+    spec = [
+        (n, object, dataclasses.field(default_factory=lambda d=getattr(cls, n): d))
+        if hasattr(cls, n) else (n, object)
+        for n in field_names(cls)
+    ]
+    namespace = {"__post_init__": vars(cls)["__post_init__"]}
+    return dataclasses.make_dataclass(cls.__qualname__, spec, eq=False, namespace=namespace)
+
+
+FRAC, RWLOCK = build_fractional(4, 2), build_rwlock()[0]  # 𝒞 as complete_fn, as stages
+CELL = ("c", tint(0))
+# field values that each record compared by identity accepts
+BY_IDENTITY_SAMPLE = {
+    MonoidSpec: ("m", FRAC.storage.unit, FRAC.storage.compose_fn, FRAC.storage.valid_fn,
+                 FRAC.storage.enumerator),
+    Scenario: ("s", (CELL,), (), {}, {}),
+    StorageProtocolSpec: ("sp", FRAC.protocol, FRAC.storage, FRAC.complete_fn,
+                          FRAC.stored_of_fn),
+}
+STAGES = (lambda c: True,) * len(RWLOCK.protocol.parts)
+STAGED = ("staged", RWLOCK.protocol, RWLOCK.storage, None, RWLOCK.stored_of_fn)
+# (args, kwargs) that a __post_init__ rejects
+BY_IDENTITY_REJECTED = {
+    Scenario: [
+        (("s", (CELL, CELL), (), {}, {}), {}),
+        (("s", (CELL,), (), {}, {}), {"expectation": "maybe"}),
+        (("s", (CELL,), (), {}, {}), {"properties": (PropertySpec("p", "k"),),
+                                       "terminal_properties": (PropertySpec("p", "j"),)}),
+    ],
+    StorageProtocolSpec: [
+        (BY_IDENTITY_SAMPLE[StorageProtocolSpec], {"stages": STAGES[:1]}),
+        (STAGED, {}),
+        (STAGED, {"stages": STAGES[1:]}),
+    ],
+}
+
+
+@pytest.fixture(params=BY_IDENTITY, ids=lambda c: c.__qualname__)
+def by_identity(request):
+    return request.param
+
+
+def test_equal_fields_make_unequal_records(by_identity):
+    cls, args = by_identity, BY_IDENTITY_SAMPLE[by_identity]
+    a, b = cls(*args), cls(*args)
+    assert a == a and a != b and not a == b
+    assert hash(a) == object.__hash__(a) and len({a, b}) == 2
+    assert a._values == b._values
+
+
+def test_binding_agrees_with_the_dataclass(by_identity):
+    cls, args = by_identity, BY_IDENTITY_SAMPLE[by_identity]
+    dc = by_identity_twin(cls)
+    for made, twin in [(cls(*args), dc(*args)),
+                       (cls(**dict(zip(field_names(cls), args))), dc(*args)),
+                       (cls(*args[:2], **dict(zip(field_names(cls)[2:], args[2:]))), dc(*args))]:
+        assert made._values == tuple(getattr(twin, n) for n in field_names(cls))
+        assert repr(made) == repr(twin)
+    for make in (cls, dc):
+        with pytest.raises(TypeError):
+            make(*args, no_such_field=1)
+        with pytest.raises(TypeError):
+            make(*args[:-1])
+    with pytest.raises(AttributeError):
+        cls(*args).name = "other"
+
+
+def test_post_init_raises_what_the_dataclass_raises(by_identity):
+    cls = by_identity
+    for args, kwargs in BY_IDENTITY_REJECTED.get(cls, []):
+        errors = []
+        for make in (cls, by_identity_twin(cls)):
+            with pytest.raises(ValueError) as exc:
+                make(*args, **kwargs)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+
+def test_a_monoid_copy_starts_with_an_empty_cache():
+    spec = MonoidSpec(*BY_IDENTITY_SAMPLE[MonoidSpec])
+    assert spec._cache == {} and MonoidSpec(*BY_IDENTITY_SAMPLE[MonoidSpec])._cache is not spec._cache
+    carrier(spec)
+    copy = spec.replace(name="copy")
+    assert spec._cache and copy._cache == {} and copy.parts == spec.parts == ()
+    assert copy.compose_fn is spec.compose_fn and copy.enumerator is spec.enumerator
+
+
+def test_a_protocol_copy_starts_with_its_own_cache_and_stages():
+    sp = StorageProtocolSpec(*BY_IDENTITY_SAMPLE[StorageProtocolSpec])
+    assert valid_fragment(sp, tfrac(1, 2)) and sp._cache
+    copy = sp.replace(complete_fn=lambda p: False)
+    assert copy._cache == {} and copy._complete is copy.complete_fn
+    assert not copy.complete(tfrac(1)) and sp.complete(tfrac(1))
+    staged = StorageProtocolSpec(*STAGED, stages=STAGES)
+    assert staged._search is STAGES and staged.replace()._search is STAGES
+
+
+def test_a_scenario_copy_has_no_document():
+    s = Scenario(*BY_IDENTITY_SAMPLE[Scenario])
+    assert s.document is None
+    s.__dict__["document"] = {"name": "s"}
+    copy = s.replace(name="copy")
+    assert copy.document is None and s.document == {"name": "s"}
+    assert "document" not in repr(s)
+
+
+def test_a_scenario_default_mapping_is_shared_and_read_only():
+    a, b = Scenario(*BY_IDENTITY_SAMPLE[Scenario]), Scenario(*BY_IDENTITY_SAMPLE[Scenario])
+    for name in ("script", "named", "cell_instances", "protected_cells", "meta"):
+        assert getattr(a, name) == {} and getattr(a, name) is getattr(b, name)
+        with pytest.raises(TypeError):
+            getattr(a, name)["x"] = 1
+        assert getattr(b, name) == {}
+
+
+def test_a_resolver_context_is_a_plain_class():
+    args = ("scenario", "ledger", (), 0, "lbl", UNIT, None)
+    ctx = ResolveCtx(*args)
+    assert not isinstance(ctx, Record) and not hasattr(ctx, "__dict__")
+    assert tuple(getattr(ctx, n) for n in ResolveCtx.__slots__) == args
+    assert ctx.self_owner == "thread:0" and ctx.event_cell() is None

@@ -1,7 +1,6 @@
 """Case studies: scenario builders, ghost scripts, the sequential oracle,
 and negative controls on the scripts themselves."""
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -125,7 +124,7 @@ class TestRwLockScenario:
                 when_result=tint(0),
             )
         ]
-        bad = dataclasses.replace(s, script=bad_script)
+        bad = s.replace(script=bad_script)
         r = explore(bad)
         assert not r.ok and r.violations
         v = next(v for v in r.violations if v.kind == "ghost")
@@ -282,7 +281,7 @@ class TestScriptEnforcement:
             lbl: [e for e in entries if e.resolver != "ht.take-slot"]
             for lbl, entries in s.script.items()
         }
-        bad = dataclasses.replace(s, script=script)
+        bad = s.replace(script=script)
         r = explore(bad)
         assert not r.ok
         assert any("missing-slot-fragment" in v.detail for v in r.violations)
@@ -297,7 +296,7 @@ class TestScriptEnforcement:
             lbl: [e for e in entries if e.resolver != "rw.shared-acquire"]
             for lbl, entries in s.script.items()
         }
-        bad = dataclasses.replace(s, script=script)
+        bad = s.replace(script=script)
         r = explore(bad)
         assert not r.ok
         assert any(v.kind == "ghost" for v in r.violations)
@@ -309,7 +308,7 @@ class TestScriptEnforcement:
         extra = s.script["t0.exc_release"] * 2  # deposit fired twice
         script = dict(s.script)
         script["t0.exc_release"] = extra
-        bad = dataclasses.replace(s, script=script)
+        bad = s.replace(script=script)
         r = explore(bad)
         assert not r.ok
         assert any("missing-token" in v.detail or "rejected" in v.detail for v in r.violations)

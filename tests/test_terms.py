@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,6 +82,38 @@ def test_map_helpers():
 def test_ordering_sorts_fractions_by_value():
     xs = [tfrac(1, 2), tfrac(1, 3), tfrac(2, 3), tfrac(0)]
     assert sort_terms(xs) == [tfrac(0), tfrac(1, 3), tfrac(1, 2), tfrac(2, 3)]
+
+
+BIG = 10**30  # beyond a float's precision
+
+
+@st.composite
+def fraction_lists(draw):
+    """Fractions with large numerators and denominators: some drawn freely,
+    some a little off one drawn value n / d, at (n·k + s) / (d·k)."""
+    n, d = draw(st.integers(-BIG, BIG)), draw(st.integers(1, BIG))
+    near = draw(st.lists(st.tuples(st.integers(1, 10**12), st.integers(-2, 2)), max_size=6))
+    free = draw(st.lists(st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG)), max_size=6))
+    small = draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 12)), max_size=6))
+    return [tfrac(n, d)] + [tfrac(n * k + s, d * k) for k, s in near] + [
+        tfrac(*p) for p in free + small
+    ]
+
+
+def fraction_key(t):
+    return (Fraction(t[1], t[2]), t[2])
+
+
+@given(fraction_lists())
+def test_fraction_order_is_exact(xs):
+    for a in xs:
+        for b in xs:
+            (ka, kb), (fa, fb) = (term_key(a), term_key(b)), (fraction_key(a), fraction_key(b))
+            got = (ka < kb, ka <= kb, ka == kb, ka != kb, ka > kb, ka >= kb)
+            assert got == (fa < fb, fa <= fb, fa == fb, fa != fb, fa > fb, fa >= fb)
+            assert (ka == kb) == (a == b)
+    assert sort_terms(xs) == sorted(xs, key=fraction_key)
+    assert sort_terms(ttuple(x, x) for x in xs) == [ttuple(x, x) for x in sorted(xs, key=fraction_key)]
 
 
 @given(terms())
