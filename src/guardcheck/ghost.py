@@ -14,7 +14,8 @@ guard windows. Actions are validated before they are applied:
 
 Guard windows license access to stored content for a single step: a
 second open window on the same instance is a violation, and content a
-window guards must stay below the stored composition until it closes.
+window guards must stay below the stored composition until ``close_windows``
+closes the window at the end of the step.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .protocol import (
     guard_holds,
     valid_fragment,
 )
-from .terms import Record, Term, pretty, term_to_json
+from .terms import Record, Term, pretty
 
 __all__ = [
     "GhostLedger",
@@ -41,12 +42,10 @@ __all__ = [
     "AllocAction",
     "ExchangeAction",
     "OpenGuardAction",
-    "CloseGuardAction",
     "TransferAction",
     "apply_action",
     "close_windows",
     "joint_state",
-    "ledger_snapshot",
     "empty_ledger",
 ]
 
@@ -59,7 +58,6 @@ class GuardWindow(Record):
 
 
 class InstanceState(Record):
-    protocol: str  # registry key
     fragments: tuple  # sorted (owner, element), unit fragments dropped
     stored: Term
     windows: tuple = ()
@@ -74,22 +72,11 @@ class InstanceState(Record):
 class GhostLedger(Record):
     instances: tuple  # sorted (iid, InstanceState)
 
-    def __hash__(self):
-        # each computed transition hashes its ledgers several times
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self.instances))
-            return self._hash
-
     def instance(self, iid: str) -> InstanceState:
         for i, st in self.instances:
             if i == iid:
                 return st
         raise KeyError(f"unknown protocol instance {iid!r}")
-
-    def has_instance(self, iid: str) -> bool:
-        return any(i == iid for i, _ in self.instances)
 
     def with_instance(self, iid: str, state: InstanceState) -> "GhostLedger":
         rest = [(i, s) for i, s in self.instances if i != iid]
@@ -154,10 +141,6 @@ class OpenGuardAction(Record):
     licenses: str = ""
 
 
-class CloseGuardAction(Record):
-    instance: str
-
-
 class TransferAction(Record):
     """Move ``element`` from one owner to another; the sender must be
     decomposable as remainder · element."""
@@ -198,208 +181,149 @@ def _windows_still_guarded(sp: StorageProtocolSpec, state: InstanceState):
     return None
 
 
+def _alloc(sp: StorageProtocolSpec, state: None, action: AllocAction, mode):
+    merged: dict = {}
+    for o, el in action.fragments:
+        merged[o] = sp.protocol.compose_fn(merged.get(o, sp.protocol.unit), el)
+    fragments = tuple(sorted((o, el) for o, el in merged.items() if el != sp.protocol.unit))
+    total = joint_state(sp, fragments)
+    if not sp.complete(total):
+        return GhostViolation(
+            "alloc-not-complete", action.instance, total,
+            "initial joint state must satisfy the completeness predicate",
+        )
+    return InstanceState(fragments, sp.stored(total))
+
+
+def _exchange(sp: StorageProtocolSpec, state: InstanceState, action: ExchangeAction, mode):
+    unit = sp.protocol.unit
+    s_dep = action.deposited if action.deposited is not None else sp.storage.unit
+    s_wdr = action.withdrawn if action.withdrawn is not None else sp.storage.unit
+    involved = [o for o, _ in action.updates]
+    if len(set(involved)) != len(involved):
+        return GhostViolation(
+            "exchange-owner-repeated", action.instance,
+            detail="an exchange may list each owner once",
+        )
+    old_parts = [state.fragment_of(o, unit) for o in involved]
+    p_old = reduce(sp.protocol.compose_fn, old_parts, unit)
+    p_new = reduce(sp.protocol.compose_fn, (el for _, el in action.updates), unit)
+    rest = reduce(
+        sp.protocol.compose_fn, (el for o, el in state.fragments if o not in involved), unit
+    )
+    query = ExchangeQuery(p_old, s_dep, p_new, s_wdr, action.kind)
+
+    why = exchange_body_at(sp, query, rest)
+    if why is not None:
+        return GhostViolation(
+            f"{action.kind}-rejected", action.instance, rest,
+            f"{action.note or 'exchange body fails at the live frame'}: {why}",
+        )
+    before = sp.protocol.compose_fn(p_old, rest)
+    if not sp.complete(before):
+        return GhostViolation("ledger-not-complete", action.instance, before)
+    if mode == "rule":
+        verdict = exchange_holds(sp, query)
+        if not verdict.ok:
+            return GhostViolation(
+                f"{action.kind}-rejected", action.instance, verdict.witness,
+                f"{action.note or 'universal relation fails'}: {verdict.reason}",
+            )
+
+    fragments = state.fragments
+    for o, el in action.updates:
+        fragments = _fragments_with(fragments, o, el, unit)
+    new_total = joint_state(sp, fragments)
+    if not valid_fragment(sp, new_total):
+        return GhostViolation("joint-state-uncompletable", action.instance, new_total)
+    new_state = state.replace(fragments=fragments, stored=sp.stored(new_total))
+    return _windows_still_guarded(sp, new_state) or new_state
+
+
+def _open_guard(sp: StorageProtocolSpec, state: InstanceState, action: OpenGuardAction, mode):
+    if state.windows:
+        return GhostViolation(
+            "second-window", action.instance,
+            detail="an instance admits one open guard window at a time",
+        )
+    if mode == "rule":
+        mine = state.fragment_of(action.owner, sp.protocol.unit)
+        verdict = guard_holds(sp, mine, action.element)
+        if not verdict.ok:
+            return GhostViolation(
+                "guard-rejected", action.instance, verdict.witness, verdict.reason
+            )
+    else:
+        total = joint_state(sp, state.fragments)
+        if not guard_holds(sp, total, action.element).ok:
+            return GhostViolation(
+                "guard-rejected", action.instance, total,
+                "a completion of the live state stores too little",
+            )
+    if not leq(sp.storage, action.element, state.stored):
+        return GhostViolation(
+            "guard-rejected", action.instance, state.stored,
+            f"stored content does not cover {pretty(action.element)}",
+        )
+    window = GuardWindow(action.instance, action.owner, action.element, action.licenses)
+    return state.replace(windows=(window,))
+
+
+def _transfer(sp: StorageProtocolSpec, state: InstanceState, action: TransferAction, mode):
+    unit = sp.protocol.unit
+    have = state.fragment_of(action.from_owner, unit)
+    if sp.protocol.compose_fn(action.remainder, action.element) != have:
+        return GhostViolation(
+            "transfer-mismatch", action.instance, have,
+            f"{pretty(action.remainder)} · {pretty(action.element)} "
+            f"is not the sender's fragment",
+        )
+    if action.from_owner == action.to_owner:
+        return state
+    fragments = _fragments_with(state.fragments, action.from_owner, action.remainder, unit)
+    merged = sp.protocol.compose_fn(state.fragment_of(action.to_owner, unit), action.element)
+    return state.replace(fragments=_fragments_with(fragments, action.to_owner, merged, unit))
+
+
+# each action kind's rule: (spec, the instance's state or None, action,
+# mode) to the instance's new state, or the violation that rejects it
+_RULES = {
+    AllocAction: _alloc,
+    ExchangeAction: _exchange,
+    OpenGuardAction: _open_guard,
+    TransferAction: _transfer,
+}
+
+
 def apply_action(registry, ledger: GhostLedger, action, mode: str = "rule") -> ApplyOutcome:
-    """Validate and apply one ghost action. ``mode`` is "rule" or "concrete"."""
+    """Validate and apply one ghost action. ``mode`` is "rule" or "concrete".
+    A rejection leaves the ledger as it was; an admission files the
+    instance's new state."""
     if mode not in ("rule", "concrete"):
         raise ValueError(f"bad admission mode {mode!r}")
-
-    if isinstance(action, AllocAction):
-        if ledger.has_instance(action.instance):
-            return ApplyOutcome(
-                ledger, GhostViolation("instance-exists", action.instance)
-            )
-        sp = registry[action.instance]
-        merged: dict = {}
-        for o, el in action.fragments:
-            merged[o] = sp.protocol.compose_fn(merged.get(o, sp.protocol.unit), el)
-        fragments = tuple(
-            sorted((o, el) for o, el in merged.items() if el != sp.protocol.unit)
-        )
-        total = joint_state(sp, fragments)
-        if not sp.complete(total):
-            return ApplyOutcome(
-                ledger,
-                GhostViolation(
-                    "alloc-not-complete", action.instance, total,
-                    "initial joint state must satisfy the completeness predicate",
-                ),
-            )
-        state = InstanceState(action.instance, fragments, sp.stored(total))
-        return ApplyOutcome(ledger.with_instance(action.instance, state))
-
-    if not ledger.has_instance(action.instance):
-        return ApplyOutcome(ledger, GhostViolation("unknown-instance", action.instance))
-    sp = registry[action.instance]
-    state = ledger.instance(action.instance)
-    unit = sp.protocol.unit
-
-    if isinstance(action, ExchangeAction):
-        s_dep = action.deposited if action.deposited is not None else sp.storage.unit
-        s_wdr = action.withdrawn if action.withdrawn is not None else sp.storage.unit
-        involved = [o for o, _ in action.updates]
-        if len(set(involved)) != len(involved):
-            return ApplyOutcome(
-                ledger,
-                GhostViolation(
-                    "exchange-owner-repeated", action.instance,
-                    detail="an exchange may list each owner once",
-                ),
-            )
-        old_parts = [state.fragment_of(o, unit) for o in involved]
-        p_old = reduce(sp.protocol.compose_fn, old_parts, unit)
-        p_new = reduce(sp.protocol.compose_fn, (el for _, el in action.updates), unit)
-        rest = reduce(
-            sp.protocol.compose_fn,
-            (el for o, el in state.fragments if o not in involved),
-            unit,
-        )
-        query = ExchangeQuery(p_old, s_dep, p_new, s_wdr, action.kind)
-
-        why = exchange_body_at(sp, query, rest)
-        if why is not None:
-            return ApplyOutcome(
-                ledger,
-                GhostViolation(
-                    f"{action.kind}-rejected", action.instance, rest,
-                    f"{action.note or 'exchange body fails at the live frame'}: {why}",
-                ),
-            )
-        if not sp.complete(sp.protocol.compose_fn(p_old, rest)):
-            return ApplyOutcome(
-                ledger,
-                GhostViolation(
-                    "ledger-not-complete", action.instance,
-                    sp.protocol.compose_fn(p_old, rest),
-                ),
-            )
-        if mode == "rule":
-            verdict = exchange_holds(sp, query)
-            if not verdict.ok:
-                return ApplyOutcome(
-                    ledger,
-                    GhostViolation(
-                        f"{action.kind}-rejected", action.instance, verdict.witness,
-                        f"{action.note or 'universal relation fails'}: {verdict.reason}",
-                    ),
-                )
-
-        fragments = state.fragments
-        for o, el in action.updates:
-            fragments = _fragments_with(fragments, o, el, unit)
-        new_total = joint_state(sp, fragments)
-        if not valid_fragment(sp, new_total):
-            return ApplyOutcome(
-                ledger,
-                GhostViolation("joint-state-uncompletable", action.instance, new_total),
-            )
-        new_state = state.replace(fragments=fragments, stored=sp.stored(new_total))
-        bad = _windows_still_guarded(sp, new_state)
-        if bad:
-            return ApplyOutcome(ledger, bad)
-        return ApplyOutcome(ledger.with_instance(action.instance, new_state))
-
-    if isinstance(action, OpenGuardAction):
-        if state.windows:
-            return ApplyOutcome(
-                ledger,
-                GhostViolation(
-                    "second-window", action.instance,
-                    detail="an instance admits one open guard window at a time",
-                ),
-            )
-        p = state.fragment_of(action.owner, unit)
-        if mode == "rule":
-            verdict = guard_holds(sp, p, action.element)
-            if not verdict.ok:
-                return ApplyOutcome(
-                    ledger,
-                    GhostViolation(
-                        "guard-rejected", action.instance, verdict.witness, verdict.reason
-                    ),
-                )
-        else:
-            total = joint_state(sp, state.fragments)
-            if not guard_holds(sp, total, action.element).ok:
-                return ApplyOutcome(
-                    ledger,
-                    GhostViolation(
-                        "guard-rejected", action.instance, total,
-                        "a completion of the live state stores too little",
-                    ),
-                )
-        if not leq(sp.storage, action.element, state.stored):
-            return ApplyOutcome(
-                ledger,
-                GhostViolation(
-                    "guard-rejected", action.instance, state.stored,
-                    f"stored content does not cover {pretty(action.element)}",
-                ),
-            )
-        window = GuardWindow(action.instance, action.owner, action.element, action.licenses)
-        new_state = state.replace(windows=state.windows + (window,))
-        return ApplyOutcome(ledger.with_instance(action.instance, new_state))
-
-    if isinstance(action, CloseGuardAction):
-        if not state.windows:
-            return ApplyOutcome(
-                ledger, GhostViolation("no-open-window", action.instance)
-            )
-        bad = _windows_still_guarded(sp, state)
-        if bad:
-            return ApplyOutcome(ledger, bad)
-        new_state = state.replace(windows=state.windows[:-1])
-        return ApplyOutcome(ledger.with_instance(action.instance, new_state))
-
-    if isinstance(action, TransferAction):
-        have = state.fragment_of(action.from_owner, unit)
-        if sp.protocol.compose_fn(action.remainder, action.element) != have:
-            return ApplyOutcome(
-                ledger,
-                GhostViolation(
-                    "transfer-mismatch", action.instance, have,
-                    f"{pretty(action.remainder)} · {pretty(action.element)} "
-                    f"is not the sender's fragment",
-                ),
-            )
-        if action.from_owner == action.to_owner:
-            return ApplyOutcome(ledger)
-        fragments = _fragments_with(
-            state.fragments, action.from_owner, action.remainder, unit
-        )
-        merged = sp.protocol.compose_fn(
-            state.fragment_of(action.to_owner, unit), action.element
-        )
-        fragments = _fragments_with(fragments, action.to_owner, merged, unit)
-        new_state = state.replace(fragments=fragments)
-        return ApplyOutcome(ledger.with_instance(action.instance, new_state))
-
-    raise TypeError(f"unknown ghost action {action!r}")
+    rule = _RULES.get(type(action))
+    if rule is None:
+        raise TypeError(f"unknown ghost action {action!r}")
+    iid = action.instance
+    state = dict(ledger.instances).get(iid)
+    if (state is None) != (rule is _alloc):
+        got = GhostViolation("unknown-instance" if state is None else "instance-exists", iid)
+    else:
+        got = rule(registry[iid], state, action, mode)
+    if isinstance(got, GhostViolation):
+        return ApplyOutcome(ledger, got)
+    return ApplyOutcome(ledger.with_instance(iid, got))
 
 
 def close_windows(registry, ledger: GhostLedger) -> ApplyOutcome:
-    """Close every open window (end of the licensed step)."""
+    """Close every open window (end of the licensed step). Each window's
+    element must still be stored; if one is not, the ledger stays as it
+    was."""
     out = ledger
     for iid, state in ledger.instances:
-        while out.instance(iid).windows:
-            result = apply_action(registry, out, CloseGuardAction(iid))
-            if not result.ok:
-                return result
-            out = result.ledger
+        if state.windows:
+            bad = _windows_still_guarded(registry[iid], state)
+            if bad:
+                return ApplyOutcome(ledger, bad)
+            out = out.with_instance(iid, state.replace(windows=()))
     return ApplyOutcome(out)
-
-
-def ledger_snapshot(ledger: GhostLedger):
-    """Deterministic JSON-able snapshot (also usable as a memo key)."""
-    return [
-        {
-            "instance": iid,
-            "protocol": st.protocol,
-            "fragments": [[o, term_to_json(el)] for o, el in st.fragments],
-            "stored": term_to_json(st.stored),
-            "windows": [
-                {"owner": w.owner, "element": term_to_json(w.element), "licenses": w.licenses}
-                for w in st.windows
-            ],
-        }
-        for iid, st in ledger.instances
-    ]

@@ -491,11 +491,13 @@ class RwLockScenarioParams(Record):
     readers: tuple = ()
     initial: int = 0
     locked: bool = True
-    max_steps_per_thread: int = 5000
 
     def __post_init__(self):
         if self.counters < 1:
             raise ValueError("need at least one counter")
+        for kind, _ in self.writers:
+            if kind not in ("incr", "write"):
+                raise ValueError(f"writer kind {kind!r} is neither 'incr' nor 'write'")
         for k in self.readers:
             if not 0 <= k < self.counters:
                 raise ValueError("reader counter index out of range")
@@ -590,7 +592,7 @@ def build_rwlock_scenario(params: RwLockScenarioParams) -> Scenario:
         properties=properties,
         terminal_properties=terminal,
         expectation="no-stuck" if params.locked else "stuck-reachable",
-        max_steps_per_thread=params.max_steps_per_thread,
+        max_steps_per_thread=5000,
         meta={"lock_slot": {}, "slot_cells": {}, "thread_ops": []},
     )
 
@@ -766,10 +768,6 @@ class HashTableScenarioParams(Record):
     hash_spec: HashFunctionSpec
     values: tuple  # value terms
     thread_ops: tuple  # per thread: tuple of ("update", k, v) | ("query", k)
-    rc_range: tuple = (-1, 2)
-    sp_max: int = 2
-    agn_max: int = 2
-    max_steps_per_thread: int = 10000
 
     def updater_of(self, key: Term) -> int | None:
         owner = None
@@ -859,9 +857,9 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
         "builtin": "rwlock",
         "params": {
             "values": [term_to_json(v) for v in slot_states],
-            "rc_range": list(params.rc_range),
-            "sp_max": params.sp_max,
-            "agn_max": params.agn_max,
+            "rc_range": [-1, 2],
+            "sp_max": 2,
+            "agn_max": 2,
         },
     } for i in range(length)]
     _, named, _ = load_protocols(entries)
@@ -912,7 +910,7 @@ def build_hashtable_scenario(params: HashTableScenarioParams) -> Scenario:
         properties=properties,
         terminal_properties=[_prop("all-finished", "all-finished")],
         expectation="no-stuck",
-        max_steps_per_thread=params.max_steps_per_thread,
+        max_steps_per_thread=10000,
         meta={
             "lock_slot": lock_slot,
             "slot_cells": {f"slot{i}": i for i in range(length)},

@@ -951,12 +951,12 @@ def lock_instances(sc):
     region = ("region:lock", fields)
     x0, x1 = ("con", "ex", (tint(0),)), ("con", "ex", (tint(1),))
     return {
-        "sound": InstanceState("lock", (region,), x0),
-        "not-completable": InstanceState("lock", (region, ("thread:0", fields)), x0),
-        "stored-invalid": InstanceState("lock", (region,), BOT),
-        "stored-out-of-sync": InstanceState("lock", (region,), x1),
+        "sound": InstanceState((region,), x0),
+        "not-completable": InstanceState((region, ("thread:0", fields)), x0),
+        "stored-invalid": InstanceState((region,), BOT),
+        "stored-out-of-sync": InstanceState((region,), x1),
         "window-uncovered": InstanceState(
-            "lock", (region,), x0, (GuardWindow("lock", "thread:0", x1),)
+            (region,), x0, (GuardWindow("lock", "thread:0", x1),)
         ),
     }
 

@@ -5,14 +5,13 @@ import pytest
 
 from guardcheck.ghost import (
     AllocAction,
-    CloseGuardAction,
     ExchangeAction,
+    GuardWindow,
     OpenGuardAction,
     TransferAction,
     apply_action,
     close_windows,
     empty_ledger,
-    ledger_snapshot,
 )
 from guardcheck.library import build_fractional, build_rwlock, ex
 from guardcheck.terms import UNIT, tfrac, tint, tsym, ttuple
@@ -261,11 +260,25 @@ def test_guard_window_lifecycle(ledger):
     )
     assert not second.ok and second.violation.reason == "second-window"
 
-    closed = apply_action(REGISTRY, opened.ledger, CloseGuardAction("rw"))
+    closed = close_windows(REGISTRY, opened.ledger)
     assert closed.ok and not closed.ledger.instance("rw").windows
 
-    again = apply_action(REGISTRY, closed.ledger, CloseGuardAction("rw"))
-    assert not again.ok and again.violation.reason == "no-open-window"
+    again = close_windows(REGISTRY, closed.ledger)
+    assert again.ok and again.ledger == closed.ledger
+
+
+def test_close_rejects_a_window_whose_content_left_storage(ledger):
+    window = GuardWindow("rw", "reader", ex(X0))
+    state = ledger.instance("rw").replace(stored=UNIT, windows=(window,))
+    uncovered = ledger.with_instance("rw", state)
+    out = close_windows(REGISTRY, uncovered)
+    assert not out.ok and out.violation.reason == "guard-content-removed"
+    assert out.ledger == uncovered
+
+
+def test_unknown_action_type_raises(ledger):
+    with pytest.raises(TypeError, match="unknown ghost action"):
+        apply_action(REGISTRY, ledger, GuardWindow("rw", "reader", UNIT))
 
 
 def test_guard_rejected_without_fragment(ledger):
@@ -363,15 +376,6 @@ def test_transfer_requires_exact_decomposition(ledger):
     assert not bad.ok and bad.violation.reason == "transfer-mismatch"
 
 
-def test_snapshot_deterministic_and_sensitive(ledger):
-    s1 = ledger_snapshot(ledger)
-    s2 = ledger_snapshot(ledger)
-    assert s1 == s2
-    after = exc_begin(ledger).ledger
-    assert ledger_snapshot(after) != s1
-    assert ledger_snapshot(empty_ledger()) == []
-
-
 def test_replaying_actions_reproduces_ledger(ledger):
     actions = [
         ExchangeAction(
@@ -392,7 +396,7 @@ def test_replaying_actions_reproduces_ledger(ledger):
     l2 = ledger
     for a in actions:
         l2 = apply_action(REGISTRY, l2, a).ledger
-    assert l1 == l2 and ledger_snapshot(l1) == ledger_snapshot(l2)
+    assert l1 == l2
 
 
 def test_ledger_hashable_for_memoization(ledger):

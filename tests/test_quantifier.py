@@ -237,7 +237,7 @@ def concrete_guard_rejects(sp, total, element) -> bool:
     """Whether concrete admission rejects a window for ``element`` on the
     live total ``total`` at its completion check (not at its later check
     against the stored content)."""
-    state = InstanceState("i", (("o", total),), sp.storage.unit)
+    state = InstanceState((("o", total),), sp.storage.unit)
     out = apply_action(
         {"i": sp}, GhostLedger((("i", state),)), OpenGuardAction("i", "o", element), "concrete"
     )

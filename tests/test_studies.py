@@ -150,6 +150,14 @@ class TestRwLockScenario:
         ))
         assert check_property(s, initial_state(s), wrong) == (False, detail)
 
+    @pytest.mark.parametrize("writers, readers, message", [
+        ((("wrte", 5),), (0,), "writer kind 'wrte' is neither 'incr' nor 'write'"),
+        ((("incr", 1),), (1,), "reader counter index out of range"),
+    ], ids=["writer-kind", "reader-index"])
+    def test_params_reject_what_the_builder_cannot_build(self, writers, readers, message):
+        with pytest.raises(ValueError, match=message):
+            RwLockScenarioParams(writers=writers, readers=readers)
+
     def test_multi_counter_smoke(self):
         s = build_rwlock_scenario(
             RwLockScenarioParams(counters=2, writers=(("incr", 1),), readers=(1,))
@@ -520,7 +528,7 @@ def test_lock_resolver_table(case):
     _, (sp, named), resolver, args, region, mine, cell, result, expected = case
     fragments = tuple(sorted((o, el) for o, el in ((REGION, region), (ME, mine))
                              if el != sp.protocol.unit))
-    ledger = GhostLedger((("lock", InstanceState("lock", fragments, UNIT)),))
+    ledger = GhostLedger((("lock", InstanceState(fragments, UNIT)),))
     scenario = SimpleNamespace(
         protocols={"lock": sp}, named={"lock": named}, protected_cells={"lock": "cell"},
         cell_loc=lambda name: name,
