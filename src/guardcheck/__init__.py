@@ -21,8 +21,11 @@ The pieces compose bottom-up:
   protocol actions against the relation checkers at every step.
 * :mod:`guardcheck.explore` — deterministic DFS over thread
   interleavings with state memoization, properties, and replay.
-* :mod:`guardcheck.studies` — executable lock / hash-table scenarios and
-  the sequential oracle used to judge terminal outcomes.
+* :mod:`guardcheck.resolvers` — the case studies' runtime: the lock and
+  hash-table resolvers and properties that scenarios name, and the
+  sequential oracle used to judge terminal outcomes.
+* :mod:`guardcheck.studies` — the builders that write the lock and
+  hash-table scenario documents.
 * :mod:`guardcheck.formats` / :mod:`guardcheck.cli` — JSON schemas and
   the command-line front end.
 
@@ -31,9 +34,10 @@ Each module is imported on the path that uses it. The names in
 package loads no layer. ``guardcheck check`` and ``guardcheck demo`` on a
 protocol load terms, monoid, protocol, library, formats, demos and cli;
 ``guardcheck explore`` and ``guardcheck demo`` on a scenario also load
-lang, ghost, explore and studies. Importing :mod:`guardcheck.explore`
-imports :mod:`guardcheck.studies`, so the case studies' resolvers and
-properties are registered wherever a scenario is read or run.
+lang, ghost, explore and resolvers; no command loads studies. Importing
+:mod:`guardcheck.explore` imports :mod:`guardcheck.resolvers`, so the
+case studies' resolvers and properties are registered wherever a
+scenario is read or run.
 """
 
 import importlib
@@ -81,8 +85,8 @@ _EXPORTS = {
         "build_hashtable_scenario",
         "build_race_scenario",
         "build_rwlock_scenario",
-        "sequential_oracle",
     ), "studies"),
+    "sequential_oracle": "resolvers",
 }
 
 __all__ = list(_EXPORTS)

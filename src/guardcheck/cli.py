@@ -151,7 +151,7 @@ def _render_explore(report: dict) -> str:
 
 def run_explore_scenario(scenario, mode: str, max_states=None, max_steps=None) -> dict:
     from .explore import explore
-    from .studies import explorer_outcomes, sequential_oracle
+    from .resolvers import explorer_outcomes, sequential_oracle
 
     updates = {}  # each bound read as a scenario document reads it
     if max_states is not None:

@@ -821,5 +821,6 @@ def replay(scenario: Scenario, schedule, mode: str = "rule"):
 
 
 # the case studies register their resolvers and properties here, so every
-# reader and runner of scenarios sees the same registry
-from . import studies
+# reader and runner of scenarios sees the same registry; their builders
+# (guardcheck.studies) only write documents, and no run loads them
+from . import resolvers

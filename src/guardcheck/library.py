@@ -511,7 +511,7 @@ def build_forever() -> StorageProtocolSpec:
 #   (fields, exc-pending token, exc token, pending readers, reader agreement)
 # where fields is ex((exc flag, counters, value)) and reader agreement is
 # agn(value, readers). One class, RwLockElems, reads and writes it for
-# both locks, and the resolvers in studies.py go through its methods.
+# both locks, and the resolvers in resolvers.py go through its methods.
 # Those methods take counters as tuples of k counts. Its codec (_vec,
 # _counts and _token, and exc_pending_index, which reads a token back)
 # writes them as terms, and is the one place where the locks differ: the
@@ -766,7 +766,7 @@ def build_rwlock_multi(
 # its logical value, and the slot map sends tint(i) to ex(none) or
 # ex(some((k, v))), what slot i stores. One class, HashTableElems, builds
 # and takes these pairs apart, and the table resolvers and properties in
-# studies.py go through its methods. It also carries the table monoid, so
+# resolvers.py go through its methods. It also carries the table monoid, so
 # it is the hash-table builtin's one helper.
 
 

@@ -312,6 +312,7 @@ def test_prop_memoization_preserves_outcomes(programs):
 import hashlib
 import importlib
 import json
+import sys
 from functools import reduce
 
 from guardcheck.demos import demo_path
@@ -572,8 +573,15 @@ def use_reference(m):
     and the ghost invariant through the unmemoized reference, within the
     monkeypatch context ``m``. Call the explorer as explore_mod.explore
     there, as this module's ``explore`` is bound at import."""
-    for name in ("ghost", "explore", "studies"):
+    memoised = importlib.import_module("guardcheck.ghost").joint_state
+    for name in ("ghost", "explore", "resolvers"):
         m.setattr(importlib.import_module(f"guardcheck.{name}"), "joint_state", ref_joint_state)
+    # a loaded module that still binds the memoised fold would bypass the reference
+    unpatched = [
+        (name, attr) for name, mod in list(sys.modules.items()) if name.startswith("guardcheck.")
+        for attr, value in vars(mod).items() if value is memoised
+    ]
+    assert unpatched == []
     m.setitem(explore_mod.PROPERTY_EVALUATORS, "ghost-invariant", ref_prop_ghost_invariant)
     m.setattr(explore_mod, "explore", ref_explore)
     m.setattr(explore_mod, "transition", ref_transition)

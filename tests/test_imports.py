@@ -17,7 +17,9 @@ from guardcheck.demos import DEMOS, load_demo_document
 from guardcheck.formats import FormatError, scenario_from_json
 
 SRC = str(Path(guardcheck.__file__).resolve().parents[1])
-EXPLORER_STACK = ("guardcheck.explore", "guardcheck.lang", "guardcheck.ghost", "guardcheck.studies")
+EXPLORER_STACK = (
+    "guardcheck.explore", "guardcheck.lang", "guardcheck.ghost", "guardcheck.resolvers"
+)
 SCENARIO_DEMOS = sorted(name for name, spec in DEMOS.items() if spec["kind"] == "explore")
 CHECK_DEMOS = sorted(name for name, spec in DEMOS.items() if spec["kind"] == "check")
 
@@ -94,7 +96,7 @@ def test_registries_do_not_depend_on_import_order():
 
 
 def _mistyped_property(doc: dict) -> None:
-    # rw-mutual-exclusion is registered by guardcheck.studies
+    # rw-mutual-exclusion is registered by guardcheck.resolvers
     prop = next(p for p in doc["properties"] if p["kind"] == "rw-mutual-exclusion")
     prop["params"]["instance"] = 7
 
@@ -105,7 +107,7 @@ def _mistyped_resolver_arg(doc: dict) -> None:
 
 
 def _mistyped_lock_arg(doc: dict) -> None:
-    # rw.exc-begin is registered by guardcheck.studies
+    # rw.exc-begin is registered by guardcheck.resolvers
     doc["script"][0]["args"]["instance"] = 7
 
 
@@ -173,6 +175,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("guardchec
     assert code == 0
     for module in EXPLORER_STACK:
         assert (module in loaded) == loads_explorer, (module, loaded)
+    # the scenario builders only write documents
+    assert "guardcheck.studies" not in loaded, loaded
     # the demo registry is read by `demo` alone
     assert ("guardcheck.demos" in loaded) == (argv[0] == "demo"), loaded
 

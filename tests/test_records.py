@@ -14,8 +14,9 @@ import dataclasses
 
 import pytest
 
-import guardcheck.explore  # noqa: F401  (loads ghost, lang, monoid, protocol, studies)
+import guardcheck.explore  # noqa: F401  (loads ghost, lang, monoid, protocol, resolvers)
 import guardcheck.library  # noqa: F401
+import guardcheck.studies  # noqa: F401  (the scenario params records)
 from guardcheck.explore import PropertySpec, ResolveCtx, Scenario
 from guardcheck.ghost import GuardWindow, OpenGuardAction
 from guardcheck.library import build_fractional, build_rwlock
