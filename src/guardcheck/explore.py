@@ -9,12 +9,12 @@ the machine step, the ghost actions it fires, and property evaluation,
 so every schedule sees the same combined semantics as a replay.
 
 The DFS walks numbered states. A :class:`TransitionMemo` numbers each
-distinct thread state, heap, ledger and env (heap number, allocation
-cursor, ledger number) when first met, and a state is (thread numbers,
-env number), equal exactly when the ExplStates are. Its table
-computes each transition once per (tid, thread tid's number, env number),
-with all thread numbers in place of thread tid's when a safety property
-reads threads. The step, admission, window and verdict memos of a
+distinct thread state, heap, ledger and env (heap number, ledger
+number) when first met, and a state is (thread numbers, env number),
+equal exactly when the ExplStates are. Its table computes each
+transition once per (tid, thread tid's number, env number), with all
+thread numbers in place of thread tid's when a safety property reads
+threads. The step, admission, window and verdict memos of a
 transition are keyed on numbers too, so a miss whose parts all hit
 hashes no expression and no heap, and objects are built only for the
 thread steps, resolvers and properties that run.
@@ -36,7 +36,9 @@ from .ghost import (
     empty_ledger,
     joint_state,
 )
-from .lang import MachineConfig, UsageError, enabled_threads, initial_config, thread_step
+from .lang import (
+    MachineConfig, UsageError, enabled_threads, heap_value, initial_config, thread_step,
+)
 from .monoid import leq, memo
 from .protocol import ExchangeQuery, valid_fragment
 from .terms import Record, Term, pretty, term_to_json
@@ -223,8 +225,8 @@ def register_resolver(*names: str, args: dict | None = None):
     resolver ``names``. It reads ``entry`` and the :class:`ResolveCtx`
     (tid, post-step heap, ledger, the step's label, result and event),
     not the thread pool: so a transition reads (tid, thread tid's state,
-    heap, cursor, ledger), plus all threads when a safety property reads
-    them. ``args`` maps each arg ``fn`` reads to a param kind of
+    heap, ledger), plus all threads when a safety property reads them.
+    ``args`` maps each arg ``fn`` reads to a param kind of
     :func:`register_property`, or "owner" (a string), "updates" ({"list":
     [{"list": [owner, {"term": T}]}, ...]}) or "instance-or-@cell" (an
     instance, or "@cell" for the instance of the cell the step touches);
@@ -254,10 +256,9 @@ def register_property(kind: str, reads_threads: bool = True, params: dict | None
 
     ``reads_threads=False`` declares that ``fn`` reads nothing of
     ``state`` but ``state.ledger`` and ``state.machine.heap``: not the
-    threads or the cursor. When every safety property of a scenario is so
-    declared, :func:`transition` computes their verdicts once per
-    distinct (ledger, heap). Otherwise every safety property runs on
-    every transition.
+    threads. When every safety property of a scenario is so declared,
+    :func:`transition` computes their verdicts once per distinct (ledger,
+    heap). Otherwise every safety property runs on every transition.
     """
 
     def wrap(fn):
@@ -314,7 +315,7 @@ class ResolveCtx:
             l = self.scenario.cell_loc(name)
         except KeyError as exc:
             raise ReplayError(f"label {self.label}: {exc.args[0]}") from exc
-        return next((v for hl, v, _ in self.heap if hl == l), None)
+        return heap_value(self.heap, l)
 
 
 def check_property(scenario: Scenario, state: ExplState, prop: PropertySpec):
@@ -469,8 +470,8 @@ class TransitionMemo:
     call. ``table`` maps (tid, thread tid's number or all thread numbers,
     env number) to what :meth:`compute` gives for it. Within a transition
     each part is memoised on the numbers it reads:
-    - the thread step on the thread's number alone if it reads neither
-      heap nor cursor, else on (thread number, heap number, cursor);
+    - the thread step on the thread's number alone if it does not read
+      the heap, else on (thread number, heap number);
     - each ghost admission on (ledger number, action), and the closing of
       guard windows on the ledger number;
     - the safety-property verdicts on (ledger number, heap number) after
@@ -486,10 +487,10 @@ class TransitionMemo:
         self.items: list = []  # number -> thread state, heap, ledger or env
         self.running: list = []  # number -> whether it is the state of a running thread
         self.table: dict = {}
-        # thread number -> its step if that reads neither heap nor cursor,
-        # else (heap number, cursor) -> its step; a step is (kind, thread
-        # number, spawned numbers, (heap number, cursor) or None if
-        # unchanged, fired labels, heap event)
+        # thread number -> its step if that does not read the heap, else
+        # heap number -> its step; a step is (kind, thread number, spawned
+        # numbers, heap number after or None if unchanged, fired labels,
+        # heap event)
         self.steps: dict = {}
         self.admissions: dict = {}  # (ledger number, action) -> ledger number or GhostViolation
         self.closed: dict = {}  # ledger number -> ledger number or GhostViolation
@@ -508,27 +509,27 @@ class TransitionMemo:
     def key(self, state: ExplState) -> tuple:
         """``state`` numbered: (thread numbers, env number)."""
         m, number = state.machine, self.number
-        env = (number(m.heap), m.cursor, number(state.ledger))
+        env = (number(m.heap), number(state.ledger))
         return tuple(map(number, m.threads)), number(env)
 
-    def state(self, nums: tuple, heap: int, cursor: int, ledger: int) -> ExplState:
+    def state(self, nums: tuple, heap: int, ledger: int) -> ExplState:
         items = self.items
         threads = tuple(items[n] for n in nums)
-        return ExplState(MachineConfig(items[heap], threads, cursor), items[ledger])
+        return ExplState(MachineConfig(items[heap], threads), items[ledger])
 
-    def step(self, n: int, heap: int, cursor: int) -> tuple:
-        """Thread number ``n``'s step at (heap number, cursor)."""
+    def step(self, n: int, heap: int) -> tuple:
+        """Thread number ``n``'s step at heap number ``heap``."""
         got = self.steps.get(n)
         if type(got) is dict:
-            got = got.get((heap, cursor))
+            got = got.get(heap)
         if got is None:
             items, number = self.items, self.number
-            out = thread_step(items[n][1], items[heap], cursor)
-            store = None if out.heap is items[heap] else (number(out.heap), out.cursor)
-            got = (out.kind, number(out.thread), tuple(map(number, out.spawned)), store,
+            out = thread_step(items[n][1], items[heap])
+            after = None if out.heap is items[heap] else number(out.heap)
+            got = (out.kind, number(out.thread), tuple(map(number, out.spawned)), after,
                    out.fired, out.event)
             if out.read:
-                self.steps.setdefault(n, {})[heap, cursor] = got
+                self.steps.setdefault(n, {})[heap] = got
             else:
                 self.steps[n] = got
         return got
@@ -548,14 +549,14 @@ class TransitionMemo:
             got = self.closed[ledger] = self.number(out.ledger) if out.ok else out.violation
         return got
 
-    def property_violations(self, nums: tuple, heap: int, cursor: int, ledger: int) -> list:
+    def property_violations(self, nums: tuple, heap: int, ledger: int) -> list:
         """A violation for each safety property that fails at the state
-        numbered (``nums``, heap, cursor, ledger)."""
+        numbered (``nums``, heap, ledger)."""
         props = self.scenario.properties
         verdicts_of = {} if self.verdicts is None else self.verdicts
         verdicts = verdicts_of.get((ledger, heap))
         if verdicts is None:
-            st = self.state(nums, heap, cursor, ledger)
+            st = self.state(nums, heap, ledger)
             verdicts = [check_property(self.scenario, st, p) for p in props]
             verdicts_of[ledger, heap] = verdicts
         return [
@@ -568,20 +569,19 @@ class TransitionMemo:
         after, violations, crossed labels, stuck reason).
 
         Resolvers read the post-step heap, not the thread pool, so this
-        reads (tid, thread tid's state, heap, cursor, ledger), and all
-        threads only when a safety property reads them. A resolver that
-        raises KeyError or ValueError (ReplayError is one), finding the
-        scenario or the state without what it reads, gives a replay
-        violation.
+        reads (tid, thread tid's state, heap, ledger), and all threads only
+        when a safety property reads them. A resolver that raises KeyError
+        or ValueError (ReplayError is one), finding the scenario or the
+        state without what it reads, gives a replay violation.
         """
         items, scenario = self.items, self.scenario
-        heap, cursor, ledger = items[env]
-        kind, mine, spawned, store, fired, event = self.step(nums[tid], heap, cursor)
+        heap, ledger = items[env]
+        kind, mine, spawned, after, fired, event = self.step(nums[tid], heap)
         if kind != "next":  # stuck, or done: thread tid's expression was a value
             reason = items[mine][1] if kind == "stuck" else ""
             return "next" if kind == "done" else kind, mine, (), env, (), (), reason
-        if store is not None:
-            heap, cursor = store
+        if after is not None:
+            heap = after
         violations: list[tuple[str, str, str]] = []
         for lbl, result in fired:
             for entry in scenario.script.get(lbl, ()):
@@ -608,7 +608,7 @@ class TransitionMemo:
                     ledger = got
 
         nums = nums[:tid] + (mine,) + nums[tid + 1 :] + spawned
-        violations += self.property_violations(nums, heap, cursor, ledger)
+        violations += self.property_violations(nums, heap, ledger)
 
         closed = self.close(ledger)
         if type(closed) is not int:
@@ -616,7 +616,7 @@ class TransitionMemo:
         else:
             ledger = closed
         crossed = tuple(lbl for lbl, _ in fired)
-        env = self.number((heap, cursor, ledger))
+        env = self.number((heap, ledger))
         return "next", mine, spawned, env, tuple(violations), crossed, ""
 
 
@@ -669,12 +669,8 @@ def _terminal_checks(scenario: Scenario, state: ExplState):
 
 
 def _summary(scenario: Scenario, state: ExplState) -> TerminalSummary:
-    heap = state.machine.heap_dict()
-    cells = tuple(
-        (name, heap[scenario.cell_loc(name)][0])
-        for name, _ in scenario.cells
-        if scenario.cell_loc(name) in heap
-    )
+    values = ((name, state.machine.heap_value(l)) for l, (name, _) in enumerate(scenario.cells))
+    cells = tuple((name, v) for name, v in values if v is not None)
     stored = tuple((iid, inst.stored) for iid, inst in state.ledger.instances)
     return TerminalSummary(
         tuple(t[1] for t in state.machine.threads), cells, stored

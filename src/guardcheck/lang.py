@@ -32,6 +32,7 @@ __all__ = [
     "step",
     "thread_step",
     "enabled_threads",
+    "heap_value",
     "initial_config",
     "ast_to_json",
     "ast_from_json",
@@ -286,26 +287,26 @@ def subst(e, x: str, v):
 # Machine state
 
 
-class MachineConfig(Record):
-    """Heap, thread pool and allocation cursor: every location below the
-    cursor was allocated, so those absent from the heap were freed.
+def heap_value(heap: tuple, l: int) -> Term | None:
+    """The value at location ``l``, or None if it was freed or never allocated."""
+    cell = heap[l] if 0 <= l < len(heap) else None  # heap[-1] is the last cell
+    return None if cell is None else cell[0]
 
-    The heap maps locations to (value, rw) where rw is ("r", n) or ("w",).
+
+class MachineConfig(Record):
+    """Heap and thread pool.
+
+    The heap is indexed by location: entry l is (value, rw), where rw is
+    ("r", n) or ("w",), or None once l is freed. Its length is where the
+    next ``ref`` allocates, so freed locations are never reused.
     Threads are ("run", expr), ("done", value) or ("stuck", reason).
     """
 
     heap: tuple
     threads: tuple
-    cursor: int
-
-    def heap_dict(self) -> dict:
-        return {l: (v, rw) for l, v, rw in self.heap}
 
     def heap_value(self, l: int) -> Term | None:
-        for hl, v, _ in self.heap:
-            if hl == l:
-                return v
-        return None
+        return heap_value(self.heap, l)
 
 
 class StepEvent(Record):
@@ -328,17 +329,16 @@ class StepOutcome(Record):
 class ThreadStep(NamedTuple):
     """One step of a thread's expression: what :func:`thread_step` gives.
 
-    It reads only the expression, the heap and the cursor, never the
-    other threads or the thread's index, and the heap and cursor only if
-    ``read``. ``thread`` is the thread's state after the step and
-    ``spawned`` the states of the threads it forks.
+    It reads only the expression and the heap, never the other threads
+    or the thread's index, and the heap only if ``read``. ``thread`` is
+    the thread's state after the step and ``spawned`` the states of the
+    threads it forks.
     """
 
     kind: str  # next | stuck | done
     thread: tuple
     spawned: tuple
     heap: tuple
-    cursor: int
     fired: tuple = ()
     event: StepEvent | None = None
     read: bool = False
@@ -351,31 +351,38 @@ def _thread(e) -> tuple:
 def initial_config(cells: Iterable[Term], programs: Iterable) -> MachineConfig:
     """Allocate the named cells in order at locations 0.. and start one
     thread per program."""
-    heap = tuple((i, v, ("r", 0)) for i, v in enumerate(cells))
-    return MachineConfig(heap, tuple(_thread(p) for p in programs), len(heap))
+    heap = tuple((v, ("r", 0)) for v in cells)
+    return MachineConfig(heap, tuple(_thread(p) for p in programs))
 
 
 class _Stepper:
-    def __init__(self, heap: tuple, cursor: int):
-        self.heap = {l: (v, rw) for l, v, rw in heap}
-        self.cursor = cursor
-        self.read = False  # whether the step read the heap or cursor
-        self.wrote = False  # whether the heap or cursor changed
+    def __init__(self, heap: tuple):
+        self.heap = heap  # copied to a list on the first write
+        self.read = False  # whether the step read the heap
+        self.wrote = False  # whether the heap changed
         self.forks: list = []
         self.fired: list = []
         self.event: StepEvent | None = None
 
     # -- heap helpers
 
-    def _cell(self, l: int):
+    def _cell(self, l: int, absent: str = "load-absent"):
         self.read = True
-        if l not in self.heap:  # freed if below the cursor; no negative l was allocated
-            raise _Stuck("use-after-free" if 0 <= l < self.cursor else "load-absent")
-        return self.heap[l]
+        if not 0 <= l < len(self.heap):  # heap[-1] is the last cell, not an absent one
+            raise _Stuck(absent)
+        cell = self.heap[l]
+        if cell is None:
+            raise _Stuck("use-after-free")
+        return cell
+
+    def _written(self) -> list:
+        if not self.wrote:
+            self.heap = list(self.heap)
+            self.wrote = True
+        return self.heap
 
     def _put(self, l: int, v: Term, rw: tuple):
-        self.heap[l] = (v, rw)
-        self.wrote = True
+        self._written()[l] = (v, rw)
 
     # -- one reduction step; e is not a value
 
@@ -433,20 +440,16 @@ class _Stepper:
             return tbool(e[1] == e[2])
         if tag == "ref":
             self.read = True
-            l = self.cursor
-            self.cursor += 1
-            self._put(l, e[1], ("r", 0))
+            heap = self._written()
+            l = len(heap)
+            heap.append((e[1], ("r", 0)))
             self.event = StepEvent("ref", l, "", None, e[1])
             return loc(l)
         if tag == "free":
             l = loc_index(e[1])
-            self.read = True
-            if l not in self.heap:
-                raise _Stuck("use-after-free" if 0 <= l < self.cursor else "free-absent")
-            if self.heap[l][1] != ("r", 0):
+            if self._cell(l, "free-absent")[1] != ("r", 0):
                 raise _Stuck("free-race")
-            del self.heap[l]
-            self.wrote = True
+            self._written()[l] = None
             self.event = StepEvent("free", l)
             return UNIT
         if tag == "load":
@@ -535,23 +538,23 @@ class _Stepper:
         return UNIT
 
 
-def thread_step(e, heap: tuple, cursor: int) -> ThreadStep:
+def thread_step(e, heap: tuple) -> ThreadStep:
     """Apply the unique head reduction of the expression ``e`` against the
-    heap and allocation cursor. A step that changes neither returns the
-    input heap tuple itself.
+    heap. A step that does not change the heap returns the input heap
+    tuple itself.
     """
     if is_value(e):
-        return ThreadStep("done", ("done", e), (), heap, cursor)
-    machine = _Stepper(heap, cursor)
+        return ThreadStep("done", ("done", e), (), heap)
+    machine = _Stepper(heap)
     try:
         out = machine.step(e)
     except _Stuck as exc:
-        return ThreadStep("stuck", ("stuck", exc.reason), (), heap, cursor, read=machine.read)
+        return ThreadStep("stuck", ("stuck", exc.reason), (), heap, read=machine.read)
     if machine.wrote:
-        heap = tuple(sorted((l, v, rw) for l, (v, rw) in machine.heap.items()))
+        heap = tuple(machine.heap)
     return ThreadStep(
         "next", _thread(out), tuple(_thread(f) for f in machine.forks),
-        heap, machine.cursor, tuple(machine.fired), machine.event, machine.read,
+        heap, tuple(machine.fired), machine.event, machine.read,
     )
 
 
@@ -570,9 +573,9 @@ def step(cfg: MachineConfig, tid: int) -> StepOutcome:
     state = cfg.threads[tid]
     if state[0] != "run":
         raise UsageError(f"thread {tid} is not running ({state[0]})")
-    out = thread_step(state[1], cfg.heap, cfg.cursor)
+    out = thread_step(state[1], cfg.heap)
     threads = cfg.threads[:tid] + (out.thread,) + cfg.threads[tid + 1 :] + out.spawned
-    config = MachineConfig(out.heap, threads, out.cursor)
+    config = MachineConfig(out.heap, threads)
     if out.kind == "next":
         return StepOutcome("next", config, fired=out.fired, event=out.event)
     if out.kind == "stuck":

@@ -9,8 +9,9 @@ scenario's JSON document and reads it, as a scenario file is read.
 
 This is the authoring kit: no command loads it. The resolvers and
 properties its documents name, and the sequential oracle, are in
-:mod:`guardcheck.resolvers`; the oracle and the option codecs are
-imported here too, for the tests and tools that read them from here.
+:mod:`guardcheck.resolvers`; the oracle and the explorer's outcome
+set are imported here too, for the tests and tools that read them from
+here.
 """
 
 from __future__ import annotations
@@ -42,14 +43,7 @@ from .lang import (
     var,
 )
 from .library import NONE, HashFunctionSpec, HashTableElems
-from .resolvers import (
-    _region,
-    decode_results,
-    explorer_outcomes,
-    ghost_to_opt,
-    opt_to_ghost,
-    sequential_oracle,
-)
+from .resolvers import _region, explorer_outcomes, sequential_oracle
 from .terms import (
     UNIT,
     Record,
@@ -73,9 +67,6 @@ __all__ = [
     "build_abort_scenario",
     "sequential_oracle",
     "explorer_outcomes",
-    "opt_to_ghost",
-    "ghost_to_opt",
-    "decode_results",
 ]
 
 

@@ -181,7 +181,7 @@ def test_replay_of_explored_terminal_matches_outcomes():
     r = explore(s, memo=False)
     # replay one full schedule and check its terminal cells appear in the set
     entries = replay(s, [0, 1])
-    final_cell = entries[-1].state.machine.heap[0][1]
+    final_cell = entries[-1].state.machine.heap[0][0]
     assert any(t.cells[0][1] == final_cell for t in r.terminal_summaries)
 
 
@@ -360,7 +360,7 @@ def ref_prop_ghost_invariant(scenario, state, prop):
 def ref_step(cfg, tid, memo=None):
     """lang.step before it was split into the pure thread step and the
     thread pool around it; ``memo`` is ignored, and the stepper is built
-    from the heap and cursor that it used to read from ``cfg``."""
+    from the heap that it used to read from ``cfg``."""
     if not 0 <= tid < len(cfg.threads):
         raise UsageError(f"thread {tid} out of range")
     state = cfg.threads[tid]
@@ -372,7 +372,7 @@ def ref_step(cfg, tid, memo=None):
         threads[tid] = ("done", e)
         return StepOutcome("done", cfg.replace(threads=tuple(threads)), value=e)
 
-    machine = _Stepper(cfg.heap, cfg.cursor)
+    machine = _Stepper(cfg.heap)
     try:
         out = machine.step(e)
     except _Stuck as exc:
@@ -386,11 +386,7 @@ def ref_step(cfg, tid, memo=None):
     threads[tid] = ("done", out) if is_value(out) else ("run", out)
     for f in machine.forks:
         threads.append(("done", f) if is_value(f) else ("run", f))
-    new_cfg = MachineConfig(
-        tuple(sorted((l, v, rw) for l, (v, rw) in machine.heap.items())),
-        tuple(threads),
-        machine.cursor,
-    )
+    new_cfg = MachineConfig(tuple(machine.heap), tuple(threads))
     return StepOutcome(
         "next", new_cfg, fired=tuple(machine.fired), event=machine.event
     )
@@ -644,8 +640,8 @@ def guard_at_begin_doc():
 
 def alloc_free_doc():
     """Two threads that allocate, one of which frees its cell, and a
-    third that loads location 0: the same expression meets the same heap
-    under different cursors."""
+    third that loads location 0: the same expression meets the same live
+    cells in heaps of different lengths."""
     threads = (
         let("x", ref(tint(1)), free(var("x"))),
         ref(tint(2)),
@@ -804,14 +800,14 @@ def test_transition_memo_without_state_dedup(name, monkeypatch):
 def assert_computed_once_per_distinct_input(doc, mode, memo, calls, monkeypatch):
     """explore computes a transition once per distinct (tid, thread tid's
     state, or all threads when a safety property reads them, heap,
-    cursor, ledger) that the reference explorer meets, not once per
+    ledger) that the reference explorer meets, not once per
     transition, and reports what the reference reports."""
     inputs = set()
 
     def recording(scenario, state, tid, mode, memo=None):
         m = state.machine
         threads = m.threads if memo.verdicts is None else m.threads[tid]
-        inputs.add((tid, threads, m.heap, m.cursor, state.ledger))
+        inputs.add((tid, threads, m.heap, state.ledger))
         return ref_transition(scenario, state, tid, mode, memo)
 
     with monkeypatch.context() as m:
@@ -854,9 +850,9 @@ def test_transition_runs_once_per_distinct_input_on_every_path(
     ("hashtable-collide", "rule", 238), ("rwlock-shared", "concrete", 207),
 ])
 def test_thread_step_runs_once_per_heap_free_expression(name, mode, calls, monkeypatch):
-    # a step that reads neither heap nor cursor runs once per expression,
-    # not once per (expression, heap, cursor): 665 and 626 calls when
-    # every step was keyed on all three
+    # a step that does not read the heap runs once per expression, not
+    # once per (expression, heap): 665 and 626 calls when every step was
+    # keyed on both
     got = []
     real = explore_mod.thread_step
 

@@ -116,21 +116,26 @@ class TestHeapOps:
         cfg = initial_config([tint(0)], [ref(tint(7))])
         out = step(cfg, 0)
         assert out.event.op == "ref" and out.event.loc == 1
-        assert out.config.cursor == 2
+        assert len(out.config.heap) == 2
+        # ref allocates at the heap's end, so a freed location is never reused
+        v, cfg = run_single(seq(free(loc(0)), ref(tint(7))), cells=[tint(0)])
+        assert v == loc(1) and (cfg.heap_value(0), cfg.heap_value(1)) == (None, tint(7))
+        prog = seq(free(loc(0)), ref(tint(7)), load("sc", loc(0)))
+        assert first_stuck(prog, cells=[tint(0)]) == "use-after-free"
 
     def test_cas_success_and_failure(self):
         v, cfg = run_single(cas(loc(0), tint(0), tint(9)), cells=[tint(0)])
-        assert v == tbool(True) and cfg.heap[0][1] == tint(9)
+        assert v == tbool(True) and cfg.heap[0][0] == tint(9)
         v, cfg = run_single(cas(loc(0), tint(1), tint(9)), cells=[tint(0)])
-        assert v == tbool(False) and cfg.heap[0][1] == tint(0)
+        assert v == tbool(False) and cfg.heap[0][0] == tint(0)
 
     def test_fetch_add_returns_old(self):
         v, cfg = run_single(fetch_add(loc(0), tint(5)), cells=[tint(2)])
-        assert v == tint(2) and cfg.heap[0][1] == tint(7)
+        assert v == tint(2) and cfg.heap[0][0] == tint(7)
 
     def test_fetch_add_negative(self):
         v, cfg = run_single(fetch_add(loc(0), tint(-1)), cells=[tint(2)])
-        assert cfg.heap[0][1] == tint(1)
+        assert cfg.heap[0][0] == tint(1)
 
     def test_free_then_use(self):
         assert first_stuck(seq(free(loc(0)), load("sc", loc(0))), cells=[tint(0)]) == "use-after-free"
@@ -142,10 +147,13 @@ class TestHeapOps:
         assert first_stuck(seq(free(loc(0)), free(loc(0))), cells=[tint(0)]) == "use-after-free"
 
     def test_never_allocated_is_absent_not_freed(self):
-        # a location is freed only if it lies in [0, cursor) and is not in
-        # the heap; a negative one or one at or above the cursor never was
+        # a location is freed only if it lies below the heap's length and
+        # its entry is None; a negative one or one at or past the end
+        # never was, and every operation that looks a cell up says so
         for l in (-1, 1, 2):
-            assert first_stuck(load("sc", loc(l)), cells=[tint(0)]) == "load-absent"
+            for op in (load("sc", loc(l)), store("sc", loc(l), tint(1)),
+                       cas(loc(l), tint(0), tint(1)), fetch_add(loc(l), tint(1))):
+                assert first_stuck(op, cells=[tint(0)]) == "load-absent", op
             assert first_stuck(free(loc(l)), cells=[tint(0)]) == "free-absent"
 
     def test_boolean_cell(self):
@@ -164,23 +172,23 @@ class TestNonAtomic:
     def test_na_read_two_steps_and_counts(self):
         cfg = initial_config([tint(4)], [load("na", loc(0))])
         out = step(cfg, 0)
-        assert out.config.heap[0][2] == ("r", 1)  # begin bumps the count
+        assert out.config.heap[0][1] == ("r", 1)  # begin bumps the count
         out2 = step(out.config, 0)
-        assert out2.config.heap[0][2] == ("r", 0)
+        assert out2.config.heap[0][1] == ("r", 0)
         assert out2.config.threads[0] == ("done", tint(4))
 
     def test_na_write_goes_through_writing(self):
         cfg = initial_config([tint(0)], [store("na", loc(0), tint(8))])
         out = step(cfg, 0)
-        assert out.config.heap[0][2] == ("w",)
+        assert out.config.heap[0][1] == ("w",)
         out2 = step(out.config, 0)
-        assert out2.config.heap[0] == (0, tint(8), ("r", 0))
+        assert out2.config.heap[0] == (tint(8), ("r", 0))
 
     def test_na_roundtrip_matches_sc_on_race_free_program(self):
         for ordering in ("na", "sc"):
             v, cfg = run_single(load(ordering, loc(0)), cells=[tint(3)])
             assert v == tint(3)
-            assert cfg.heap[0] == (0, tint(3), ("r", 0))
+            assert cfg.heap[0] == (tint(3), ("r", 0))
 
     def test_sc_read_allowed_during_na_read(self):
         cfg = initial_config([tint(1)], [load("na", loc(0)), load("sc", loc(0))])
@@ -208,10 +216,10 @@ class TestNonAtomic:
     def test_reading_count_conservation(self):
         # two overlapping na reads: counts go 0 -> 1 -> 2 -> 1 -> 0
         cfg = initial_config([tint(0)], [load("na", loc(0)), load("na", loc(0))])
-        counts = [cfg.heap[0][2][1]]
+        counts = [cfg.heap[0][1][1]]
         for tid in (0, 1, 0, 1):
             cfg = step(cfg, tid).config
-            counts.append(cfg.heap[0][2][1])
+            counts.append(cfg.heap[0][1][1])
         assert counts == [0, 1, 2, 1, 0]
 
 
@@ -252,7 +260,7 @@ class TestThreading:
             step(cfg, 0)  # thread is done, not running
 
     def test_done_outcome_for_value_thread(self):
-        cfg = MachineConfig((), (("run", tint(3)),), 0)
+        cfg = MachineConfig((), (("run", tint(3)),))
         out = step(cfg, 0)
         assert out.kind == "done" and out.value == tint(3)
 
@@ -302,7 +310,7 @@ class TestSugar:
     def test_do_until_runs_body_at_least_once(self):
         prog = do_until(fetch_add(loc(0), tint(1)), "r", tbool(True))
         v, cfg = run_single(prog, cells=[tint(0)])
-        assert cfg.heap[0][1] == tint(1)
+        assert cfg.heap[0][0] == tint(1)
 
 
 def program_forms(inner):
@@ -404,37 +412,37 @@ def test_malformed_node_names_its_path(doc, message):
 
 
 # ---------------------------------------------------------------------------
-# The explorer's step memo: a step that reads the heap or cursor is
-# memoised on the numbers of (expression, heap, cursor), one that reads
-# neither on the expression's number
+# The explorer's step memo: a step that reads the heap is memoised on the
+# numbers of (expression, heap), one that does not on the expression's
+# number
 
 R0, R1, W = ("r", 0), ("r", 1), ("w",)
 
 
 def cells(*entries):
-    return tuple((l, tint(v), rw) for l, v, rw in entries)
+    """A heap: each entry is (int value, rw), or None for a freed cell."""
+    return tuple(None if c is None else (tint(c[0]), c[1]) for c in entries)
 
 
-# heap-reading expressions, each with two stores (heap, cursor) under
-# which it steps differently; a fault is named for the first store's
-FIRST, SECOND = (cells((0, 1, R0)), 1), (cells((0, 2, R0), (1, 7, R0)), 2)
+# heap-reading expressions, each with two heaps under which it steps
+# differently; a fault is named for the first heap's
+FIRST, SECOND = cells((1, R0)), cells((2, R0), (7, R0))
 HEAP_READS = {
     "load-sc": (load("sc", loc(0)), FIRST, SECOND),
-    "load-na": (load("na", loc(0)), FIRST, (cells((0, 1, R1)), 1)),
-    "load-na2": (("load", "na2", loc(0)), (cells((0, 1, R1)), 1), (cells((0, 2, ("r", 2))), 1)),
+    "load-na": (load("na", loc(0)), FIRST, cells((1, R1))),
+    "load-na2": (("load", "na2", loc(0)), cells((1, R1)), cells((2, ("r", 2)))),
     "store-sc": (store("sc", loc(0), tint(5)), FIRST, SECOND),
     "store-na": (store("na", loc(0), tint(5)), FIRST, SECOND),
-    "store-na2": (("store", "na2", loc(0), tint(5)), (cells((0, 1, W)), 1),
-                  (cells((0, 1, W), (1, 7, R0)), 2)),
+    "store-na2": (("store", "na2", loc(0), tint(5)), cells((1, W)), cells((1, W), (7, R0))),
     "cas": (cas(loc(0), tint(1), tint(5)), FIRST, SECOND),
     "faa": (fetch_add(loc(0), tint(1)), FIRST, SECOND),
     "ref": (ref(tint(5)), FIRST, SECOND),
     "free": (free(loc(0)), FIRST, SECOND),
-    "use-after-free": (load("sc", loc(1)), (cells((0, 1, R0)), 2), SECOND),
+    "use-after-free": (load("sc", loc(1)), cells((1, R0), None), SECOND),
     "load-absent": (load("sc", loc(1)), FIRST, SECOND),
     "free-absent": (free(loc(1)), FIRST, SECOND),
-    "free-race": (free(loc(0)), (cells((0, 1, R1)), 1), FIRST),
-    "race-sc-write": (store("sc", loc(0), tint(5)), (cells((0, 1, R1)), 1), FIRST),
+    "free-race": (free(loc(0)), cells((1, R1)), FIRST),
+    "race-sc-write": (store("sc", loc(0), tint(5)), cells((1, R1)), FIRST),
 }
 
 # heap-free redexes, and stuck steps that the expression alone decides
@@ -454,25 +462,23 @@ HEAP_FREE = {
 }
 
 
-def at(store_, e):
-    heap, cursor = store_
-    return MachineConfig(heap, (("run", e),), cursor)
+def at(heap, e):
+    return MachineConfig(heap, (("run", e),))
 
 
 def memo_for_steps():
     return TransitionMemo(Scenario("steps", (), (), {}, {}), "rule")
 
 
-def numbered_step(memo, store_, e):
-    """The step of ``e`` at ``store_`` through ``memo``'s step memo, put
+def numbered_step(memo, heap, e):
+    """The step of ``e`` at ``heap`` through ``memo``'s step memo, put
     back together as the StepOutcome that lang.step gives."""
     items = memo.items
-    heap, cursor = store_
     kind, mine, spawned, after, fired, event = memo.step(
-        memo.number(("run", e)), memo.number(heap), cursor)
+        memo.number(("run", e)), memo.number(heap))
     if after is not None:
-        heap, cursor = items[after[0]], after[1]
-    config = MachineConfig(heap, tuple(items[n] for n in (mine, *spawned)), cursor)
+        heap = items[after]
+    config = MachineConfig(heap, tuple(items[n] for n in (mine, *spawned)))
     if kind == "stuck":
         return StepOutcome("stuck", config, reason=items[mine][1])
     return StepOutcome(kind, config, fired=fired, event=event)
@@ -480,12 +486,12 @@ def numbered_step(memo, store_, e):
 
 @pytest.mark.parametrize("name", sorted(HEAP_READS))
 def test_heap_reading_step_is_memoised_per_store(name):
-    e, *stores = HEAP_READS[name]
+    e, *heaps = HEAP_READS[name]
     memo = memo_for_steps()
-    got = [numbered_step(memo, s, e) for s in stores]
-    want = [step(at(s, e), 0) for s in stores]
+    got = [numbered_step(memo, h, e) for h in heaps]
+    want = [step(at(h, e), 0) for h in heaps]
     assert got == want and want[0] != want[1]
-    assert [numbered_step(memo, s, e) for s in stores] == want  # now from the memo
+    assert [numbered_step(memo, h, e) for h in heaps] == want  # now from the memo
     if want[0].kind == "stuck":
         assert want[0].reason == name
 
@@ -503,4 +509,4 @@ def test_heap_free_step_is_memoised_on_the_expression(name, monkeypatch):
     monkeypatch.setattr(explore_mod, "thread_step", recompute)
     got = numbered_step(memo, SECOND, e)
     assert got == want
-    assert (got.config.heap, got.config.cursor) == SECOND
+    assert got.config.heap == SECOND

@@ -28,12 +28,10 @@ from guardcheck.studies import (
     build_hashtable_scenario,
     build_race_scenario,
     build_rwlock_scenario,
-    decode_results,
     explorer_outcomes,
-    ghost_to_opt,
-    opt_to_ghost,
     sequential_oracle,
 )
+from guardcheck.resolvers import decode_results, ghost_to_opt, opt_to_ghost
 from guardcheck.library import NONE, some
 from guardcheck.terms import UNIT, tcon, tint, tsym, ttuple
 
@@ -531,9 +529,9 @@ def test_lock_resolver_table(case):
     ledger = GhostLedger((("lock", InstanceState(fragments, UNIT)),))
     scenario = SimpleNamespace(
         protocols={"lock": sp}, named={"lock": named}, protected_cells={"lock": "cell"},
-        cell_loc=lambda name: name,
+        cell_loc=lambda name: 0,
     )
-    heap = (("cell", cell, ("w",)),)
+    heap = (None if cell is None else (cell, ("w",)),)
     ctx = ResolveCtx(scenario, ledger, heap, 0, "lbl", result, None)
     entry = ScriptEntry("lbl", resolver, tuple(sorted({"instance": "lock", **args}.items())))
     got = RESOLVERS[resolver](ctx, entry)
